@@ -18,6 +18,7 @@
 //! against an 8-thread run byte for byte. Wall-clock timing goes only into
 //! the full report (`BENCH_estimators.json`) and stderr.
 
+use crate::round2;
 use analysis::calibration::{calibration_report, CalibrationReport};
 use jsonio::Json;
 use measurement::{run_replicated_vantage_suite, run_stream_suite};
@@ -115,10 +116,6 @@ impl EstimatorsBenchReport {
             winners.join(" ")
         )
     }
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
 }
 
 /// Runs the calibration bench, invoking `progress` with one message per

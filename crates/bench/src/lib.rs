@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod estimators;
 pub mod scale;
 pub mod serve;
@@ -24,6 +25,11 @@ pub const BENCH_SCALE: f64 = 0.01;
 
 /// The seed used by the benches.
 pub const BENCH_SEED: u64 = 0xbe_c4;
+
+/// Rounds to two decimals, the precision of the BENCH report numbers.
+fn round2(v: f64) -> f64 {
+    (v * 100.0).round() / 100.0
+}
 
 /// Returns (and memoises) the benchmark campaign for a measurement period.
 pub fn bench_campaign(period: MeasurementPeriod) -> MeasurementCampaign {

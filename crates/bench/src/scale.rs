@@ -18,6 +18,7 @@
 //! [`ScaleReport`] is byte-identical at any `threads` value — CI pins this
 //! with `repro scale ... --threads 1` vs `--threads N`.
 
+use crate::round2;
 use jsonio::Json;
 use netsim::obs::identify_heap_bytes;
 use netsim::{
@@ -238,10 +239,6 @@ impl ScaleReport {
             self.compat.ratio()
         )
     }
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
 }
 
 /// Builds the synthetic population of one shard: a paper-shaped mix of

@@ -207,6 +207,27 @@ fn expect_ok(reply: &Json) -> io::Result<()> {
     }
 }
 
+/// The `hello` control document that opens a feed's tenant.
+fn hello(feed: &ServeFeed) -> Json {
+    let mut hello = Json::object();
+    hello.insert("op", "hello");
+    hello.insert("tenant", feed.tenant.as_str());
+    hello.insert("config", measurement::serve::config_to_json(&feed.config));
+    hello
+}
+
+/// The feed's events from row `from` on, as frames of `batch_rows` rows.
+fn event_frames(
+    feed: &ServeFeed,
+    from: usize,
+    batch_rows: usize,
+) -> impl Iterator<Item = Frame> + '_ {
+    (from..feed.table.len()).step_by(batch_rows).map(move |at| {
+        let block = encode_event_block(&feed.table, at, (at + batch_rows).min(feed.table.len()));
+        Frame::tenant_block(FRAME_EVENTS, &feed.tenant, &block)
+    })
+}
+
 /// Streams every feed into the daemon over `stream` and returns the
 /// deterministic answers document (`{"tenants": [{tenant, answer}...]}`),
 /// or an empty-answer document when `max_batches` cut ingest short.
@@ -217,11 +238,7 @@ pub fn drive_feeds<S: Read + Write>(
 ) -> io::Result<Json> {
     let mut answers = Json::array();
     for feed in feeds {
-        let mut hello = Json::object();
-        hello.insert("op", "hello");
-        hello.insert("tenant", feed.tenant.as_str());
-        hello.insert("config", measurement::serve::config_to_json(&feed.config));
-        let reply = roundtrip(stream, &hello)?;
+        let reply = roundtrip(stream, &hello(feed))?;
         let fresh = reply.bool_field("ok").map_err(|e| drive_err(e.to_string()))?;
         if !fresh && !options.resume {
             return Err(drive_err(
@@ -249,23 +266,9 @@ pub fn drive_feeds<S: Read + Write>(
             stream,
             &Frame::tenant_block(FRAME_REGISTRY, &feed.tenant, &delta),
         )?;
-        let mut sent = 0usize;
-        let mut from = events_done.min(feed.table.len());
-        while from < feed.table.len() {
-            if options.max_batches.is_some_and(|max| sent >= max) {
-                break;
-            }
-            let to = (from + options.batch_rows).min(feed.table.len());
-            write_frame(
-                stream,
-                &Frame::tenant_block(
-                    FRAME_EVENTS,
-                    &feed.tenant,
-                    &encode_event_block(&feed.table, from, to),
-                ),
-            )?;
-            from = to;
-            sent += 1;
+        let batches = options.max_batches.unwrap_or(usize::MAX);
+        for frame in event_frames(feed, events_done, options.batch_rows).take(batches) {
+            write_frame(stream, &frame)?;
         }
         stream.flush()?;
         if options.max_batches.is_some() {
@@ -439,12 +442,8 @@ pub fn run_serve_bench(
         .collect();
     let mut state = ServeState::new(serve_answerer(), ServeOptions::default());
     for feed in &feeds {
-        let mut hello = Json::object();
-        hello.insert("op", "hello");
-        hello.insert("tenant", feed.tenant.as_str());
-        hello.insert("config", measurement::serve::config_to_json(&feed.config));
         let reply = state
-            .handle_frame(&Frame::control(&hello))
+            .handle_frame(&Frame::control(&hello(feed)))
             .expect("control frames are answered");
         assert!(
             reply
@@ -464,23 +463,8 @@ pub fn run_serve_bench(
 
     // Interleaved ingest: round-robin one batch per tenant per round, so
     // all N feeds stay concurrently live for the whole phase.
-    let batches: Vec<Vec<Frame>> = feeds
-        .iter()
-        .map(|feed| {
-            let mut frames = Vec::new();
-            let mut from = 0;
-            while from < feed.table.len() {
-                let to = (from + cfg.batch_rows).min(feed.table.len());
-                frames.push(Frame::tenant_block(
-                    FRAME_EVENTS,
-                    &feed.tenant,
-                    &encode_event_block(&feed.table, from, to),
-                ));
-                from = to;
-            }
-            frames
-        })
-        .collect();
+    let batches: Vec<Vec<Frame>> =
+        feeds.iter().map(|feed| event_frames(feed, 0, cfg.batch_rows).collect()).collect();
     let rounds = batches.iter().map(Vec::len).max().unwrap_or(0);
     let ingest_started = Instant::now();
     for round in 0..rounds {

@@ -27,6 +27,7 @@
 //! reported number is content-derived (no timing in the deterministic
 //! part), so stdout is byte-identical at any `--threads`.
 
+use crate::round2;
 use jsonio::Json;
 use measurement::stream::StreamConfig;
 use measurement::{
@@ -194,10 +195,6 @@ fn growth(first: Option<&HorizonResult>, last: Option<&HorizonResult>, f: impl F
         (Some(first), Some(last)) if f(first) > 0 => f(last) as f64 / f(first) as f64,
         _ => 0.0,
     }
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
 }
 
 /// Runs one horizon: simulates the Extended population truncated to `days`,

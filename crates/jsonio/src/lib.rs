@@ -32,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// A JSON value.
@@ -159,15 +160,20 @@ impl Json {
         Json::Array(Vec::new())
     }
 
-    /// Appends a key/value pair to an object.
+    /// Sets a key of an object: an existing key keeps its position and gets
+    /// the new value, a new key is appended.
     ///
     /// # Panics
     ///
     /// Panics if `self` is not an object.
     pub fn insert(&mut self, key: impl Into<String>, value: impl Into<Json>) -> &mut Json {
-        match self {
-            Json::Object(entries) => entries.push((key.into(), value.into())),
-            _ => panic!("Json::insert called on a non-object"),
+        let Json::Object(entries) = self else {
+            panic!("Json::insert called on a non-object");
+        };
+        let (key, value) = (key.into(), value.into());
+        match entries.iter_mut().find(|(k, _)| *k == key) {
+            Some(entry) => entry.1 = value,
+            None => entries.push((key, value)),
         }
         self
     }
@@ -365,7 +371,8 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonError`] with the byte offset of the first problem for
-    /// malformed input, including trailing garbage after the document.
+    /// malformed input, including trailing garbage after the document and
+    /// an object key that appears twice (the offset of its second copy).
     ///
     /// # Example
     ///
@@ -551,9 +558,15 @@ impl<'a> Parser<'a> {
             self.depth -= 1;
             return Ok(Json::Object(entries));
         }
+        // A set, not a scan of `entries`, so many-key inputs stay linear.
+        let mut seen = HashSet::new();
         loop {
             self.skip_ws();
+            let key_at = self.pos;
             let key = self.string()?;
+            if !seen.insert(key.clone()) {
+                return Err(JsonError::parse(format!("duplicate key {key:?}"), key_at));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -746,6 +759,21 @@ mod tests {
     fn large_u64_roundtrips_exactly() {
         let v = Json::UInt(u64::MAX);
         assert_eq!(Json::parse(&v.to_string_compact()).unwrap(), v);
+    }
+
+    #[test]
+    fn insert_replaces_an_existing_key_in_place() {
+        let mut obj = Json::object();
+        obj.insert("a", 1u64).insert("b", 2u64).insert("a", 3u64);
+        assert_eq!(obj.to_string_compact(), r#"{"a":3,"b":2}"#);
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected_with_their_offset() {
+        let error = Json::parse(r#"{"a": 1, "b": {"c": 2}, "a": 3}"#).unwrap_err();
+        assert_eq!(error.to_string(), r#"duplicate key "a" (at byte 24)"#);
+        assert!(Json::parse(r#"{"x": {"a": 1, "a": 1}}"#).is_err());
+        assert!(Json::parse(r#"[{"a": 1}, {"a": 1}]"#).is_ok(), "keys are per object");
     }
 
     #[test]

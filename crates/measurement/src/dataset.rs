@@ -233,11 +233,10 @@ impl MeasurementDataset {
         obj.insert("dht_server", self.dht_server);
         obj.insert("started_at", record::time_to_json(self.started_at));
         obj.insert("ended_at", record::time_to_json(self.ended_at));
-        let mut peers = Json::object();
-        for (peer, rec) in &self.peers {
-            peers.insert(peer.to_hex(), rec.to_json());
-        }
-        obj.insert("peers", peers);
+        // Built directly: the keys are unique, and `Json::insert` would scan
+        // every earlier key for each of the (possibly many) peers.
+        let peers = self.peers.iter().map(|(peer, rec)| (peer.to_hex(), rec.to_json()));
+        obj.insert("peers", Json::Object(peers.collect()));
         obj.insert(
             "connections",
             Json::Array(self.connections.iter().map(|c| c.to_json()).collect()),

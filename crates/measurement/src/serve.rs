@@ -411,8 +411,10 @@ impl ServeState {
         })
     }
 
-    /// Writes the current checkpoint atomically (temp file + rename) to the
-    /// configured path.
+    /// Writes the current checkpoint atomically to the configured path, in a
+    /// way that survives power loss: the bytes go to a temp file that is
+    /// synced before it is renamed over the checkpoint, and the directory
+    /// is synced after the rename so the new entry is durable too.
     pub fn write_checkpoint(&mut self) -> io::Result<u64> {
         let path = self.options.checkpoint_path.clone().ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, "no checkpoint path configured")
@@ -424,8 +426,16 @@ impl ServeState {
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_else(|| "checkpoint".to_string())
         ));
-        std::fs::write(&tmp, &bytes)?;
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&bytes)?;
+        file.sync_all()?;
+        drop(file);
         std::fs::rename(&tmp, &path)?;
+        #[cfg(unix)]
+        {
+            let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+            std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
         self.checkpoints_written += 1;
         Ok(bytes.len() as u64)
     }

@@ -497,6 +497,31 @@ fn corrupted_checkpoints_are_rejected() {
     }
 }
 
+#[test]
+fn checkpoint_files_restore_to_an_equal_state_and_leave_no_temp_file() {
+    let dir = std::env::temp_dir().join(format!("serve-checkpoint-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the temp dir");
+    let path = dir.join("state.ck");
+    let options = || ServeOptions { checkpoint_path: Some(path.clone()), checkpoint_every: Some(3) };
+    let feed = synthetic_feed(6, 11, 120);
+    let mut state = ServeState::new(answerer(), options());
+    assert_eq!(hello(&mut state, &feed).bool_field("ok"), Ok(true));
+    // Event frames 3 and 6 write checkpoints on their own; the explicit
+    // write captures the final state.
+    ingest(&mut state, &feed, 16, None);
+    let written = state.write_checkpoint().expect("write the checkpoint");
+
+    let bytes = std::fs::read(&path).expect("the checkpoint file exists");
+    assert_eq!(bytes.len() as u64, written);
+    assert_eq!(bytes, state.checkpoint_bytes());
+    let restored = ServeState::restore(&bytes, answerer(), options()).expect("restore");
+    assert_eq!(restored.checkpoint_bytes(), state.checkpoint_bytes());
+    assert_eq!(restored.events_ingested(), state.events_ingested());
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("list the temp dir").flatten().collect();
+    assert_eq!(left.len(), 1, "only the checkpoint remains, no .tmp: {left:?}");
+    std::fs::remove_dir_all(&dir).expect("remove the temp dir");
+}
+
 // ---- transport loop --------------------------------------------------------
 
 #[cfg(unix)]
