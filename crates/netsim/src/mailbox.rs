@@ -589,7 +589,10 @@ impl Shard {
         let (og, hold) = {
             let ob = &mut self.observers[li];
             let behavior = &self.frozen.behaviors[g as usize];
-            let conn = ConnectionId(ob.next_conn_id);
+            // Interleaved per-observer id spaces: unique across the run, so
+            // dataset unions keyed by connection id never merge two
+            // observers' connections, and a lone observer counts 0, 1, 2, ….
+            let conn = ConnectionId(ob.next_conn_id * self.obs_total as u64 + ob.global as u64);
             ob.next_conn_id += 1;
             ob.sink.connection_opened(
                 now,

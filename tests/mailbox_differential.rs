@@ -17,10 +17,14 @@ const GRID: [MeasurementPeriod; 5] = [
 /// Combined trace checksum of each benign period at the test scale/seed,
 /// pinned so a behaviour change in the engine cannot hide behind the
 /// reference driver changing in lock-step.
+///
+/// P0–P2 deploy several observers and were re-pinned when connection ids
+/// became unique across observers (`local · observers + o`); P3 and P4
+/// deploy one observer, whose ids did not change.
 const PINNED_CHECKSUMS: [u64; 5] = [
-    0xe0c2_fe9f_c711_310d,
-    0x8952_e459_2381_25cb,
-    0xa4b7_a96a_3743_c5c1,
+    0x1102_2902_f9e1_a5cd,
+    0x239a_a9c2_7f5d_1be1,
+    0x52de_5477_e4ba_b21b,
     0x5633_40a1_9c39_b6c7,
     0xdea4_1238_1f40_0865,
 ];
@@ -114,4 +118,31 @@ fn trace_is_invariant_across_shard_counts() {
         let run = sharded(MeasurementPeriod::P1, shards, 2);
         assert_byte_identical(&reference, &run, &format!("P1 shards={shards}"));
     }
+}
+
+/// Connection ids are unique across the observers of one run: a dataset
+/// union (the hydra union, a vantage union) merges records by
+/// `(ConnectionId, PeerId)`, so an id two observers share silently drops
+/// connections from the union.
+#[test]
+fn multi_observer_runs_never_share_a_connection_id() {
+    let run = sharded(MeasurementPeriod::P1, 2, 1);
+    let mut owner: std::collections::HashMap<u64, &str> = std::collections::HashMap::new();
+    for log in &run.output.logs {
+        let table = log.table();
+        for conn in (0..table.len()).filter_map(|i| table.conn_at(i)) {
+            let first = *owner.entry(conn.0).or_insert(&log.observer);
+            assert_eq!(first, log.observer, "connection id {conn:?} appears in two logs");
+        }
+    }
+    let heads: Vec<&netsim::ObserverLog> = run
+        .output
+        .logs
+        .iter()
+        .filter(|log| log.observer.starts_with("hydra-h"))
+        .collect();
+    assert!(heads.len() > 1, "P1 deploys several hydra heads");
+    let (datasets, union) = measurement::HydraMonitor::new().ingest(&heads);
+    let total: usize = datasets.iter().map(|d| d.connection_count()).sum();
+    assert_eq!(union.connection_count(), total, "the union lost connections");
 }
