@@ -86,42 +86,30 @@ pub fn run_built(run: population::ScenarioRun) -> MeasurementCampaign {
     campaign_from_output(scenario, ground_truth_participants, duration, output)
 }
 
-/// Runs a materialised scenario through the cross-shard full-protocol engine
-/// (`netsim::mailbox`) instead of the classic single-queue runner, then
-/// feeds the exact same campaign-ingestion path.
+/// Runs a materialised scenario on `shards` lock-step engine shards across
+/// `threads` worker threads, then feeds the exact same campaign-ingestion
+/// path.
 ///
 /// Observers may live in any shard — the engine round-robins them and merges
 /// their logs canonically, so [`campaign_from_output`] is unchanged. The
-/// resulting campaign is byte-identical for every `shards`/`threads` value;
-/// it differs from [`run_built`] (a different engine with per-entity RNG
-/// streams and explicit propagation latency), which is why both paths exist.
-///
-/// # Panics
-///
-/// Panics if the scenario carries scripted population events: mid-run
-/// join/leave/rotation scripts are a classic-engine feature the cross-shard
-/// engine does not replay.
+/// resulting campaign is byte-identical to [`run_built`] for every
+/// `shards`/`threads` value; sharding only spreads the work.
 pub fn run_built_full_protocol(
     run: population::ScenarioRun,
     shards: usize,
     threads: usize,
 ) -> MeasurementCampaign {
-    assert!(
-        run.events.is_empty(),
-        "the cross-shard engine does not replay scripted population events"
-    );
     let scenario = run.scenario;
     let ground_truth_participants = run.ground_truth_participants;
     let duration = run.config.duration;
-    let engine_cfg = netsim::FullProtocolConfig::from_network(&run.config)
-        .with_shards(shards)
-        .with_threads(threads);
-    let result = netsim::run_full_protocol(&engine_cfg, run.population.specs);
+    let result = netsim::Network::new(run.config, run.population.specs)
+        .with_population_events(run.events)
+        .run_sharded(shards, threads);
     campaign_from_output(scenario, ground_truth_participants, duration, result.output)
 }
 
-/// Runs one of the paper's measurement periods through the cross-shard
-/// full-protocol engine. See [`run_built_full_protocol`].
+/// Runs one of the paper's measurement periods on `shards` lock-step engine
+/// shards. See [`run_built_full_protocol`].
 pub fn run_period_full_protocol(
     period: MeasurementPeriod,
     scale: f64,

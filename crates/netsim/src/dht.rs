@@ -1,16 +1,19 @@
-//! Per-peer DHT routing tables, maintained by the engine and replayable by
+//! Per-peer DHT routing tables, synthesised after a run and replayable by
 //! the crawler.
 //!
 //! The engine models only observer-incident edges, so remote-to-remote
 //! routing tables cannot be read off simulated traffic. Instead the
-//! [`DhtTracker`] synthesises them deterministically from the events the
-//! engine already emits: a server coming online bootstraps into the tables of
-//! its closest online neighbours (plus one contact per doubling of the
-//! distance rank — the shape of a Kademlia bucket walk), dials/identify/
-//! gossip admit peers into *observer* tables, and departures evict a peer
-//! from every table that holds it. The tracker draws no randomness: table
-//! membership is a pure function of the ground-truth event stream, so
+//! [`DhtTracker`] synthesises them deterministically from what the run
+//! recorded: a server coming online bootstraps into the tables of its
+//! closest online neighbours (plus one contact per doubling of the distance
+//! rank — the shape of a Kademlia bucket walk), dials and gossip admit peers
+//! into *observer* tables, and departures evict a peer from every table that
+//! holds it. The tracker draws no randomness: table membership is a pure
+//! function of the ground-truth stream and the observers' contacts, so
 //! enabling or disabling it never perturbs the passive observation logs.
+//! The engine runs it as a post-pass over the finished run because a new
+//! server's neighbours span the whole population, which no single engine
+//! shard holds.
 //!
 //! The tracker's output is a [`DhtLog`]: an append-only stream of
 //! [`DhtEvent`]s. `measurement::ActiveCrawler` replays the log with
@@ -252,8 +255,8 @@ impl DhtReplay<'_> {
     }
 }
 
-/// Maintains the live routing tables during a simulation run and records
-/// their membership history as a [`DhtLog`].
+/// Maintains routing tables over a replayed run and records their
+/// membership history as a [`DhtLog`].
 ///
 /// All methods are no-ops on a disabled tracker (the scale harness opts out
 /// via [`crate::Network::with_dht_tracking`]). Nothing here consumes engine
@@ -455,15 +458,45 @@ impl DhtTracker {
     }
 }
 
+/// A routing-table contact an observer made during a run: a dial or a
+/// gossip sighting of a DHT server admits `entry` into `owner`'s table, a
+/// closed connection evicts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DhtContact {
+    pub(crate) at: SimTime,
+    pub(crate) owner: PeerId,
+    pub(crate) entry: PeerId,
+    pub(crate) admit: bool,
+}
+
 /// Builds the [`DhtLog`] a run over the given ground truth would have
-/// produced, with every peer honest and the given bootstrap servers online
-/// throughout. Tests use this to crawl synthetic populations without running
-/// the engine; the engine itself feeds a [`DhtTracker`] live.
+/// produced, with every peer honest, no observer contacts and the given
+/// bootstrap servers online throughout. Tests use this to crawl synthetic
+/// populations without running the engine.
 ///
 /// `ground_truth.events` must be sorted by time (they are, for any finished
 /// run).
 pub fn dht_log_from_ground_truth(ground_truth: &GroundTruth, bootstrap: &[PeerId]) -> DhtLog {
+    replay_dht(ground_truth, bootstrap, &[], std::iter::empty())
+}
+
+/// The engine's routing-table post-pass: replays a run's ground truth and
+/// its observers' contacts through one [`DhtTracker`].
+///
+/// Both streams must be time-ordered; a contact at the same instant as a
+/// ground-truth event applies after it. The engine hands both over in
+/// canonical order, so the log does not depend on how the run was
+/// partitioned.
+pub(crate) fn replay_dht(
+    ground_truth: &GroundTruth,
+    bootstrap: &[PeerId],
+    conduct: &[(PeerId, DhtConduct)],
+    contacts: impl IntoIterator<Item = DhtContact>,
+) -> DhtLog {
     let mut tracker = DhtTracker::new(DEFAULT_BUCKET_SIZE);
+    for &(peer, peer_conduct) in conduct {
+        tracker.set_conduct(peer, peer_conduct);
+    }
     for &peer in bootstrap {
         tracker.register_bootstrap(peer);
     }
@@ -472,7 +505,18 @@ pub fn dht_log_from_ground_truth(ground_truth: &GroundTruth, bootstrap: &[PeerId
         role.entry(peer).or_insert(server);
     }
     let mut online: BTreeSet<PeerId> = BTreeSet::new();
+    let mut contacts = contacts.into_iter().peekable();
+    let apply = |tracker: &mut DhtTracker, contact: DhtContact| {
+        if contact.admit {
+            tracker.admit(contact.at, contact.owner, contact.entry);
+        } else {
+            tracker.evict(contact.at, contact.owner, contact.entry);
+        }
+    };
     for event in &ground_truth.events {
+        while let Some(contact) = contacts.next_if(|c| c.at < event.at()) {
+            apply(&mut tracker, contact);
+        }
         match event {
             GroundTruthEvent::PeerOnline { at, peer } => {
                 online.insert(*peer);
@@ -499,6 +543,9 @@ pub fn dht_log_from_ground_truth(ground_truth: &GroundTruth, bootstrap: &[PeerId
                 }
             }
         }
+    }
+    for contact in contacts {
+        apply(&mut tracker, contact);
     }
     tracker.into_log()
 }

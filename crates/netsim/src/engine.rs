@@ -1,9 +1,13 @@
-//! The discrete-event simulation engine.
+//! The simulated network and the output of a run.
 //!
 //! [`Network::run`] consumes a [`NetworkConfig`] and a population of
 //! [`RemotePeerSpec`]s and produces the observation log of every measurement
-//! node plus the ground truth of what actually happened. The engine models
-//! exactly the mechanisms the paper identifies as driving its observations:
+//! node plus the ground truth of what actually happened. The protocol itself
+//! lives in [`crate::mailbox`]: `Network::run` executes it on the engine's
+//! direct driver (one shard, one queue), [`Network::run_sharded`] on its
+//! lock-step driver, and both give the byte-identical output. The engine
+//! models exactly the mechanisms the paper identifies as driving its
+//! observations:
 //!
 //! * remote peers come and go according to their session patterns (node
 //!   churn),
@@ -12,7 +16,8 @@
 //! * both sides trim connections: the observer through its real
 //!   [`p2pmodel::ConnectionManager`], the remote side through per-peer hold
 //!   times (connection churn ≫ node churn),
-//! * metadata changes propagate to connected observers via identify push.
+//! * metadata changes propagate to connected observers via identify push,
+//! * scripted joins, leaves and PID rotations reshape the population mid-run.
 //!
 //! Observations are emitted through the [`ObservationSink`] trait — the
 //! engine never materialises [`crate::ObservedEvent`] values. Identify
@@ -21,14 +26,13 @@
 //! observers costs `k` column appends instead of `k` deep payload clones.
 
 use crate::config::{NetworkConfig, ObserverSpec};
-use crate::dht::{DhtLog, DhtTracker};
-use crate::events::{GroundTruth, GroundTruthEvent, ObserverLog};
+use crate::dht::DhtLog;
+use crate::events::{GroundTruth, ObserverLog};
+use crate::mailbox::{run_direct, run_lockstep, FullProtocolConfig, FullProtocolRun};
 use crate::obs::{IdentifyRegistry, ObservationSink, ObservationTable};
-use crate::spec::{PopulationAction, PopulationEvent, RemotePeerSpec};
-use p2pmodel::{
-    protocol::well_known, CloseReason, ConnectionId, ConnectionManager, Direction,
-};
-use simclock::{EventQueue, SimRng, SimTime};
+use crate::spec::{PopulationEvent, RemotePeerSpec};
+use p2pmodel::protocol::well_known;
+use simclock::SimTime;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -97,7 +101,7 @@ pub struct SinkRun<S> {
 }
 
 impl SinkRun<ObservationTable> {
-    /// Assembles the classic [`SimulationOutput`] from table sinks: each
+    /// Assembles the [`SimulationOutput`] from table sinks: each
     /// table is time-sorted and wrapped into an [`ObserverLog`] over the
     /// run's shared registry. `specs` must be the observer configuration
     /// the run used, in order.
@@ -130,97 +134,6 @@ impl SinkRun<ObservationTable> {
             })
             .collect();
         SimulationOutput::new(logs, self.ground_truth, self.dht)
-    }
-}
-
-/// Internal scheduler events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SimEvent {
-    PeerOnline(usize),
-    PeerOffline(usize),
-    RemoteDial { peer: usize, observer: usize },
-    RemoteClose { conn: ConnectionId, observer: usize },
-    Maintenance { observer: usize },
-    Metadata { peer: usize, change_idx: usize },
-    GossipDiscover { peer: usize, observer: usize },
-    Population(usize),
-}
-
-/// Per-peer runtime state. Identify payloads live in the registry; the state
-/// carries the current payload id plus the bits the hot paths branch on.
-struct PeerState {
-    online: bool,
-    /// Retired peers (rotated-away or scripted leavers) never come back
-    /// online, whatever their session pattern says.
-    retired: bool,
-    /// The peer's registry slot. Usually equal to the engine index, but two
-    /// population entries sharing a PeerId (a peer scripted to rejoin with
-    /// the same identity) share one slot, so observations attribute to the
-    /// same PID — exactly as the enum representation did.
-    slot: u32,
-    /// Registry id of the peer's *current* identify payload.
-    identify_id: u32,
-    /// Cached `identify.is_dht_server()` of the current payload.
-    is_server: bool,
-    /// Registry id of the peer's multiaddress.
-    addr_id: u32,
-    next_session_end: Option<SimTime>,
-    next_change: usize,
-}
-
-/// Per-observer runtime state.
-struct ObserverState<S> {
-    spec: ObserverSpec,
-    connmgr: ConnectionManager,
-    sink: S,
-    /// Open connections: id -> (peer index, direction).
-    conn_peer: HashMap<ConnectionId, (usize, Direction)>,
-    /// Open connection per peer (at most one per peer/observer pair).
-    peer_conn: HashMap<usize, ConnectionId>,
-    outbound_open: usize,
-}
-
-/// Membership structure for sampling random online DHT-Servers in O(1).
-#[derive(Default)]
-struct OnlineServers {
-    list: Vec<usize>,
-    pos: HashMap<usize, usize>,
-}
-
-impl OnlineServers {
-    fn with_capacity(n: usize) -> Self {
-        OnlineServers {
-            list: Vec::with_capacity(n),
-            pos: HashMap::with_capacity(n),
-        }
-    }
-
-    fn insert(&mut self, peer: usize) {
-        if self.pos.contains_key(&peer) {
-            return;
-        }
-        self.pos.insert(peer, self.list.len());
-        self.list.push(peer);
-    }
-
-    fn remove(&mut self, peer: usize) {
-        if let Some(idx) = self.pos.remove(&peer) {
-            let last = self.list.len() - 1;
-            self.list.swap(idx, last);
-            self.list.pop();
-            if idx < self.list.len() {
-                let moved = self.list[idx];
-                self.pos.insert(moved, idx);
-            }
-        }
-    }
-
-    fn sample(&self, rng: &mut SimRng) -> Option<usize> {
-        if self.list.is_empty() {
-            None
-        } else {
-            Some(self.list[rng.index(self.list.len())])
-        }
     }
 }
 
@@ -271,9 +184,10 @@ impl Network {
     }
 
     /// Enables or disables routing-table tracking (on by default). The
-    /// tracker consumes no engine randomness, so toggling it never changes
-    /// the observation logs — the scale harness turns it off to measure pure
-    /// engine throughput at million-peer populations.
+    /// routing tables are rebuilt after the run from the ground truth and
+    /// the observers' contacts and consume no engine randomness, so toggling
+    /// tracking never changes the observation logs — the scale harness turns
+    /// it off to measure pure engine throughput at million-peer populations.
     pub fn with_dht_tracking(mut self, enabled: bool) -> Self {
         self.dht_tracking = enabled;
         self
@@ -318,622 +232,27 @@ impl Network {
     /// Panics if `sinks.len()` differs from the number of configured
     /// observers.
     pub fn run_with_sinks<S: ObservationSink>(self, sinks: Vec<S>) -> SinkRun<S> {
-        assert_eq!(
-            sinks.len(),
-            self.config.observers.len(),
-            "one sink per configured observer"
-        );
-        Runner::new(
-            self.config,
+        let cfg = FullProtocolConfig::from_network(&self.config);
+        run_direct(&cfg, self.peers, self.population_events, sinks, self.dht_tracking).0
+    }
+
+    /// Runs the simulation on `shards` lock-step engine shards across
+    /// `threads` worker threads. The output is byte-identical to
+    /// [`Network::run`] for every shard and thread count; only the
+    /// [`crate::MailboxStats`] counters and the wall-clock time differ.
+    pub fn run_sharded(self, shards: usize, threads: usize) -> FullProtocolRun {
+        let cfg = FullProtocolConfig::from_network(&self.config)
+            .with_shards(shards)
+            .with_threads(threads);
+        let sinks = cfg.observers.iter().map(ObserverSpec::presized_table).collect();
+        let (run, stats) = run_lockstep::<ObservationTable>(
+            &cfg,
             self.peers,
             self.population_events,
             sinks,
             self.dht_tracking,
-        )
-        .run()
-    }
-}
-
-struct Runner<S> {
-    end: SimTime,
-    rng: SimRng,
-    queue: EventQueue<SimEvent>,
-    peers: Vec<RemotePeerSpec>,
-    peer_states: Vec<PeerState>,
-    peer_index: HashMap<p2pmodel::PeerId, usize>,
-    observers: Vec<ObserverState<S>>,
-    online_servers: OnlineServers,
-    ground_truth: GroundTruth,
-    dht: DhtTracker,
-    population_events: Vec<PopulationEvent>,
-    registry: IdentifyRegistry,
-    next_conn_id: u64,
-}
-
-impl<S: ObservationSink> Runner<S> {
-    fn new(
-        config: NetworkConfig,
-        peers: Vec<RemotePeerSpec>,
-        population_events: Vec<PopulationEvent>,
-        sinks: Vec<S>,
-        dht_tracking: bool,
-    ) -> Self {
-        let end = config.end_time();
-        let rng = SimRng::seed_from(config.seed);
-        let mut registry = IdentifyRegistry::with_capacity(peers.len());
-        let peer_states = peers
-            .iter()
-            .map(|spec| {
-                PeerState {
-                    online: false,
-                    retired: false,
-                    slot: registry.register_peer(spec.peer_id),
-                    identify_id: registry.intern_identify(&spec.identify),
-                    is_server: spec.identify.is_dht_server(),
-                    addr_id: registry.intern_addr(spec.addr),
-                    next_session_end: None,
-                    next_change: 0,
-                }
-            })
-            .collect();
-        let peer_index = peers
-            .iter()
-            .enumerate()
-            .map(|(idx, spec)| (spec.peer_id, idx))
-            .collect();
-        let observers = config
-            .observers
-            .iter()
-            .cloned()
-            .zip(sinks)
-            .map(|(spec, sink)| {
-                let expected_conns = spec.expected_connections();
-                ObserverState {
-                    connmgr: ConnectionManager::new(spec.limits),
-                    sink,
-                    conn_peer: HashMap::with_capacity(expected_conns),
-                    peer_conn: HashMap::with_capacity(expected_conns),
-                    outbound_open: 0,
-                    spec,
-                }
-            })
-            .collect();
-        let ground_truth = GroundTruth {
-            peers: peers
-                .iter()
-                .map(|p| (p.peer_id, p.is_dht_server()))
-                .collect(),
-            // Every peer produces at least one online event; churny
-            // populations produce a few sessions each.
-            events: Vec::with_capacity(peers.len() * 2),
-        };
-        let population = peers.len();
-        let mut dht = if dht_tracking {
-            DhtTracker::new(p2pmodel::kademlia::DEFAULT_BUCKET_SIZE)
-        } else {
-            DhtTracker::disabled()
-        };
-        for spec in &peers {
-            if !spec.dht_conduct.is_honest() {
-                dht.set_conduct(spec.peer_id, spec.dht_conduct);
-            }
-        }
-        // Server observers are the network's bootstrap peers: online from
-        // time zero, and every crawl seeds its candidate set there.
-        for spec in &config.observers {
-            if spec.role.is_server() {
-                dht.register_bootstrap(spec.peer_id);
-            }
-        }
-        Runner {
-            end,
-            rng,
-            queue: EventQueue::new(),
-            peers,
-            peer_states,
-            peer_index,
-            observers,
-            online_servers: OnlineServers::with_capacity(population),
-            ground_truth,
-            dht,
-            population_events,
-            registry,
-            next_conn_id: 0,
-        }
-    }
-
-    fn run(mut self) -> SinkRun<S> {
-        self.schedule_initial_events();
-        while let Some((now, event)) = self.queue.pop_until(self.end) {
-            self.handle(now, event);
-        }
-        self.finish()
-    }
-
-    fn schedule_initial_events(&mut self) {
-        // Large populations schedule one session start plus all metadata
-        // changes per peer up front — collect everything and heapify once via
-        // `schedule_batch` instead of paying O(log n) per event. The batch is
-        // built in exactly the order the events used to be scheduled in, so
-        // FIFO tie-breaking (and therefore every trace) is unchanged.
-        let change_count: usize = self.peers.iter().map(|p| p.changes.len()).sum();
-        let mut batch: Vec<(SimTime, SimEvent)> =
-            Vec::with_capacity(self.peers.len() + change_count + self.observers.len());
-        for idx in 0..self.peers.len() {
-            let (start, session_end) = {
-                let spec = &self.peers[idx];
-                spec.session.first_session(&mut self.rng)
-            };
-            self.peer_states[idx].next_session_end = session_end;
-            batch.push((start, SimEvent::PeerOnline(idx)));
-
-            for (change_idx, change) in self.peers[idx].changes.iter().enumerate() {
-                batch.push((
-                    change.at,
-                    SimEvent::Metadata {
-                        peer: idx,
-                        change_idx,
-                    },
-                ));
-            }
-        }
-        for (idx, event) in self.population_events.iter().enumerate() {
-            batch.push((event.at, SimEvent::Population(idx)));
-        }
-        for obs_idx in 0..self.observers.len() {
-            let interval = self.observers[obs_idx].spec.maintenance_interval;
-            batch.push((
-                SimTime::ZERO + interval,
-                SimEvent::Maintenance { observer: obs_idx },
-            ));
-            // Gossip discovery: some peers become Peerstore entries without a
-            // connection, at a random point of the run.
-            for peer_idx in 0..self.peers.len() {
-                let visibility = self.peers[peer_idx].gossip_visibility;
-                if visibility > 0.0 && self.rng.chance(visibility) {
-                    let at = SimTime::from_millis(self.rng.uniform_u64(0, self.end.as_millis().max(1)));
-                    batch.push((
-                        at,
-                        SimEvent::GossipDiscover {
-                            peer: peer_idx,
-                            observer: obs_idx,
-                        },
-                    ));
-                }
-            }
-        }
-        self.queue.schedule_batch(batch);
-    }
-
-    fn handle(&mut self, now: SimTime, event: SimEvent) {
-        match event {
-            SimEvent::PeerOnline(peer) => self.handle_peer_online(now, peer),
-            SimEvent::PeerOffline(peer) => self.handle_peer_offline(now, peer),
-            SimEvent::RemoteDial { peer, observer } => self.handle_remote_dial(now, peer, observer),
-            SimEvent::RemoteClose { conn, observer } => {
-                self.handle_remote_close(now, conn, observer)
-            }
-            SimEvent::Maintenance { observer } => self.handle_maintenance(now, observer),
-            SimEvent::Metadata { peer, change_idx } => self.handle_metadata(now, peer, change_idx),
-            SimEvent::GossipDiscover { peer, observer } => {
-                self.handle_gossip(now, peer, observer)
-            }
-            SimEvent::Population(idx) => self.handle_population(now, idx),
-        }
-    }
-
-    fn handle_peer_online(&mut self, now: SimTime, peer: usize) {
-        if self.peer_states[peer].online || self.peer_states[peer].retired {
-            return;
-        }
-        self.peer_states[peer].online = true;
-        self.ground_truth.events.push(GroundTruthEvent::PeerOnline {
-            at: now,
-            peer: self.peers[peer].peer_id,
-        });
-        if self.peer_states[peer].is_server {
-            // Non-honest peers squat the DHT but refuse swarm connections:
-            // they never enter the observers' maintenance-dial pool, so the
-            // passive view stays byte-identical under DHT-level attacks.
-            if self.peers[peer].dht_conduct.is_honest() {
-                self.online_servers.insert(peer);
-            }
-            self.dht.server_up(now, self.peers[peer].peer_id);
-        }
-        if let Some(end) = self.peer_states[peer].next_session_end {
-            self.queue.schedule(end, SimEvent::PeerOffline(peer));
-        }
-        // Decide, per observer, whether this peer will dial it this session.
-        for obs_idx in 0..self.observers.len() {
-            let observer_is_server = self.observers[obs_idx].spec.role.is_server();
-            let dials = {
-                let behavior = &self.peers[peer].behavior;
-                behavior.dials(observer_is_server, &mut self.rng)
-            };
-            if dials {
-                let delay = self.peers[peer].behavior.sample_redial_delay(&mut self.rng);
-                self.queue.schedule(
-                    now + delay,
-                    SimEvent::RemoteDial {
-                        peer,
-                        observer: obs_idx,
-                    },
-                );
-            }
-        }
-    }
-
-    fn handle_peer_offline(&mut self, now: SimTime, peer: usize) {
-        if !self.peer_states[peer].online {
-            return;
-        }
-        self.peer_states[peer].online = false;
-        self.online_servers.remove(peer);
-        // Departure first drops the peer's own table and evicts it from every
-        // table that holds it; the connection closes below then find nothing
-        // left to evict.
-        self.dht.server_down(now, self.peers[peer].peer_id);
-        self.ground_truth.events.push(GroundTruthEvent::PeerOffline {
-            at: now,
-            peer: self.peers[peer].peer_id,
-        });
-        // Close all connections this peer has with any observer.
-        for obs_idx in 0..self.observers.len() {
-            if let Some(conn) = self.observers[obs_idx].peer_conn.get(&peer).copied() {
-                self.close_connection(now, obs_idx, conn, CloseReason::PeerLeft, false);
-            }
-        }
-        // Schedule the next session, if the pattern rejoins (retired peers
-        // never do — a rotated-away PID must not resurrect).
-        if self.peer_states[peer].retired {
-            return;
-        }
-        let next = {
-            let spec = &self.peers[peer];
-            spec.session.next_session(now, &mut self.rng)
-        };
-        if let Some((start, end)) = next {
-            self.peer_states[peer].next_session_end = end;
-            self.queue.schedule(start, SimEvent::PeerOnline(peer));
-        }
-    }
-
-    fn handle_population(&mut self, now: SimTime, idx: usize) {
-        // Move the action out so the (possibly large) join batches and
-        // retirement lists are owned, not cloned; each population event fires
-        // exactly once.
-        let action = std::mem::replace(
-            &mut self.population_events[idx].action,
-            PopulationAction::Leave(Vec::new()),
         );
-        match action {
-            PopulationAction::Join(specs) => self.admit_peers(now, specs),
-            PopulationAction::Leave(peers) => self.retire_peers(now, peers),
-            PopulationAction::Rotate { retire, join } => {
-                self.retire_peers(now, retire);
-                self.admit_peers(now, join);
-            }
-        }
-    }
-
-    /// Adds new peers to the running simulation. Session patterns and
-    /// metadata-change schedules are interpreted relative to `now`.
-    fn admit_peers(&mut self, now: SimTime, specs: Vec<RemotePeerSpec>) {
-        for spec in specs {
-            let idx = self.peers.len();
-            if !spec.dht_conduct.is_honest() {
-                self.dht.set_conduct(spec.peer_id, spec.dht_conduct);
-            }
-            self.ground_truth.peers.push((spec.peer_id, spec.is_dht_server()));
-            self.peer_index.insert(spec.peer_id, idx);
-            let (start, session_end) = spec.session.first_session(&mut self.rng);
-            let start = now + (start - SimTime::ZERO);
-            let session_end = session_end.map(|end| now + (end - SimTime::ZERO));
-            self.peer_states.push(PeerState {
-                online: false,
-                retired: false,
-                slot: self.registry.register_peer(spec.peer_id),
-                identify_id: self.registry.intern_identify(&spec.identify),
-                is_server: spec.identify.is_dht_server(),
-                addr_id: self.registry.intern_addr(spec.addr),
-                next_session_end: session_end,
-                next_change: 0,
-            });
-            self.queue.schedule(start, SimEvent::PeerOnline(idx));
-            for (change_idx, change) in spec.changes.iter().enumerate() {
-                self.queue.schedule(
-                    now + (change.at - SimTime::ZERO),
-                    SimEvent::Metadata {
-                        peer: idx,
-                        change_idx,
-                    },
-                );
-            }
-            // Gossip discovery, as in the initial batch, over the rest of
-            // the run.
-            let visibility = spec.gossip_visibility;
-            for obs_idx in 0..self.observers.len() {
-                if visibility > 0.0 && self.rng.chance(visibility) && now < self.end {
-                    let at = SimTime::from_millis(self.rng.uniform_u64(
-                        now.as_millis(),
-                        self.end.as_millis().max(now.as_millis() + 1),
-                    ));
-                    self.queue.schedule(
-                        at,
-                        SimEvent::GossipDiscover {
-                            peer: idx,
-                            observer: obs_idx,
-                        },
-                    );
-                }
-            }
-            self.peers.push(spec);
-        }
-    }
-
-    /// Permanently retires the named peers: forces them offline and blocks
-    /// any future session of theirs. Unknown PIDs are ignored.
-    fn retire_peers(&mut self, now: SimTime, peers: Vec<p2pmodel::PeerId>) {
-        for peer_id in peers {
-            let Some(&idx) = self.peer_index.get(&peer_id) else {
-                continue;
-            };
-            if self.peer_states[idx].retired {
-                continue;
-            }
-            self.peer_states[idx].retired = true;
-            // Force the peer offline through the regular path so connections
-            // close with PeerLeft and ground truth records the departure;
-            // `retired` suppresses the rejoin scheduling.
-            self.handle_peer_offline(now, idx);
-        }
-    }
-
-    fn handle_remote_dial(&mut self, now: SimTime, peer: usize, observer: usize) {
-        if !self.peer_states[peer].online {
-            return;
-        }
-        if self.observers[observer].peer_conn.contains_key(&peer) {
-            return;
-        }
-        self.open_connection(now, observer, peer, Direction::Inbound);
-    }
-
-    fn handle_remote_close(&mut self, now: SimTime, conn: ConnectionId, observer: usize) {
-        if !self.observers[observer].conn_peer.contains_key(&conn) {
-            return;
-        }
-        self.close_connection(now, observer, conn, CloseReason::TrimmedRemote, true);
-    }
-
-    fn handle_maintenance(&mut self, now: SimTime, observer: usize) {
-        // Outbound dialing: the observer maintains a modest number of
-        // outbound connections for DHT routing (bootstrap, bucket refresh).
-        let target = self.observers[observer].spec.outbound_target;
-        let mut budget = 4usize;
-        while budget > 0 && self.observers[observer].outbound_open < target {
-            let Some(peer) = self.online_servers.sample(&mut self.rng) else {
-                break;
-            };
-            if self.observers[observer].peer_conn.contains_key(&peer) {
-                budget -= 1;
-                continue;
-            }
-            self.open_connection(now, observer, peer, Direction::Outbound);
-            budget -= 1;
-        }
-
-        // Trim check: the observer's own connection manager.
-        let decision = self.observers[observer].connmgr.maybe_trim(now);
-        for conn in decision.to_close {
-            self.close_connection(now, observer, conn, CloseReason::TrimmedLocal, true);
-        }
-
-        // Next maintenance pass.
-        let interval = self.observers[observer].spec.maintenance_interval;
-        let next = now + interval;
-        if next <= self.end {
-            self.queue
-                .schedule(next, SimEvent::Maintenance { observer });
-        }
-    }
-
-    fn handle_metadata(&mut self, now: SimTime, peer: usize, change_idx: usize) {
-        if change_idx != self.peer_states[peer].next_change {
-            // Changes are applied strictly in order; out-of-order events can
-            // only happen if the spec listed duplicate timestamps, in which
-            // case the queue's FIFO tie-break keeps them ordered anyway.
-        }
-        let Some(scheduled) = self.peers[peer].changes.get(change_idx) else {
-            return;
-        };
-        let was_server = self.peer_states[peer].is_server;
-        // Metadata changes are rare (a handful per peer per run): clone the
-        // current payload out of the registry, apply the change and intern
-        // the result. The per-push hot path below only moves the id.
-        let mut identify = self
-            .registry
-            .identify(self.peer_states[peer].identify_id)
-            .clone();
-        scheduled.change.apply(&mut identify);
-        let is_server = identify.is_dht_server();
-        let payload_id = self.registry.intern_identify(&identify);
-        self.peer_states[peer].identify_id = payload_id;
-        self.peer_states[peer].is_server = is_server;
-        self.peer_states[peer].next_change = change_idx + 1;
-        if was_server != is_server {
-            self.ground_truth.events.push(GroundTruthEvent::RoleChanged {
-                at: now,
-                peer: self.peers[peer].peer_id,
-                dht_server: is_server,
-            });
-            if self.peer_states[peer].online {
-                if is_server {
-                    if self.peers[peer].dht_conduct.is_honest() {
-                        self.online_servers.insert(peer);
-                    }
-                    self.dht.server_up(now, self.peers[peer].peer_id);
-                } else {
-                    self.online_servers.remove(peer);
-                    self.dht.server_down(now, self.peers[peer].peer_id);
-                }
-            }
-        }
-        // Identify push to every observer currently connected to the peer:
-        // one 4-byte id per observer, no payload clones.
-        let slot = self.peer_states[peer].slot;
-        for obs in &mut self.observers {
-            if obs.peer_conn.contains_key(&peer) {
-                obs.sink.identify_received(now, slot, payload_id);
-            }
-        }
-    }
-
-    fn handle_gossip(&mut self, now: SimTime, peer: usize, observer: usize) {
-        // Routing gossip about a permanently departed peer stops circulating;
-        // without this guard a pre-scheduled discovery could resurrect a
-        // retired PID in the observer's Peerstore.
-        if self.peer_states[peer].retired {
-            return;
-        }
-        let addr_id = self.peer_states[peer].addr_id;
-        let slot = self.peer_states[peer].slot;
-        self.observers[observer].sink.peer_discovered(now, slot, addr_id);
-        // Routing gossip carries the peer into the observer's own table (it
-        // may be a stale entry if the peer is offline — exactly the staleness
-        // a real crawler has to dial through).
-        if self.peer_states[peer].is_server {
-            let observer_id = self.observers[observer].spec.peer_id;
-            self.dht.admit(now, observer_id, self.peers[peer].peer_id);
-        }
-    }
-
-    fn open_connection(&mut self, now: SimTime, observer: usize, peer: usize, direction: Direction) {
-        let conn = ConnectionId(self.next_conn_id);
-        self.next_conn_id += 1;
-        let peer_id = self.peers[peer].peer_id;
-        let addr_id = self.peer_states[peer].addr_id;
-        let slot = self.peer_states[peer].slot;
-
-        let obs = &mut self.observers[observer];
-        obs.sink
-            .connection_opened(now, conn, slot, direction, addr_id);
-        obs.conn_peer.insert(conn, (peer, direction));
-        obs.peer_conn.insert(peer, conn);
-        if direction == Direction::Outbound {
-            obs.outbound_open += 1;
-        }
-        obs.connmgr.track(conn, peer_id, now);
-
-        // Value tagging: DHT-Servers are worth keeping (they answer routing
-        // queries), plus whatever archetype-specific value the population
-        // assigned. Outbound connections are the observer's own routing
-        // contacts and are protected like go-ipfs protects bootstrap peers.
-        let mut value = self.peers[peer].behavior.observer_value;
-        if self.peer_states[peer].is_server {
-            value += 10;
-        }
-        obs.connmgr.tag(conn, value);
-        if direction == Direction::Outbound {
-            obs.connmgr.protect(conn);
-        }
-
-        // A dial is how the observer learns the peer is a live DHT contact.
-        if self.peer_states[peer].is_server {
-            let observer_id = self.observers[observer].spec.peer_id;
-            self.dht.admit(now, observer_id, peer_id);
-        }
-
-        // Identify exchange.
-        let identify_prob = self.peers[peer].behavior.identify_prob;
-        if self.rng.chance(identify_prob) {
-            let payload_id = self.peer_states[peer].identify_id;
-            self.observers[observer]
-                .sink
-                .identify_received(now, slot, payload_id);
-        }
-
-        // The remote side will eventually trim the connection (or the peer
-        // goes offline first, handled by PeerOffline). Connections the remote
-        // peer initiated are ones it wanted and values; connections *we*
-        // dialed are unsolicited from its point of view and get the
-        // lower-value hold time — which is why the paper observes shorter
-        // outbound than inbound durations.
-        let observer_is_server = self.observers[observer].spec.role.is_server();
-        let valued_by_remote = observer_is_server && direction == Direction::Inbound;
-        let hold = self.peers[peer]
-            .behavior
-            .sample_hold(valued_by_remote, &mut self.rng);
-        self.queue
-            .schedule(now + hold, SimEvent::RemoteClose { conn, observer });
-    }
-
-    fn close_connection(
-        &mut self,
-        now: SimTime,
-        observer: usize,
-        conn: ConnectionId,
-        reason: CloseReason,
-        maybe_reconnect: bool,
-    ) {
-        let obs = &mut self.observers[observer];
-        let Some((peer, direction)) = obs.conn_peer.remove(&conn) else {
-            return;
-        };
-        obs.peer_conn.remove(&peer);
-        if direction == Direction::Outbound {
-            obs.outbound_open = obs.outbound_open.saturating_sub(1);
-        }
-        // The manager may or may not still track the connection (it already
-        // dropped it if the close came from a local trim).
-        obs.connmgr.untrack(conn);
-        let slot = self.peer_states[peer].slot;
-        obs.sink.connection_closed(now, conn, slot, reason);
-        // Losing the connection drops the peer from the observer's table —
-        // go-ipfs evicts disconnected contacts on the next bucket refresh.
-        let observer_id = self.observers[observer].spec.peer_id;
-        self.dht
-            .evict(now, observer_id, self.peers[peer].peer_id);
-
-        // Only the remote side re-establishes *inbound* connections; lost
-        // outbound connections are replaced by the observer's own maintenance
-        // dialing (not necessarily to the same peer).
-        if maybe_reconnect
-            && direction == Direction::Inbound
-            && self.peer_states[peer].online
-            && self.peers[peer].behavior.reconnect
-        {
-            let delay = self.peers[peer].behavior.sample_redial_delay(&mut self.rng);
-            self.queue.schedule(
-                now + delay,
-                SimEvent::RemoteDial {
-                    peer,
-                    observer,
-                },
-            );
-        }
-    }
-
-    fn finish(mut self) -> SinkRun<S> {
-        let end = self.end;
-        // Close everything still open; the paper counts connections still
-        // active at the end of a measurement as closed at that moment.
-        for obs_idx in 0..self.observers.len() {
-            let mut open: Vec<ConnectionId> =
-                self.observers[obs_idx].conn_peer.keys().copied().collect();
-            open.sort();
-            for conn in open {
-                self.close_connection(end, obs_idx, conn, CloseReason::MeasurementEnd, false);
-            }
-        }
-        self.ground_truth.events.sort_by_key(|e| e.at());
-        SinkRun {
-            sinks: self.observers.into_iter().map(|obs| obs.sink).collect(),
-            ground_truth: self.ground_truth,
-            dht: self.dht.into_log(),
-            registry: self.registry,
-            ended_at: end,
-        }
+        FullProtocolRun::new(run.into_output(&cfg.observers), stats)
     }
 }
 
@@ -946,11 +265,14 @@ pub const KAD_PROTOCOL: &str = well_known::KAD;
 mod tests {
     use super::*;
     use crate::config::{DhtRole, ObserverSpec};
-    use crate::spec::MetadataChange;
-    use crate::events::ObservedEvent;
+    use crate::spec::{MetadataChange, PopulationAction};
+    use crate::events::{GroundTruthEvent, ObservedEvent};
     use crate::obs::CountingSink;
     use crate::spec::{DialBehavior, ScheduledChange, SessionPattern};
-    use p2pmodel::{AgentVersion, ConnLimits, IdentifyInfo, IpAddress, Multiaddr, PeerId, ProtocolSet};
+    use p2pmodel::{
+        AgentVersion, CloseReason, ConnLimits, Direction, IdentifyInfo, IpAddress, Multiaddr,
+        PeerId, ProtocolSet,
+    };
     use simclock::SimDuration;
 
     fn server_identify() -> IdentifyInfo {
@@ -1113,8 +435,11 @@ mod tests {
 
     #[test]
     fn metadata_changes_reach_connected_observers_and_ground_truth() {
+        // The peer holds every connection, inbound or outbound, for the whole
+        // run, so the observer is connected when the change is pushed.
         let mut p = peer(0).with_behavior(DialBehavior {
             hold_server_median_secs: 100_000.0,
+            hold_client_median_secs: 100_000.0,
             hold_sigma: 0.1,
             redial_median_secs: 5.0,
             ..DialBehavior::default_peer()

@@ -1,20 +1,29 @@
-//! Cross-shard full-fidelity simulation: deterministic inter-shard mailboxes.
+//! The simulation engine: one protocol, run on one shard or on many.
 //!
-//! The classic [`crate::Network`] engine runs the whole population through one
-//! event queue — perfect for the paper's 20 k-peer compatibility campaigns,
-//! but a single future-event list cannot span tens of millions of peers. This
-//! module partitions the population across `S` engine shards and runs the
-//! shards in lock-step over sealed simulated time-slices (*epochs*), while
-//! keeping the merged trace **byte-identical for any shard count and any
-//! worker-thread count**.
+//! Every run — [`crate::Network::run`], [`crate::Network::run_sharded`] and
+//! [`run_full_protocol`] — executes the protocol implemented here: peer
+//! sessions, dials, gossip, identify, metadata pushes, scripted joins and
+//! retirements, and the observers' connection-manager maintenance. Two
+//! drivers execute it:
+//!
+//! * the **direct driver** runs the whole population as one shard through
+//!   one [`KeyedEventQueue`], with no epochs and no mailboxes.
+//!   [`crate::Network::run`] and [`crate::Network::run_with_sinks`] use it;
+//! * the **lock-step driver** partitions the population across `S` shards
+//!   and runs them over sealed simulated time-slices (*epochs*), exchanging
+//!   cross-shard events through mailboxes at every barrier.
+//!   [`run_full_protocol`] and [`crate::Network::run_sharded`] use it.
+//!
+//! Both produce the byte-identical trace for any shard count and any
+//! worker-thread count.
 //!
 //! # Ownership
 //!
-//! Peers are split into contiguous global-index ranges by [`ShardMap`]
-//! (`owner = map.owner(g)`, the same fat-shards-first rule the scale harness
-//! uses for `shard_population`). Observers are round-robined: observer `o`
-//! lives on shard `o % S`. The shard owning an entity holds its authoritative
-//! state and is the only shard that consumes its RNG stream.
+//! The global peer index space is the initial population followed by every
+//! scripted joiner in stream order. It is split into contiguous ranges by
+//! [`ShardMap`] (`owner = map.owner(g)`). Observers are round-robined:
+//! observer `o` lives on shard `o % S`. The shard owning an entity holds its
+//! authoritative state and is the only shard that consumes its RNG stream.
 //!
 //! # Epochs and mailboxes
 //!
@@ -28,8 +37,14 @@
 //!
 //! At the barrier every per-`(src, dst)` mailbox is sealed, the destination
 //! concatenates its inbound mailboxes in source-shard order, stable-sorts the
-//! merged batch by the globally unique `(time, key)` pair and bulk-heapifies
-//! it into its [`KeyedEventQueue`] via `schedule_batch`.
+//! merged batch by the globally unique `(time, key)` pair and hands it to its
+//! [`KeyedEventQueue`] via `schedule_batch`.
+//!
+//! Scripted population events need no mailbox: they are known before the
+//! run starts. A joiner's timeline simply starts at its join time, and a
+//! retirement is scheduled at its exact time on the peer's owner shard and
+//! on every shard that hosts an observer, so no observer records a retired
+//! PID after it retires.
 //!
 //! # Determinism
 //!
@@ -48,9 +63,15 @@
 //!    from broadcast notices that arrive with latency `L` in every
 //!    observer-hosting shard, applied in the same total order everywhere.
 //!
-//! [`run_reference`] runs the identical protocol through one queue with no
-//! epochs or mailboxes; differential tests pin `run_full_protocol` at any
-//! shard/thread count to its byte-exact output.
+//! # Routing tables
+//!
+//! The routing-table history ([`crate::DhtLog`]) is rebuilt after the run
+//! rather than maintained live: a new DHT server links to its closest online
+//! servers across the whole population, a view no single shard owns. Each
+//! server observer records its contacts (a dial or gossip sighting of a
+//! server admits it, a close evicts it), and the assembly replays the merged
+//! ground truth plus those contacts through one [`crate::DhtTracker`] in
+//! canonical order.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -60,20 +81,23 @@ use simclock::rng::splitmix64;
 use simclock::{KeyedEventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::{NetworkConfig, ObserverSpec};
-use crate::dht::DhtTracker;
-use crate::engine::SimulationOutput;
-use crate::events::{GroundTruth, GroundTruthEvent, ObserverLog};
+use crate::dht::{replay_dht, DhtConduct, DhtContact, DhtTracker};
+use crate::engine::{SimulationOutput, SinkRun};
+use crate::events::{GroundTruth, GroundTruthEvent};
 use crate::obs::{IdentifyRegistry, ObservationSink, ObservationTable, ShardMap};
+use crate::spec::{DialBehavior, PopulationAction, PopulationEvent, RemotePeerSpec, SessionPattern};
 
-/// Event ranks for peer-keyed events (low rank pops first on time ties).
-const RANK_SESSION_START: u64 = 0;
-const RANK_SESSION_END: u64 = 1;
-const RANK_META_FIRE: u64 = 2;
-const RANK_NOTICE_ONLINE: u64 = 3;
-const RANK_NOTICE_META: u64 = 4;
-const RANK_NOTICE_OFFLINE: u64 = 5;
-const RANK_DIAL: u64 = 6;
-const RANK_GOSSIP: u64 = 7;
+/// Event ranks for peer-keyed events (low rank pops first on time ties): a
+/// retirement pre-empts everything else the peer does at the same instant.
+const RANK_RETIRE: u64 = 0;
+const RANK_SESSION_START: u64 = 1;
+const RANK_SESSION_END: u64 = 2;
+const RANK_META_FIRE: u64 = 3;
+const RANK_NOTICE_ONLINE: u64 = 4;
+const RANK_NOTICE_META: u64 = 5;
+const RANK_NOTICE_OFFLINE: u64 = 6;
+const RANK_DIAL: u64 = 7;
+const RANK_GOSSIP: u64 = 8;
 
 /// Event ranks for observer-keyed events.
 const RANK_MAINT: u64 = 0;
@@ -84,7 +108,7 @@ const RANK_REDIAL: u64 = 2;
 const PEER_RNG_DOMAIN: u64 = 0x9ed1_cafe_0000_0001;
 const OBSERVER_RNG_DOMAIN: u64 = 0x9ed1_cafe_0000_0002;
 
-/// Maintenance dial attempts per pass (mirrors the classic engine's budget).
+/// Maintenance dial attempts per pass.
 const MAINT_DIAL_BUDGET: usize = 4;
 
 /// FNV-1a fold constants for combining per-observer table checksums.
@@ -110,8 +134,8 @@ fn obs_key(n: usize, o: u32, rank: u64) -> u64 {
     (((n as u64) + o as u64) << 4) | rank
 }
 
-/// The full-protocol event vocabulary. Peer indices (`peer`) are global
-/// population indices; observer indices (`obs`) are global observer indices.
+/// The event vocabulary. Peer indices (`peer`) are global population
+/// indices; observer indices (`obs`) are global observer indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FpEvent {
     /// A peer's session begins (owner shard).
@@ -120,6 +144,8 @@ enum FpEvent {
     SessionEnd { peer: u32 },
     /// A peer's next scheduled metadata change fires (owner shard).
     MetadataFire { peer: u32 },
+    /// A scripted retirement (owner shard and every observer-hosting shard).
+    Retire { peer: u32 },
     /// Broadcast: peer came online (observer-hosting shards).
     NoticeOnline { peer: u32 },
     /// Broadcast: peer went offline (observer-hosting shards).
@@ -141,13 +167,16 @@ enum FpEvent {
 /// One sealed mailbox entry: `(arrival time, total-order key, event)`.
 type MailEntry = (SimTime, u64, FpEvent);
 
+/// Scripted retirements `(time, peer)`, in stream order.
+type Retirements = Vec<(SimTime, u32)>;
+
 /// Immutable population data shared by every shard through an [`Arc`].
 ///
 /// Built once by [`freeze`]: the registry interns every peer, address and
 /// identify payload (including each peer's full metadata-change chain) in
 /// global population order, so all shards resolve the same ids.
 struct FrozenPopulation {
-    registry: Arc<IdentifyRegistry>,
+    registry: IdentifyRegistry,
     /// Population-order peer ids.
     peer_ids: Vec<PeerId>,
     /// Registry slot per peer (duplicate `PeerId`s share a slot).
@@ -160,34 +189,53 @@ struct FrozenPopulation {
     initial_server: Vec<bool>,
     /// Dialing/holding behaviour per peer (observer shards sample hold times
     /// and redial delays from the behaviour of the peer they talk to).
-    behaviors: Vec<crate::spec::DialBehavior>,
+    behaviors: Vec<DialBehavior>,
+    /// Peers with non-honest DHT conduct, ascending by global index. They
+    /// squat the DHT but refuse swarm connections, so they never enter the
+    /// observers' maintenance-dial pool.
+    adversaries: Vec<(u32, DhtConduct)>,
+    retirements: Retirements,
     /// Whether each observer (global order) is a DHT server.
     obs_server: Vec<bool>,
+}
+
+impl FrozenPopulation {
+    fn honest(&self, g: u32) -> bool {
+        self.adversaries.binary_search_by_key(&g, |&(a, _)| a).is_err()
+    }
 }
 
 /// Authoritative per-peer state, owned by exactly one shard.
 struct PeerRuntime {
     rng: SimRng,
-    session: crate::spec::SessionPattern,
+    session: SessionPattern,
     gossip_visibility: f64,
+    /// When the peer joined: zero for the initial population, the batch
+    /// time for a scripted joiner. Its session pattern is relative to it.
+    joined: SimTime,
     /// Pre-resolved metadata chain: `(fire time, identify id, is_server)`.
     changes: Vec<(SimTime, u32, bool)>,
     next_change: usize,
     is_server: bool,
     online: bool,
+    /// Retired peers never come back online, whatever their session
+    /// pattern says.
+    retired: bool,
     next_session_end: Option<SimTime>,
 }
 
 /// Delayed network view replicated on every observer-hosting shard.
 ///
-/// Built purely from broadcast notices, which arrive with latency `L` and are
-/// applied in the total event order — so every replica transitions through
-/// the identical state sequence regardless of the partition.
+/// Built purely from broadcast notices, which arrive with latency `L`, and
+/// from scripted retirements, which are known up front; both are applied in
+/// the total event order — so every replica transitions through the
+/// identical state sequence regardless of the partition.
 struct VisibleNet {
     online: Vec<bool>,
     server: Vec<bool>,
     identify: Vec<u32>,
-    /// Dense list of online DHT servers (maintenance dial candidates).
+    retired: Vec<bool>,
+    /// Dense list of online honest DHT servers (maintenance dial candidates).
     servers_list: Vec<u32>,
     /// Position of peer `g` in `servers_list`, `u32::MAX` if absent.
     servers_pos: Vec<u32>,
@@ -200,6 +248,7 @@ impl VisibleNet {
             online: vec![false; n],
             server: frozen.initial_server.clone(),
             identify: frozen.base_identify.clone(),
+            retired: vec![false; n],
             servers_list: Vec::new(),
             servers_pos: vec![u32::MAX; n],
         }
@@ -229,23 +278,35 @@ impl VisibleNet {
 }
 
 /// Per-observer runtime state, owned by shard `o % S`.
-struct ObserverRuntime {
+struct ObserverRuntime<S> {
     spec: ObserverSpec,
     global: u32,
     rng: SimRng,
-    sink: ObservationTable,
+    sink: S,
     connmgr: ConnectionManager,
     conn_peer: HashMap<ConnectionId, (u32, Direction)>,
     peer_conn: HashMap<u32, ConnectionId>,
     outbound_open: usize,
     next_conn_id: u64,
+    /// Routing-table contacts `(time, peer, admit)` for the post-run DHT
+    /// replay; `None` when tracking is off or the observer is a DHT client
+    /// (a client keeps no table).
+    contacts: Option<Vec<(SimTime, u32, bool)>>,
+}
+
+impl<S> ObserverRuntime<S> {
+    fn contact(&mut self, at: SimTime, g: u32, admit: bool) {
+        if let Some(contacts) = &mut self.contacts {
+            contacts.push((at, g, admit));
+        }
+    }
 }
 
 /// How a shard emits cross-entity events.
 enum Route {
-    /// Reference mode: schedule straight into the local queue.
+    /// Direct driver: schedule straight into the local queue.
     Direct,
-    /// Sharded mode: buffer into per-destination mailboxes, plus one
+    /// Lock-step driver: buffer into per-destination mailboxes, plus one
     /// broadcast lane delivered to every observer-hosting shard.
     Mailbox {
         out: Vec<Vec<MailEntry>>,
@@ -255,11 +316,11 @@ enum Route {
 
 /// One engine shard: a contiguous peer range, its round-robin observers, a
 /// keyed event queue and the outbound mailboxes of the current epoch.
-struct Shard {
+struct Shard<S> {
     frozen: Arc<FrozenPopulation>,
     peer_start: u32,
     peers: Vec<PeerRuntime>,
-    observers: Vec<ObserverRuntime>,
+    observers: Vec<ObserverRuntime<S>>,
     visible: Option<VisibleNet>,
     queue: KeyedEventQueue<FpEvent>,
     route: Route,
@@ -275,9 +336,15 @@ struct Shard {
     processed: u64,
 }
 
-impl Shard {
+impl<S: ObservationSink> Shard<S> {
     fn local_peer(&self, g: u32) -> usize {
         (g - self.peer_start) as usize
+    }
+
+    /// The local slot of peer `g`, if this shard owns it.
+    fn owned_peer(&self, g: u32) -> Option<usize> {
+        let li = g.checked_sub(self.peer_start)? as usize;
+        (li < self.peers.len()).then_some(li)
     }
 
     fn local_obs(&self, o: u32) -> usize {
@@ -305,7 +372,8 @@ impl Shard {
     }
 
     /// Seeds the queue: every owned peer's first session, metadata chain and
-    /// gossip sightings, and every local observer's first maintenance pass.
+    /// gossip sightings, every retirement this shard must see, and every
+    /// local observer's first maintenance pass.
     fn init(&mut self) {
         let end_ms = (self.end - SimTime::ZERO).as_millis();
         let mut local: Vec<MailEntry> = Vec::with_capacity(self.peers.len() * 2);
@@ -314,22 +382,31 @@ impl Shard {
             let g = self.peer_start + li as u32;
             let p = &mut self.peers[li];
             let (start, end_opt) = p.session.first_session(&mut p.rng);
-            p.next_session_end = end_opt;
-            local.push((start, peer_key(g, RANK_SESSION_START), FpEvent::SessionStart { peer: g }));
+            let shift = p.joined - SimTime::ZERO;
+            p.next_session_end = end_opt.map(|end| end + shift);
+            local.push((start + shift, peer_key(g, RANK_SESSION_START), FpEvent::SessionStart { peer: g }));
             for &(at, _, _) in &p.changes {
                 local.push((at, peer_key(g, RANK_META_FIRE), FpEvent::MetadataFire { peer: g }));
             }
-            if p.gossip_visibility > 0.0 {
+            // Gossip sightings fall anywhere in the rest of the run; a peer
+            // joining at the very end is never gossiped about.
+            let joined_ms = (p.joined - SimTime::ZERO).as_millis();
+            if p.gossip_visibility > 0.0 && (joined_ms == 0 || joined_ms < end_ms) {
                 for o in 0..self.obs_total {
                     if p.rng.chance(p.gossip_visibility) {
-                        let at = SimTime::from_millis(p.rng.uniform_u64(0, end_ms.max(1)));
-                        gossip.push((g, o, at));
+                        let at = p.rng.uniform_u64(joined_ms, end_ms.max(joined_ms + 1));
+                        gossip.push((g, o, SimTime::from_millis(at)));
                     }
                 }
             }
         }
         for (g, o, at) in gossip {
             self.emit_to_observer(o, at, peer_key(g, RANK_GOSSIP), FpEvent::Gossip { peer: g, obs: o });
+        }
+        for &(at, g) in &self.frozen.retirements {
+            if self.visible.is_some() || self.owned_peer(g).is_some() {
+                local.push((at, peer_key(g, RANK_RETIRE), FpEvent::Retire { peer: g }));
+            }
         }
         for li in 0..self.observers.len() {
             let ob = &self.observers[li];
@@ -362,6 +439,7 @@ impl Shard {
             FpEvent::SessionStart { peer } => self.handle_session_start(now, peer),
             FpEvent::SessionEnd { peer } => self.handle_session_end(now, peer),
             FpEvent::MetadataFire { peer } => self.handle_metadata_fire(now, peer),
+            FpEvent::Retire { peer } => self.handle_retire(now, peer),
             FpEvent::NoticeOnline { peer } => self.handle_notice_online(peer),
             FpEvent::NoticeOffline { peer } => self.handle_notice_offline(now, peer),
             FpEvent::NoticeMetadata { peer, identify_id, server } => {
@@ -379,7 +457,7 @@ impl Shard {
         let li = self.local_peer(g);
         let (session_end, is_server, dials) = {
             let p = &mut self.peers[li];
-            if p.online {
+            if p.online || p.retired {
                 return;
             }
             p.online = true;
@@ -464,10 +542,35 @@ impl Shard {
         );
     }
 
+    /// A scripted retirement: the owner forces the peer offline for good;
+    /// every observer shard drops its connections to the peer at the same
+    /// instant and ignores it from then on.
+    fn handle_retire(&mut self, now: SimTime, g: u32) {
+        if let Some(li) = self.owned_peer(g) {
+            let p = &mut self.peers[li];
+            let was_online = p.online;
+            p.retired = true;
+            p.online = false;
+            if was_online {
+                self.gt.push((now, g, 2, p.is_server));
+                let at = now + self.latency;
+                self.emit_broadcast(at, peer_key(g, RANK_NOTICE_OFFLINE), FpEvent::NoticeOffline { peer: g });
+            }
+        }
+        if let Some(v) = self.visible.as_mut() {
+            v.retired[g as usize] = true;
+        }
+        self.handle_notice_offline(now, g);
+    }
+
     fn handle_notice_online(&mut self, g: u32) {
+        let honest = self.frozen.honest(g);
         let Some(v) = self.visible.as_mut() else { return };
+        if v.retired[g as usize] {
+            return;
+        }
         v.online[g as usize] = true;
-        if v.server[g as usize] {
+        if v.server[g as usize] && honest {
             v.insert_server(g);
         }
     }
@@ -486,13 +589,14 @@ impl Shard {
     }
 
     fn handle_notice_metadata(&mut self, now: SimTime, g: u32, id: u32, server: bool) {
+        let honest = self.frozen.honest(g);
         {
             let Some(v) = self.visible.as_mut() else { return };
             v.identify[g as usize] = id;
             if server != v.server[g as usize] {
                 v.server[g as usize] = server;
                 if v.online[g as usize] {
-                    if server {
+                    if server && honest {
                         v.insert_server(g);
                     } else {
                         v.remove_server(g);
@@ -522,10 +626,23 @@ impl Shard {
     }
 
     fn handle_gossip(&mut self, now: SimTime, g: u32, o: u32) {
+        // Gossip about a retired peer stops circulating: a sighting drawn
+        // before the retirement must not resurrect the PID.
+        let Some(v) = self.visible.as_ref() else { return };
+        if v.retired[g as usize] {
+            return;
+        }
+        let server = v.server[g as usize];
         let li = self.local_obs(o);
         let slot = self.frozen.slots[g as usize];
         let addr = self.frozen.addr_ids[g as usize];
-        self.observers[li].sink.peer_discovered(now, slot, addr);
+        let ob = &mut self.observers[li];
+        ob.sink.peer_discovered(now, slot, addr);
+        // Gossip carries a server into the observer's table, possibly as a
+        // stale entry — the staleness a real crawler has to dial through.
+        if server {
+            ob.contact(now, g, true);
+        }
     }
 
     fn handle_maintenance(&mut self, now: SimTime, o: u32) {
@@ -610,6 +727,9 @@ impl Shard {
             let mut value = behavior.observer_value;
             if visible_server {
                 value += 10;
+                // A dial is how the observer learns the peer is a live DHT
+                // contact.
+                ob.contact(now, g, true);
             }
             ob.connmgr.tag(conn, value);
             if direction == Direction::Outbound {
@@ -650,6 +770,9 @@ impl Shard {
             ob.connmgr.untrack(conn);
             ob.sink
                 .connection_closed(now, conn, self.frozen.slots[g as usize], reason);
+            // Losing the connection drops the peer from the observer's
+            // table, as go-ipfs evicts disconnected contacts.
+            ob.contact(now, g, false);
             if maybe_reconnect && direction == Direction::Inbound {
                 let online = self
                     .visible
@@ -675,7 +798,8 @@ impl Shard {
     }
 
     /// Closes every still-open connection at the end of the measurement, in
-    /// ascending [`ConnectionId`] order (matching the classic engine).
+    /// ascending [`ConnectionId`] order: the paper counts connections still
+    /// active at the end of a measurement as closed at that moment.
     fn finish(&mut self) {
         let end = self.end;
         for li in 0..self.observers.len() {
@@ -703,10 +827,10 @@ impl Shard {
 /// Delivers every sealed mailbox: per destination, inbound entries are
 /// concatenated in source-shard order (broadcast lanes only into
 /// observer-hosting shards), stable-sorted by the globally unique
-/// `(time, key)` pair and bulk-heapified via `schedule_batch`.
+/// `(time, key)` pair and handed over via `schedule_batch`.
 ///
 /// Returns `(delivered, cross_shard)` entry counts.
-fn exchange(shards: &mut [Shard]) -> (u64, u64) {
+fn exchange<S: ObservationSink>(shards: &mut [Shard<S>]) -> (u64, u64) {
     let mut delivered = 0u64;
     let mut cross = 0u64;
     let outs: Vec<(Vec<Vec<MailEntry>>, Vec<MailEntry>)> =
@@ -739,7 +863,11 @@ fn exchange(shards: &mut [Shard]) -> (u64, u64) {
 /// `threads` scoped worker threads. The assignment is static (`shard % t`),
 /// so the partition of work — and therefore the trace — is identical for
 /// every thread count; threads only change wall-clock time.
-fn par_shards<F: Fn(&mut Shard) + Sync>(shards: &mut [Shard], threads: usize, f: F) {
+fn par_shards<S, F>(shards: &mut [Shard<S>], threads: usize, f: F)
+where
+    S: ObservationSink + Send,
+    F: Fn(&mut Shard<S>) + Sync,
+{
     let t = threads.max(1).min(shards.len().max(1));
     if t <= 1 {
         for shard in shards.iter_mut() {
@@ -747,7 +875,7 @@ fn par_shards<F: Fn(&mut Shard) + Sync>(shards: &mut [Shard], threads: usize, f:
         }
         return;
     }
-    let mut buckets: Vec<Vec<&mut Shard>> = (0..t).map(|_| Vec::new()).collect();
+    let mut buckets: Vec<Vec<&mut Shard<S>>> = (0..t).map(|_| Vec::new()).collect();
     for (i, shard) in shards.iter_mut().enumerate() {
         buckets[i % t].push(shard);
     }
@@ -763,7 +891,7 @@ fn par_shards<F: Fn(&mut Shard) + Sync>(shards: &mut [Shard], threads: usize, f:
     });
 }
 
-/// Configuration of a full-protocol (reference or sharded) campaign.
+/// Configuration of a simulation run on the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FullProtocolConfig {
     /// Seed for every stochastic decision in the run.
@@ -773,7 +901,7 @@ pub struct FullProtocolConfig {
     /// Epoch length = uniform cross-entity latency `L`. Must be positive;
     /// sub-millisecond values are clamped to 1 ms.
     pub epoch: SimDuration,
-    /// Number of engine shards (sharded driver only; clamped to ≥ 1).
+    /// Number of engine shards (lock-step driver only; clamped to ≥ 1).
     pub shards: usize,
     /// Worker threads for the lock-step epochs (does not affect the trace).
     pub threads: usize,
@@ -794,7 +922,8 @@ impl FullProtocolConfig {
         }
     }
 
-    /// Derives a full-protocol config from a classic [`NetworkConfig`].
+    /// Derives the engine config of a [`NetworkConfig`]: a 60 s epoch, one
+    /// shard and one thread.
     pub fn from_network(cfg: &NetworkConfig) -> Self {
         FullProtocolConfig::new(cfg.seed, cfg.duration, cfg.observers.clone())
     }
@@ -822,12 +951,13 @@ impl FullProtocolConfig {
     }
 }
 
-/// Aggregate counters of a full-protocol run.
+/// Aggregate counters of an engine run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MailboxStats {
-    /// Lock-step epochs executed (0 for the reference driver).
+    /// Lock-step epochs executed (0 for the direct driver).
     pub epochs: u64,
-    /// Mailbox entries delivered across all exchanges (0 for reference).
+    /// Mailbox entries delivered across all exchanges (0 for the direct
+    /// driver).
     pub mailbox_events: u64,
     /// Mailbox entries whose source and destination shard differ.
     pub cross_shard_events: u64,
@@ -840,24 +970,75 @@ pub struct MailboxStats {
     pub checksum: u64,
 }
 
-/// Result of a full-protocol run: the standard [`SimulationOutput`] plus the
+/// Result of a lock-step run: the standard [`SimulationOutput`] plus the
 /// run's [`MailboxStats`].
 #[derive(Debug)]
 pub struct FullProtocolRun {
-    /// Observer logs, ground truth and (disabled) DHT log.
+    /// Observer logs, ground truth and DHT log.
     pub output: SimulationOutput,
     /// Aggregate counters of the run.
     pub stats: MailboxStats,
 }
 
+impl FullProtocolRun {
+    /// Completes the counters with the row count and checksum of the
+    /// assembled (time-sorted) observer tables.
+    pub(crate) fn new(output: SimulationOutput, mut stats: MailboxStats) -> Self {
+        let mut checksum = FNV_OFFSET;
+        for log in &output.logs {
+            stats.observations += log.table().len() as u64;
+            checksum = (checksum ^ log.table().checksum()).wrapping_mul(FNV_PRIME);
+        }
+        stats.checksum = checksum;
+        FullProtocolRun { output, stats }
+    }
+}
+
+/// Lays out the whole population in global order: the initial peers, then
+/// every scripted joiner (of events at or before `end`) in stream order,
+/// each with its join time. Retirements resolve each PID to the newest
+/// entry admitted so far, as the event stream reads; unknown PIDs are
+/// ignored.
+fn flatten(
+    specs: Vec<RemotePeerSpec>,
+    events: Vec<PopulationEvent>,
+    end: SimTime,
+) -> (Vec<(SimTime, RemotePeerSpec)>, Retirements) {
+    let mut peers: Vec<(SimTime, RemotePeerSpec)> =
+        specs.into_iter().map(|spec| (SimTime::ZERO, spec)).collect();
+    let mut retirements = Vec::new();
+    if events.is_empty() {
+        return (peers, retirements);
+    }
+    let mut index: HashMap<PeerId, u32> = peers
+        .iter()
+        .enumerate()
+        .map(|(g, (_, spec))| (spec.peer_id, g as u32))
+        .collect();
+    for event in events.into_iter().filter(|event| event.at <= end) {
+        let (retire, join) = match event.action {
+            PopulationAction::Join(join) => (Vec::new(), join),
+            PopulationAction::Leave(retire) => (retire, Vec::new()),
+            PopulationAction::Rotate { retire, join } => (retire, join),
+        };
+        retirements.extend(retire.iter().filter_map(|pid| Some((event.at, *index.get(pid)?))));
+        for spec in join {
+            index.insert(spec.peer_id, peers.len() as u32);
+            peers.push((event.at, spec));
+        }
+    }
+    (peers, retirements)
+}
+
 /// Interns the whole population into one registry (global order) and builds
 /// each shard's authoritative peer runtimes.
 fn freeze(
-    specs: Vec<crate::spec::RemotePeerSpec>,
-    seed: u64,
+    peers: Vec<(SimTime, RemotePeerSpec)>,
+    retirements: Retirements,
+    cfg: &FullProtocolConfig,
     map: &ShardMap,
 ) -> (FrozenPopulation, Vec<Vec<PeerRuntime>>) {
-    let n = specs.len();
+    let n = peers.len();
     let mut registry = IdentifyRegistry::with_capacity(n);
     let mut peer_ids = Vec::with_capacity(n);
     let mut slots = Vec::with_capacity(n);
@@ -865,177 +1046,148 @@ fn freeze(
     let mut base_identify = Vec::with_capacity(n);
     let mut initial_server = Vec::with_capacity(n);
     let mut behaviors = Vec::with_capacity(n);
+    let mut adversaries = Vec::new();
     let mut runtimes: Vec<Vec<PeerRuntime>> = (0..map.shards())
         .map(|s| Vec::with_capacity(map.count(s)))
         .collect();
-    for (g, spec) in specs.into_iter().enumerate() {
+    for (g, (joined, spec)) in peers.into_iter().enumerate() {
         let slot = registry.register_peer(spec.peer_id);
         let addr_id = registry.intern_addr(spec.addr);
         let base_id = registry.intern_identify(&spec.identify);
         let is_server = spec.identify.is_dht_server();
+        let shift = joined - SimTime::ZERO;
         let mut current = spec.identify.clone();
         let mut changes = Vec::with_capacity(spec.changes.len());
         for sc in &spec.changes {
             sc.change.apply(&mut current);
             let id = registry.intern_identify(&current);
-            changes.push((sc.at, id, current.is_dht_server()));
+            changes.push((sc.at + shift, id, current.is_dht_server()));
+        }
+        if !spec.dht_conduct.is_honest() {
+            adversaries.push((g as u32, spec.dht_conduct));
         }
         peer_ids.push(spec.peer_id);
         slots.push(slot);
         addr_ids.push(addr_id);
         base_identify.push(base_id);
         initial_server.push(is_server);
-        behaviors.push(spec.behavior.clone());
+        behaviors.push(spec.behavior);
         runtimes[map.owner(g)].push(PeerRuntime {
-            rng: SimRng::seed_from(derive_seed(seed, PEER_RNG_DOMAIN, g as u64)),
-            session: spec.session.clone(),
+            rng: SimRng::seed_from(derive_seed(cfg.seed, PEER_RNG_DOMAIN, g as u64)),
+            session: spec.session,
             gossip_visibility: spec.gossip_visibility,
+            joined,
             changes,
             next_change: 0,
             is_server,
             online: false,
+            retired: false,
             next_session_end: None,
         });
     }
     let frozen = FrozenPopulation {
-        registry: Arc::new(registry),
+        registry,
         peer_ids,
         slots,
         addr_ids,
         base_identify,
         initial_server,
         behaviors,
-        obs_server: Vec::new(),
+        adversaries,
+        retirements,
+        obs_server: cfg.observers.iter().map(|o| o.role.is_server()).collect(),
     };
     (frozen, runtimes)
 }
 
-/// Shared driver body; `reference` collapses to one shard with direct
-/// routing and no epochs.
-fn run_with(
+/// Builds the shards of a run: `shard_count` lock-step shards, or the one
+/// shard of the direct driver. `sinks` go to their observers, one each in
+/// configuration order.
+fn build<S: ObservationSink>(
     cfg: &FullProtocolConfig,
-    specs: Vec<crate::spec::RemotePeerSpec>,
-    reference: bool,
-) -> FullProtocolRun {
-    let n = specs.len();
-    let shard_count = if reference { 1 } else { cfg.shards.max(1) };
-    let map = ShardMap::new(n, shard_count);
-    let (mut frozen, mut runtimes) = freeze(specs, cfg.seed, &map);
-    frozen.obs_server = cfg.observers.iter().map(|o| o.role.is_server()).collect();
-    let frozen = Arc::new(frozen);
+    specs: Vec<RemotePeerSpec>,
+    events: Vec<PopulationEvent>,
+    sinks: Vec<S>,
+    track_dht: bool,
+    lockstep: bool,
+) -> Vec<Shard<S>> {
+    assert_eq!(sinks.len(), cfg.observers.len(), "one sink per configured observer");
     let end = SimTime::ZERO + cfg.duration;
-    let latency = cfg.latency();
-    let obs_total = cfg.observers.len() as u32;
-
-    let mut shards: Vec<Shard> = (0..shard_count)
-        .map(|s| {
-            let observers: Vec<ObserverRuntime> = cfg
-                .observers
-                .iter()
-                .enumerate()
-                .filter(|(o, _)| o % shard_count == s)
-                .map(|(o, spec)| ObserverRuntime {
-                    spec: spec.clone(),
-                    global: o as u32,
-                    rng: SimRng::seed_from(derive_seed(cfg.seed, OBSERVER_RNG_DOMAIN, o as u64)),
-                    sink: spec.presized_table(),
-                    connmgr: ConnectionManager::new(spec.limits),
-                    conn_peer: HashMap::with_capacity(spec.expected_connections()),
-                    peer_conn: HashMap::with_capacity(spec.expected_connections()),
-                    outbound_open: 0,
-                    next_conn_id: 0,
-                })
-                .collect();
+    let (peers, retirements) = flatten(specs, events, end);
+    let n = peers.len();
+    let shard_count = if lockstep { cfg.shards.max(1) } else { 1 };
+    let map = ShardMap::new(n, shard_count);
+    let (frozen, runtimes) = freeze(peers, retirements, cfg, &map);
+    let frozen = Arc::new(frozen);
+    let mut observers: Vec<Vec<ObserverRuntime<S>>> = (0..shard_count).map(|_| Vec::new()).collect();
+    for (o, (spec, sink)) in cfg.observers.iter().zip(sinks).enumerate() {
+        observers[o % shard_count].push(ObserverRuntime {
+            spec: spec.clone(),
+            global: o as u32,
+            rng: SimRng::seed_from(derive_seed(cfg.seed, OBSERVER_RNG_DOMAIN, o as u64)),
+            sink,
+            connmgr: ConnectionManager::new(spec.limits),
+            conn_peer: HashMap::with_capacity(spec.expected_connections()),
+            peer_conn: HashMap::with_capacity(spec.expected_connections()),
+            outbound_open: 0,
+            next_conn_id: 0,
+            contacts: (track_dht && spec.role.is_server()).then(Vec::new),
+        });
+    }
+    runtimes
+        .into_iter()
+        .zip(observers)
+        .enumerate()
+        .map(|(s, (peers, observers))| {
             let visible = (!observers.is_empty()).then(|| VisibleNet::new(&frozen));
-            let route = if reference {
-                Route::Direct
-            } else {
+            let route = if lockstep {
                 Route::Mailbox {
                     out: (0..shard_count).map(|_| Vec::new()).collect(),
                     broadcast: Vec::new(),
                 }
+            } else {
+                Route::Direct
             };
             Shard {
                 frozen: Arc::clone(&frozen),
                 peer_start: map.start(s) as u32,
-                peers: std::mem::take(&mut runtimes[s]),
+                peers,
                 observers,
                 visible,
                 queue: KeyedEventQueue::new(),
                 route,
                 gt: Vec::new(),
                 end,
-                latency,
+                latency: cfg.latency(),
                 peer_count: n,
-                obs_total,
+                obs_total: cfg.observers.len() as u32,
                 shard_count,
                 processed: 0,
             }
         })
-        .collect();
+        .collect()
+}
 
-    let mut stats = MailboxStats::default();
-    par_shards(&mut shards, cfg.threads, Shard::init);
-    if !reference {
-        // Upfront exchange: gossip sightings drawn at init are scheduled at
-        // arbitrary times, so they must be delivered before epoch 0 starts.
-        let (d, c) = exchange(&mut shards);
-        stats.mailbox_events += d;
-        stats.cross_shard_events += c;
-        let end_ms = cfg.duration.as_millis();
-        let epoch_ms = latency.as_millis();
-        let mut k = 0u64;
-        loop {
-            let start_ms = k * epoch_ms;
-            if start_ms >= end_ms {
-                break;
-            }
-            let limit = SimTime::from_millis(((k + 1) * epoch_ms).min(end_ms));
-            par_shards(&mut shards, cfg.threads, |shard| shard.run_epoch(limit, false));
-            let (d, c) = exchange(&mut shards);
-            stats.mailbox_events += d;
-            stats.cross_shard_events += c;
-            stats.epochs += 1;
-            k += 1;
-        }
-        // Final drain: every event at exactly `end` is already queued, so
-        // both drivers process the end-time tie-break in the same key order.
-        par_shards(&mut shards, cfg.threads, |shard| shard.run_epoch(end, true));
-    } else {
-        shards[0].run_epoch(end, true);
-    }
-    par_shards(&mut shards, cfg.threads, Shard::finish);
-
-    // Assembly: canonical observer order, canonical ground-truth order.
-    let mut tables: Vec<(u32, ObserverSpec, ObservationTable)> = Vec::with_capacity(obs_total as usize);
+/// Assembles the run's output: sinks in observer order, the canonical
+/// ground truth, and — when tracking — the routing-table post-pass.
+fn assemble<S: ObservationSink>(
+    shards: Vec<Shard<S>>,
+    track_dht: bool,
+    mut stats: MailboxStats,
+) -> (SinkRun<S>, MailboxStats) {
+    let end = shards[0].end;
+    let mut observers: Vec<ObserverRuntime<S>> = Vec::new();
     let mut gt_rows: Vec<(SimTime, u32, u8, bool)> = Vec::new();
-    for shard in &mut shards {
+    let mut frozen = None;
+    for mut shard in shards {
         stats.sim_events += shard.processed;
         gt_rows.append(&mut shard.gt);
-        for ob in shard.observers.drain(..) {
-            tables.push((ob.global, ob.spec, ob.sink));
-        }
+        observers.append(&mut shard.observers);
+        frozen = Some(shard.frozen);
     }
-    tables.sort_by_key(|&(global, _, _)| global);
-    let mut checksum = FNV_OFFSET;
-    let logs: Vec<ObserverLog> = tables
-        .into_iter()
-        .map(|(_, spec, mut table)| {
-            table.stable_sort_by_time();
-            stats.observations += table.len() as u64;
-            checksum = (checksum ^ table.checksum()).wrapping_mul(FNV_PRIME);
-            ObserverLog::from_columns(
-                spec.name,
-                spec.peer_id,
-                spec.role.is_server(),
-                SimTime::ZERO,
-                end,
-                table,
-                Arc::clone(&frozen.registry),
-            )
-        })
-        .collect();
-    stats.checksum = checksum;
+    let frozen = Arc::try_unwrap(frozen.expect("a run has at least one shard"))
+        .unwrap_or_else(|_| unreachable!("every shard has been dropped"));
+    observers.sort_by_key(|ob| ob.global);
 
     gt_rows.sort_by_key(|&(at, g, rank, _)| (at, g, rank));
     let events = gt_rows
@@ -1058,30 +1210,112 @@ fn run_with(
             .collect(),
         events,
     };
-    let output =
-        SimulationOutput::from_logs(logs, ground_truth, DhtTracker::disabled().into_log());
-    FullProtocolRun { output, stats }
+
+    let dht = if track_dht {
+        let bootstrap: Vec<PeerId> = observers
+            .iter()
+            .filter(|ob| ob.spec.role.is_server())
+            .map(|ob| ob.spec.peer_id)
+            .collect();
+        let conduct: Vec<(PeerId, DhtConduct)> = frozen
+            .adversaries
+            .iter()
+            .map(|&(g, conduct)| (frozen.peer_ids[g as usize], conduct))
+            .collect();
+        // Each observer's contacts are in handler order, so merging the
+        // lists by (time, observer) yields the canonical order without
+        // materialising them again.
+        let mut cursors = vec![0usize; observers.len()];
+        let contacts = std::iter::from_fn(|| {
+            let (o, &(at, g, admit)) = observers
+                .iter()
+                .enumerate()
+                .filter_map(|(o, ob)| Some((o, ob.contacts.as_ref()?.get(cursors[o])?)))
+                .min_by_key(|&(o, &(at, _, _))| (at, o))?;
+            cursors[o] += 1;
+            let (owner, entry) = (observers[o].spec.peer_id, frozen.peer_ids[g as usize]);
+            Some(DhtContact { at, owner, entry, admit })
+        });
+        replay_dht(&ground_truth, &bootstrap, &conduct, contacts)
+    } else {
+        DhtTracker::disabled().into_log()
+    };
+
+    let run = SinkRun {
+        sinks: observers.into_iter().map(|ob| ob.sink).collect(),
+        ground_truth,
+        dht,
+        registry: frozen.registry,
+        ended_at: end,
+    };
+    (run, stats)
 }
 
-/// Runs the full-protocol campaign sharded across `cfg.shards` lock-step
-/// engine shards with deterministic inter-shard mailboxes.
+/// The direct driver: the whole population as one shard, one queue, no
+/// epochs and no mailboxes.
+pub(crate) fn run_direct<S: ObservationSink>(
+    cfg: &FullProtocolConfig,
+    specs: Vec<RemotePeerSpec>,
+    events: Vec<PopulationEvent>,
+    sinks: Vec<S>,
+    track_dht: bool,
+) -> (SinkRun<S>, MailboxStats) {
+    let mut shards = build(cfg, specs, events, sinks, track_dht, false);
+    let shard = &mut shards[0];
+    shard.init();
+    shard.run_epoch(shard.end, true);
+    shard.finish();
+    assemble(shards, track_dht, MailboxStats::default())
+}
+
+/// The lock-step driver: `cfg.shards` shards over sealed epochs, with
+/// deterministic inter-shard mailboxes, on `cfg.threads` worker threads.
+pub(crate) fn run_lockstep<S: ObservationSink + Send>(
+    cfg: &FullProtocolConfig,
+    specs: Vec<RemotePeerSpec>,
+    events: Vec<PopulationEvent>,
+    sinks: Vec<S>,
+    track_dht: bool,
+) -> (SinkRun<S>, MailboxStats) {
+    let mut shards = build(cfg, specs, events, sinks, track_dht, true);
+    let mut stats = MailboxStats::default();
+    par_shards(&mut shards, cfg.threads, Shard::init);
+    // Upfront exchange: gossip sightings drawn at init are scheduled at
+    // arbitrary times, so they must be delivered before epoch 0 starts.
+    let (d, c) = exchange(&mut shards);
+    stats.mailbox_events += d;
+    stats.cross_shard_events += c;
+    let end_ms = cfg.duration.as_millis();
+    let epoch_ms = cfg.latency().as_millis();
+    let mut k = 0u64;
+    while k * epoch_ms < end_ms {
+        let limit = SimTime::from_millis(((k + 1) * epoch_ms).min(end_ms));
+        par_shards(&mut shards, cfg.threads, |shard| shard.run_epoch(limit, false));
+        let (d, c) = exchange(&mut shards);
+        stats.mailbox_events += d;
+        stats.cross_shard_events += c;
+        stats.epochs += 1;
+        k += 1;
+    }
+    // Final drain: every event at exactly `end` is already queued, so both
+    // drivers process the end-time tie-break in the same key order.
+    let end = SimTime::ZERO + cfg.duration;
+    par_shards(&mut shards, cfg.threads, |shard| shard.run_epoch(end, true));
+    par_shards(&mut shards, cfg.threads, Shard::finish);
+    assemble(shards, track_dht, stats)
+}
+
+/// Runs a population sharded across `cfg.shards` lock-step engine shards
+/// with deterministic inter-shard mailboxes, without routing-table
+/// tracking.
 ///
-/// The merged trace is byte-identical for every shard count and every
-/// worker-thread count, and equal to [`run_reference`] on the same inputs.
-pub fn run_full_protocol(
-    cfg: &FullProtocolConfig,
-    specs: Vec<crate::spec::RemotePeerSpec>,
-) -> FullProtocolRun {
-    run_with(cfg, specs, false)
-}
-
-/// Runs the identical protocol through a single keyed event queue with no
-/// epochs or mailboxes — the oracle the sharded driver is pinned against.
-pub fn run_reference(
-    cfg: &FullProtocolConfig,
-    specs: Vec<crate::spec::RemotePeerSpec>,
-) -> FullProtocolRun {
-    run_with(cfg, specs, true)
+/// The trace is byte-identical for every shard count and every
+/// worker-thread count, and equal to [`crate::Network::run`] on the same
+/// inputs when the epoch is the default 60 s.
+pub fn run_full_protocol(cfg: &FullProtocolConfig, specs: Vec<RemotePeerSpec>) -> FullProtocolRun {
+    let sinks = cfg.observers.iter().map(ObserverSpec::presized_table).collect();
+    let (run, stats) = run_lockstep::<ObservationTable>(cfg, specs, Vec::new(), sinks, false);
+    FullProtocolRun::new(run.into_output(&cfg.observers), stats)
 }
 
 #[cfg(test)]
@@ -1175,6 +1409,13 @@ mod tests {
             .with_threads(threads)
     }
 
+    /// The direct driver with table sinks, completed like a lock-step run.
+    fn reference(cfg: &FullProtocolConfig, specs: Vec<RemotePeerSpec>) -> FullProtocolRun {
+        let sinks = cfg.observers.iter().map(ObserverSpec::presized_table).collect();
+        let (run, stats) = run_direct::<ObservationTable>(cfg, specs, Vec::new(), sinks, false);
+        FullProtocolRun::new(run.into_output(&cfg.observers), stats)
+    }
+
     fn fingerprint(run: &FullProtocolRun) -> (u64, u64, Vec<usize>, usize) {
         (
             run.stats.checksum,
@@ -1186,7 +1427,7 @@ mod tests {
 
     #[test]
     fn one_shard_run_matches_reference_exactly() {
-        let reference = run_reference(&tiny_config(42, 1, 1), tiny_population(40, 7));
+        let reference = reference(&tiny_config(42, 1, 1), tiny_population(40, 7));
         let sharded = run_full_protocol(&tiny_config(42, 1, 1), tiny_population(40, 7));
         assert!(reference.stats.observations > 0, "campaign produced no observations");
         assert_eq!(fingerprint(&reference), fingerprint(&sharded));
@@ -1203,7 +1444,7 @@ mod tests {
 
     #[test]
     fn trace_is_invariant_across_shard_counts() {
-        let reference = run_reference(&tiny_config(99, 1, 1), tiny_population(50, 11));
+        let reference = reference(&tiny_config(99, 1, 1), tiny_population(50, 11));
         for shards in [2usize, 4, 8] {
             let sharded = run_full_protocol(&tiny_config(99, shards, 1), tiny_population(50, 11));
             assert_eq!(
@@ -1239,7 +1480,7 @@ mod tests {
 
     #[test]
     fn reference_driver_reports_no_mailbox_traffic() {
-        let run = run_reference(&tiny_config(5, 4, 4), tiny_population(20, 13));
+        let run = reference(&tiny_config(5, 4, 4), tiny_population(20, 13));
         assert_eq!(run.stats.epochs, 0);
         assert_eq!(run.stats.mailbox_events, 0);
         assert_eq!(run.stats.cross_shard_events, 0);
@@ -1248,7 +1489,7 @@ mod tests {
 
     #[test]
     fn metadata_changes_surface_in_observer_logs() {
-        let run = run_reference(&tiny_config(21, 1, 1), tiny_population(40, 7));
+        let run = reference(&tiny_config(21, 1, 1), tiny_population(40, 7));
         let roles = run
             .output
             .ground_truth

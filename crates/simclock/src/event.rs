@@ -1,180 +1,15 @@
 //! Deterministic future-event list.
 //!
 //! A discrete-event simulation advances by repeatedly popping the earliest
-//! scheduled event. [`EventQueue`] wraps a binary heap and guarantees a
+//! scheduled event. [`KeyedEventQueue`] wraps a binary heap and guarantees a
 //! *deterministic* ordering: events scheduled for the same instant are
-//! delivered in insertion order (FIFO), so two simulation runs with the same
-//! seed and the same schedule produce identical traces.
+//! delivered by a caller-assigned key, then in insertion order (FIFO), so two
+//! simulation runs with the same seed and the same schedule produce
+//! identical traces.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// An event together with the instant it is scheduled for.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduledEvent<E> {
-    /// The instant the event fires at.
-    pub at: SimTime,
-    /// Monotonically increasing sequence number used to break ties.
-    pub seq: u64,
-    /// The event payload.
-    pub event: E,
-}
-
-impl<E: Eq> Ord for ScheduledEvent<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest time (and within a
-        // time, the lowest sequence number) is popped first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E: Eq> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A time-ordered queue of future events.
-///
-/// # Example
-///
-/// ```
-/// use simclock::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_secs(5), "b");
-/// q.schedule(SimTime::from_secs(1), "a");
-/// q.schedule(SimTime::from_secs(5), "c");
-///
-/// let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-/// assert_eq!(order, vec!["a", "b", "c"]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<ScheduledEvent<E>>,
-    next_seq: u64,
-    now: SimTime,
-}
-
-impl<E: Eq> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E: Eq> EventQueue<E> {
-    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// The current simulated time: the timestamp of the most recently popped
-    /// event (or [`SimTime::ZERO`] before the first pop).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue has no pending events.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `event` to fire at instant `at`.
-    ///
-    /// Events scheduled for an instant earlier than the current clock are
-    /// delivered at the current clock instead (the simulation never travels
-    /// backwards).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(ScheduledEvent { at, seq, event });
-    }
-
-    /// Schedules many events at once.
-    ///
-    /// Semantically identical to calling [`EventQueue::schedule`] once per
-    /// item in iteration order (same past-clamping, same FIFO tie-breaking),
-    /// but large batches are heapified in *O(n)* and merged with
-    /// [`BinaryHeap::append`]'s size-aware strategy instead of paying
-    /// *O(log n)* per push. The simulation engine uses this to schedule the
-    /// initial session churn of big populations in bulk.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use simclock::{EventQueue, SimTime};
-    ///
-    /// let mut q = EventQueue::new();
-    /// q.schedule_batch((0..1000u64).map(|i| (SimTime::from_secs(1000 - i), i)));
-    /// assert_eq!(q.len(), 1000);
-    /// assert_eq!(q.pop(), Some((SimTime::from_secs(1), 999)));
-    /// ```
-    pub fn schedule_batch(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
-        let batch: Vec<ScheduledEvent<E>> = events
-            .into_iter()
-            .map(|(at, event)| {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                ScheduledEvent {
-                    at: at.max(self.now),
-                    seq,
-                    event,
-                }
-            })
-            .collect();
-        if batch.len() <= 8 {
-            // Small batches: plain pushes beat building a second heap.
-            for ev in batch {
-                self.heap.push(ev);
-            }
-        } else {
-            let mut incoming = BinaryHeap::from(batch);
-            self.heap.append(&mut incoming);
-        }
-    }
-
-    /// Pops the earliest event and advances the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let ScheduledEvent { at, event, .. } = self.heap.pop()?;
-        self.now = at;
-        Some((at, event))
-    }
-
-    /// Pops the earliest event only if it fires no later than `limit`.
-    ///
-    /// The clock advances to the event's timestamp when an event is returned
-    /// and is left unchanged otherwise.
-    pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        match self.heap.peek() {
-            Some(ev) if ev.at <= limit => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// The timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|ev| ev.at)
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
 
 /// An event scheduled in a [`KeyedEventQueue`]: an instant, a source key and
 /// a FIFO sequence number.
@@ -192,7 +27,7 @@ pub struct KeyedScheduledEvent<E> {
 
 impl<E: Eq> Ord for KeyedScheduledEvent<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap inversion, as for `ScheduledEvent`: earliest (at, key, seq)
+        // BinaryHeap is a max-heap; invert so the earliest (at, key, seq)
         // pops first.
         other
             .at
@@ -210,19 +45,32 @@ impl<E: Eq> PartialOrd for KeyedScheduledEvent<E> {
 
 /// A time-ordered queue with an explicit, caller-controlled total order.
 ///
-/// [`EventQueue`] breaks same-instant ties by insertion order, which makes
-/// the trace depend on *when* events were scheduled. A [`KeyedEventQueue`]
-/// instead orders events by `(at, key, seq)` where `key` is assigned by the
+/// Breaking same-instant ties by insertion order alone would make the trace
+/// depend on *when* events were scheduled. A [`KeyedEventQueue`] instead
+/// orders events by `(at, key, seq)` where `key` is assigned by the
 /// caller: two queues that receive the same set of `(at, key, event)`
 /// entries pop them in the same order no matter how insertion was batched or
 /// interleaved (the insertion-order `seq` only breaks ties between entries
 /// with identical `(at, key)`).
 ///
-/// This is the property the cross-shard simulation engine builds on: events
-/// drained from inter-shard mailboxes at an epoch boundary and events
-/// scheduled causally during the epoch sort into one partition-independent
-/// order, because the key encodes the *source entity*, not the insertion
-/// site.
+/// This is the property the simulation engine builds on: events drained
+/// from inter-shard mailboxes at an epoch boundary and events scheduled
+/// causally during the epoch sort into one partition-independent order,
+/// because the key encodes the *source entity*, not the insertion site.
+///
+/// # Example
+///
+/// ```
+/// use simclock::{KeyedEventQueue, SimTime};
+///
+/// let mut q = KeyedEventQueue::new();
+/// q.schedule(SimTime::from_secs(5), 2, "c");
+/// q.schedule(SimTime::from_secs(1), 9, "a");
+/// q.schedule(SimTime::from_secs(5), 1, "b");
+///
+/// let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, e)| e).collect();
+/// assert_eq!(order, vec!["a", "b", "c"]);
+/// ```
 #[derive(Debug, Clone)]
 pub struct KeyedEventQueue<E> {
     heap: BinaryHeap<KeyedScheduledEvent<E>>,
@@ -273,8 +121,8 @@ impl<E: Eq> KeyedEventQueue<E> {
 
     /// Schedules `event` at instant `at` under ordering key `key`.
     ///
-    /// As with [`EventQueue::schedule`], instants earlier than the current
-    /// clock are clamped to the clock.
+    /// Instants earlier than the current clock are clamped to the clock (the
+    /// simulation never travels backwards).
     pub fn schedule(&mut self, at: SimTime, key: u64, event: E) {
         let at = at.max(self.now);
         let seq = self.next_seq;
@@ -404,111 +252,6 @@ impl<E: Eq> KeyedEventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(30), 3);
-        q.schedule(SimTime::from_secs(10), 1);
-        q.schedule(SimTime::from_secs(20), 2);
-        assert_eq!(q.pop(), Some((SimTime::from_secs(10), 1)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(20), 2)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(30), 3)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn ties_are_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..100u32 {
-            q.schedule(SimTime::from_secs(7), i);
-        }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clock_advances_with_pops() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.schedule(SimTime::from_secs(42), ());
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(42));
-    }
-
-    #[test]
-    fn scheduling_in_the_past_is_clamped_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(100), "late");
-        q.pop();
-        q.schedule(SimTime::from_secs(10), "early");
-        let (at, ev) = q.pop().unwrap();
-        assert_eq!(ev, "early");
-        assert_eq!(at, SimTime::from_secs(100));
-    }
-
-    #[test]
-    fn pop_until_respects_limit() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(10), 1);
-        q.schedule(SimTime::from_secs(20), 2);
-        assert_eq!(q.pop_until(SimTime::from_secs(15)), Some((SimTime::from_secs(10), 1)));
-        assert_eq!(q.pop_until(SimTime::from_secs(15)), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(20)));
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(2), ());
-        assert!(!q.is_empty());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn schedule_batch_matches_sequential_schedules() {
-        // Same inputs through schedule() and schedule_batch() must produce
-        // identical pop sequences, including FIFO ties and past-clamping.
-        let events: Vec<(SimTime, u32)> = (0..500u32)
-            .map(|i| (SimTime::from_secs(((i * 7919) % 97) as u64), i))
-            .collect();
-        let mut sequential = EventQueue::new();
-        for (at, ev) in &events {
-            sequential.schedule(*at, *ev);
-        }
-        let mut batched = EventQueue::new();
-        batched.schedule_batch(events.iter().copied());
-        let a: Vec<_> = std::iter::from_fn(|| sequential.pop()).collect();
-        let b: Vec<_> = std::iter::from_fn(|| batched.pop()).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn schedule_batch_clamps_past_events_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(100), 0u32);
-        q.pop();
-        q.schedule_batch((1..20u32).map(|i| (SimTime::from_secs(i as u64), i)));
-        while let Some((at, _)) = q.pop() {
-            assert_eq!(at, SimTime::from_secs(100));
-        }
-    }
-
-    #[test]
-    fn schedule_batch_interleaves_with_single_schedules() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(5), 100u32);
-        q.schedule_batch([(SimTime::from_secs(5), 101u32), (SimTime::from_secs(1), 102)]);
-        q.schedule(SimTime::from_secs(5), 103);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        // Time order first, then insertion (seq) order for the 5 s ties.
-        assert_eq!(order, vec![102, 100, 101, 103]);
-    }
 
     #[test]
     fn keyed_queue_orders_by_at_then_key_then_seq() {
@@ -587,17 +330,5 @@ mod tests {
         let a: Vec<_> = std::iter::from_fn(|| sequential.pop()).collect();
         let b: Vec<_> = std::iter::from_fn(|| batched.pop()).collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop_remains_ordered() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(10), 10);
-        q.schedule(SimTime::from_secs(30), 30);
-        assert_eq!(q.pop().unwrap().1, 10);
-        // Schedule an event between the current clock and the next event.
-        q.schedule(q.now() + SimDuration::from_secs(5), 15);
-        assert_eq!(q.pop().unwrap().1, 15);
-        assert_eq!(q.pop().unwrap().1, 30);
     }
 }

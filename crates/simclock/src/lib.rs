@@ -6,8 +6,9 @@
 //! other crate builds on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a millisecond-resolution simulated clock.
-//! * [`EventQueue`] — a deterministic future-event list (the core of the
-//!   discrete-event engine).
+//! * [`KeyedEventQueue`] — a deterministic future-event list ordered by
+//!   time, then a caller-assigned key (the core of the discrete-event
+//!   engine).
 //! * [`SimRng`] — a seeded, reproducible random number generator together with
 //!   the heavy-tailed distributions used by the churn models.
 //! * [`stats`] — summary statistics (mean / median / percentiles), histograms,
@@ -16,13 +17,13 @@
 //! # Example
 //!
 //! ```
-//! use simclock::{EventQueue, SimDuration, SimTime};
+//! use simclock::{KeyedEventQueue, SimDuration, SimTime};
 //!
-//! let mut queue: EventQueue<&'static str> = EventQueue::new();
-//! queue.schedule(SimTime::ZERO + SimDuration::from_secs(30), "snapshot");
-//! queue.schedule(SimTime::ZERO + SimDuration::from_secs(10), "dial");
+//! let mut queue: KeyedEventQueue<&'static str> = KeyedEventQueue::new();
+//! queue.schedule(SimTime::ZERO + SimDuration::from_secs(30), 0, "snapshot");
+//! queue.schedule(SimTime::ZERO + SimDuration::from_secs(10), 7, "dial");
 //!
-//! let (t, ev) = queue.pop().unwrap();
+//! let (t, _key, ev) = queue.pop().unwrap();
 //! assert_eq!(ev, "dial");
 //! assert_eq!(t, SimTime::from_secs(10));
 //! ```
@@ -35,7 +36,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, KeyedEventQueue, KeyedScheduledEvent, ScheduledEvent};
+pub use event::{KeyedEventQueue, KeyedScheduledEvent};
 pub use rng::SimRng;
 pub use stats::{Cdf, Histogram, Summary, TimeSeries};
 pub use time::{SimDuration, SimTime};

@@ -1,10 +1,11 @@
-//! Differential pins of the cross-shard full-protocol engine
-//! (`netsim::mailbox`): the sharded driver must be byte-identical to the
-//! plain single-engine reference driver for every shard count and every
-//! worker-thread count, on the paper's benign measurement-period grid.
+//! Differential pins of the simulation engine (`netsim::mailbox`): its
+//! lock-step driver must be byte-identical to the direct driver behind
+//! `Network::run` for every shard count and every worker-thread count — on
+//! the paper's benign measurement-period grid, and with scripted churn,
+//! DHT-level attacks and routing-table tracking on.
 
-use netsim::{run_full_protocol, run_reference, FullProtocolConfig, FullProtocolRun};
-use population::{MeasurementPeriod, Scenario};
+use netsim::{run_full_protocol, FullProtocolConfig, FullProtocolRun, Network, SimulationOutput};
+use population::{ChurnScenario, MeasurementPeriod, Scenario};
 
 const GRID: [MeasurementPeriod; 5] = [
     MeasurementPeriod::P0,
@@ -41,9 +42,13 @@ fn engine_config(period: MeasurementPeriod, shards: usize, threads: usize) -> (F
     (cfg, run.population.specs)
 }
 
-fn reference(period: MeasurementPeriod) -> FullProtocolRun {
-    let (cfg, specs) = engine_config(period, 1, 1);
-    run_reference(&cfg, specs)
+/// The direct driver: `Network::run` without routing-table tracking (the
+/// lock-step runs below do not track either).
+fn reference(period: MeasurementPeriod) -> SimulationOutput {
+    let run = Scenario::new(period).with_scale(0.004).with_seed(17).build();
+    Network::new(run.config, run.population.specs)
+        .with_dht_tracking(false)
+        .run()
 }
 
 fn sharded(period: MeasurementPeriod, shards: usize, threads: usize) -> FullProtocolRun {
@@ -51,16 +56,11 @@ fn sharded(period: MeasurementPeriod, shards: usize, threads: usize) -> FullProt
     run_full_protocol(&cfg, specs)
 }
 
-/// Byte-level comparison of two runs: per-observer tables (checksum + rows),
-/// log identities, ground truth and the combined trace checksum.
-fn assert_byte_identical(a: &FullProtocolRun, b: &FullProtocolRun, context: &str) {
-    assert_eq!(a.stats.checksum, b.stats.checksum, "{context}: trace checksum");
-    assert_eq!(
-        a.stats.observations, b.stats.observations,
-        "{context}: observation count"
-    );
-    assert_eq!(a.output.logs.len(), b.output.logs.len(), "{context}: log count");
-    for (la, lb) in a.output.logs.iter().zip(&b.output.logs) {
+/// Byte-level comparison of two outputs: per-observer tables (checksum +
+/// rows), log identities, ground truth and routing-table history.
+fn assert_byte_identical(a: &SimulationOutput, b: &SimulationOutput, context: &str) {
+    assert_eq!(a.logs.len(), b.logs.len(), "{context}: log count");
+    for (la, lb) in a.logs.iter().zip(&b.logs) {
         assert_eq!(la.observer, lb.observer, "{context}: observer order");
         assert_eq!(la.peer_id, lb.peer_id, "{context}: observer identity");
         assert_eq!(
@@ -77,27 +77,28 @@ fn assert_byte_identical(a: &FullProtocolRun, b: &FullProtocolRun, context: &str
         );
     }
     assert_eq!(
-        a.output.ground_truth.peers, b.output.ground_truth.peers,
+        a.ground_truth.peers, b.ground_truth.peers,
         "{context}: ground-truth population"
     );
     assert_eq!(
-        a.output.ground_truth.events, b.output.ground_truth.events,
+        a.ground_truth.events, b.ground_truth.events,
         "{context}: ground-truth events"
     );
+    assert_eq!(a.dht, b.dht, "{context}: routing-table history");
 }
 
 #[test]
 fn one_shard_run_is_byte_identical_to_single_engine_on_benign_grid() {
     for (i, period) in GRID.iter().enumerate() {
         let reference = reference(*period);
+        let one_shard = sharded(*period, 1, 1);
         assert!(
-            reference.stats.observations > 0,
+            one_shard.stats.observations > 0,
             "{period:?}: grid campaign produced no observations"
         );
-        let one_shard = sharded(*period, 1, 1);
-        assert_byte_identical(&reference, &one_shard, &format!("{period:?} shards=1"));
+        assert_byte_identical(&reference, &one_shard.output, &format!("{period:?} shards=1"));
         assert_eq!(
-            reference.stats.checksum, PINNED_CHECKSUMS[i],
+            one_shard.stats.checksum, PINNED_CHECKSUMS[i],
             "{period:?}: pinned trace checksum changed — if intentional, repin"
         );
     }
@@ -108,7 +109,8 @@ fn four_shard_run_is_thread_invariant() {
     let serial = sharded(MeasurementPeriod::P1, 4, 1);
     let threaded = sharded(MeasurementPeriod::P1, 4, 8);
     assert!(serial.stats.cross_shard_events > 0, "P1 shards=4: no cross-shard traffic");
-    assert_byte_identical(&serial, &threaded, "P1 shards=4 threads 1 vs 8");
+    assert_eq!(serial.stats.checksum, threaded.stats.checksum, "P1 shards=4: checksum");
+    assert_byte_identical(&serial.output, &threaded.output, "P1 shards=4 threads 1 vs 8");
 }
 
 #[test]
@@ -116,7 +118,38 @@ fn trace_is_invariant_across_shard_counts() {
     let reference = reference(MeasurementPeriod::P1);
     for shards in [2usize, 4, 8] {
         let run = sharded(MeasurementPeriod::P1, shards, 2);
-        assert_byte_identical(&reference, &run, &format!("P1 shards={shards}"));
+        assert_byte_identical(&reference, &run.output, &format!("P1 shards={shards}"));
+    }
+}
+
+/// Everything `Network::run` produces — logs, ground truth and the
+/// routing-table post-pass — is byte-identical on the lock-step driver, with
+/// scripted joins and retirements (flash crowd, PID-rotation flood, mass
+/// exit) and a DHT-level attack (eclipse) in the run.
+#[test]
+fn network_runs_are_shard_and_thread_invariant_under_churn_and_attacks() {
+    let cells = [
+        (MeasurementPeriod::P1, ChurnScenario::Baseline),
+        (MeasurementPeriod::P4, ChurnScenario::flash_crowd()),
+        (MeasurementPeriod::P4, ChurnScenario::pid_rotation_flood()),
+        (MeasurementPeriod::P4, ChurnScenario::mass_exit()),
+        (MeasurementPeriod::P4, ChurnScenario::eclipse()),
+    ];
+    for (period, churn) in cells {
+        let scenario = Scenario::new(period).with_scale(0.003).with_seed(17).with_churn(churn.clone());
+        let network = || {
+            let run = scenario.build();
+            Network::new(run.config, run.population.specs).with_population_events(run.events)
+        };
+        let direct = network().run();
+        assert!(!direct.dht.events.is_empty(), "{period:?}/{churn}: no routing-table history");
+        for shards in [2usize, 4] {
+            for threads in [1usize, 2] {
+                let run = network().run_sharded(shards, threads);
+                let context = format!("{period:?}/{churn} shards={shards} threads={threads}");
+                assert_byte_identical(&direct, &run.output, &context);
+            }
+        }
     }
 }
 
@@ -127,6 +160,7 @@ fn trace_is_invariant_across_shard_counts() {
 #[test]
 fn multi_observer_runs_never_share_a_connection_id() {
     let run = sharded(MeasurementPeriod::P1, 2, 1);
+    assert_byte_identical(&reference(MeasurementPeriod::P1), &run.output, "P1 shards=2");
     let mut owner: std::collections::HashMap<u64, &str> = std::collections::HashMap::new();
     for log in &run.output.logs {
         let table = log.table();
