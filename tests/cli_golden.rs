@@ -7,11 +7,14 @@
 //! command leaves the cheap defaults (period, seed, window, vantages)
 //! unset, so the defaults are pinned too.
 //!
-//! The fixtures were recorded with the release `repro` of the commit
-//! before the flag table replaced the per-command argument parsers, so
-//! they pin that the refactor kept every output. To check one against a
-//! `repro` binary, run the case's command line (plus `--threads 1` for a
-//! threaded case; export's `--dir` is any empty directory):
+//! The fixtures were recorded with the release `repro` binary, first
+//! before the flag table replaced the per-command argument parsers (so
+//! they pin that the refactor kept every output), then once more when
+//! `Network::run` moved onto the sharded engine (the simulation-backed
+//! ones changed then; see `tests/engine_equivalence.rs` for the guard on
+//! that switch). To check one against a `repro` binary, run the case's
+//! command line (plus `--threads 1` for a threaded case; export's `--dir`
+//! is any empty directory):
 //!
 //! ```bash
 //! repro sweep --seeds 2 --scales 0.002 --no-table --threads 1 \
