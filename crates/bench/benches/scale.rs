@@ -1,65 +1,50 @@
-//! Benchmarks of the columnar observation pipeline at scale: raw engine
-//! throughput into counting sinks, the full sharded scale harness, and the
-//! columnar monitor ingest — the three layers `repro scale` composes.
+//! Benchmarks of the observation pipeline on the `repro scale` population:
+//! raw engine throughput into counting sinks and into columnar tables, and
+//! the columnar monitor ingest of the resulting log.
 
-use bench::scale::{run_scale, smoke_config, synthetic_population, ScaleConfig};
+use bench::scale::{
+    true_protocol_observers, true_protocol_population, true_protocol_smoke_config,
+    TrueProtocolConfig,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 use measurement::GoIpfsMonitor;
-use netsim::{
-    CountingSink, DhtRole, Network, NetworkConfig, ObserverSpec,
-};
-use p2pmodel::{ConnLimits, PeerId};
+use netsim::{CountingSink, Network, NetworkConfig};
 use std::hint::black_box;
 
-fn shard_network(cfg: &ScaleConfig) -> Network {
-    let population = synthetic_population(cfg, 0);
-    let observer = ObserverSpec::new(
-        "scale-observer",
-        PeerId::derived(u64::MAX - 1),
-        DhtRole::Server,
-        ConnLimits::new((population.len() / 8).max(64), (population.len() / 4).max(128)),
-    );
-    let config = NetworkConfig::single_observer(cfg.shard_seed(0), cfg.duration, observer);
-    Network::new(config, population).with_dht_tracking(false)
+fn network(cfg: &TrueProtocolConfig) -> Network {
+    let config =
+        NetworkConfig::multi_observer(cfg.seed, cfg.duration, true_protocol_observers(cfg));
+    Network::new(config, true_protocol_population(cfg)).with_dht_tracking(false)
+}
+
+fn config() -> TrueProtocolConfig {
+    TrueProtocolConfig {
+        peers: 10_000,
+        shards: 1,
+        threads: 1,
+        ..true_protocol_smoke_config()
+    }
 }
 
 fn bench_engine_throughput(c: &mut Criterion) {
-    let cfg = ScaleConfig {
-        peers: 10_000,
-        shards: 1,
-        ..smoke_config()
-    };
+    let cfg = config();
     c.bench_function("scale/engine_counting_sink_10k_peers", |b| {
         b.iter(|| {
-            let run = shard_network(&cfg).run_with_sinks(vec![CountingSink::default()]);
-            black_box(run.sinks[0].total())
+            let sinks = vec![CountingSink::default(); cfg.observers];
+            let run = network(&cfg).run_with_sinks(sinks);
+            black_box(run.sinks.iter().map(CountingSink::total).sum::<u64>())
         })
     });
     c.bench_function("scale/engine_columnar_table_10k_peers", |b| {
         b.iter(|| {
-            let output = shard_network(&cfg).run();
+            let output = network(&cfg).run();
             black_box(output.logs[0].len())
         })
     });
 }
 
-fn bench_scale_harness(c: &mut Criterion) {
-    let cfg = smoke_config();
-    c.bench_function("scale/harness_4k_peers_4_shards", |b| {
-        b.iter(|| {
-            let report = run_scale(&cfg);
-            black_box(report.total_events)
-        })
-    });
-}
-
 fn bench_columnar_ingest(c: &mut Criterion) {
-    let cfg = ScaleConfig {
-        peers: 10_000,
-        shards: 1,
-        ..smoke_config()
-    };
-    let output = shard_network(&cfg).run();
+    let output = network(&config()).run();
     c.bench_function("scale/goipfs_ingest_columnar_10k_peers", |b| {
         b.iter(|| black_box(GoIpfsMonitor::new().ingest(&output.logs[0]).pid_count()))
     });
@@ -68,6 +53,6 @@ fn bench_columnar_ingest(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_engine_throughput, bench_scale_harness, bench_columnar_ingest
+    targets = bench_engine_throughput, bench_columnar_ingest
 }
 criterion_main!(benches);

@@ -11,7 +11,7 @@
 //! and timing goes to stderr and the BENCH files.
 
 use crate::estimators::{run_estimators_bench_with_progress, EstimatorsBenchConfig};
-use crate::scale::{run_scale_with_progress, run_true_protocol, ScaleConfig, TrueProtocolConfig};
+use crate::scale::{run_true_protocol, TrueProtocolConfig};
 use crate::serve::{campaign_feeds, reference_answers, run_serve_bench, DriveOptions};
 use crate::serve::{ServeBenchConfig, ServeFeed};
 use crate::stream::{run_stream_bench_with_progress, StreamBenchConfig};
@@ -193,19 +193,17 @@ const MODES: &[Mode] = &[
     },
     Mode {
         name: "scale",
-        about: "run the sharded million-peer scale harness; its deterministic fields as JSON",
+        about: "run one population through the sharded engine; its deterministic fields as JSON",
         flags: &[&[
-            "--peers N  population (default: 1000000, or 10000000 with --full-protocol)",
-            "--shards N=64  simulation shards",
+            "--peers N=1000000  population",
+            "--shards N=64  lock-step engine shards",
             THREADS,
             "--duration-mins N=10  simulated minutes",
             "--seed N=1554112512  seed",
-            "--compat-peers N=20000  population of the enum-representation comparison",
             "--out PATH=BENCH_scale.json  BENCH file the report is merged into",
             NO_FILE,
-            "--full-protocol  run one population through the cross-shard mailbox engine",
-            "--epoch-secs N=60  epoch length of --full-protocol",
-            "--tp-observers N=4  passive observers of --full-protocol",
+            "--epoch-secs N=60  epoch length, the cross-shard latency",
+            "--tp-observers N=4  passive observers",
         ]],
         run: scale,
     },
@@ -994,72 +992,35 @@ fn sweep(a: &Args, stdout: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn scale(a: &Args, stdout: &mut dyn Write) -> Result<(), CliError> {
-    let peers: Option<usize> = a.opt("--peers")?;
-    let cfg = ScaleConfig {
-        peers: peers.unwrap_or(ScaleConfig::default().peers),
+    let cfg = TrueProtocolConfig {
+        peers: a.get("--peers")?,
         shards: a.get("--shards")?,
         threads: a.threads()?,
         duration: SimDuration::from_mins(a.get("--duration-mins")?),
+        epoch: SimDuration::from_secs(a.get("--epoch-secs")?),
         seed: a.get("--seed")?,
-        compat_peers: a.get("--compat-peers")?,
+        observers: a.get("--tp-observers")?,
     };
-    let positive = cfg.peers > 0 && cfg.shards > 0 && cfg.threads > 0 && cfg.compat_peers > 0;
-    ensure(positive, "--peers, --shards, --threads and --compat-peers must be at least 1")?;
-    // Both modes set their rows in the BENCH file, read before the run so
-    // that a file that cannot be merged into fails before it, not after.
+    let positive = cfg.peers > 0 && cfg.shards > 0 && cfg.threads > 0;
+    ensure(
+        positive && !cfg.epoch.is_zero() && cfg.observers > 0,
+        "--peers, --shards, --threads, --epoch-secs and --tp-observers must be at least 1",
+    )?;
+    // The row is set in the BENCH file, read before the run so that a file
+    // that cannot be merged into fails before it, not after.
     let file = a.bench_file("--out");
     let mut bench = file.as_deref().map(read_bench).transpose()?.unwrap_or_else(Json::object);
-    if a.on("--full-protocol") {
-        let tp = TrueProtocolConfig {
-            peers: peers.unwrap_or(TrueProtocolConfig::default().peers),
-            shards: cfg.shards,
-            threads: cfg.threads,
-            duration: cfg.duration,
-            epoch: SimDuration::from_secs(a.get("--epoch-secs")?),
-            seed: cfg.seed,
-            observers: a.get("--tp-observers")?,
-        };
-        ensure(
-            !tp.epoch.is_zero() && tp.observers > 0,
-            "--epoch-secs and --tp-observers must be at least 1",
-        )?;
-        eprintln!(
-            "# scale --full-protocol: {} peers in {} lock-step shards on {} threads, {} simulated, {} epochs",
-            tp.peers,
-            tp.shards,
-            tp.threads,
-            tp.duration,
-            tp.duration.as_millis() / tp.epoch.as_millis().max(1)
-        );
-        let report = run_true_protocol(&tp);
-        eprintln!("# {}", report.summary());
-        bench.insert(format!("true_protocol_{}", tp.peers), report.full_json());
-        write_bench(file, bench)?;
-        return print_pretty(stdout, &report.deterministic_json());
-    }
-
     eprintln!(
-        "# scale: {} peers in {} shards on {} threads, {} simulated",
-        cfg.peers, cfg.shards, cfg.threads, cfg.duration
+        "# scale: {} peers in {} lock-step shards on {} threads, {} simulated, {} epochs",
+        cfg.peers,
+        cfg.shards,
+        cfg.threads,
+        cfg.duration,
+        cfg.duration.as_millis() / cfg.epoch.as_millis()
     );
-    let done = AtomicUsize::new(0);
-    let report = run_scale_with_progress(&cfg, |shard| {
-        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-        eprintln!(
-            "[{finished}/{}] shard {} ({} peers): {} events, checksum {:016x}",
-            cfg.shards,
-            shard.shard,
-            shard.peers,
-            shard.total_events(),
-            shard.checksum
-        );
-    });
+    let report = run_true_protocol(&cfg);
     eprintln!("# {}", report.summary());
-    if let Json::Object(rows) = report.full_json() {
-        for (key, value) in rows {
-            bench.insert(key, value);
-        }
-    }
+    bench.insert(format!("true_protocol_{}", cfg.peers), report.full_json());
     write_bench(file, bench)?;
     print_pretty(stdout, &report.deterministic_json())
 }

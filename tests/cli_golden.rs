@@ -26,7 +26,7 @@
 //!
 //! The file also holds the command-line error probes (exit status 2 with
 //! the usage, or 1 for runtime failures), the flag-table checks and the
-//! `BENCH_scale.json` merge tests.
+//! `BENCH_scale.json` merge test.
 
 use bench::cli::{self, CliError};
 use jsonio::Json;
@@ -35,10 +35,7 @@ use std::path::{Path, PathBuf};
 /// A case: its fixture, its command line, and whether it takes `--threads`.
 type Case = (&'static str, &'static str, bool);
 
-const SCALE: Case =
-    ("scale.json", "scale --peers 2000 --shards 4 --compat-peers 500 --no-file", true);
-const SCALE_FULL_PROTOCOL: Case =
-    ("scale_full_protocol.json", "scale --full-protocol --peers 5000 --shards 2 --no-file", true);
+const SCALE: Case = ("scale_full_protocol.json", "scale --peers 5000 --shards 2 --no-file", true);
 const SERVE_REFERENCE: Case = (
     "serve_reference.json",
     "serve --reference --scale 0.003 --scenarios baseline,flashcrowd",
@@ -73,8 +70,7 @@ golden! {
         "stream --long-horizon --horizons 1,2 --bench-scale 0.001 --no-file", false);
     estimators_report => ("estimators.json", "estimators --scale 0.002 --replicates 2 \
         --bootstrap 10 --scenarios baseline --no-table --no-file", true);
-    scale_harness => SCALE;
-    scale_full_protocol => SCALE_FULL_PROTOCOL;
+    scale_full_protocol => SCALE;
     serve_reference_answers => SERVE_REFERENCE;
     serve_bench => ("serve_bench.json", "serve --bench --tenants 20 --no-file", false);
 }
@@ -186,6 +182,8 @@ fn malformed_command_lines_exit_2_with_the_usage() {
         // An unknown flag or a bad value in every other command and mode.
         "scenarios --vantages 3",
         "scale --peers 0",
+        "scale --full-protocol",
+        "scale --compat-peers 5",
         "stream --window-hours 0",
         "stream --long-horizon --period P4",
         "estimators --replicates 0",
@@ -249,8 +247,8 @@ fn every_mode_accepts_exactly_the_flags_it_always_did() {
         ("repro vantage", format!("{suite} --vantages --scenarios")),
         (
             "repro scale",
-            "--peers --shards --threads --duration-mins --seed --compat-peers --out --no-file \
-             --full-protocol --epoch-secs --tp-observers"
+            "--peers --shards --threads --duration-mins --seed --out --no-file --epoch-secs \
+             --tp-observers"
                 .into(),
         ),
         ("repro stream", format!("{suite} --window-hours --vantages --scenarios")),
@@ -288,8 +286,7 @@ fn table_defaults_are_the_ones_the_commands_always_used() {
     use bench::{estimators, scale, serve, stream};
     use population::ChurnScenario;
 
-    let full = scale::TrueProtocolConfig::default();
-    let scale = scale::ScaleConfig::default();
+    let scale = scale::TrueProtocolConfig::default();
     let stream = stream::StreamBenchConfig::default();
     let estimators = estimators::EstimatorsBenchConfig::default();
     let serve = serve::ServeBenchConfig::default();
@@ -310,12 +307,12 @@ fn table_defaults_are_the_ones_the_commands_always_used() {
         ("repro export", "--scenarios", labels(&ChurnScenario::all())),
         ("repro crawl", "--scenarios", labels(&crawl)),
         ("repro crawl", "--out", "BENCH_crawl.json".into()),
+        ("repro scale", "--peers", scale.peers.to_string()),
         ("repro scale", "--shards", scale.shards.to_string()),
         ("repro scale", "--duration-mins", (scale.duration.as_secs() / 60).to_string()),
         ("repro scale", "--seed", scale.seed.to_string()),
-        ("repro scale", "--compat-peers", scale.compat_peers.to_string()),
-        ("repro scale", "--epoch-secs", full.epoch.as_secs().to_string()),
-        ("repro scale", "--tp-observers", full.observers.to_string()),
+        ("repro scale", "--epoch-secs", scale.epoch.as_secs().to_string()),
+        ("repro scale", "--tp-observers", scale.observers.to_string()),
         ("repro scale", "--out", "BENCH_scale.json".into()),
         ("repro stream --long-horizon", "--horizons", horizons),
         ("repro stream --long-horizon", "--bench-scale", stream.scale.to_string()),
@@ -345,9 +342,6 @@ fn table_defaults_are_the_ones_the_commands_always_used() {
         let default = flags.iter().find(|(name, _)| name == flag).and_then(|(_, d)| d.as_deref());
         assert_eq!(default, Some(value.as_str()), "{heading} {flag}");
     }
-    // `--peers` defaults differ by mode, so its help text states both.
-    let peers = format!("{}, or {} with --full-protocol", scale.peers, full.peers);
-    assert!(cli::usage("scale").contains(&peers));
 }
 
 // ---- BENCH_scale.json merging ----------------------------------------------------
@@ -363,59 +357,24 @@ fn without(doc: &Json, key: &str) -> Json {
     Json::Object(entries.iter().filter(|(k, _)| k != key).cloned().collect())
 }
 
-fn sorted_keys(doc: &Json) -> Vec<&str> {
-    let mut keys: Vec<&str> =
-        doc.as_object().expect("an object").iter().map(|(k, _)| k.as_str()).collect();
-    keys.sort();
-    keys
-}
-
 #[test]
-fn merging_a_1m_row_keeps_the_classic_report_and_the_10m_row() {
+fn scale_merges_its_row_into_the_bench_file() {
     let committed = committed_scale_report();
-    let row = committed.get("true_protocol_1000000").expect("the committed 1M row").clone();
-    let dir = temp_dir("merge-1m");
+    let dir = temp_dir("merge");
     let path = dir.join("BENCH_scale.json");
-    std::fs::write(&path, without(&committed, "true_protocol_1000000").to_string_pretty()).unwrap();
-    let mut merged = cli::read_bench(path.to_str().unwrap()).expect("read the file");
-    merged.insert("true_protocol_1000000", row);
-    assert_eq!(sorted_keys(&merged), sorted_keys(&committed));
-    for key in sorted_keys(&committed) {
-        assert_eq!(merged.get(key), committed.get(key), "{key}");
-    }
-
-    std::fs::write(&path, "{\"peers\": 1, \"peers\": 2}").unwrap();
-    let error = cli::read_bench(path.to_str().unwrap()).unwrap_err();
-    assert_eq!(error.exit_code(), 1, "{error}");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn both_scale_modes_merge_their_rows_into_the_bench_file() {
-    let committed = committed_scale_report();
-    let dir = temp_dir("merge-modes");
-    let path = dir.join("BENCH_scale.json");
-    let out = path.to_str().unwrap();
     std::fs::write(&path, committed.to_string_pretty()).unwrap();
-    let with_out = |(fixture_name, command_line, _): Case| {
-        let line = command_line.replace("--no-file", &format!("--out {out} --threads 1"));
-        check(fixture_name, &words(&line), false);
-        Json::parse(&std::fs::read_to_string(&path).unwrap()).expect("the merged file parses")
-    };
-
-    let after_full = with_out(SCALE_FULL_PROTOCOL);
-    assert_eq!(without(&after_full, "true_protocol_5000"), committed, "earlier rows are untouched");
-    let row = after_full.get("true_protocol_5000").expect("the new row");
+    let (fixture_name, command_line, _) = SCALE;
+    let line = command_line.replace("--no-file", &format!("--out {} --threads 1", path.display()));
+    check(fixture_name, &words(&line), false);
+    let merged = std::fs::read_to_string(&path).unwrap();
+    let merged = Json::parse(&merged).expect("the merged file parses");
+    assert_eq!(without(&merged, "true_protocol_5000"), committed, "every other row is as it was");
+    let row = merged.get("true_protocol_5000").expect("the new row");
     assert_eq!(row.get("peers"), Some(&Json::UInt(5000)));
 
-    let after_classic = with_out(SCALE);
-    assert_eq!(
-        after_classic.get("peers"),
-        Some(&Json::UInt(2000)),
-        "the classic report is replaced"
-    );
-    for row in ["true_protocol_1000000", "true_protocol_10000000", "true_protocol_5000"] {
-        assert_eq!(after_classic.get(row), after_full.get(row), "{row} survives the classic run");
-    }
+    // A file that cannot be merged into fails before the run.
+    std::fs::write(&path, "{\"peers\": 1, \"peers\": 2}").unwrap();
+    let error = repro(&args(&words(&line))).unwrap_err();
+    assert_eq!(error.exit_code(), 1, "{error}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

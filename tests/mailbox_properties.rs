@@ -1,15 +1,12 @@
-//! Property tests of the cross-shard partitioning primitives: the
-//! `ShardMap` ownership map, the scale harness's `shard_population` split
-//! and the `shard_seed` derivation.
+//! Property tests of the cross-shard partitioning primitive, the
+//! `ShardMap` ownership map.
 //!
 //! The offline build has no proptest, so each property is checked over a
 //! seeded random sample of configurations; the sample is deterministic, so
 //! failures reproduce exactly.
 
-use bench::scale::ScaleConfig;
 use netsim::ShardMap;
 use simclock::SimRng;
-use std::collections::HashSet;
 
 #[test]
 fn shard_population_sums_to_peers_and_differs_by_at_most_one() {
@@ -17,12 +14,8 @@ fn shard_population_sums_to_peers_and_differs_by_at_most_one() {
     for _ in 0..200 {
         let peers = rng.uniform_u64(0, 2_000_000) as usize;
         let shards = rng.uniform_u64(1, 257) as usize;
-        let cfg = ScaleConfig {
-            peers,
-            shards,
-            ..ScaleConfig::default()
-        };
-        let sizes: Vec<usize> = (0..shards).map(|s| cfg.shard_population(s)).collect();
+        let map = ShardMap::new(peers, shards);
+        let sizes: Vec<usize> = (0..shards).map(|s| map.count(s)).collect();
         assert_eq!(
             sizes.iter().sum::<usize>(),
             peers,
@@ -34,25 +27,6 @@ fn shard_population_sums_to_peers_and_differs_by_at_most_one() {
             max - min <= 1,
             "peers {peers} shards {shards}: sizes differ by {} (> 1)",
             max - min
-        );
-    }
-}
-
-#[test]
-fn shard_seed_never_collides_across_4096_shards() {
-    let mut rng = SimRng::seed_from(0xfeed_0002);
-    for _ in 0..16 {
-        let cfg = ScaleConfig {
-            seed: rng.uniform_u64(0, u64::MAX),
-            shards: 4096,
-            ..ScaleConfig::default()
-        };
-        let seeds: HashSet<u64> = (0..4096).map(|s| cfg.shard_seed(s)).collect();
-        assert_eq!(
-            seeds.len(),
-            4096,
-            "seed {:#x}: shard seeds collided",
-            cfg.seed
         );
     }
 }
@@ -81,30 +55,6 @@ fn shard_map_round_trips_ownership_for_fuzzed_populations() {
             let slot = map.slot(g);
             assert_eq!(map.global(owner, slot), g, "global → (owner, slot) → global");
             assert!(slot < map.count(owner));
-        }
-    }
-}
-
-#[test]
-fn shard_map_split_matches_scale_harness_split() {
-    // The engine's ownership map and the scale harness's shard_population
-    // rule must agree: both give the remainder to the first shards.
-    let mut rng = SimRng::seed_from(0xfeed_0004);
-    for _ in 0..100 {
-        let peers = rng.uniform_u64(0, 500_000) as usize;
-        let shards = rng.uniform_u64(1, 129) as usize;
-        let map = ShardMap::new(peers, shards);
-        let cfg = ScaleConfig {
-            peers,
-            shards,
-            ..ScaleConfig::default()
-        };
-        for s in 0..shards {
-            assert_eq!(
-                map.count(s),
-                cfg.shard_population(s),
-                "peers {peers} shards {shards} shard {s}"
-            );
         }
     }
 }
