@@ -107,11 +107,11 @@ impl HydraMonitor {
 /// (hydra event logging). `snapshot_interval` controls the cadence of
 /// [`SnapshotRecord`]s.
 ///
-/// This is the ingest hot path: it reads the log's columnar
-/// [`netsim::ObservationTable`] directly instead of materialising
-/// [`netsim::ObservedEvent`] values. Identify payloads are compared by
-/// registry id, so a million identify events with an unchanged payload cost a
-/// million integer compares — not a million deep `IdentifyInfo` clones.
+/// This is the ingest hot path: it walks the log's columnar
+/// [`netsim::ObservationTable`] row by row. Identify payloads are compared
+/// by registry id, so a million identify events with an unchanged payload
+/// cost a million integer compares — not a million deep `IdentifyInfo`
+/// clones.
 fn build_dataset(
     log: &ObserverLog,
     close_quantisation: Option<SimDuration>,
@@ -298,11 +298,12 @@ pub(crate) fn quantise_up(at: SimTime, origin: SimTime, step: SimDuration) -> Si
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::ObservedEvent;
+    use netsim::{IdentifyRegistry, ObservationSink, ObservationTable};
     use p2pmodel::{
         AgentVersion, CloseReason, ConnectionId, Direction, IdentifyInfo, IpAddress, Multiaddr,
         ProtocolSet, Transport,
     };
+    use std::sync::Arc;
 
     fn addr(n: u32) -> Multiaddr {
         Multiaddr::new(IpAddress::V4(n), Transport::Tcp, 4001)
@@ -317,47 +318,65 @@ mod tests {
     }
 
     fn sample_log() -> ObserverLog {
-        let mut log = ObserverLog::new("go-ipfs", PeerId::derived(0), true, SimTime::ZERO);
-        let peer = PeerId::derived(1);
-        log.push(ObservedEvent::ConnectionOpened {
-            at: SimTime::from_secs(10),
-            conn: ConnectionId(1),
-            peer,
-            direction: Direction::Inbound,
-            remote_addr: addr(1),
-        });
-        log.push(ObservedEvent::IdentifyReceived {
-            at: SimTime::from_secs(10),
-            peer,
-            info: server_info("go-ipfs/0.10.0/abc"),
-        });
-        log.push(ObservedEvent::IdentifyReceived {
-            at: SimTime::from_secs(500),
-            peer,
-            info: server_info("go-ipfs/0.11.0/def"),
-        });
-        log.push(ObservedEvent::ConnectionClosed {
-            at: SimTime::from_secs(995),
-            conn: ConnectionId(1),
-            peer,
-            reason: CloseReason::TrimmedRemote,
-        });
+        sample_log_interned(false)
+    }
+
+    /// The sample log; `reversed` interns its peers, addresses and payloads
+    /// in the opposite order before any row is written, so the same rows
+    /// carry other registry ids.
+    fn sample_log_interned(reversed: bool) -> ObserverLog {
+        let (peers, addrs) = ([1, 2, 3].map(PeerId::derived), [1, 2, 3].map(addr));
+        let infos = [
+            server_info("go-ipfs/0.10.0/abc"),
+            server_info("go-ipfs/0.11.0/def"),
+        ];
+        let mut registry = IdentifyRegistry::new();
+        if reversed {
+            for &peer in peers.iter().rev() {
+                registry.register_peer(peer);
+            }
+            for &addr in addrs.iter().rev() {
+                registry.intern_addr(addr);
+            }
+            for info in infos.iter().rev() {
+                registry.intern_identify(info);
+            }
+        }
+        let [p1, p2, p3] = peers.map(|peer| registry.register_peer(peer));
+        let [a1, a2, a3] = addrs.map(|addr| registry.intern_addr(addr));
+        let [old, new] = infos.each_ref().map(|info| registry.intern_identify(info));
+        let (mut t, s) = (ObservationTable::new(), SimTime::from_secs);
+        t.connection_opened(s(10), ConnectionId(1), p1, Direction::Inbound, a1);
+        t.identify_received(s(10), p1, old);
+        t.identify_received(s(500), p1, new);
+        t.connection_closed(s(995), ConnectionId(1), p1, CloseReason::TrimmedRemote);
         // A second connection that never closes.
-        log.push(ObservedEvent::ConnectionOpened {
-            at: SimTime::from_secs(2000),
-            conn: ConnectionId(2),
-            peer: PeerId::derived(2),
-            direction: Direction::Outbound,
-            remote_addr: addr(2),
-        });
+        t.connection_opened(s(2000), ConnectionId(2), p2, Direction::Outbound, a2);
         // A peer only known through gossip.
-        log.push(ObservedEvent::PeerDiscovered {
-            at: SimTime::from_secs(2500),
-            peer: PeerId::derived(3),
-            addr: addr(3),
-        });
-        log.ended_at = SimTime::from_hours(1);
-        log
+        t.peer_discovered(s(2500), p3, a3);
+        let (start, end) = (SimTime::ZERO, SimTime::from_hours(1));
+        ObserverLog::from_columns(
+            "go-ipfs",
+            PeerId::derived(0),
+            true,
+            start,
+            end,
+            t,
+            Arc::new(registry),
+        )
+    }
+
+    #[test]
+    fn ingest_is_independent_of_registry_ids() {
+        let (log, reinterned) = (sample_log(), sample_log_interned(true));
+        assert_ne!(log.table().payloads(), reinterned.table().payloads());
+        assert_eq!(log, reinterned);
+        assert_eq!(
+            GoIpfsMonitor::new().ingest(&log),
+            GoIpfsMonitor::new().ingest(&reinterned)
+        );
+        let hydra = HydraMonitor::new();
+        assert_eq!(hydra.ingest_head(&log), hydra.ingest_head(&reinterned));
     }
 
     #[test]
@@ -437,21 +456,22 @@ mod tests {
     #[test]
     fn hydra_union_merges_heads() {
         let log0 = sample_log();
-        let mut log1 = ObserverLog::new("hydra-h1", PeerId::derived(10), true, SimTime::ZERO);
-        log1.push(ObservedEvent::ConnectionOpened {
-            at: SimTime::from_secs(50),
-            conn: ConnectionId(99),
-            peer: PeerId::derived(42),
-            direction: Direction::Inbound,
-            remote_addr: addr(42),
-        });
-        log1.push(ObservedEvent::ConnectionClosed {
-            at: SimTime::from_secs(80),
-            conn: ConnectionId(99),
-            peer: PeerId::derived(42),
-            reason: CloseReason::PeerLeft,
-        });
-        log1.ended_at = SimTime::from_hours(1);
+        let mut registry = IdentifyRegistry::new();
+        let peer = registry.register_peer(PeerId::derived(42));
+        let remote = registry.intern_addr(addr(42));
+        let (mut t, s) = (ObservationTable::new(), SimTime::from_secs);
+        t.connection_opened(s(50), ConnectionId(99), peer, Direction::Inbound, remote);
+        t.connection_closed(s(80), ConnectionId(99), peer, CloseReason::PeerLeft);
+        let (start, end) = (SimTime::ZERO, SimTime::from_hours(1));
+        let log1 = ObserverLog::from_columns(
+            "hydra-h1",
+            PeerId::derived(10),
+            true,
+            start,
+            end,
+            t,
+            Arc::new(registry),
+        );
 
         let monitor = HydraMonitor::new();
         let (heads, union) = monitor.ingest(&[&log0, &log1]);

@@ -1729,7 +1729,6 @@ pub fn batch_resident_bytes(campaign: &MeasurementCampaign) -> usize {
 mod tests {
     use super::*;
     use crate::runner::run_scenario;
-    use netsim::ObservedEvent;
     use p2pmodel::Multiaddr;
     use p2pmodel::Transport;
 
@@ -1738,35 +1737,24 @@ mod tests {
     }
 
     fn sample_log() -> ObserverLog {
-        let mut log = ObserverLog::new("go-ipfs", PeerId::derived(0), true, SimTime::ZERO);
-        let peer = PeerId::derived(1);
-        log.push(ObservedEvent::ConnectionOpened {
-            at: SimTime::from_secs(10),
-            conn: ConnectionId(1),
-            peer,
-            direction: Direction::Inbound,
-            remote_addr: addr(1),
-        });
-        log.push(ObservedEvent::ConnectionClosed {
-            at: SimTime::from_secs(995),
-            conn: ConnectionId(1),
-            peer,
-            reason: CloseReason::TrimmedRemote,
-        });
-        log.push(ObservedEvent::ConnectionOpened {
-            at: SimTime::from_secs(2000),
-            conn: ConnectionId(2),
-            peer: PeerId::derived(2),
-            direction: Direction::Outbound,
-            remote_addr: addr(2),
-        });
-        log.push(ObservedEvent::PeerDiscovered {
-            at: SimTime::from_secs(2500),
-            peer: PeerId::derived(3),
-            addr: addr(3),
-        });
-        log.ended_at = SimTime::from_hours(1);
-        log
+        let mut registry = IdentifyRegistry::new();
+        let [p1, p2, p3] = [1, 2, 3].map(|i| registry.register_peer(PeerId::derived(i)));
+        let [a1, a2, a3] = [1, 2, 3].map(|i| registry.intern_addr(addr(i)));
+        let (mut t, s) = (ObservationTable::new(), SimTime::from_secs);
+        t.connection_opened(s(10), ConnectionId(1), p1, Direction::Inbound, a1);
+        t.connection_closed(s(995), ConnectionId(1), p1, CloseReason::TrimmedRemote);
+        t.connection_opened(s(2000), ConnectionId(2), p2, Direction::Outbound, a2);
+        t.peer_discovered(s(2500), p3, a3);
+        let (start, end) = (SimTime::ZERO, SimTime::from_hours(1));
+        ObserverLog::from_columns(
+            "go-ipfs",
+            PeerId::derived(0),
+            true,
+            start,
+            end,
+            t,
+            Arc::new(registry),
+        )
     }
 
     fn go_ipfs_config(window_secs: u64) -> StreamConfig {

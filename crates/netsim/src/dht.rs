@@ -258,8 +258,8 @@ impl DhtReplay<'_> {
 /// Maintains routing tables over a replayed run and records their
 /// membership history as a [`DhtLog`].
 ///
-/// All methods are no-ops on a disabled tracker (the scale harness opts out
-/// via [`crate::Network::with_dht_tracking`]). Nothing here consumes engine
+/// All methods are no-ops on a disabled tracker (see
+/// [`crate::Network::with_dht_tracking`]). Nothing here consumes engine
 /// randomness.
 #[derive(Debug)]
 pub struct DhtTracker {

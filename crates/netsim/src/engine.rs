@@ -19,11 +19,11 @@
 //! * metadata changes propagate to connected observers via identify push,
 //! * scripted joins, leaves and PID rotations reshape the population mid-run.
 //!
-//! Observations are emitted through the [`ObservationSink`] trait — the
-//! engine never materialises [`crate::ObservedEvent`] values. Identify
-//! payloads and multiaddresses are interned once in an [`IdentifyRegistry`];
-//! the hot path records 4-byte ids, so an identify push to `k` connected
-//! observers costs `k` column appends instead of `k` deep payload clones.
+//! Observations are emitted through the [`ObservationSink`] trait as plain
+//! ids. Identify payloads and multiaddresses are interned once in an
+//! [`IdentifyRegistry`]; the hot path records 4-byte ids, so an identify
+//! push to `k` connected observers costs `k` column appends instead of `k`
+//! deep payload clones.
 
 use crate::config::{NetworkConfig, ObserverSpec};
 use crate::dht::DhtLog;
@@ -186,8 +186,9 @@ impl Network {
     /// Enables or disables routing-table tracking (on by default). The
     /// routing tables are rebuilt after the run from the ground truth and
     /// the observers' contacts and consume no engine randomness, so toggling
-    /// tracking never changes the observation logs — the scale harness turns
-    /// it off to measure pure engine throughput at million-peer populations.
+    /// tracking never changes the observation logs; turning it off measures
+    /// pure engine throughput (`benches/scale.rs`) or skips work a caller
+    /// does not need.
     pub fn with_dht_tracking(mut self, enabled: bool) -> Self {
         self.dht_tracking = enabled;
         self
@@ -223,9 +224,9 @@ impl Network {
     /// sinks (one per configured observer, in configuration order).
     ///
     /// This is the raw columnar entry point: no [`ObserverLog`]s are built
-    /// and nothing is buffered beyond what the sinks keep. The scale harness
-    /// uses it with [`crate::CountingSink`]s to measure pure engine
-    /// throughput.
+    /// and nothing is buffered beyond what the sinks keep. With
+    /// [`crate::CountingSink`]s it measures pure engine throughput; the
+    /// streaming campaigns tee a table and a streaming monitor through it.
     ///
     /// # Panics
     ///
@@ -266,8 +267,8 @@ mod tests {
     use super::*;
     use crate::config::{DhtRole, ObserverSpec};
     use crate::spec::{MetadataChange, PopulationAction};
-    use crate::events::{GroundTruthEvent, ObservedEvent};
-    use crate::obs::CountingSink;
+    use crate::events::GroundTruthEvent;
+    use crate::obs::{CountingSink, ObservationKind};
     use crate::spec::{DialBehavior, ScheduledChange, SessionPattern};
     use p2pmodel::{
         AgentVersion, CloseReason, ConnLimits, Direction, IdentifyInfo, IpAddress, Multiaddr,
@@ -289,6 +290,15 @@ mod tests {
             Multiaddr::default_swarm(IpAddress::V4(i as u32 + 1)),
             server_identify(),
         )
+    }
+
+    /// The peer of every row of `log`, resolved through its registry.
+    fn row_peers(log: &ObserverLog) -> Vec<PeerId> {
+        log.table()
+            .peer_slots()
+            .iter()
+            .map(|&slot| log.registry().peer(slot))
+            .collect()
     }
 
     fn observer(limits: ConnLimits, role: DhtRole) -> ObserverSpec {
@@ -318,13 +328,13 @@ mod tests {
         let mut open = 0i64;
         let mut opens = 0;
         let mut closes = 0;
-        for event in log.events() {
-            match event {
-                ObservedEvent::ConnectionOpened { .. } => {
+        for kind in log.table().kinds() {
+            match kind {
+                ObservationKind::OpenedInbound | ObservationKind::OpenedOutbound => {
                     open += 1;
                     opens += 1;
                 }
-                ObservedEvent::ConnectionClosed { .. } => {
+                ObservationKind::Closed => {
                     open -= 1;
                     closes += 1;
                 }
@@ -452,12 +462,10 @@ mod tests {
         let log = &output.logs[0];
         // The observer must have received at least two identify payloads: one
         // at connection open (server role) and one push after the change.
-        let identifies: Vec<IdentifyInfo> = log
-            .events()
-            .filter_map(|e| match e {
-                ObservedEvent::IdentifyReceived { info, .. } => Some(info),
-                _ => None,
-            })
+        let t = log.table();
+        let identifies: Vec<&IdentifyInfo> = (0..t.len())
+            .filter(|&i| t.kind_at(i) == ObservationKind::Identify)
+            .map(|i| log.registry().identify(t.payload_at(i)))
             .collect();
         assert!(identifies.len() >= 2, "expected identify push after role change");
         assert!(identifies.first().unwrap().is_dht_server());
@@ -498,8 +506,10 @@ mod tests {
         let output = run(peers, ConnLimits::new(100, 200), DhtRole::Server, 1, 6);
         let log = &output.logs[0];
         let discovered = log
-            .events()
-            .filter(|e| matches!(e, ObservedEvent::PeerDiscovered { .. }))
+            .table()
+            .kinds()
+            .iter()
+            .filter(|&&kind| kind == ObservationKind::Discovered)
             .count();
         assert_eq!(discovered, 50);
         assert!(log.connections().is_empty(), "no peer should have dialed");
@@ -525,10 +535,10 @@ mod tests {
         let log = &output.logs[0];
         assert!(log.table().is_sorted_by_time());
         let mut prev = SimTime::ZERO;
-        for event in log.events() {
-            assert!(event.at() >= prev);
-            assert!(event.at() <= log.ended_at);
-            prev = event.at();
+        for &at in log.table().ats() {
+            assert!(at >= prev);
+            assert!(at <= log.ended_at);
+            prev = at;
         }
     }
 
@@ -563,9 +573,10 @@ mod tests {
             .run();
         assert_eq!(output.ground_truth.population_size(), 30);
         // No event involving a late peer may predate the batch.
-        for event in output.logs[0].events() {
-            if late_ids.contains(&event.peer()) {
-                assert!(event.at() >= SimTime::from_hours(1));
+        let log = &output.logs[0];
+        for (peer, &at) in row_peers(log).iter().zip(log.table().ats()) {
+            if late_ids.contains(peer) {
+                assert!(at >= SimTime::from_hours(1));
             }
         }
         // And the late peers do connect.
@@ -631,19 +642,20 @@ mod tests {
             .run();
         assert_eq!(output.ground_truth.population_size(), 2);
         let log = &output.logs[0];
-        for event in log.events() {
-            if event.peer() == old_id {
+        let peers = row_peers(log);
+        for (peer, &at) in peers.iter().zip(log.table().ats()) {
+            if *peer == old_id {
                 assert!(
-                    event.at() <= rotate_at,
-                    "retired PID produced an event after rotation: {event:?}"
+                    at <= rotate_at,
+                    "retired PID produced an event after rotation, at {at}"
                 );
             }
-            if event.peer() == fresh_id {
-                assert!(event.at() >= rotate_at);
+            if *peer == fresh_id {
+                assert!(at >= rotate_at);
             }
         }
         // The replacement actually shows up.
-        assert!(log.events().any(|e| e.peer() == fresh_id));
+        assert!(peers.contains(&fresh_id));
     }
 
     #[test]
@@ -701,8 +713,8 @@ mod tests {
         // A Join batch can legitimately re-admit a PID that already exists
         // (a peer scripted to come back under the same identity). The two
         // population entries must share one registry slot so observations
-        // attribute to the same PID — and nothing may panic when the log is
-        // materialised.
+        // attribute to the same PID — and every row must resolve through the
+        // registry without panicking.
         let config = NetworkConfig::single_observer(
             25,
             SimDuration::from_hours(2),
@@ -718,14 +730,13 @@ mod tests {
                 action: PopulationAction::Join(vec![rejoiner]),
             }])
             .run();
-        // Ground truth counts both population entries; the log materialises
-        // without panicking and only knows the shared PID.
+        // Ground truth counts both population entries; the log's rows
+        // resolve without panicking and only know the shared PID.
         assert_eq!(output.ground_truth.population_size(), 6);
         let log = &output.logs[0];
-        let events: Vec<ObservedEvent> = log.events().collect();
-        assert!(!events.is_empty());
+        assert!(!log.is_empty());
         assert!(log.registry().peer_count() <= 5);
-        assert!(events.iter().any(|e| e.peer() == PeerId::derived(3)));
+        assert!(row_peers(log).contains(&PeerId::derived(3)));
     }
 
     #[test]

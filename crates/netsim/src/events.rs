@@ -2,108 +2,27 @@
 //!
 //! The simulator produces two kinds of output:
 //!
-//! * An [`ObserverLog`] per measurement node — the chronological sequence of
+//! * An [`ObserverLog`] per measurement node — the chronological record of
 //!   everything that node could have recorded: connections opening and
 //!   closing, identify payloads, peers discovered through routing traffic.
-//!   Since the columnar refactor the log is a *view*: the events live in an
-//!   [`ObservationTable`] (struct-of-arrays, 25 bytes per event) plus a
-//!   shared [`IdentifyRegistry`] of interned payloads, and [`ObservedEvent`]
-//!   values are materialised on demand by [`ObserverLog::events`]. Hot
-//!   consumers (the `measurement` monitors, the scale harness) skip the
-//!   materialisation and read the columns directly via [`ObserverLog::table`].
+//!   The rows live in an [`ObservationTable`] (struct-of-arrays, 25 bytes
+//!   per event) whose ids resolve through a shared [`IdentifyRegistry`] of
+//!   interned peers, addresses and payloads; consumers read them through
+//!   [`ObserverLog::table`] and [`ObserverLog::registry`].
 //! * A [`GroundTruth`] log of what actually happened in the simulated
 //!   network (sessions, role changes), which the active-crawler baseline
 //!   crawls and which validation tests compare the passive view against.
 
-use crate::obs::{
-    close_reason_from_payload, IdentifyRegistry, ObservationKind, ObservationSink,
-    ObservationTable,
-};
-use p2pmodel::{
-    CloseReason, ConnectionId, ConnectionInfo, Direction, IdentifyInfo, Multiaddr, PeerId,
-};
+use crate::obs::{close_reason_from_payload, IdentifyRegistry, ObservationKind, ObservationTable};
+use p2pmodel::{ConnectionId, ConnectionInfo, PeerId};
 use simclock::{SimDuration, SimTime};
 use std::sync::Arc;
 
-/// One event observed by a measurement node.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ObservedEvent {
-    /// A connection to `peer` was opened.
-    ConnectionOpened {
-        /// When the connection was opened.
-        at: SimTime,
-        /// Connection identifier.
-        conn: ConnectionId,
-        /// The remote peer.
-        peer: PeerId,
-        /// Direction relative to the observer.
-        direction: Direction,
-        /// The remote multiaddress.
-        remote_addr: Multiaddr,
-    },
-    /// A connection was closed.
-    ConnectionClosed {
-        /// When the connection was closed.
-        at: SimTime,
-        /// Connection identifier.
-        conn: ConnectionId,
-        /// The remote peer.
-        peer: PeerId,
-        /// Ground-truth close reason (a real measurement node can only infer
-        /// this; analyses that must stay faithful to the paper ignore it).
-        reason: CloseReason,
-    },
-    /// An identify payload was received from `peer` (on connection open or as
-    /// an identify push after a metadata change).
-    IdentifyReceived {
-        /// When the payload was received.
-        at: SimTime,
-        /// The remote peer.
-        peer: PeerId,
-        /// The payload.
-        info: IdentifyInfo,
-    },
-    /// The observer learned about `peer` from DHT routing traffic without a
-    /// direct connection (a Peerstore entry with no connection record).
-    PeerDiscovered {
-        /// When the peer was learned about.
-        at: SimTime,
-        /// The discovered peer.
-        peer: PeerId,
-        /// The address learned for the peer.
-        addr: Multiaddr,
-    },
-}
-
-impl ObservedEvent {
-    /// The timestamp of the event.
-    pub fn at(&self) -> SimTime {
-        match self {
-            ObservedEvent::ConnectionOpened { at, .. }
-            | ObservedEvent::ConnectionClosed { at, .. }
-            | ObservedEvent::IdentifyReceived { at, .. }
-            | ObservedEvent::PeerDiscovered { at, .. } => *at,
-        }
-    }
-
-    /// The peer the event concerns.
-    pub fn peer(&self) -> PeerId {
-        match self {
-            ObservedEvent::ConnectionOpened { peer, .. }
-            | ObservedEvent::ConnectionClosed { peer, .. }
-            | ObservedEvent::IdentifyReceived { peer, .. }
-            | ObservedEvent::PeerDiscovered { peer, .. } => *peer,
-        }
-    }
-}
-
 /// The complete observation log of one measurement node.
 ///
-/// A thin view over the columnar store: metadata fields stay public,
-/// [`Self::events`] materialises the classic [`ObservedEvent`] shape on
-/// demand, and [`Self::table`]/[`Self::registry`] expose the columns to hot
-/// consumers. Manually built logs (tests, fixtures) are assembled with
-/// [`Self::push`].
+/// A thin view over the columnar store: metadata fields stay public, and
+/// [`Self::table`]/[`Self::registry`] expose the rows and the registry
+/// resolving their ids. Logs are assembled with [`Self::from_columns`].
 #[derive(Debug, Clone)]
 pub struct ObserverLog {
     /// The observer's name (from its [`crate::ObserverSpec`]).
@@ -121,42 +40,44 @@ pub struct ObserverLog {
 }
 
 impl PartialEq for ObserverLog {
-    /// Two logs are equal when their metadata and their *materialised*
-    /// event sequences are equal — registry ids are an implementation
-    /// detail and may differ between equal logs.
+    /// Two logs are equal when their metadata and their rows are: each
+    /// row's time, kind and connection id, and its peer and payload
+    /// resolved through the log's own registry. Registry ids are an
+    /// implementation detail and may differ between equal logs.
     fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&self.table, &other.table);
+        let same_row = |i: usize| {
+            let (pa, pb) = (a.payload_at(i), b.payload_at(i));
+            self.registry.peer(a.peer_slot_at(i)) == other.registry.peer(b.peer_slot_at(i))
+                && match a.kind_at(i) {
+                    ObservationKind::Closed => pa == pb,
+                    ObservationKind::Identify => {
+                        self.registry.identify(pa) == other.registry.identify(pb)
+                    }
+                    _ => self.registry.addr(pa) == other.registry.addr(pb),
+                }
+        };
         self.observer == other.observer
             && self.peer_id == other.peer_id
             && self.dht_server == other.dht_server
             && self.started_at == other.started_at
             && self.ended_at == other.ended_at
-            && self.len() == other.len()
-            && self.events().eq(other.events())
+            && a.ats() == b.ats()
+            && a.kinds() == b.kinds()
+            && a.conns() == b.conns()
+            && (0..a.len()).all(same_row)
     }
 }
 
 impl ObserverLog {
-    /// Creates an empty log.
-    pub fn new(observer: impl Into<String>, peer_id: PeerId, dht_server: bool, started_at: SimTime) -> Self {
-        ObserverLog {
-            observer: observer.into(),
-            peer_id,
-            dht_server,
-            started_at,
-            ended_at: started_at,
-            table: ObservationTable::new(),
-            registry: Arc::new(IdentifyRegistry::new()),
-        }
-    }
-
     /// Assembles a log from a columnar table and the interning registry that
     /// resolves its ids.
     ///
     /// This is how the engine builds the logs of [`crate::Network::run`], and
     /// how tee pipelines ([`crate::TeeSink`] under
-    /// [`crate::Network::run_with_sinks`]) re-assemble the classic log shape
-    /// from the table half of a tee while a streaming consumer keeps the
-    /// other half. The table should be time-sorted
+    /// [`crate::Network::run_with_sinks`]) re-assemble a log from the table
+    /// half of a tee while a streaming consumer keeps the other half. The
+    /// table should be time-sorted
     /// ([`ObservationTable::stable_sort_by_time`]); every id in it must have
     /// been handed out by `registry`.
     pub fn from_columns(
@@ -179,46 +100,6 @@ impl ObserverLog {
         }
     }
 
-    /// Appends an event, interning its payload into the log's registry.
-    ///
-    /// This is the compatibility path for manually built logs; the engine
-    /// writes columns directly through [`ObservationSink`].
-    pub fn push(&mut self, event: ObservedEvent) {
-        let registry = Arc::make_mut(&mut self.registry);
-        match event {
-            ObservedEvent::ConnectionOpened {
-                at,
-                conn,
-                peer,
-                direction,
-                remote_addr,
-            } => {
-                let slot = registry.register_peer(peer);
-                let addr_id = registry.intern_addr(remote_addr);
-                self.table.connection_opened(at, conn, slot, direction, addr_id);
-            }
-            ObservedEvent::ConnectionClosed {
-                at,
-                conn,
-                peer,
-                reason,
-            } => {
-                let slot = registry.register_peer(peer);
-                self.table.connection_closed(at, conn, slot, reason);
-            }
-            ObservedEvent::IdentifyReceived { at, peer, info } => {
-                let slot = registry.register_peer(peer);
-                let payload_id = registry.intern_identify(&info);
-                self.table.identify_received(at, slot, payload_id);
-            }
-            ObservedEvent::PeerDiscovered { at, peer, addr } => {
-                let slot = registry.register_peer(peer);
-                let addr_id = registry.intern_addr(addr);
-                self.table.peer_discovered(at, slot, addr_id);
-            }
-        }
-    }
-
     /// The columnar event store backing this log.
     pub fn table(&self) -> &ObservationTable {
         &self.table
@@ -228,49 +109,6 @@ impl ObserverLog {
     /// and identify ids.
     pub fn registry(&self) -> &IdentifyRegistry {
         &self.registry
-    }
-
-    /// Materialises the event at row `index` in the classic enum shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    pub fn event_at(&self, index: usize) -> ObservedEvent {
-        let t = &self.table;
-        let at = t.at(index);
-        let peer = self.registry.peer(t.peer_slot_at(index));
-        match t.kind_at(index) {
-            kind @ (ObservationKind::OpenedInbound | ObservationKind::OpenedOutbound) => {
-                ObservedEvent::ConnectionOpened {
-                    at,
-                    conn: t.conn_at(index).expect("open rows carry a connection id"),
-                    peer,
-                    direction: kind.direction().expect("open rows have a direction"),
-                    remote_addr: self.registry.addr(t.payload_at(index)),
-                }
-            }
-            ObservationKind::Closed => ObservedEvent::ConnectionClosed {
-                at,
-                conn: t.conn_at(index).expect("close rows carry a connection id"),
-                peer,
-                reason: close_reason_from_payload(t.payload_at(index)),
-            },
-            ObservationKind::Identify => ObservedEvent::IdentifyReceived {
-                at,
-                peer,
-                info: self.registry.identify(t.payload_at(index)).clone(),
-            },
-            ObservationKind::Discovered => ObservedEvent::PeerDiscovered {
-                at,
-                peer,
-                addr: self.registry.addr(t.payload_at(index)),
-            },
-        }
-    }
-
-    /// Iterates over the log, materialising each event on demand.
-    pub fn events(&self) -> impl Iterator<Item = ObservedEvent> + '_ {
-        (0..self.len()).map(move |i| self.event_at(i))
     }
 
     /// The duration covered by the log.
@@ -290,8 +128,7 @@ impl ObserverLog {
 
     /// Iterates over connection-opened events as [`ConnectionInfo`] records
     /// paired with their close (if observed). Convenient for analyses that
-    /// want per-connection rows. Reads the columns directly — no event
-    /// materialisation.
+    /// want per-connection rows.
     pub fn connections(&self) -> Vec<ConnectionInfo> {
         let mut open: std::collections::HashMap<ConnectionId, ConnectionInfo> =
             std::collections::HashMap::new();
@@ -467,52 +304,67 @@ impl GroundTruth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2pmodel::{IpAddress, Transport};
+    use crate::obs::ObservationSink;
+    use p2pmodel::{
+        AgentVersion, CloseReason, Direction, IdentifyInfo, IpAddress, Multiaddr, ProtocolSet,
+        Transport,
+    };
 
-    fn addr() -> Multiaddr {
-        Multiaddr::new(IpAddress::V4(1), Transport::Tcp, 4001)
+    fn addr(n: u32) -> Multiaddr {
+        Multiaddr::new(IpAddress::V4(n), Transport::Tcp, 4001)
     }
 
-    fn opened(at: u64, conn: u64, peer: u64) -> ObservedEvent {
-        ObservedEvent::ConnectionOpened {
-            at: SimTime::from_secs(at),
-            conn: ConnectionId(conn),
-            peer: PeerId::derived(peer),
-            direction: Direction::Inbound,
-            remote_addr: addr(),
-        }
+    fn log(table: ObservationTable, registry: IdentifyRegistry, ended_secs: u64) -> ObserverLog {
+        let (start, end) = (SimTime::ZERO, SimTime::from_secs(ended_secs));
+        ObserverLog::from_columns(
+            "go-ipfs",
+            PeerId::derived(0),
+            true,
+            start,
+            end,
+            table,
+            Arc::new(registry),
+        )
     }
 
-    fn closed(at: u64, conn: u64, peer: u64) -> ObservedEvent {
-        ObservedEvent::ConnectionClosed {
-            at: SimTime::from_secs(at),
-            conn: ConnectionId(conn),
-            peer: PeerId::derived(peer),
-            reason: CloseReason::TrimmedRemote,
-        }
-    }
-
-    #[test]
-    fn event_accessors() {
-        let e = opened(5, 1, 2);
-        assert_eq!(e.at(), SimTime::from_secs(5));
-        assert_eq!(e.peer(), PeerId::derived(2));
-        let d = ObservedEvent::PeerDiscovered {
-            at: SimTime::from_secs(9),
-            peer: PeerId::derived(3),
-            addr: addr(),
+    /// A connection with two identifies and its close, then a gossip
+    /// discovery; the second identify carries `agent`. `reversed` interns
+    /// the peers, addresses and payloads in the opposite order before any
+    /// row is written, so the same rows carry other ids.
+    fn sample(reversed: bool, agent: &str) -> ObserverLog {
+        let info = |agent| {
+            IdentifyInfo::new(AgentVersion::parse(agent), ProtocolSet::go_ipfs_dht_server(), vec![addr(9)])
         };
-        assert_eq!(d.at(), SimTime::from_secs(9));
-        assert_eq!(d.peer(), PeerId::derived(3));
+        let (peers, addrs) = ([100, 7].map(PeerId::derived), [addr(1), addr(2)]);
+        let infos = [info("go-ipfs/0.10.0/"), info(agent)];
+        let mut registry = IdentifyRegistry::new();
+        for i in if reversed { [1, 0] } else { [0, 1] } {
+            registry.register_peer(peers[i]);
+            registry.intern_addr(addrs[i]);
+            registry.intern_identify(&infos[i]);
+        }
+        let [p0, p1] = peers.map(|peer| registry.register_peer(peer));
+        let [a0, a1] = addrs.map(|addr| registry.intern_addr(addr));
+        let [i0, i1] = infos.each_ref().map(|info| registry.intern_identify(info));
+        let (mut t, s) = (ObservationTable::new(), SimTime::from_secs);
+        t.connection_opened(s(1), ConnectionId(1), p0, Direction::Inbound, a0);
+        t.identify_received(s(2), p0, i0);
+        t.identify_received(s(3), p0, i1);
+        t.connection_closed(s(4), ConnectionId(1), p0, CloseReason::TrimmedRemote);
+        t.peer_discovered(s(5), p1, a1);
+        log(t, registry, 10)
     }
 
     #[test]
     fn log_reconstructs_connections() {
-        let mut log = ObserverLog::new("go-ipfs", PeerId::derived(0), true, SimTime::ZERO);
-        log.push(opened(10, 1, 100));
-        log.push(opened(20, 2, 200));
-        log.push(closed(70, 1, 100));
-        log.ended_at = SimTime::from_secs(100);
+        let mut registry = IdentifyRegistry::new();
+        let [p100, p200] = [100, 200].map(|i| registry.register_peer(PeerId::derived(i)));
+        let a = registry.intern_addr(addr(1));
+        let (mut t, s) = (ObservationTable::new(), SimTime::from_secs);
+        t.connection_opened(s(10), ConnectionId(1), p100, Direction::Inbound, a);
+        t.connection_opened(s(20), ConnectionId(2), p200, Direction::Inbound, a);
+        t.connection_closed(s(70), ConnectionId(1), p100, CloseReason::TrimmedRemote);
+        let log = log(t, registry, 100);
 
         let conns = log.connections();
         assert_eq!(conns.len(), 2);
@@ -530,52 +382,27 @@ mod tests {
     }
 
     #[test]
-    fn push_then_events_roundtrips_every_kind() {
-        let mut log = ObserverLog::new("go-ipfs", PeerId::derived(0), true, SimTime::ZERO);
-        let originals = vec![
-            opened(1, 1, 100),
-            ObservedEvent::IdentifyReceived {
-                at: SimTime::from_secs(2),
-                peer: PeerId::derived(100),
-                info: IdentifyInfo::new(
-                    p2pmodel::AgentVersion::parse("go-ipfs/0.11.0/"),
-                    p2pmodel::ProtocolSet::go_ipfs_dht_server(),
-                    vec![addr()],
-                ),
-            },
-            closed(3, 1, 100),
-            ObservedEvent::PeerDiscovered {
-                at: SimTime::from_secs(4),
-                peer: PeerId::derived(7),
-                addr: addr(),
-            },
-        ];
-        for event in &originals {
-            log.push(event.clone());
-        }
-        let materialised: Vec<ObservedEvent> = log.events().collect();
-        assert_eq!(materialised, originals);
-        assert_eq!(log.event_at(2), originals[2]);
-    }
-
-    #[test]
-    fn log_equality_is_event_equality() {
-        let mut a = ObserverLog::new("x", PeerId::derived(0), true, SimTime::ZERO);
-        let mut b = ObserverLog::new("x", PeerId::derived(0), true, SimTime::ZERO);
+    fn log_equality_resolves_ids_through_each_registry() {
+        let agent = "go-ipfs/0.11.0/";
+        let (a, b) = (sample(false, agent), sample(true, agent));
+        assert_ne!(a.table().peer_slots(), b.table().peer_slots(), "other ids");
+        assert_ne!(a.table().payloads(), b.table().payloads());
         assert_eq!(a, b);
-        a.push(opened(1, 1, 5));
-        assert_ne!(a, b);
-        b.push(opened(1, 1, 5));
-        assert_eq!(a, b);
-        b.push(closed(2, 1, 5));
-        assert_ne!(a, b);
+        let changed = sample(true, "go-ipfs/0.12.0/");
+        assert_ne!(a, changed, "a changed payload makes the logs unequal");
+        let empty = log(ObservationTable::new(), IdentifyRegistry::new(), 10);
+        assert_eq!(empty, empty.clone());
+        assert_ne!(a, empty);
     }
 
     #[test]
     fn close_without_open_is_ignored() {
-        let mut log = ObserverLog::new("x", PeerId::derived(0), false, SimTime::ZERO);
-        log.push(closed(5, 9, 1));
-        assert!(log.connections().is_empty());
+        let mut registry = IdentifyRegistry::new();
+        let mut table = ObservationTable::new();
+        let peer = registry.register_peer(PeerId::derived(1));
+        let reason = CloseReason::TrimmedRemote;
+        table.connection_closed(SimTime::from_secs(5), ConnectionId(9), peer, reason);
+        assert!(log(table, registry, 10).connections().is_empty());
     }
 
     #[test]

@@ -1322,6 +1322,8 @@ pub fn run_full_protocol(cfg: &FullProtocolConfig, specs: Vec<RemotePeerSpec>) -
 mod tests {
     use super::*;
     use crate::config::DhtRole;
+    use crate::events::ObserverLog;
+    use crate::obs::ObservationKind;
     use crate::spec::{
         DialBehavior, MetadataChange, RemotePeerSpec, ScheduledChange, SessionPattern,
     };
@@ -1420,7 +1422,7 @@ mod tests {
         (
             run.stats.checksum,
             run.stats.observations,
-            run.output.logs.iter().map(|l| l.events().count()).collect(),
+            run.output.logs.iter().map(ObserverLog::len).collect(),
             run.output.ground_truth.events.len(),
         )
     }
@@ -1437,8 +1439,7 @@ mod tests {
         );
         for (a, b) in reference.output.logs.iter().zip(&sharded.output.logs) {
             assert_eq!(a.observer, b.observer);
-            let (av, bv): (Vec<_>, Vec<_>) = (a.events().collect(), b.events().collect());
-            assert_eq!(av, bv);
+            assert_eq!(a, b);
         }
     }
 
@@ -1503,8 +1504,9 @@ mod tests {
             .logs
             .iter()
             .map(|l| {
-                l.events()
-                    .filter(|e| matches!(e, crate::events::ObservedEvent::IdentifyReceived { .. }))
+                let kinds = l.table().kinds().iter();
+                kinds
+                    .filter(|&&kind| kind == ObservationKind::Identify)
                     .count()
             })
             .sum();

@@ -2,15 +2,11 @@
 //!
 //! The paper's central observation is that *connection churn dwarfs node
 //! churn*: a measurement log holds orders of magnitude more events than the
-//! network holds peers. Materialising every event as a tagged
-//! [`ObservedEvent`](crate::ObservedEvent) enum — with a full
-//! [`IdentifyInfo`] clone per identify push — made per-event heap traffic the
-//! scaling bottleneck. This module replaces that representation with three
-//! pieces:
+//! network holds peers, so nothing on the observation path allocates per
+//! event. It is built from three pieces:
 //!
-//! * [`ObservationSink`] — the trait the engine emits observations into.
-//!   The engine never builds `ObservedEvent` values; it calls one sink
-//!   method per observation with plain ids.
+//! * [`ObservationSink`] — the trait the engine emits observations into:
+//!   one sink method per observation, with plain ids.
 //! * [`IdentifyRegistry`] — interns every distinct [`IdentifyInfo`],
 //!   [`Multiaddr`] and [`PeerId`] once and hands out dense `u32` ids. An
 //!   identify push records a 4-byte payload id instead of cloning the
@@ -19,10 +15,9 @@
 //!   `at` / `kind` / `peer_slot` / `conn` / `payload` columns, 25 bytes per
 //!   event, no per-event heap allocation.
 //!
-//! [`ObserverLog`](crate::ObserverLog) wraps a table plus a shared registry
-//! and keeps yielding the classic `ObservedEvent` shape for analyses that do
-//! not need hardware-speed access; hot consumers (the measurement monitors,
-//! the scale harness) read the columns directly.
+//! [`ObserverLog`](crate::ObserverLog) wraps a table plus a shared
+//! registry; its consumers (the measurement monitors, the streaming engine,
+//! the archive codec) read the columns through it.
 
 use p2pmodel::{CloseReason, ConnectionId, Direction, IdentifyInfo, Multiaddr, PeerId};
 use simclock::SimTime;
@@ -296,8 +291,7 @@ impl IdentifyRegistry {
     }
 
     /// Approximate resident bytes of the registry (interned values plus the
-    /// lookup indices). Part of the bytes-per-event accounting in the scale
-    /// harness; see `docs/ARCHITECTURE.md`.
+    /// lookup indices); see `docs/ARCHITECTURE.md`.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let peer_bytes = self.peers.len() * (size_of::<PeerId>() * 2 + size_of::<u32>());
@@ -312,10 +306,8 @@ impl IdentifyRegistry {
 }
 
 /// Approximate heap bytes owned by one [`IdentifyInfo`] (agent strings,
-/// protocol-set nodes, address list). Used for the bytes-per-event accounting
-/// of the enum representation, where every identify event carried a deep
-/// clone of this payload.
-pub fn identify_heap_bytes(info: &IdentifyInfo) -> usize {
+/// protocol-set nodes, address list).
+fn identify_heap_bytes(info: &IdentifyInfo) -> usize {
     use std::mem::size_of;
     let agent_bytes = match &info.agent {
         p2pmodel::AgentVersion::GoIpfs { commit, version, .. } => {
@@ -326,8 +318,7 @@ pub fn identify_heap_bytes(info: &IdentifyInfo) -> usize {
         p2pmodel::AgentVersion::Missing => 0,
     };
     // One string allocation plus ~3 words of BTreeSet node overhead per
-    // protocol id — an estimate, but the same estimate for both sides of the
-    // comparison.
+    // protocol id — an estimate.
     let protocol_bytes: usize = info
         .protocols
         .iter()
@@ -445,8 +436,8 @@ impl ObservationTable {
         self.payload[i]
     }
 
-    /// Resident bytes of the column storage (capacity-based, the peak-RSS
-    /// proxy the scale harness reports).
+    /// Resident bytes of the column storage (capacity-based, a peak-RSS
+    /// proxy).
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.at.capacity() * size_of::<SimTime>()
@@ -557,8 +548,8 @@ impl ObservationTable {
     }
 
     /// FNV-1a checksum over all columns — a cheap, order-sensitive
-    /// fingerprint the scale harness uses to assert determinism across
-    /// thread counts without materialising events.
+    /// fingerprint the sharded engine reports to pin determinism across
+    /// shard and thread counts.
     pub fn checksum(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |byte: u8| {
@@ -676,8 +667,8 @@ impl<A: ObservationSink, B: ObservationSink> ObservationSink for TeeSink<A, B> {
     }
 }
 
-/// A sink that only counts events — used by the scale harness to measure
-/// pure engine throughput with zero observation-storage cost.
+/// A sink that only counts events — measures pure engine throughput with
+/// zero observation-storage cost (`benches/scale.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CountingSink {
     /// Connection-open events seen.
@@ -720,10 +711,9 @@ impl ObservationSink for CountingSink {
 /// The cross-shard engine ([`crate::mailbox`]) partitions the global peer
 /// index space `0..peers` into `shards` contiguous, balanced ranges: shard
 /// sizes differ by at most one, with the remainder going to the first
-/// shards (the same rule the scale harness's `shard_population` uses). The
-/// mapping is a pure function of `(peers, shards)` — no allocation, no
-/// lookup tables — so every shard, every worker thread and every epoch
-/// agrees on who owns a peer, and merged [`ObservationTable`]s /
+/// shards. The mapping is a pure function of `(peers, shards)` — no
+/// allocation, no lookup tables — so every shard, every worker thread and
+/// every epoch agrees on who owns a peer, and merged [`ObservationTable`]s /
 /// [`IdentifyRegistry`] slots stay canonical: the registry slot of a peer is
 /// its *global* index, independent of the shard layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

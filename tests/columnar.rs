@@ -1,78 +1,13 @@
-//! Equivalence and property tests for the columnar observation pipeline.
-//!
-//! The refactor's contract: the columnar store (`ObservationTable` +
-//! `IdentifyRegistry`) is an invisible implementation detail behind
-//! `ObserverLog` — materialised events, monitor ingests and the golden
-//! fixtures (`tests/golden/`, checked by `golden_scenarios`) are
-//! byte-identical to the enum representation. These tests pin the pieces of
-//! that contract the golden suite does not reach directly.
+//! Property tests for the columnar observation pipeline: the
+//! `IdentifyRegistry` interning round trips and the engine's pre-sorted
+//! column stream. `netsim`'s `events.rs` and `measurement`'s `monitor.rs`
+//! unit tests pin that logs over differently ordered registries compare
+//! and ingest equal.
 
 use ipfs_passive_measurement::prelude::*;
-use netsim::{IdentifyRegistry, ObserverLog};
+use netsim::IdentifyRegistry;
 use p2pmodel::{IpAddress, Transport};
 use simclock::SimTime;
-
-mod common;
-use common::campaign;
-
-/// Runs a real campaign log through the push→materialise round trip: a log
-/// rebuilt by interning every materialised event must equal the original,
-/// and the monitors must produce identical datasets from both — proving the
-/// columnar ingest path and the enum-shaped view agree on real traces.
-#[test]
-fn columnar_log_roundtrips_through_event_materialisation() {
-    let campaign = campaign(MeasurementPeriod::P4);
-    // Rebuild the raw observer log from the campaign's simulation by
-    // re-running the scenario (logs are not kept on MeasurementCampaign).
-    let run = population::Scenario::new(MeasurementPeriod::P4)
-        .with_scale(common::SCALE)
-        .with_seed(common::SEED)
-        .build();
-    let output = run.simulate();
-    let original = output.log("go-ipfs").expect("P4 deploys the go-ipfs client");
-
-    let mut rebuilt = ObserverLog::new(
-        original.observer.clone(),
-        original.peer_id,
-        original.dht_server,
-        original.started_at,
-    );
-    for event in original.events() {
-        rebuilt.push(event);
-    }
-    rebuilt.ended_at = original.ended_at;
-
-    assert_eq!(&rebuilt, original, "push→materialise must round-trip");
-    assert_eq!(rebuilt.len(), original.len());
-    assert_eq!(rebuilt.distinct_peers(), original.distinct_peers());
-    assert_eq!(rebuilt.connections(), original.connections());
-
-    // The columnar ingest of both logs matches, and matches the dataset the
-    // campaign pipeline produced.
-    let from_original = GoIpfsMonitor::new().ingest(original);
-    let from_rebuilt = GoIpfsMonitor::new().ingest(&rebuilt);
-    assert_eq!(from_original, from_rebuilt);
-    assert_eq!(&from_original, campaign.primary());
-}
-
-/// The hydra path agrees too: per-head ingest over columns equals ingest
-/// over a pushed-back copy of the same log.
-#[test]
-fn hydra_columnar_ingest_matches_pushed_copy() {
-    let run = population::Scenario::new(MeasurementPeriod::P1)
-        .with_scale(common::SCALE)
-        .with_seed(common::SEED)
-        .build();
-    let output = run.simulate();
-    let head = output.log("hydra-h0").expect("P1 deploys hydra heads");
-    let mut copy = ObserverLog::new(head.observer.clone(), head.peer_id, head.dht_server, head.started_at);
-    for event in head.events() {
-        copy.push(event);
-    }
-    copy.ended_at = head.ended_at;
-    let monitor = HydraMonitor::new();
-    assert_eq!(monitor.ingest_head(head), monitor.ingest_head(&copy));
-}
 
 fn random_identify(rng: &mut SimRng) -> IdentifyInfo {
     let agents = [

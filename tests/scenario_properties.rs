@@ -59,8 +59,9 @@ fn joins_never_exceed_population_bounds() {
                 .map(|(peer, _)| *peer)
                 .collect();
             for log in &output.logs {
-                for event in log.events() {
-                    assert!(known.contains(&event.peer()), "{churn}: unknown peer observed");
+                for &slot in log.table().peer_slots() {
+                    let peer = log.registry().peer(slot);
+                    assert!(known.contains(&peer), "{churn}: unknown peer observed");
                 }
             }
         }
@@ -91,13 +92,13 @@ fn rotated_pids_never_resurrect_closed_connections() {
             assert!(!retired_at.is_empty(), "{churn} must retire PIDs");
             let output = run.simulate();
             for log in &output.logs {
-                for event in log.events() {
-                    if let Some(at) = retired_at.get(&event.peer()) {
+                let rows = log.table().peer_slots().iter().zip(log.table().ats());
+                for (&slot, &seen) in rows {
+                    let peer = log.registry().peer(slot);
+                    if let Some(at) = retired_at.get(&peer) {
                         assert!(
-                            event.at() <= *at,
-                            "{churn}: retired PID {:?} active at {} (retired at {at})",
-                            event.peer(),
-                            event.at(),
+                            seen <= *at,
+                            "{churn}: retired PID {peer:?} active at {seen} (retired at {at})",
                         );
                     }
                 }
