@@ -65,8 +65,8 @@ pub use monitor::{GoIpfsMonitor, HydraMonitor};
 pub use record::{ConnectionRecord, MetadataChangeRecord, PeerRecord, SnapshotRecord};
 pub use replicate::{replicate_seed, run_replicated_vantage_suite, ReplicateSuite};
 pub use runner::{
-    campaign_from_output, run_built, run_built_full_protocol, run_period,
-    run_period_full_protocol, run_scenario, run_scenario_suite, MeasurementCampaign,
+    campaign_from_output, run_built, run_period, run_scenario, run_scenario_suite,
+    MeasurementCampaign,
 };
 pub use serve::{
     config_from_json, config_to_json, debug_answerer, read_frame, serve_connection, serve_unix,

@@ -86,41 +86,6 @@ pub fn run_built(run: population::ScenarioRun) -> MeasurementCampaign {
     campaign_from_output(scenario, ground_truth_participants, duration, output)
 }
 
-/// Runs a materialised scenario on `shards` lock-step engine shards across
-/// `threads` worker threads, then feeds the exact same campaign-ingestion
-/// path.
-///
-/// Observers may live in any shard — the engine round-robins them and merges
-/// their logs canonically, so [`campaign_from_output`] is unchanged. The
-/// resulting campaign is byte-identical to [`run_built`] for every
-/// `shards`/`threads` value; sharding only spreads the work.
-pub fn run_built_full_protocol(
-    run: population::ScenarioRun,
-    shards: usize,
-    threads: usize,
-) -> MeasurementCampaign {
-    let scenario = run.scenario;
-    let ground_truth_participants = run.ground_truth_participants;
-    let duration = run.config.duration;
-    let result = netsim::Network::new(run.config, run.population.specs)
-        .with_population_events(run.events)
-        .run_sharded(shards, threads);
-    campaign_from_output(scenario, ground_truth_participants, duration, result.output)
-}
-
-/// Runs one of the paper's measurement periods on `shards` lock-step engine
-/// shards. See [`run_built_full_protocol`].
-pub fn run_period_full_protocol(
-    period: MeasurementPeriod,
-    scale: f64,
-    seed: u64,
-    shards: usize,
-    threads: usize,
-) -> MeasurementCampaign {
-    let scenario = Scenario::new(period).with_scale(scale).with_seed(seed);
-    run_built_full_protocol(scenario.build(), shards, threads)
-}
-
 /// Assembles a [`MeasurementCampaign`] from a finished simulation output:
 /// monitor ingestion, hydra union, active-crawler baseline.
 ///
@@ -252,25 +217,6 @@ mod tests {
         let union = campaign.hydra_union.as_ref().unwrap();
         for head in &campaign.hydra_heads {
             assert!(union.pid_count() >= head.pid_count());
-        }
-    }
-
-    #[test]
-    fn full_protocol_campaign_is_shard_invariant_through_ingestion() {
-        let one = run_period_full_protocol(MeasurementPeriod::P1, 0.004, 11, 1, 1);
-        assert!(one.go_ipfs.is_some());
-        assert_eq!(one.hydra_heads.len(), 2);
-        assert!(one.primary().pid_count() > 0);
-        let sharded = run_period_full_protocol(MeasurementPeriod::P1, 0.004, 11, 4, 2);
-        assert_eq!(one.primary().pid_count(), sharded.primary().pid_count());
-        assert_eq!(
-            one.primary().connection_count(),
-            sharded.primary().connection_count()
-        );
-        assert_eq!(one.ground_truth.events, sharded.ground_truth.events);
-        for (a, b) in one.hydra_heads.iter().zip(&sharded.hydra_heads) {
-            assert_eq!(a.pid_count(), b.pid_count());
-            assert_eq!(a.connection_count(), b.connection_count());
         }
     }
 
