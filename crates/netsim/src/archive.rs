@@ -344,12 +344,20 @@ impl<'a> ByteReader<'a> {
         let v = self.uvarint(context)?;
         let v = usize::try_from(v).map_err(|_| malformed(format!("length overflow in {context}")))?;
         // A length can never exceed the bytes remaining (every element takes
-        // at least one byte) — reject early so corrupt lengths do not turn
-        // into gigabyte allocations.
+        // at least one byte) — reject early. This bounds a count at one byte
+        // per element only; reservations go through `Self::vec_for`.
         if v > self.buf.len() - self.pos {
             return Err(ArchiveError::Truncated { context: "length-prefixed sequence" });
         }
         Ok(v)
+    }
+
+    /// An empty vector with room for `count` elements of at least
+    /// `min_len` encoded bytes each, but never for more than the bytes
+    /// remaining can hold: a forged count reserves no memory for elements
+    /// that do not exist. On valid input the cap never binds.
+    fn vec_for<T>(&self, count: usize, min_len: usize) -> Vec<T> {
+        Vec::with_capacity(count.min((self.buf.len() - self.pos) / min_len))
     }
 
     /// Reads a length-prefixed byte slice.
@@ -557,6 +565,13 @@ impl<'a> ArchiveFile<'a> {
 // Value codecs
 // ---------------------------------------------------------------------------
 
+/// Fewest bytes an encoded [`Multiaddr`] takes: tag, IPv4, transport, port.
+const ADDR_MIN_LEN: usize = 8;
+
+/// Fewest bytes an encoded [`IdentifyInfo`] takes: a missing agent and two
+/// empty lists.
+const IDENTIFY_MIN_LEN: usize = 3;
+
 fn put_peer(w: &mut ByteWriter, peer: &PeerId) {
     w.put_raw(peer.as_bytes());
 }
@@ -690,7 +705,7 @@ fn read_identify(r: &mut ByteReader<'_>) -> Result<IdentifyInfo, ArchiveError> {
         protocols.insert(r.str("protocol id")?);
     }
     let addr_count = r.len("listen addr count")?;
-    let mut listen_addrs = Vec::with_capacity(addr_count);
+    let mut listen_addrs = r.vec_for(addr_count, ADDR_MIN_LEN);
     for _ in 0..addr_count {
         listen_addrs.push(read_addr(r)?);
     }
@@ -735,7 +750,7 @@ fn decode_registry(
 ) -> Result<IdentifyRegistry, ArchiveError> {
     let mut r = ByteReader::new(peers);
     let count = r.len("peer dictionary count")?;
-    let mut peer_vec = Vec::with_capacity(count);
+    let mut peer_vec = r.vec_for(count, PEER_ID_BYTES);
     for _ in 0..count {
         peer_vec.push(read_peer(&mut r)?);
     }
@@ -743,7 +758,7 @@ fn decode_registry(
 
     let mut r = ByteReader::new(addrs);
     let count = r.len("address dictionary count")?;
-    let mut addr_vec = Vec::with_capacity(count);
+    let mut addr_vec = r.vec_for(count, ADDR_MIN_LEN);
     for _ in 0..count {
         addr_vec.push(read_addr(&mut r)?);
     }
@@ -751,7 +766,7 @@ fn decode_registry(
 
     let mut r = ByteReader::new(infos);
     let count = r.len("identify dictionary count")?;
-    let mut info_vec = Vec::with_capacity(count);
+    let mut info_vec = r.vec_for(count, IDENTIFY_MIN_LEN);
     for _ in 0..count {
         info_vec.push(read_identify(&mut r)?);
     }
@@ -786,7 +801,7 @@ fn encode_col_at(ats: &[SimTime]) -> Vec<u8> {
 fn decode_col_at(payload: &[u8]) -> Result<Vec<SimTime>, ArchiveError> {
     let mut r = ByteReader::new(payload);
     let count = r.len("at column count")?;
-    let mut out = Vec::with_capacity(count);
+    let mut out = r.vec_for(count, 1);
     let mut prev: u64 = 0;
     for i in 0..count {
         let ms = if i == 0 {
@@ -813,7 +828,7 @@ fn encode_col_kind(kinds: &[ObservationKind]) -> Vec<u8> {
 fn decode_col_kind(payload: &[u8]) -> Result<Vec<ObservationKind>, ArchiveError> {
     let mut r = ByteReader::new(payload);
     let count = r.len("kind column count")?;
-    let mut out = Vec::with_capacity(count);
+    let mut out = r.vec_for(count, 1);
     for _ in 0..count {
         let byte = r.u8("kind byte")?;
         out.push(
@@ -837,7 +852,7 @@ fn encode_col_u32s(values: &[u32]) -> Vec<u8> {
 fn decode_col_u32s(payload: &[u8], what: &'static str) -> Result<Vec<u32>, ArchiveError> {
     let mut r = ByteReader::new(payload);
     let count = r.len(what)?;
-    let mut out = Vec::with_capacity(count);
+    let mut out = r.vec_for(count, 1);
     for _ in 0..count {
         let v = r.uvarint(what)?;
         out.push(u32::try_from(v).map_err(|_| malformed(format!("{what} value {v} exceeds u32")))?);
@@ -868,7 +883,7 @@ fn encode_col_conn(conns: &[u64]) -> Vec<u8> {
 fn decode_col_conn(payload: &[u8]) -> Result<Vec<u64>, ArchiveError> {
     let mut r = ByteReader::new(payload);
     let count = r.len("conn column count")?;
-    let mut out = Vec::with_capacity(count);
+    let mut out = r.vec_for(count, 1);
     for _ in 0..count {
         let v = r.uvarint("conn value")?;
         out.push(if v == 0 { crate::obs::NO_CONN } else { v - 1 });
@@ -1095,7 +1110,7 @@ struct PeerTable(Vec<PeerId>);
 impl PeerTable {
     fn read(r: &mut ByteReader<'_>, context: &'static str) -> Result<Self, ArchiveError> {
         let count = r.len(context)?;
-        let mut peers = Vec::with_capacity(count);
+        let mut peers = r.vec_for(count, PEER_ID_BYTES);
         for _ in 0..count {
             peers.push(read_peer(r)?);
         }
@@ -1157,14 +1172,16 @@ fn decode_ground_truth(payload: &[u8]) -> Result<GroundTruth, ArchiveError> {
     let mut r = ByteReader::new(payload);
     let table = PeerTable::read(&mut r, "ground-truth dictionary")?;
     let count = r.len("ground-truth peer count")?;
-    let mut peers = Vec::with_capacity(count);
+    // A peer reference and a role byte.
+    let mut peers = r.vec_for(count, 2);
     for _ in 0..count {
         let peer = table.read_ref(&mut r, "ground-truth peer")?;
         let server = read_bool(&mut r, "ground-truth role")?;
         peers.push((peer, server));
     }
     let count = r.len("ground-truth event count")?;
-    let mut events = Vec::with_capacity(count);
+    // A tag, a time delta and a peer reference.
+    let mut events = r.vec_for(count, 3);
     let mut prev = 0u64;
     for _ in 0..count {
         let tag = r.u8("ground-truth event tag")?;
@@ -1259,12 +1276,13 @@ fn decode_dht(payload: &[u8]) -> Result<DhtLog, ArchiveError> {
     let table = PeerTable::read(&mut r, "dht dictionary")?;
     let k = r.uvarint("dht k")? as usize;
     let count = r.len("dht bootstrap count")?;
-    let mut bootstrap = Vec::with_capacity(count);
+    let mut bootstrap = r.vec_for(count, 1);
     for _ in 0..count {
         bootstrap.push(table.read_ref(&mut r, "dht bootstrap peer")?);
     }
     let count = r.len("dht conduct count")?;
-    let mut conduct = Vec::with_capacity(count);
+    // A peer reference and a tag.
+    let mut conduct = r.vec_for(count, 2);
     for _ in 0..count {
         let peer = table.read_ref(&mut r, "dht conduct peer")?;
         let c = match r.u8("dht conduct tag")? {
@@ -1280,7 +1298,8 @@ fn decode_dht(payload: &[u8]) -> Result<DhtLog, ArchiveError> {
         conduct.push((peer, c));
     }
     let count = r.len("dht event count")?;
-    let mut events = Vec::with_capacity(count);
+    // A tag, a time delta and a peer reference.
+    let mut events = r.vec_for(count, 3);
     let mut prev = 0u64;
     for _ in 0..count {
         let tag = r.u8("dht event tag")?;
@@ -1403,7 +1422,8 @@ pub fn decode_output(bytes: &[u8]) -> Result<(Vec<u8>, SimulationOutput), Archiv
     let directory = file.block(BK_OBSERVERS, GLOBAL_OWNER)?;
     let mut r = ByteReader::new(directory);
     let count = r.len("observer count")?;
-    let mut logs = Vec::with_capacity(count);
+    // A name length, a peer id, a role byte and two times.
+    let mut logs = r.vec_for(count, PEER_ID_BYTES + 4);
     for idx in 0..count {
         let observer = r.str("observer name")?.to_string();
         let peer_id = read_peer(&mut r)?;
