@@ -357,20 +357,68 @@ fn without(doc: &Json, key: &str) -> Json {
     Json::Object(entries.iter().filter(|(k, _)| k != key).cloned().collect())
 }
 
+fn sorted_keys(doc: &Json) -> Vec<&str> {
+    let mut keys: Vec<&str> =
+        doc.as_object().expect("an object").iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort();
+    keys
+}
+
+/// Setting the 1M row keeps every other key of the file as it was. The
+/// name dates from when the file's top level also held the report of a
+/// second scale mode; the check covers whatever else the file holds.
 #[test]
-fn scale_merges_its_row_into_the_bench_file() {
+fn merging_a_1m_row_keeps_the_classic_report_and_the_10m_row() {
     let committed = committed_scale_report();
-    let dir = temp_dir("merge");
+    let row = committed.get("true_protocol_1000000").expect("the committed 1M row").clone();
+    assert!(committed.get("true_protocol_10000000").is_some(), "the committed 10M row");
+    let dir = temp_dir("merge-1m");
     let path = dir.join("BENCH_scale.json");
+    std::fs::write(&path, without(&committed, "true_protocol_1000000").to_string_pretty()).unwrap();
+    let mut merged = cli::read_bench(path.to_str().unwrap()).expect("read the file");
+    merged.insert("true_protocol_1000000", row);
+    assert_eq!(sorted_keys(&merged), sorted_keys(&committed));
+    for key in sorted_keys(&committed) {
+        assert_eq!(merged.get(key), committed.get(key), "{key}");
+    }
+
+    std::fs::write(&path, "{\"peers\": 1, \"peers\": 2}").unwrap();
+    let error = cli::read_bench(path.to_str().unwrap()).unwrap_err();
+    assert_eq!(error.exit_code(), 1, "{error}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Two `repro scale` runs into one file: each sets its own row and leaves
+/// every other row as it was. The name dates from when the two runs were
+/// the two scale modes; both now go through the one sharded engine, at
+/// two population sizes.
+#[test]
+fn both_scale_modes_merge_their_rows_into_the_bench_file() {
+    let committed = committed_scale_report();
+    let dir = temp_dir("merge-modes");
+    let path = dir.join("BENCH_scale.json");
+    let out = path.to_str().unwrap();
     std::fs::write(&path, committed.to_string_pretty()).unwrap();
+    let with_out =
+        |command_line: &str| command_line.replace("--no-file", &format!("--out {out} --threads 1"));
+    let merged =
+        || Json::parse(&std::fs::read_to_string(&path).unwrap()).expect("the merged file parses");
+
     let (fixture_name, command_line, _) = SCALE;
-    let line = command_line.replace("--no-file", &format!("--out {} --threads 1", path.display()));
+    let line = with_out(command_line);
     check(fixture_name, &words(&line), false);
-    let merged = std::fs::read_to_string(&path).unwrap();
-    let merged = Json::parse(&merged).expect("the merged file parses");
-    assert_eq!(without(&merged, "true_protocol_5000"), committed, "every other row is as it was");
-    let row = merged.get("true_protocol_5000").expect("the new row");
+    let after_first = merged();
+    assert_eq!(without(&after_first, "true_protocol_5000"), committed, "other rows are untouched");
+    let row = after_first.get("true_protocol_5000").expect("the new row");
     assert_eq!(row.get("peers"), Some(&Json::UInt(5000)));
+
+    let second = with_out("scale --peers 2000 --shards 2 --no-file");
+    repro(&args(&words(&second))).unwrap_or_else(|e| panic!("repro {second} failed:\n{e}"));
+    let after_second = merged();
+    let others = without(&after_second, "true_protocol_2000");
+    assert_eq!(others, after_first, "the first run's row survives the second");
+    let row = after_second.get("true_protocol_2000").expect("the second row");
+    assert_eq!(row.get("peers"), Some(&Json::UInt(2000)));
 
     // A file that cannot be merged into fails before the run.
     std::fs::write(&path, "{\"peers\": 1, \"peers\": 2}").unwrap();
