@@ -445,7 +445,7 @@ impl DurationStore {
         match mode {
             DurationMode::Exact => {
                 let count = r.len("duration store count")?;
-                let mut values = Vec::with_capacity(count);
+                let mut values = Vec::with_capacity(r.capacity_for(count, VARINT_MIN_LEN));
                 for _ in 0..count {
                     values.push(r.uvarint("duration value")?);
                 }
@@ -735,6 +735,23 @@ struct OpenConn {
 /// incompatible layout changes so an old daemon never misparses a new
 /// checkpoint.
 const STATE_SNAPSHOT_VERSION: u8 = 1;
+
+// Minimum encoded lengths of the elements of a state snapshot, at one byte
+// per varint. `StreamingMonitor::restore` reserves room for no more
+// elements than the bytes remaining can hold at these lengths.
+/// A slot aggregate: four varints, an f64 and an option tag.
+const SLOT_AGG_MIN_LEN: usize = 13;
+/// An open connection: three varints and a direction byte.
+const OPEN_CONN_MIN_LEN: usize = 4;
+/// A connected-slot refcount entry: two varints.
+const CONNECTED_MIN_LEN: usize = 2;
+/// A pane summary: eleven varints and a u128.
+const PANE_SUMMARY_MIN_LEN: usize = 27;
+/// A retained window: six varints and a window state (six varints and a
+/// u128).
+const WINDOW_SNAPSHOT_MIN_LEN: usize = 28;
+/// An address id, an identify id or a duration value: one varint.
+const VARINT_MIN_LEN: usize = 1;
 
 fn put_opt_u32(w: &mut ByteWriter, value: Option<u32>) {
     match value {
@@ -1154,7 +1171,7 @@ impl StreamingMonitor {
         let mode = config.duration_mode;
 
         let count = r.len("slot aggregate count")?;
-        let mut slots = HashMap::with_capacity(count);
+        let mut slots = HashMap::with_capacity(r.capacity_for(count, SLOT_AGG_MIN_LEN));
         for _ in 0..count {
             let slot = read_u32(&mut r, "slot id")?;
             let connections = r.uvarint("slot connections")?;
@@ -1162,7 +1179,7 @@ impl StreamingMonitor {
             let max_duration_ms = r.uvarint("slot max duration")?;
             let first_addr_id = read_opt_u32(&mut r, "slot first addr")?;
             let id_count = r.len("slot identify count")?;
-            let mut identify_ids = Vec::with_capacity(id_count);
+            let mut identify_ids = Vec::with_capacity(r.capacity_for(id_count, VARINT_MIN_LEN));
             for _ in 0..id_count {
                 identify_ids.push(read_u32(&mut r, "slot identify id")?);
             }
@@ -1179,7 +1196,7 @@ impl StreamingMonitor {
         }
 
         let count = r.len("open connection count")?;
-        let mut open = HashMap::with_capacity(count);
+        let mut open = HashMap::with_capacity(r.capacity_for(count, OPEN_CONN_MIN_LEN));
         for _ in 0..count {
             let conn = r.uvarint("open conn id")?;
             let slot = read_u32(&mut r, "open conn slot")?;
@@ -1204,7 +1221,7 @@ impl StreamingMonitor {
         }
 
         let count = r.len("connection addr count")?;
-        let mut conn_addr_ids = HashSet::with_capacity(count);
+        let mut conn_addr_ids = HashSet::with_capacity(r.capacity_for(count, VARINT_MIN_LEN));
         for _ in 0..count {
             conn_addr_ids.insert(read_u32(&mut r, "connection addr id")?);
         }
@@ -1221,7 +1238,7 @@ impl StreamingMonitor {
         let next_snapshot = SimTime::from_millis(r.uvarint("next snapshot")?);
         let open_count = r.uvarint("open gauge")? as usize;
         let count = r.len("connected slot count")?;
-        let mut connected = HashMap::with_capacity(count);
+        let mut connected = HashMap::with_capacity(r.capacity_for(count, CONNECTED_MIN_LEN));
         for _ in 0..count {
             let slot = read_u32(&mut r, "connected slot")?;
             connected.insert(slot, read_u32(&mut r, "connected slot refcount")?);
@@ -1232,12 +1249,14 @@ impl StreamingMonitor {
         let pane_index = r.uvarint("pane index")?;
         let pane = decode_window_state(&mut r)?;
         let count = r.len("pane summary count")?;
-        let mut panes = Vec::with_capacity(count);
+        let mut panes = Vec::with_capacity(r.capacity_for(count, PANE_SUMMARY_MIN_LEN));
         for _ in 0..count {
             panes.push(decode_pane_summary(&mut r)?);
         }
         let count = r.len("retained window count")?;
-        let mut recent_windows = std::collections::VecDeque::with_capacity(count);
+        let mut recent_windows = std::collections::VecDeque::with_capacity(
+            r.capacity_for(count, WINDOW_SNAPSHOT_MIN_LEN),
+        );
         for _ in 0..count {
             recent_windows.push_back(decode_window_snapshot(&mut r)?);
         }

@@ -345,19 +345,25 @@ impl<'a> ByteReader<'a> {
         let v = usize::try_from(v).map_err(|_| malformed(format!("length overflow in {context}")))?;
         // A length can never exceed the bytes remaining (every element takes
         // at least one byte) — reject early. This bounds a count at one byte
-        // per element only; reservations go through `Self::vec_for`.
+        // per element only; reservations go through `Self::capacity_for`.
         if v > self.buf.len() - self.pos {
             return Err(ArchiveError::Truncated { context: "length-prefixed sequence" });
         }
         Ok(v)
     }
 
-    /// An empty vector with room for `count` elements of at least
-    /// `min_len` encoded bytes each, but never for more than the bytes
-    /// remaining can hold: a forged count reserves no memory for elements
-    /// that do not exist. On valid input the cap never binds.
+    /// How many of `count` elements of at least `min_len` encoded bytes
+    /// each to reserve room for: never more than the bytes remaining can
+    /// hold, so a forged count reserves no memory for elements that do not
+    /// exist. On valid input the cap never binds. The archive and
+    /// checkpoint decoders size every reservation by this cap.
+    pub fn capacity_for(&self, count: usize, min_len: usize) -> usize {
+        count.min((self.buf.len() - self.pos) / min_len)
+    }
+
+    /// An empty vector with room for [`Self::capacity_for`] elements.
     fn vec_for<T>(&self, count: usize, min_len: usize) -> Vec<T> {
-        Vec::with_capacity(count.min((self.buf.len() - self.pos) / min_len))
+        Vec::with_capacity(self.capacity_for(count, min_len))
     }
 
     /// Reads a length-prefixed byte slice.
@@ -515,7 +521,7 @@ impl<'a> ArchiveFile<'a> {
         }
         let mut r = ByteReader::new(footer);
         let count = r.u32("footer entry count")? as usize;
-        let mut blocks = Vec::with_capacity(count.min(footer.len() / 30));
+        let mut blocks = r.vec_for(count, 30);
         for _ in 0..count {
             blocks.push(BlockEntry {
                 kind: r.u16("footer entry kind")?,

@@ -9,11 +9,13 @@
 //! that records the largest single allocation, and holds that to a budget
 //! relative to the input.
 
+use measurement::StreamingMonitor;
 use netsim::archive::{apply_registry_delta, ByteWriter};
 use netsim::IdentifyRegistry;
 use p2pmodel::Multiaddr;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// The system allocator, recording the largest single request.
 struct Counting;
@@ -47,6 +49,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Held by every test while it measures: the counter is process-wide, and
+/// the harness runs tests on parallel threads.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// A registry delta holding one identify payload whose listen-address
 /// count equals the `filler` zero bytes that follow it. Every 8 zero bytes
 /// decode as one IPv4 address, so the decoder reads `filler / 8` addresses
@@ -69,6 +75,7 @@ fn a_forged_address_count_reserves_at_most_six_times_the_input() {
     // An address is 8 bytes encoded and 48 in memory.
     let budget = 6;
     assert_eq!(std::mem::size_of::<Multiaddr>(), 8 * budget);
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     for filler in [1 << 20, 1 << 22] {
         let delta = forged_delta(filler);
         let mut registry = IdentifyRegistry::new();
@@ -82,4 +89,72 @@ fn a_forged_address_count_reserves_at_most_six_times_the_input() {
             delta.len()
         );
     }
+}
+
+/// The monitor state snapshot layout version the offsets below describe.
+const SNAPSHOT_VERSION: u8 = 1;
+
+/// The bytes between the version byte and each count that
+/// `StreamingMonitor::restore` reserves by. A version byte followed by
+/// zeros is an empty monitor: every config field, count and value reads as
+/// zero. So the fields before a count are zero bytes: nine for the config,
+/// then one per empty count or zero varint, eight per f64 and sixteen per
+/// u128.
+fn reserving_sites() -> Vec<(&'static str, Vec<u8>)> {
+    let zeros = |n| vec![0u8; n];
+    // One slot aggregate: slot, connections, f64 duration sum, max
+    // duration and no first address, then its identify id count.
+    let one_slot = [zeros(9), vec![1], zeros(12)].concat();
+    vec![
+        ("slot aggregates", zeros(9)),
+        ("slot identify ids", one_slot),
+        ("open connections", zeros(10)),
+        ("connection addresses", zeros(11)),
+        ("inbound durations", zeros(14)),
+        ("connected refcounts", zeros(22)),
+        ("pane summaries", zeros(48)),
+        ("retained windows", zeros(49)),
+    ]
+}
+
+#[test]
+fn forged_snapshot_counts_reserve_at_most_sixteen_times_the_input() {
+    let budget = 16;
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let empty = [vec![SNAPSHOT_VERSION], vec![0; 51]].concat();
+    let monitor =
+        StreamingMonitor::restore(&empty).expect("a version byte and zeros is an empty monitor");
+    assert_eq!(
+        monitor.state_snapshot(),
+        empty,
+        "the snapshot layout the offsets describe changed"
+    );
+
+    let mut over = Vec::new();
+    for filler in [1 << 20, 1 << 22] {
+        for (site, prefix) in reserving_sites() {
+            // The count equals the zero filler that follows it, so the
+            // decoder runs out of input before it reads that many elements.
+            let mut w = ByteWriter::new();
+            w.put_u8(SNAPSHOT_VERSION);
+            w.put_raw(&prefix);
+            w.put_uvarint(filler as u64);
+            let mut snapshot = w.into_bytes();
+            snapshot.resize(snapshot.len() + filler, 0);
+            LARGEST.store(0, Ordering::Relaxed);
+            let outcome = StreamingMonitor::restore(&snapshot);
+            let largest = LARGEST.load(Ordering::Relaxed);
+            assert!(
+                outcome.is_err(),
+                "a snapshot cut short at the {site} must fail to restore"
+            );
+            if largest > budget * snapshot.len() {
+                over.push(format!("{site}: {largest} B from {} B", snapshot.len()));
+            }
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "allocations over {budget}x the input: {over:#?}"
+    );
 }
