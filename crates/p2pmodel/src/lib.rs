@@ -30,7 +30,6 @@ pub mod kademlia;
 pub mod lookup;
 pub mod multiaddr;
 pub mod peer_id;
-pub mod peerstore;
 pub mod protocol;
 
 pub use agent::{AgentVersion, VersionChange, VersionFlavor};
@@ -41,5 +40,4 @@ pub use kademlia::{Distance, KBucket, RoutingTable};
 pub use lookup::IterativeLookup;
 pub use multiaddr::{IpAddress, Multiaddr, Transport};
 pub use peer_id::PeerId;
-pub use peerstore::{PeerEntry, Peerstore};
 pub use protocol::{ProtocolId, ProtocolSet};
