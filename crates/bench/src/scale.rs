@@ -1,5 +1,5 @@
-//! The scale harness behind `repro scale`, `benches/scale.rs` and the
-//! benchmark's `fullproto-1m` workload.
+//! The scale harness behind `repro scale` and the benchmark's
+//! `fullproto-1m` workload.
 //!
 //! It samples one coherent population of `peers` remote peers (one global
 //! sampling stream, so the population is the same for every shard count)
@@ -59,16 +59,6 @@ impl Default for TrueProtocolConfig {
             seed: 0x5ca1_e000,
             observers: 4,
         }
-    }
-}
-
-/// A small true-protocol configuration for smoke tests and CI.
-pub fn true_protocol_smoke_config() -> TrueProtocolConfig {
-    TrueProtocolConfig {
-        peers: 20_000,
-        shards: 4,
-        threads: 2,
-        ..TrueProtocolConfig::default()
     }
 }
 
@@ -264,7 +254,7 @@ mod tests {
             shards: 1,
             threads: 1,
             duration: SimDuration::from_mins(5),
-            ..true_protocol_smoke_config()
+            ..TrueProtocolConfig::default()
         };
         let one = run_true_protocol(&base);
         assert!(one.stats.sim_events > 0);

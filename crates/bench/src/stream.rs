@@ -1,5 +1,5 @@
 //! The long-horizon streaming memory bench behind `repro stream
-//! --long-horizon` and `benches/stream.rs`.
+//! --long-horizon`.
 //!
 //! The paper's headline artefacts are time series over a multi-week
 //! measurement window, but the batch pipeline's memory grows with campaign
@@ -264,30 +264,25 @@ pub fn run_stream_bench_with_progress(
     }
 }
 
-/// Runs the full long-horizon bench without progress reporting.
-pub fn run_stream_bench(cfg: &StreamBenchConfig) -> StreamBenchReport {
-    run_stream_bench_with_progress(cfg, |_| {})
-}
-
-/// A reduced configuration for smoke tests and CI (minutes of sim time per
-/// day-equivalent would be too coarse; this keeps real day horizons at a
-/// tiny scale instead).
-pub fn smoke_config() -> StreamBenchConfig {
-    StreamBenchConfig {
-        scale: 0.0015,
-        horizons_days: vec![1, 3],
-        ..StreamBenchConfig::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A reduced configuration (minutes of sim time per day-equivalent
+    /// would be too coarse; this keeps real day horizons at a tiny scale
+    /// instead).
+    fn smoke_config() -> StreamBenchConfig {
+        StreamBenchConfig {
+            scale: 0.0015,
+            horizons_days: vec![1, 3],
+            ..StreamBenchConfig::default()
+        }
+    }
+
     #[test]
     fn horizon_results_grow_with_the_horizon_and_stream_stays_small() {
         let cfg = smoke_config();
-        let report = run_stream_bench(&cfg);
+        let report = run_stream_bench_with_progress(&cfg, |_| {});
         assert_eq!(report.horizons.len(), 2);
         let (short, long) = (&report.horizons[0], &report.horizons[1]);
         assert!(long.connections > short.connections, "more horizon, more churn");
@@ -317,8 +312,8 @@ mod tests {
             horizons_days: vec![1, 2],
             ..smoke_config()
         };
-        let a = run_stream_bench(&cfg);
-        let b = run_stream_bench(&cfg);
+        let a = run_stream_bench_with_progress(&cfg, |_| {});
+        let b = run_stream_bench_with_progress(&cfg, |_| {});
         assert_eq!(
             a.deterministic_json().to_string_compact(),
             b.deterministic_json().to_string_compact()

@@ -186,9 +186,9 @@ impl Network {
     /// Enables or disables routing-table tracking (on by default). The
     /// routing tables are rebuilt after the run from the ground truth and
     /// the observers' contacts and consume no engine randomness, so toggling
-    /// tracking never changes the observation logs; turning it off measures
-    /// pure engine throughput (`benches/scale.rs`) or skips work a caller
-    /// does not need.
+    /// tracking never changes the observation logs; turning it off skips
+    /// work a caller does not need, and lets `tests/mailbox_differential.rs`
+    /// compare against [`crate::run_full_protocol`], which never tracks.
     pub fn with_dht_tracking(mut self, enabled: bool) -> Self {
         self.dht_tracking = enabled;
         self
@@ -224,9 +224,8 @@ impl Network {
     /// sinks (one per configured observer, in configuration order).
     ///
     /// This is the raw columnar entry point: no [`ObserverLog`]s are built
-    /// and nothing is buffered beyond what the sinks keep. With
-    /// [`crate::CountingSink`]s it measures pure engine throughput; the
-    /// streaming campaigns tee a table and a streaming monitor through it.
+    /// and nothing is buffered beyond what the sinks keep. The streaming
+    /// campaigns tee a table and a streaming monitor through it.
     ///
     /// # Panics
     ///
@@ -268,7 +267,7 @@ mod tests {
     use crate::config::{DhtRole, ObserverSpec};
     use crate::spec::{MetadataChange, PopulationAction};
     use crate::events::GroundTruthEvent;
-    use crate::obs::{CountingSink, ObservationKind};
+    use crate::obs::ObservationKind;
     use crate::spec::{DialBehavior, ScheduledChange, SessionPattern};
     use p2pmodel::{
         AgentVersion, CloseReason, ConnLimits, Direction, IdentifyInfo, IpAddress, Multiaddr,
@@ -740,7 +739,7 @@ mod tests {
     }
 
     #[test]
-    fn counting_sinks_see_exactly_the_events_the_tables_store() {
+    fn run_with_sinks_sees_exactly_the_events_run_stores() {
         let make = || {
             let mut config = NetworkConfig::single_observer(
                 31,
@@ -758,16 +757,15 @@ mod tests {
         let (config, peers) = make();
         let output = Network::new(config, peers).run();
         let (config, peers) = make();
-        let counted = Network::new(config, peers)
-            .run_with_sinks(vec![CountingSink::default(), CountingSink::default()]);
-        assert_eq!(counted.sinks.len(), 2);
-        for (sink, log) in counted.sinks.iter().zip(&output.logs) {
-            assert_eq!(sink.total() as usize, log.len());
+        let sinks = config.observers.iter().map(ObserverSpec::presized_table).collect();
+        let mut run = Network::new(config, peers).run_with_sinks(sinks);
+        assert_eq!(run.sinks.len(), 2);
+        for (table, log) in run.sinks.iter_mut().zip(&output.logs) {
+            table.stable_sort_by_time();
+            assert_eq!(table.len(), log.len());
+            assert_eq!(table.checksum(), log.table().checksum());
         }
-        assert_eq!(counted.ground_truth, output.ground_truth);
-        assert_eq!(
-            counted.registry.peer_count(),
-            output.logs[0].registry().peer_count()
-        );
+        assert_eq!(run.ground_truth, output.ground_truth);
+        assert_eq!(run.registry.peer_count(), output.logs[0].registry().peer_count());
     }
 }

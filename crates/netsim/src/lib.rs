@@ -43,8 +43,7 @@ pub use engine::{Network, SimulationOutput, SinkRun};
 pub use events::{GroundTruth, GroundTruthEvent, ObserverLog};
 pub use mailbox::{run_full_protocol, FullProtocolConfig, FullProtocolRun, MailboxStats};
 pub use obs::{
-    CountingSink, IdentifyRegistry, ObservationKind, ObservationSink, ObservationTable, ShardMap,
-    TeeSink,
+    IdentifyRegistry, ObservationKind, ObservationSink, ObservationTable, ShardMap, TeeSink,
 };
 pub use spec::{
     DialBehavior, MetadataChange, PopulationAction, PopulationEvent, RemotePeerSpec,

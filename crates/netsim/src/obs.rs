@@ -667,45 +667,6 @@ impl<A: ObservationSink, B: ObservationSink> ObservationSink for TeeSink<A, B> {
     }
 }
 
-/// A sink that only counts events — measures pure engine throughput with
-/// zero observation-storage cost (`benches/scale.rs`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountingSink {
-    /// Connection-open events seen.
-    pub opened: u64,
-    /// Connection-close events seen.
-    pub closed: u64,
-    /// Identify events seen.
-    pub identifies: u64,
-    /// Gossip-discovery events seen.
-    pub discovered: u64,
-}
-
-impl CountingSink {
-    /// Total events seen.
-    pub fn total(&self) -> u64 {
-        self.opened + self.closed + self.identifies + self.discovered
-    }
-}
-
-impl ObservationSink for CountingSink {
-    fn connection_opened(&mut self, _: SimTime, _: ConnectionId, _: u32, _: Direction, _: u32) {
-        self.opened += 1;
-    }
-
-    fn connection_closed(&mut self, _: SimTime, _: ConnectionId, _: u32, _: CloseReason) {
-        self.closed += 1;
-    }
-
-    fn identify_received(&mut self, _: SimTime, _: u32, _: u32) {
-        self.identifies += 1;
-    }
-
-    fn peer_discovered(&mut self, _: SimTime, _: u32, _: u32) {
-        self.discovered += 1;
-    }
-}
-
 /// Stable global PID ↔ (shard, slot) mapping for partitioned simulations.
 ///
 /// The cross-shard engine ([`crate::mailbox`]) partitions the global peer
@@ -936,11 +897,12 @@ mod tests {
 
     #[test]
     fn in_place_sort_matches_materialising_permutation_and_keeps_allocations() {
-        // A deliberately shuffled table with timestamp ties.
+        // A shuffled table of the size one observer log reaches in a large
+        // campaign, with timestamp ties.
+        let mut rng = simclock::SimRng::seed_from(0xab5e);
         let mut table = ObservationTable::new();
-        let times = [9u64, 2, 7, 2, 9, 1, 7, 7, 3, 0, 2, 9];
-        for (i, &t) in times.iter().enumerate() {
-            table.identify_received(SimTime::from_secs(t), i as u32, i as u32 + 100);
+        for i in 0..200_000u32 {
+            table.identify_received(SimTime::from_secs(rng.uniform_u64(0, 10_000)), i, i + 100);
         }
 
         // Reference result: the old materialising permutation.
@@ -950,16 +912,24 @@ mod tests {
         let want_slots: Vec<u32> = order.iter().map(|&i| table.peer_slots()[i]).collect();
         let want_payloads: Vec<u32> = order.iter().map(|&i| table.payloads()[i]).collect();
 
-        let at_ptr = table.ats().as_ptr();
-        let conn_ptr = table.conns().as_ptr();
+        let columns = |t: &ObservationTable| {
+            (
+                t.ats().as_ptr(),
+                t.kinds().as_ptr(),
+                t.peer_slots().as_ptr(),
+                t.conns().as_ptr(),
+                t.payloads().as_ptr(),
+            )
+        };
+        let before = (columns(&table), table.approx_bytes());
         table.stable_sort_by_time();
         assert!(table.is_sorted_by_time());
         assert_eq!(table.ats(), &want_at[..]);
         assert_eq!(table.peer_slots(), &want_slots[..]);
         assert_eq!(table.payloads(), &want_payloads[..]);
-        // In place: the columns still live in their original allocations.
-        assert_eq!(table.ats().as_ptr(), at_ptr);
-        assert_eq!(table.conns().as_ptr(), conn_ptr);
+        // In place: every column still lives in its original allocation,
+        // and the table's resident footprint does not grow.
+        assert_eq!((columns(&table), table.approx_bytes()), before);
     }
 
     #[test]
@@ -1005,16 +975,13 @@ mod tests {
 
     #[test]
     fn tee_sink_forwards_every_event_to_both_children() {
-        let mut tee = TeeSink::new(ObservationTable::new(), CountingSink::default());
+        let mut tee = TeeSink::new(ObservationTable::new(), ObservationTable::new());
         tee.connection_opened(SimTime::from_secs(1), ConnectionId(4), 2, Direction::Inbound, 7);
         tee.identify_received(SimTime::from_secs(2), 2, 1);
         tee.connection_closed(SimTime::from_secs(3), ConnectionId(4), 2, CloseReason::PeerLeft);
         tee.peer_discovered(SimTime::from_secs(4), 9, 3);
-        let (table, counter) = tee.into_parts();
-        assert_eq!(table.len(), 4);
-        assert_eq!(counter.total(), 4);
-        assert_eq!(counter.opened, 1);
-        assert_eq!(counter.discovered, 1);
+        let (first, second) = tee.into_parts();
+        assert_eq!(first.len(), 4);
 
         // A direct table records the identical columns.
         let mut direct = ObservationTable::new();
@@ -1022,17 +989,9 @@ mod tests {
         direct.identify_received(SimTime::from_secs(2), 2, 1);
         direct.connection_closed(SimTime::from_secs(3), ConnectionId(4), 2, CloseReason::PeerLeft);
         direct.peer_discovered(SimTime::from_secs(4), 9, 3);
-        assert_eq!(table, direct);
-        assert_eq!(table.checksum(), direct.checksum());
-    }
-
-    #[test]
-    fn counting_sink_counts() {
-        let mut sink = CountingSink::default();
-        sink.connection_opened(SimTime::ZERO, ConnectionId(0), 0, Direction::Outbound, 0);
-        sink.connection_closed(SimTime::ZERO, ConnectionId(0), 0, CloseReason::TrimmedLocal);
-        sink.identify_received(SimTime::ZERO, 0, 0);
-        sink.peer_discovered(SimTime::ZERO, 0, 0);
-        assert_eq!(sink.total(), 4);
+        for table in [&first, &second] {
+            assert_eq!(table, &direct);
+            assert_eq!(table.checksum(), direct.checksum());
+        }
     }
 }
