@@ -12,10 +12,13 @@
 //! byte-identical at any `threads` value, and its trace fields at any shard
 //! count; CI pins this with `repro scale ... --threads 1` vs `--threads 8`.
 
+use std::sync::Arc;
+
 use crate::round2;
 use jsonio::Json;
 use netsim::{
-    run_full_protocol, DhtRole, FullProtocolConfig, MailboxStats, ObserverSpec, RemotePeerSpec,
+    run_full_protocol, DhtRole, FullProtocolConfig, MailboxStats, ObserverSpec, PhaseTimes,
+    RemotePeerSpec,
 };
 use p2pmodel::{
     AgentVersion, ConnLimits, IdentifyInfo, IpAddress, Multiaddr, PeerId, ProtocolSet,
@@ -66,7 +69,9 @@ impl Default for TrueProtocolConfig {
 ///
 /// One global sampling stream, *not* shard-stratified: the population must
 /// be identical for every shard count, or shard-count invariance of the
-/// trace would be meaningless.
+/// trace would be meaningless. Every peer announces one of 8 identify
+/// payloads (4 agents × the server and client protocol sets), built once
+/// and shared, so sampling allocates nothing per peer.
 pub fn true_protocol_population(cfg: &TrueProtocolConfig) -> Vec<RemotePeerSpec> {
     use netsim::{DialBehavior, SessionPattern};
     let mut rng = SimRng::seed_from(cfg.seed ^ TRUE_PROTOCOL_POPULATION_DOMAIN);
@@ -76,16 +81,20 @@ pub fn true_protocol_population(cfg: &TrueProtocolConfig) -> Vec<RemotePeerSpec>
         "go-ipfs/0.8.0/",
         "hydra-booster/0.7.4",
     ];
+    // `payloads[agent][server]`.
+    let payloads: Vec<[Arc<IdentifyInfo>; 2]> = agents
+        .iter()
+        .map(|agent| {
+            [ProtocolSet::go_ipfs_dht_client(), ProtocolSet::go_ipfs_dht_server()].map(|protocols| {
+                Arc::new(IdentifyInfo::new(AgentVersion::parse(agent), protocols, Vec::new()))
+            })
+        })
+        .collect();
     let duration_secs = cfg.duration.as_secs_f64();
     (0..cfg.peers)
         .map(|i| {
             let server = rng.chance(0.7);
-            let protocols = if server {
-                ProtocolSet::go_ipfs_dht_server()
-            } else {
-                ProtocolSet::go_ipfs_dht_client()
-            };
-            let agent = AgentVersion::parse(agents[rng.index(agents.len())]);
+            let identify = Arc::clone(&payloads[rng.index(agents.len())][usize::from(server)]);
             let addr = Multiaddr::default_swarm(IpAddress::random_v4(&mut rng));
             let session = match rng.index(10) {
                 0..=1 => SessionPattern::AlwaysOn,
@@ -115,14 +124,10 @@ pub fn true_protocol_population(cfg: &TrueProtocolConfig) -> Vec<RemotePeerSpec>
                 identify_prob: 0.9,
                 observer_value: 0,
             };
-            RemotePeerSpec::new(
-                PeerId::derived(i as u64),
-                addr,
-                IdentifyInfo::new(agent, protocols, Vec::new()),
-            )
-            .with_session(session)
-            .with_behavior(behavior)
-            .with_gossip_visibility(0.01)
+            RemotePeerSpec::new(PeerId::derived(i as u64), addr, identify)
+                .with_session(session)
+                .with_behavior(behavior)
+                .with_gossip_visibility(0.01)
         })
         .collect()
 }
@@ -162,6 +167,9 @@ pub struct TrueProtocolReport {
     /// Wall-clock seconds of the engine run (excludes population sampling).
     /// Non-deterministic; excluded from [`Self::deterministic_json`].
     pub wall_secs: f64,
+    /// Wall-clock time of each engine phase. Non-deterministic; printed in
+    /// [`Self::summary`] only.
+    pub phases: PhaseTimes,
 }
 
 impl TrueProtocolReport {
@@ -208,9 +216,11 @@ impl TrueProtocolReport {
 
     /// Human-readable one-screen summary (stderr of `repro scale`).
     pub fn summary(&self) -> String {
+        let p = &self.phases;
         format!(
             "true-protocol: peers {} | shards {} | epochs {} | cross-shard events {} | \
-             {} sim events | {} observations | {:.0} events/sec | checksum {:016x}",
+             {} sim events | {} observations | {:.0} events/sec | checksum {:016x} | \
+             phases build {:.2}s init {:.2}s epochs {:.2}s exchange {:.2}s assemble {:.2}s",
             self.config.peers,
             self.config.shards,
             self.stats.epochs,
@@ -218,7 +228,12 @@ impl TrueProtocolReport {
             self.stats.sim_events,
             self.stats.observations,
             self.events_per_sec(),
-            self.stats.checksum
+            self.stats.checksum,
+            p.build.as_secs_f64(),
+            p.init.as_secs_f64(),
+            p.epochs.as_secs_f64(),
+            p.exchange.as_secs_f64(),
+            p.assemble.as_secs_f64()
         )
     }
 }
@@ -240,6 +255,7 @@ pub fn run_true_protocol(cfg: &TrueProtocolConfig) -> TrueProtocolReport {
         config: cfg.clone(),
         stats: run.stats,
         wall_secs,
+        phases: run.phases,
     }
 }
 

@@ -245,14 +245,14 @@ impl Network {
             .with_shards(shards)
             .with_threads(threads);
         let sinks = cfg.observers.iter().map(ObserverSpec::presized_table).collect();
-        let (run, stats) = run_lockstep::<ObservationTable>(
+        let (run, stats, phases) = run_lockstep::<ObservationTable>(
             &cfg,
             self.peers,
             self.population_events,
             sinks,
             self.dht_tracking,
         );
-        FullProtocolRun::new(run.into_output(&cfg.observers), stats)
+        FullProtocolRun::new(run.into_output(&cfg.observers), stats, phases)
     }
 }
 

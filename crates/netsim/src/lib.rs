@@ -41,7 +41,7 @@ pub use config::{DhtRole, NetworkConfig, ObserverSpec};
 pub use dht::{dht_log_from_ground_truth, DhtConduct, DhtEvent, DhtLog, DhtReplay, DhtTracker, DhtView};
 pub use engine::{Network, SimulationOutput, SinkRun};
 pub use events::{GroundTruth, GroundTruthEvent, ObserverLog};
-pub use mailbox::{run_full_protocol, FullProtocolConfig, FullProtocolRun, MailboxStats};
+pub use mailbox::{run_full_protocol, FullProtocolConfig, FullProtocolRun, MailboxStats, PhaseTimes};
 pub use obs::{
     IdentifyRegistry, ObservationKind, ObservationSink, ObservationTable, ShardMap, TeeSink,
 };

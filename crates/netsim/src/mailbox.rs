@@ -73,10 +73,12 @@
 //! ground truth plus those contacts through one [`crate::DhtTracker`] in
 //! canonical order.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use p2pmodel::{CloseReason, ConnectionId, ConnectionManager, Direction, PeerId};
+use p2pmodel::{CloseReason, ConnectionId, ConnectionManager, Direction, IdentifyInfo, PeerId};
 use simclock::rng::splitmix64;
 use simclock::{KeyedEventQueue, SimDuration, SimRng, SimTime};
 
@@ -827,12 +829,9 @@ impl<S: ObservationSink> Shard<S> {
 /// Delivers every sealed mailbox: per destination, inbound entries are
 /// concatenated in source-shard order (broadcast lanes only into
 /// observer-hosting shards), stable-sorted by the globally unique
-/// `(time, key)` pair and handed over via `schedule_batch`.
-///
-/// Returns `(delivered, cross_shard)` entry counts.
-fn exchange<S: ObservationSink>(shards: &mut [Shard<S>]) -> (u64, u64) {
-    let mut delivered = 0u64;
-    let mut cross = 0u64;
+/// `(time, key)` pair and handed over via `schedule_batch`. Adds the
+/// delivered and cross-shard entry counts to `stats`.
+fn exchange<S: ObservationSink>(shards: &mut [Shard<S>], stats: &mut MailboxStats) {
     let outs: Vec<(Vec<Vec<MailEntry>>, Vec<MailEntry>)> =
         shards.iter_mut().map(Shard::take_outbox).collect();
     for (d, shard) in shards.iter_mut().enumerate() {
@@ -841,22 +840,21 @@ fn exchange<S: ObservationSink>(shards: &mut [Shard<S>]) -> (u64, u64) {
         for (s, (out, broadcast)) in outs.iter().enumerate() {
             if let Some(direct) = out.get(d) {
                 if s != d {
-                    cross += direct.len() as u64;
+                    stats.cross_shard_events += direct.len() as u64;
                 }
                 batch.extend_from_slice(direct);
             }
             if host_observers {
                 if s != d {
-                    cross += broadcast.len() as u64;
+                    stats.cross_shard_events += broadcast.len() as u64;
                 }
                 batch.extend_from_slice(broadcast);
             }
         }
-        delivered += batch.len() as u64;
+        stats.mailbox_events += batch.len() as u64;
         batch.sort_by_key(|&(at, key, _)| (at, key));
         shard.queue.schedule_batch(batch);
     }
-    (delivered, cross)
 }
 
 /// Runs `f` over every shard, round-robining shards across at most
@@ -970,50 +968,79 @@ pub struct MailboxStats {
     pub checksum: u64,
 }
 
+/// Wall-clock time of each phase of a lock-step run.
+///
+/// Timing only: it differs from run to run, so it stays out of
+/// [`MailboxStats`], the checksum and every deterministic output.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PhaseTimes {
+    /// Laying out and interning the population and building the shards
+    /// (serial).
+    pub build: Duration,
+    /// Seeding every shard's queue (parallel).
+    pub init: Duration,
+    /// The epochs, the final drain and the end-of-measurement closes
+    /// (parallel).
+    pub epochs: Duration,
+    /// Every mailbox exchange, the upfront one included (serial).
+    pub exchange: Duration,
+    /// Merging the shards into the run's output (serial).
+    pub assemble: Duration,
+}
+
+/// Runs `f`, adding its wall-clock time to `phase`.
+fn timed<T>(phase: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let out = f();
+    *phase += started.elapsed();
+    out
+}
+
 /// Result of a lock-step run: the standard [`SimulationOutput`] plus the
-/// run's [`MailboxStats`].
+/// run's [`MailboxStats`] and [`PhaseTimes`].
 #[derive(Debug)]
 pub struct FullProtocolRun {
     /// Observer logs, ground truth and DHT log.
     pub output: SimulationOutput,
     /// Aggregate counters of the run.
     pub stats: MailboxStats,
+    /// Wall-clock time of each phase of the run.
+    pub phases: PhaseTimes,
 }
 
 impl FullProtocolRun {
     /// Completes the counters with the row count and checksum of the
     /// assembled (time-sorted) observer tables.
-    pub(crate) fn new(output: SimulationOutput, mut stats: MailboxStats) -> Self {
+    pub(crate) fn new(output: SimulationOutput, mut stats: MailboxStats, phases: PhaseTimes) -> Self {
         let mut checksum = FNV_OFFSET;
         for log in &output.logs {
             stats.observations += log.table().len() as u64;
             checksum = (checksum ^ log.table().checksum()).wrapping_mul(FNV_PRIME);
         }
         stats.checksum = checksum;
-        FullProtocolRun { output, stats }
+        FullProtocolRun { output, stats, phases }
     }
 }
 
 /// Lays out the whole population in global order: the initial peers, then
-/// every scripted joiner (of events at or before `end`) in stream order,
-/// each with its join time. Retirements resolve each PID to the newest
-/// entry admitted so far, as the event stream reads; unknown PIDs are
-/// ignored.
+/// every scripted joiner (of events at or before `end`) in stream order.
+/// Returns the specs, each peer's join time (a parallel vector) and the
+/// retirements. Retirements resolve each PID to the newest entry admitted
+/// so far, as the event stream reads; unknown PIDs are ignored.
 fn flatten(
-    specs: Vec<RemotePeerSpec>,
+    mut peers: Vec<RemotePeerSpec>,
     events: Vec<PopulationEvent>,
     end: SimTime,
-) -> (Vec<(SimTime, RemotePeerSpec)>, Retirements) {
-    let mut peers: Vec<(SimTime, RemotePeerSpec)> =
-        specs.into_iter().map(|spec| (SimTime::ZERO, spec)).collect();
+) -> (Vec<RemotePeerSpec>, Vec<SimTime>, Retirements) {
+    let mut joined = vec![SimTime::ZERO; peers.len()];
     let mut retirements = Vec::new();
     if events.is_empty() {
-        return (peers, retirements);
+        return (peers, joined, retirements);
     }
     let mut index: HashMap<PeerId, u32> = peers
         .iter()
         .enumerate()
-        .map(|(g, (_, spec))| (spec.peer_id, g as u32))
+        .map(|(g, spec)| (spec.peer_id, g as u32))
         .collect();
     for event in events.into_iter().filter(|event| event.at <= end) {
         let (retire, join) = match event.action {
@@ -1024,22 +1051,33 @@ fn flatten(
         retirements.extend(retire.iter().filter_map(|pid| Some((event.at, *index.get(pid)?))));
         for spec in join {
             index.insert(spec.peer_id, peers.len() as u32);
-            peers.push((event.at, spec));
+            peers.push(spec);
+            joined.push(event.at);
         }
     }
-    (peers, retirements)
+    (peers, joined, retirements)
 }
 
 /// Interns the whole population into one registry (global order) and builds
 /// each shard's authoritative peer runtimes.
+///
+/// Specs share identify payloads, so each distinct allocation is interned
+/// once and later specs holding it read its id by pointer. The first sight
+/// of an allocation still goes through the registry, so ids come out in
+/// the order content interning gives them. A peer's payload is cloned only
+/// to apply its metadata-change chain.
 fn freeze(
-    peers: Vec<(SimTime, RemotePeerSpec)>,
+    peers: Vec<RemotePeerSpec>,
+    joined: Vec<SimTime>,
     retirements: Retirements,
     cfg: &FullProtocolConfig,
     map: &ShardMap,
 ) -> (FrozenPopulation, Vec<Vec<PeerRuntime>>) {
     let n = peers.len();
     let mut registry = IdentifyRegistry::with_capacity(n);
+    // Registry id per payload allocation. Each entry keeps its `Arc` alive,
+    // so no address is freed and handed to another payload during the build.
+    let mut payload_ids: HashMap<*const IdentifyInfo, (Arc<IdentifyInfo>, u32)> = HashMap::new();
     let mut peer_ids = Vec::with_capacity(n);
     let mut slots = Vec::with_capacity(n);
     let mut addr_ids = Vec::with_capacity(n);
@@ -1050,18 +1088,26 @@ fn freeze(
     let mut runtimes: Vec<Vec<PeerRuntime>> = (0..map.shards())
         .map(|s| Vec::with_capacity(map.count(s)))
         .collect();
-    for (g, (joined, spec)) in peers.into_iter().enumerate() {
+    for (g, (spec, joined)) in peers.into_iter().zip(joined).enumerate() {
         let slot = registry.register_peer(spec.peer_id);
         let addr_id = registry.intern_addr(spec.addr);
-        let base_id = registry.intern_identify(&spec.identify);
+        let base_id = match payload_ids.entry(Arc::as_ptr(&spec.identify)) {
+            Entry::Occupied(known) => known.get().1,
+            Entry::Vacant(first) => {
+                let id = registry.intern_identify(&spec.identify);
+                first.insert((Arc::clone(&spec.identify), id)).1
+            }
+        };
         let is_server = spec.identify.is_dht_server();
         let shift = joined - SimTime::ZERO;
-        let mut current = spec.identify.clone();
         let mut changes = Vec::with_capacity(spec.changes.len());
-        for sc in &spec.changes {
-            sc.change.apply(&mut current);
-            let id = registry.intern_identify(&current);
-            changes.push((sc.at + shift, id, current.is_dht_server()));
+        if !spec.changes.is_empty() {
+            let mut current = IdentifyInfo::clone(&spec.identify);
+            for sc in &spec.changes {
+                sc.change.apply(&mut current);
+                let id = registry.intern_identify(&current);
+                changes.push((sc.at + shift, id, current.is_dht_server()));
+            }
         }
         if !spec.dht_conduct.is_honest() {
             adversaries.push((g as u32, spec.dht_conduct));
@@ -1113,11 +1159,11 @@ fn build<S: ObservationSink>(
 ) -> Vec<Shard<S>> {
     assert_eq!(sinks.len(), cfg.observers.len(), "one sink per configured observer");
     let end = SimTime::ZERO + cfg.duration;
-    let (peers, retirements) = flatten(specs, events, end);
+    let (peers, joined, retirements) = flatten(specs, events, end);
     let n = peers.len();
     let shard_count = if lockstep { cfg.shards.max(1) } else { 1 };
     let map = ShardMap::new(n, shard_count);
-    let (frozen, runtimes) = freeze(peers, retirements, cfg, &map);
+    let (frozen, runtimes) = freeze(peers, joined, retirements, cfg, &map);
     let frozen = Arc::new(frozen);
     let mut observers: Vec<Vec<ObserverRuntime<S>>> = (0..shard_count).map(|_| Vec::new()).collect();
     for (o, (spec, sink)) in cfg.observers.iter().zip(sinks).enumerate() {
@@ -1276,33 +1322,35 @@ pub(crate) fn run_lockstep<S: ObservationSink + Send>(
     events: Vec<PopulationEvent>,
     sinks: Vec<S>,
     track_dht: bool,
-) -> (SinkRun<S>, MailboxStats) {
-    let mut shards = build(cfg, specs, events, sinks, track_dht, true);
+) -> (SinkRun<S>, MailboxStats, PhaseTimes) {
+    let mut phases = PhaseTimes::default();
+    let mut shards = timed(&mut phases.build, || build(cfg, specs, events, sinks, track_dht, true));
     let mut stats = MailboxStats::default();
-    par_shards(&mut shards, cfg.threads, Shard::init);
+    timed(&mut phases.init, || par_shards(&mut shards, cfg.threads, Shard::init));
     // Upfront exchange: gossip sightings drawn at init are scheduled at
     // arbitrary times, so they must be delivered before epoch 0 starts.
-    let (d, c) = exchange(&mut shards);
-    stats.mailbox_events += d;
-    stats.cross_shard_events += c;
+    timed(&mut phases.exchange, || exchange(&mut shards, &mut stats));
     let end_ms = cfg.duration.as_millis();
     let epoch_ms = cfg.latency().as_millis();
     let mut k = 0u64;
     while k * epoch_ms < end_ms {
         let limit = SimTime::from_millis(((k + 1) * epoch_ms).min(end_ms));
-        par_shards(&mut shards, cfg.threads, |shard| shard.run_epoch(limit, false));
-        let (d, c) = exchange(&mut shards);
-        stats.mailbox_events += d;
-        stats.cross_shard_events += c;
+        timed(&mut phases.epochs, || {
+            par_shards(&mut shards, cfg.threads, |shard| shard.run_epoch(limit, false))
+        });
+        timed(&mut phases.exchange, || exchange(&mut shards, &mut stats));
         stats.epochs += 1;
         k += 1;
     }
     // Final drain: every event at exactly `end` is already queued, so both
     // drivers process the end-time tie-break in the same key order.
     let end = SimTime::ZERO + cfg.duration;
-    par_shards(&mut shards, cfg.threads, |shard| shard.run_epoch(end, true));
-    par_shards(&mut shards, cfg.threads, Shard::finish);
-    assemble(shards, track_dht, stats)
+    timed(&mut phases.epochs, || {
+        par_shards(&mut shards, cfg.threads, |shard| shard.run_epoch(end, true));
+        par_shards(&mut shards, cfg.threads, Shard::finish);
+    });
+    let (run, stats) = timed(&mut phases.assemble, || assemble(shards, track_dht, stats));
+    (run, stats, phases)
 }
 
 /// Runs a population sharded across `cfg.shards` lock-step engine shards
@@ -1314,8 +1362,8 @@ pub(crate) fn run_lockstep<S: ObservationSink + Send>(
 /// inputs when the epoch is the default 60 s.
 pub fn run_full_protocol(cfg: &FullProtocolConfig, specs: Vec<RemotePeerSpec>) -> FullProtocolRun {
     let sinks = cfg.observers.iter().map(ObserverSpec::presized_table).collect();
-    let (run, stats) = run_lockstep::<ObservationTable>(cfg, specs, Vec::new(), sinks, false);
-    FullProtocolRun::new(run.into_output(&cfg.observers), stats)
+    let (run, stats, phases) = run_lockstep::<ObservationTable>(cfg, specs, Vec::new(), sinks, false);
+    FullProtocolRun::new(run.into_output(&cfg.observers), stats, phases)
 }
 
 #[cfg(test)]
@@ -1415,7 +1463,7 @@ mod tests {
     fn reference(cfg: &FullProtocolConfig, specs: Vec<RemotePeerSpec>) -> FullProtocolRun {
         let sinks = cfg.observers.iter().map(ObserverSpec::presized_table).collect();
         let (run, stats) = run_direct::<ObservationTable>(cfg, specs, Vec::new(), sinks, false);
-        FullProtocolRun::new(run.into_output(&cfg.observers), stats)
+        FullProtocolRun::new(run.into_output(&cfg.observers), stats, PhaseTimes::default())
     }
 
     fn fingerprint(run: &FullProtocolRun) -> (u64, u64, Vec<usize>, usize) {
@@ -1466,6 +1514,34 @@ mod tests {
         let many = run_full_protocol(&tiny_config(7, 4, 8), tiny_population(48, 3));
         assert_eq!(fingerprint(&one), fingerprint(&many));
         assert_eq!(one.output.ground_truth.events, many.output.ground_truth.events);
+    }
+
+    #[test]
+    fn shared_payloads_intern_like_owned_ones() {
+        // Every spec owns its payload; every fourth one has a change chain.
+        let owned = tiny_population(48, 3);
+        // The same population, with equal payloads sharing one allocation.
+        let mut palette: Vec<Arc<IdentifyInfo>> = Vec::new();
+        let mut shared = owned.clone();
+        for spec in &mut shared {
+            match palette.iter().find(|p| **p == spec.identify) {
+                Some(p) => spec.identify = Arc::clone(p),
+                None => palette.push(Arc::clone(&spec.identify)),
+            }
+        }
+        assert!(palette.len() < shared.len(), "no two specs share a payload");
+        let owned = run_full_protocol(&tiny_config(7, 4, 1), owned);
+        let shared = run_full_protocol(&tiny_config(7, 4, 1), shared);
+        assert_eq!(fingerprint(&owned), fingerprint(&shared));
+        assert_eq!(owned.output.ground_truth.events, shared.output.ground_truth.events);
+        assert_eq!(owned.output.logs, shared.output.logs);
+        let payloads = |run: &FullProtocolRun| {
+            let registry = run.output.logs[0].registry();
+            (0..registry.identify_count() as u32)
+                .map(|id| registry.identify(id).clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(payloads(&owned), payloads(&shared));
     }
 
     #[test]

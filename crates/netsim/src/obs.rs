@@ -163,6 +163,8 @@ impl IdentifyRegistry {
         IdentifyRegistry {
             peers: Vec::with_capacity(peers),
             peer_slots: HashMap::with_capacity(peers),
+            addrs: Vec::with_capacity(peers),
+            addr_ids: HashMap::with_capacity(peers),
             ..Self::default()
         }
     }

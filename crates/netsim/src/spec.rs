@@ -7,6 +7,8 @@
 //! peer, calibrated so the aggregate matches the composition the paper
 //! reports (agents, protocols, churn classes, hydra co-location, …).
 
+use std::sync::Arc;
+
 use crate::dht::DhtConduct;
 use p2pmodel::{AgentVersion, IdentifyInfo, Multiaddr, PeerId, ProtocolId, ProtocolSet};
 use simclock::{SimDuration, SimRng, SimTime};
@@ -188,10 +190,9 @@ pub enum MetadataChange {
 impl MetadataChange {
     /// Applies the change to an identify payload in place.
     ///
-    /// Both engines share this: the single-engine runner applies changes
-    /// lazily when the metadata event fires, the cross-shard engine applies
-    /// the whole chain up front to pre-intern every payload version a peer
-    /// will ever announce. One implementation keeps the two byte-compatible.
+    /// The engine's build applies each peer's whole chain up front, in
+    /// schedule order, to intern every payload version the peer will ever
+    /// announce; the metadata events then carry only the interned ids.
     pub fn apply(&self, identify: &mut IdentifyInfo) {
         match self {
             MetadataChange::SetAgent(agent) => identify.agent = agent.clone(),
@@ -251,6 +252,12 @@ pub struct PopulationEvent {
 }
 
 /// Everything the simulator needs to know about one remote peer.
+///
+/// The identify payload is shared, not owned: populations draw it from a
+/// handful of distinct payloads, so specs with equal payloads should hold
+/// clones of one [`Arc`]. The engine's build interns each distinct
+/// allocation once and reads the payload of every later spec that shares it
+/// by pointer, not by content.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemotePeerSpec {
     /// The peer's identifier.
@@ -258,8 +265,9 @@ pub struct RemotePeerSpec {
     /// The address the peer connects from / announces (its IP is what
     /// Section V-A groups by).
     pub addr: Multiaddr,
-    /// The initial identify payload.
-    pub identify: IdentifyInfo,
+    /// The initial identify payload, shared with every spec that announces
+    /// the same one.
+    pub identify: Arc<IdentifyInfo>,
     /// Online/offline pattern.
     pub session: SessionPattern,
     /// Dialing and holding behaviour towards the observers.
@@ -280,12 +288,14 @@ pub struct RemotePeerSpec {
 
 impl RemotePeerSpec {
     /// Creates a spec with the given identity and identify payload, default
-    /// behaviour, an always-on session and no scheduled changes.
-    pub fn new(peer_id: PeerId, addr: Multiaddr, identify: IdentifyInfo) -> Self {
+    /// behaviour, an always-on session and no scheduled changes. Pass an
+    /// `Arc` to share the payload with other specs, or an owned
+    /// [`IdentifyInfo`] for a payload of its own.
+    pub fn new(peer_id: PeerId, addr: Multiaddr, identify: impl Into<Arc<IdentifyInfo>>) -> Self {
         RemotePeerSpec {
             peer_id,
             addr,
-            identify,
+            identify: identify.into(),
             session: SessionPattern::AlwaysOn,
             behavior: DialBehavior::default_peer(),
             changes: Vec::new(),

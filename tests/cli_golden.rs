@@ -25,8 +25,10 @@
 //! alters one of them changes `repro`'s output and needs a reason.
 //!
 //! The file also holds the command-line error probes (exit status 2 with
-//! the usage, or 1 for runtime failures), the flag-table checks and the
-//! `BENCH_scale.json` merge test.
+//! the usage, or 1 for runtime failures), the flag-table checks, the
+//! `BENCH_scale.json` merge test and, ignored by default, the check that
+//! `repro scale` at 1M peers prints the committed `true_protocol_1000000`
+//! row (`cargo test --release --test cli_golden -- --ignored`).
 
 use bench::cli::{self, CliError};
 use jsonio::Json;
@@ -386,6 +388,22 @@ fn merging_a_1m_row_keeps_the_classic_report_and_the_10m_row() {
     let error = cli::read_bench(path.to_str().unwrap()).unwrap_err();
     assert_eq!(error.exit_code(), 1, "{error}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `repro scale` at the default 1M peers, on 2 threads, prints the
+/// committed `true_protocol_1000000` row minus its timing fields. Ignored by
+/// default: it needs about 1 GB and, in a release build, about 10 s.
+#[test]
+#[ignore = "1M peers; run with `cargo test --release --test cli_golden -- --ignored`"]
+fn scale_at_1m_peers_prints_the_committed_row() {
+    let committed = committed_scale_report();
+    let row = committed.get("true_protocol_1000000").expect("the committed 1M row");
+    let expected = ["wall_secs", "events_per_sec", "threads"]
+        .iter()
+        .fold(row.clone(), |row, timing| without(&row, timing));
+    let line = "scale --threads 2 --no-file";
+    let stdout = repro(&args(&words(line))).unwrap_or_else(|e| panic!("repro {line} failed:\n{e}"));
+    assert_eq!(Json::parse(&stdout).expect("stdout is JSON"), expected);
 }
 
 /// Two `repro scale` runs into one file: each sets its own row and leaves
