@@ -1011,7 +1011,11 @@ pub struct FullProtocolRun {
 impl FullProtocolRun {
     /// Completes the counters with the row count and checksum of the
     /// assembled (time-sorted) observer tables.
-    pub(crate) fn new(output: SimulationOutput, mut stats: MailboxStats, phases: PhaseTimes) -> Self {
+    pub(crate) fn new(
+        output: SimulationOutput,
+        mut stats: MailboxStats,
+        phases: PhaseTimes,
+    ) -> Self {
         let mut checksum = FNV_OFFSET;
         for log in &output.logs {
             stats.observations += log.table().len() as u64;
@@ -1362,7 +1366,8 @@ pub(crate) fn run_lockstep<S: ObservationSink + Send>(
 /// inputs when the epoch is the default 60 s.
 pub fn run_full_protocol(cfg: &FullProtocolConfig, specs: Vec<RemotePeerSpec>) -> FullProtocolRun {
     let sinks = cfg.observers.iter().map(ObserverSpec::presized_table).collect();
-    let (run, stats, phases) = run_lockstep::<ObservationTable>(cfg, specs, Vec::new(), sinks, false);
+    let (run, stats, phases) =
+        run_lockstep::<ObservationTable>(cfg, specs, Vec::new(), sinks, false);
     FullProtocolRun::new(run.into_output(&cfg.observers), stats, phases)
 }
 
