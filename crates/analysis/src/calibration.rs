@@ -8,7 +8,7 @@
 //! that, over the replicated campaigns `measurement::replicate` produces:
 //!
 //! 1. Each replicate's vantage PID sets collapse into a
-//!    [`CaptureHistory`] — one capture-occasion bitmask per observed PID —
+//!    `CaptureHistory` — one capture-occasion bitmask per observed PID —
 //!    from which every capture–recapture estimator (Lincoln–Petersen,
 //!    Chao1, Chao2, first-order jackknife) computes a point estimate and
 //!    its *analytic* CI95, plus a seeded-**bootstrap** CI95 (percentile
@@ -37,7 +37,7 @@
 //!    its `[0.85, 0.99]` band on these cells. The lab's measured verdict:
 //!    the Chao family's intervals are calibrated there, the jackknife's
 //!    undercover (≈ 0.75–0.8), and Lincoln–Petersen is misspecified for
-//!    serial slices ([`WINDOW_ESTIMATORS`] excludes it by design).
+//!    serial slices (`WINDOW_ESTIMATORS` excludes it by design).
 //!
 //! Single-vantage cells have no capture structure; their cells instead
 //! embed the per-replicate [`RobustnessRow`]s (byte-identical to
@@ -59,7 +59,7 @@ use simclock::SimRng;
 
 /// The capture–recapture estimators the calibration lab ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EstimatorKind {
+pub(crate) enum EstimatorKind {
     /// Chapman's bias-corrected Lincoln–Petersen (primary vs. rest).
     LincolnPetersen,
     /// Bias-corrected Chao1 over the capture-frequency histogram.
@@ -118,7 +118,7 @@ impl EstimatorKind {
 /// observed PID with bit `i` set iff capture occasion (vantage) `i` saw
 /// the PID. Mask order follows PID order, so histories are deterministic.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CaptureHistory {
+pub(crate) struct CaptureHistory {
     /// Number of capture occasions (vantages).
     pub occasions: usize,
     /// One occasion bitmask per observed PID.
@@ -128,7 +128,7 @@ pub struct CaptureHistory {
 impl CaptureHistory {
     /// Builds the history from per-occasion sorted PID sets (the same
     /// inputs [`vantage::accumulation_rows`] consumes).
-    pub fn from_sets(sets: &[Vec<p2pmodel::PeerId>]) -> CaptureHistory {
+    pub(crate) fn from_sets(sets: &[Vec<p2pmodel::PeerId>]) -> CaptureHistory {
         let mut by_pid: std::collections::BTreeMap<p2pmodel::PeerId, u32> =
             std::collections::BTreeMap::new();
         for (occasion, set) in sets.iter().enumerate() {
@@ -144,7 +144,7 @@ impl CaptureHistory {
 
     /// Builds the history of a vantage campaign (one occasion per deployed
     /// vantage, in deployment order).
-    pub fn from_campaign(campaign: &VantageCampaign) -> CaptureHistory {
+    pub(crate) fn from_campaign(campaign: &VantageCampaign) -> CaptureHistory {
         let sets: Vec<Vec<p2pmodel::PeerId>> = campaign
             .vantages
             .iter()
@@ -171,7 +171,7 @@ impl CaptureHistory {
     /// campaign whole inflates the singleton count with turnover and
     /// destabilises the Chao family. `occasions` is clamped to `2..=32`
     /// (the mask width).
-    pub fn from_time_windows(
+    pub(crate) fn from_time_windows(
         dataset: &measurement::MeasurementDataset,
         occasions: usize,
         span: simclock::SimDuration,
@@ -207,7 +207,7 @@ impl CaptureHistory {
     }
 
     /// Singleton and doubleton counts of the capture-frequency histogram.
-    pub fn f1_f2(&self) -> (usize, usize) {
+    pub(crate) fn f1_f2(&self) -> (usize, usize) {
         let mut f1 = 0;
         let mut f2 = 0;
         for mask in &self.masks {
@@ -236,7 +236,7 @@ impl CaptureHistory {
     /// occasion vs. the union of the rest — the identical arithmetic of
     /// [`vantage::accumulation_rows`], so the point estimates agree
     /// bit-for-bit.
-    pub fn two_occasion_view(&self) -> (usize, usize, usize) {
+    pub(crate) fn two_occasion_view(&self) -> (usize, usize, usize) {
         let union = self.masks.len();
         let mut n1 = 0;
         let mut m = 0;
@@ -260,7 +260,7 @@ impl CaptureHistory {
 /// Returns one `(kind, Option<(low, high)>)` per [`EstimatorKind::ALL`]
 /// entry; `None` when the estimator never produced a value (e.g. below two
 /// occasions) or `replicates == 0`. Deterministic in `seed`.
-pub fn bootstrap_cis(
+pub(crate) fn bootstrap_cis(
     history: &CaptureHistory,
     replicates: usize,
     seed: u64,
@@ -304,7 +304,7 @@ pub fn bootstrap_cis(
 /// mixed with the scenario label and a fixed domain tag through the
 /// sweep's SplitMix64 chain — unique per (replicate, scenario),
 /// independent of scheduling.
-pub fn bootstrap_seed(campaign_seed: u64, scenario_label: &str) -> u64 {
+pub(crate) fn bootstrap_seed(campaign_seed: u64, scenario_label: &str) -> u64 {
     let mut state = campaign_seed ^ fnv1a(scenario_label);
     simclock::rng::splitmix64(&mut state);
     state ^= fnv1a("bootstrap");
@@ -326,13 +326,16 @@ pub const WINDOW_SPAN_SECS: u64 = 86_400;
 /// two-occasion collapse (first occasion vs. the rest) is misspecified
 /// for serial time slices, where session persistence across the block
 /// boundary makes recapture nearly certain and degenerates the interval.
-pub const WINDOW_ESTIMATORS: [EstimatorKind; 3] =
-    [EstimatorKind::Chao1, EstimatorKind::Chao2, EstimatorKind::Jackknife1];
+pub(crate) const WINDOW_ESTIMATORS: [EstimatorKind; 3] = [
+    EstimatorKind::Chao1,
+    EstimatorKind::Chao2,
+    EstimatorKind::Jackknife1,
+];
 
 /// Derives the bootstrap seed of one replicate's *window* history —
 /// [`bootstrap_seed`] pushed through one more domain-tagged SplitMix64
 /// step so vantage and window resampling streams never alias.
-pub fn window_bootstrap_seed(campaign_seed: u64, scenario_label: &str) -> u64 {
+pub(crate) fn window_bootstrap_seed(campaign_seed: u64, scenario_label: &str) -> u64 {
     let mut state = bootstrap_seed(campaign_seed, scenario_label) ^ fnv1a("windows");
     simclock::rng::splitmix64(&mut state);
     state
@@ -351,7 +354,7 @@ struct EstimatorSample {
 /// replicates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorCalibration {
-    /// Estimator label (see [`EstimatorKind::label`]).
+    /// Estimator label (see `EstimatorKind::label`).
     pub estimator: String,
     /// Replicates in which the estimator produced a value.
     pub replicates_with_estimate: usize,
@@ -494,7 +497,7 @@ pub struct CalibrationCell {
     /// history ([`WINDOW_OCCASIONS`] slices of the first
     /// [`WINDOW_SPAN_SECS`]), measured against the span's true
     /// ever-online count — the benign, assumption-compatible cells the
-    /// tier-1 coverage test asserts on. [`WINDOW_ESTIMATORS`] only.
+    /// tier-1 coverage test asserts on. `WINDOW_ESTIMATORS` only.
     pub window_estimators: Vec<EstimatorCalibration>,
     /// Estimator labels ranked best-first: capture–recapture estimators by
     /// absolute signed bias (ties by label), or the single-vantage

@@ -44,20 +44,6 @@ pub struct HorizonComparison {
     pub population: usize,
 }
 
-impl HorizonComparison {
-    /// The largest passive DHT-Server PID count.
-    pub fn best_passive_server_count(&self) -> usize {
-        self.passive.iter().map(|e| e.dht_server_pids).max().unwrap_or(0)
-    }
-
-    /// Whether the historic passive view reaches at least the crawler's
-    /// maximum per-crawl count — the paper's observation for multi-day
-    /// periods.
-    pub fn passive_covers_crawler(&self) -> bool {
-        self.best_passive_server_count() >= self.crawler.max_servers
-    }
-}
-
 /// Builds the Fig. 2 comparison from a measurement campaign.
 pub fn horizon_comparison(campaign: &MeasurementCampaign) -> HorizonComparison {
     let mut passive = Vec::new();
@@ -101,42 +87,5 @@ mod tests {
         assert_eq!(entry.total_pids, 100);
         assert_eq!(entry.dht_server_pids, 30);
         assert_eq!(entry.client, "go-ipfs");
-    }
-
-    #[test]
-    fn comparison_helpers() {
-        let comparison = HorizonComparison {
-            period: "P4".into(),
-            passive: vec![
-                HorizonEntry { client: "go-ipfs".into(), total_pids: 100, dht_server_pids: 40 },
-                HorizonEntry { client: "hydra-union".into(), total_pids: 120, dht_server_pids: 55 },
-            ],
-            crawler: CrawlSummary {
-                crawls: 3,
-                min_servers: 30,
-                max_servers: 50,
-                distinct_servers: 60,
-                total_lookups: 48,
-                total_queries: 150,
-                mean_recall: 0.95,
-            },
-            population: 200,
-        };
-        assert_eq!(comparison.best_passive_server_count(), 55);
-        assert!(comparison.passive_covers_crawler());
-
-        let weaker = HorizonComparison {
-            crawler: CrawlSummary {
-                crawls: 3,
-                min_servers: 30,
-                max_servers: 70,
-                distinct_servers: 80,
-                total_lookups: 48,
-                total_queries: 150,
-                mean_recall: 0.95,
-            },
-            ..comparison
-        };
-        assert!(!weaker.passive_covers_crawler());
     }
 }

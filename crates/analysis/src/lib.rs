@@ -41,9 +41,8 @@ pub mod validation;
 pub mod vantage;
 
 pub use calibration::{
-    bootstrap_cis, bootstrap_seed, calibration_report, window_bootstrap_seed, CalibrationCell,
-    CalibrationReport, CaptureHistory, EstimatorCalibration, EstimatorKind, WINDOW_ESTIMATORS,
-    WINDOW_OCCASIONS, WINDOW_SPAN_SECS,
+    calibration_report, CalibrationCell, CalibrationReport, EstimatorCalibration, WINDOW_OCCASIONS,
+    WINDOW_SPAN_SECS,
 };
 pub use cdf::{connection_count_cdf, max_duration_cdf, DurationCdfs};
 pub use churn::{connection_stats, direction_stats, ConnectionStats, DirectionStats};
@@ -60,16 +59,11 @@ pub use robustness::{
     RobustnessReport, RobustnessRow,
 };
 pub use stream::{
-    analyze_stream, answer_stream_query, hist_summary, serve_answerer, stream_capture_rows,
-    stream_classify_peers, stream_connection_stats, stream_direction_stats, stream_estimates,
-    stream_ip_grouping, stream_network_size, stream_report, stream_summary_json,
-    stream_time_series, stream_window_rows, StreamAnalysis, StreamEstimates,
-    StreamReport, StreamTimeSeries,
+    answer_stream_query, serve_answerer, stream_capture_rows, stream_classify_peers,
+    stream_connection_stats, stream_direction_stats, stream_ip_grouping, stream_network_size,
+    stream_report, StreamAnalysis, StreamEstimates, StreamReport,
 };
-pub use survival::{
-    analyze_survival, multiset_subtract, survival_report, SurvivalAnalysis, SurvivalCurve,
-    SurvivalPoint, SurvivalReport,
-};
+pub use survival::{analyze_survival, SurvivalAnalysis, SurvivalCurve, SurvivalPoint};
 pub use timeline::{connection_timeline, pid_growth, PidGrowth};
 pub use validation::{churn_decomposition, ChurnDecomposition};
 pub use vantage::{

@@ -233,7 +233,7 @@ pub fn anomaly_report(dataset: &MeasurementDataset) -> AnomalyReport {
 }
 
 /// Convenience: the number of peers announcing the given protocol.
-pub fn protocol_supporters(dataset: &MeasurementDataset, protocol: &str) -> usize {
+pub(crate) fn protocol_supporters(dataset: &MeasurementDataset, protocol: &str) -> usize {
     dataset
         .peers
         .values()

@@ -148,15 +148,6 @@ impl PeerClassification {
             .unwrap_or(0)
     }
 
-    /// DHT-Server peers in the given class.
-    pub fn server_count(&self, class: ConnectionClass) -> usize {
-        self.rows
-            .iter()
-            .find(|(label, _, _)| label == class.label())
-            .map(|(_, _, servers)| *servers)
-            .unwrap_or(0)
-    }
-
     /// Total classified peers.
     pub fn total(&self) -> usize {
         self.rows.iter().map(|(_, total, _)| total).sum()
@@ -306,7 +297,7 @@ mod tests {
         let ds = dataset(connections, &[1]);
         let classes = classify_peers(&ds);
         assert_eq!(classes.count(ConnectionClass::Heavy), 1);
-        assert_eq!(classes.server_count(ConnectionClass::Heavy), 1);
+        assert_eq!(classes.rows[0], ("Heavy".to_string(), 1, 1));
         assert_eq!(classes.count(ConnectionClass::Normal), 1);
         assert_eq!(classes.count(ConnectionClass::Light), 1);
         assert_eq!(classes.count(ConnectionClass::OneTime), 1);
@@ -355,8 +346,8 @@ mod tests {
         assert!(classes.per_peer.is_empty());
         for class in ConnectionClass::ALL {
             assert_eq!(classes.count(class), 0);
-            assert_eq!(classes.server_count(class), 0);
         }
+        assert!(classes.rows.iter().all(|(_, _, servers)| *servers == 0));
         let estimate = network_size_estimate(&ds);
         assert_eq!(estimate.by_pids, 0);
         assert_eq!(estimate.by_ip_groups, 0);

@@ -61,11 +61,6 @@ impl EstimatorError {
         }
     }
 
-    /// The magnitude of the relative error.
-    pub fn abs_rel_error(&self) -> f64 {
-        self.signed_rel_error.abs()
-    }
-
     fn to_json(self) -> Json {
         let mut obj = Json::object();
         obj.insert("estimate", self.estimate);
@@ -433,7 +428,6 @@ mod tests {
         assert!((over.signed_rel_error - 0.5).abs() < 1e-12);
         let under = EstimatorError::new(50, 100);
         assert!((under.signed_rel_error + 0.5).abs() < 1e-12);
-        assert_eq!(under.abs_rel_error(), 0.5);
         assert_eq!(EstimatorError::new(0, 0).signed_rel_error, 0.0);
         assert!(EstimatorError::new(5, 0).signed_rel_error.is_infinite());
     }

@@ -9,7 +9,7 @@
 //! accumulation rows — **byte-identically** (same bits in every float, same
 //! `Debug`/JSON rendering; pinned by `tests/stream_differential.rs`).
 //!
-//! The one non-obvious piece is [`hist_summary`]: `simclock::Summary` sorts
+//! The one non-obvious piece is `hist_summary`: `simclock::Summary` sorts
 //! its samples before summing, so a run-length duration multiset carries
 //! *exactly* the information the batch mean/median computation consumes —
 //! replaying the sorted multiset through the same fold reproduces every bit
@@ -44,7 +44,7 @@ use std::collections::BTreeMap;
 /// sufficient: this function performs the identical fold (sequential f64
 /// additions in ascending order, the same rank interpolation for the
 /// percentiles) over the run-length representation.
-pub fn hist_summary(hist: &[(u64, u64)]) -> Summary {
+pub(crate) fn hist_summary(hist: &[(u64, u64)]) -> Summary {
     let count: u64 = hist.iter().map(|&(_, c)| c).sum();
     if count == 0 {
         return Summary::from_samples(&[]);
@@ -216,7 +216,7 @@ pub struct StreamEstimates {
 }
 
 /// Computes every cumulative estimate of one stream.
-pub fn stream_estimates(summary: &StreamSummary) -> StreamEstimates {
+pub(crate) fn stream_estimates(summary: &StreamSummary) -> StreamEstimates {
     StreamEstimates {
         connections: stream_connection_stats(summary),
         directions: stream_direction_stats(summary),
@@ -242,7 +242,7 @@ pub fn stream_capture_rows(streams: &[&StreamSummary], truth_pids: usize) -> Vec
 /// The per-window time-series artefacts of one stream, in `simclock`'s
 /// [`TimeSeries`] shape (x = window start in seconds).
 #[derive(Debug, Clone, PartialEq)]
-pub struct StreamTimeSeries {
+pub(crate) struct StreamTimeSeries {
     /// Connection records completed per window.
     pub closed_connections: TimeSeries,
     /// Distinct peers active per window.
@@ -254,7 +254,7 @@ pub struct StreamTimeSeries {
 }
 
 /// Extracts the per-window time series of a stream.
-pub fn stream_time_series(summary: &StreamSummary) -> StreamTimeSeries {
+pub(crate) fn stream_time_series(summary: &StreamSummary) -> StreamTimeSeries {
     let mut closed = TimeSeries::new();
     let mut active = TimeSeries::new();
     let mut open = TimeSeries::new();
@@ -330,7 +330,7 @@ pub struct WindowRow {
 }
 
 /// Analyses one streaming campaign.
-pub fn analyze_stream(campaign: &StreamingCampaign) -> StreamAnalysis {
+pub(crate) fn analyze_stream(campaign: &StreamingCampaign) -> StreamAnalysis {
     let primary = campaign.primary_stream();
     let vantage_streams = campaign.vantage_streams();
     let capture = if vantage_streams.len() >= 2 {
@@ -358,7 +358,7 @@ pub fn analyze_stream(campaign: &StreamingCampaign) -> StreamAnalysis {
 }
 
 /// Renders the primary stream's pane series in the report's row shape.
-pub fn stream_window_rows(summary: &StreamSummary) -> Vec<WindowRow> {
+pub(crate) fn stream_window_rows(summary: &StreamSummary) -> Vec<WindowRow> {
     summary
         .panes
         .iter()
@@ -503,7 +503,7 @@ fn window_row_json(w: &WindowRow) -> Json {
 /// daemon's `summary` answer, byte-identical to the matching sections of
 /// the batch [`StreamReport`] because both go through the same estimate
 /// and pane-row encoders.
-pub fn stream_summary_json(summary: &StreamSummary) -> Json {
+pub(crate) fn stream_summary_json(summary: &StreamSummary) -> Json {
     let mut obj = Json::object();
     obj.insert("observer", summary.observer.as_str());
     obj.insert("dht_server", summary.dht_server);
@@ -543,7 +543,7 @@ fn series_json(series: &TimeSeries) -> Json {
 /// Answers one serve-daemon query against a finalised summary. The query's
 /// `kind` selects the answer shape:
 ///
-/// * `"summary"` (the default) — [`stream_summary_json`];
+/// * `"summary"` (the default) — `stream_summary_json`;
 /// * `"network_size"` — just the §V network-size estimate;
 /// * `"sliding_windows"` — the [`measurement::sliding_windows`] merges over
 ///   the summary's retained full window states, `panes` panes wide
@@ -551,7 +551,7 @@ fn series_json(series: &TimeSeries) -> Json {
 ///   only possible while the monitor retains full `WindowState`s
 ///   (`retained_panes > 0`);
 /// * `"time_series"` — the four per-pane series of
-///   [`stream_time_series`] as `[t, value]` pairs.
+///   `stream_time_series` as `[t, value]` pairs.
 pub fn answer_stream_query(summary: &StreamSummary, query: &Json) -> Result<Json, String> {
     let kind = match query.get("kind") {
         None => "summary",

@@ -34,7 +34,6 @@
 //! next — so for censoring-free data the KM median equals
 //! `Summary::from_samples(...).median` (pinned by the property suite).
 
-use crate::report;
 use jsonio::Json;
 use measurement::{StreamSummary, StreamingCampaign};
 
@@ -89,7 +88,7 @@ pub struct SurvivalCurve {
 /// streaming engine's duration stores; `sub` is expected to be a
 /// sub-multiset of `total` (the censored durations are a subset of the
 /// combined ones by construction).
-pub fn multiset_subtract(total: &[(u64, u64)], sub: &[(u64, u64)]) -> Vec<(u64, u64)> {
+pub(crate) fn multiset_subtract(total: &[(u64, u64)], sub: &[(u64, u64)]) -> Vec<(u64, u64)> {
     let mut out = Vec::with_capacity(total.len());
     let mut j = 0;
     for &(value, count) in total {
@@ -187,19 +186,10 @@ impl SurvivalCurve {
     /// is used as-is. Works for both duration modes — the censored store
     /// buckets with the same edges as the direction stores, so the
     /// subtraction stays exact.
-    pub fn from_stream(summary: &StreamSummary) -> SurvivalCurve {
+    pub(crate) fn from_stream(summary: &StreamSummary) -> SurvivalCurve {
         let combined = summary.combined_dur_hist();
         let uncensored = multiset_subtract(&combined, &summary.censored_dur_hist);
         SurvivalCurve::from_hists(&uncensored, &summary.censored_dur_hist)
-    }
-
-    /// The step-function value `S(t)`: survival just after the last
-    /// observed time ≤ `t_ms` (1.0 before the first).
-    pub fn survival_at(&self, t_ms: u64) -> f64 {
-        match self.points.partition_point(|p| p.time_ms <= t_ms) {
-            0 => 1.0,
-            idx => self.points[idx - 1].survival,
-        }
     }
 
     /// The `p`-quantile (`0 < p < 1`) of the session-duration distribution
@@ -231,7 +221,7 @@ impl SurvivalCurve {
     }
 
     /// The final Nelson–Aalen cumulative hazard `H(∞)`.
-    pub fn cumulative_hazard(&self) -> f64 {
+    pub(crate) fn cumulative_hazard(&self) -> f64 {
         self.points.last().map(|p| p.cum_hazard).unwrap_or(0.0)
     }
 
@@ -239,7 +229,7 @@ impl SurvivalCurve {
     /// risk (`deaths / Σ durations`). The constant-hazard (exponential)
     /// summary of churn intensity; robust to censoring because censored
     /// time still counts in the denominator.
-    pub fn hazard_per_hour(&self) -> f64 {
+    pub(crate) fn hazard_per_hour(&self) -> f64 {
         if self.time_at_risk_ms == 0 {
             return 0.0;
         }
@@ -333,94 +323,6 @@ pub fn analyze_survival(campaign: &StreamingCampaign) -> SurvivalAnalysis {
     }
 }
 
-/// Per-regime survival analyses — median/quantile session lifetimes and
-/// hazard rates per churn scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SurvivalReport {
-    /// One analysis per campaign, in input order.
-    pub analyses: Vec<SurvivalAnalysis>,
-}
-
-/// Computes the survival report of a streaming campaign suite (one analysis
-/// per campaign, preserving input order — typically one per churn regime
-/// from `measurement::run_stream_suite`).
-pub fn survival_report(campaigns: &[StreamingCampaign]) -> SurvivalReport {
-    SurvivalReport {
-        analyses: campaigns.iter().map(analyze_survival).collect(),
-    }
-}
-
-impl SurvivalReport {
-    /// Looks up the analysis of a scenario by label.
-    pub fn analysis(&self, scenario: &str) -> Option<&SurvivalAnalysis> {
-        self.analyses.iter().find(|a| a.scenario == scenario)
-    }
-
-    /// Renders the report as a [`Json`] value (deterministic: nothing
-    /// execution-dependent).
-    pub fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.insert(
-            "analyses",
-            Json::Array(self.analyses.iter().map(|a| a.to_json()).collect()),
-        );
-        obj
-    }
-
-    /// Serialises to compact JSON.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_string_compact()
-    }
-
-    /// Serialises to pretty-printed JSON.
-    pub fn to_json_string_pretty(&self) -> String {
-        self.to_json().to_string_pretty()
-    }
-
-    /// Renders the per-regime survival summaries as an aligned text table.
-    pub fn summary_table(&self) -> String {
-        let q = |v: Option<f64>| {
-            v.map(|secs| format!("{secs:.1}")).unwrap_or_else(|| "-".into())
-        };
-        let rows: Vec<Vec<String>> = self
-            .analyses
-            .iter()
-            .map(|a| {
-                vec![
-                    a.scenario.clone(),
-                    a.period.clone(),
-                    a.curve.total.to_string(),
-                    format!(
-                        "{:.1}%",
-                        if a.curve.total == 0 {
-                            0.0
-                        } else {
-                            100.0 * a.curve.censored as f64 / a.curve.total as f64
-                        }
-                    ),
-                    q(a.curve.quantile_secs(0.25)),
-                    q(a.curve.median_secs()),
-                    q(a.curve.quantile_secs(0.75)),
-                    format!("{:.3}", a.curve.hazard_per_hour()),
-                ]
-            })
-            .collect();
-        report::text_table(
-            &[
-                "Scenario",
-                "Period",
-                "Sessions",
-                "Censored",
-                "p25 [s]",
-                "Median [s]",
-                "p75 [s]",
-                "Hazard [1/h]",
-            ],
-            &rows,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,10 +348,6 @@ mod tests {
         assert!((curve.points[2].variance - greenwood).abs() < 1e-12);
         // Nelson–Aalen: 1/4 + 1/2.
         assert!((curve.points[3].cum_hazard - 0.75).abs() < 1e-12);
-        // Step lookup.
-        assert_eq!(curve.survival_at(0), 1.0);
-        assert!((curve.survival_at(2) - 0.75).abs() < 1e-12);
-        assert!((curve.survival_at(100) - 0.375).abs() < 1e-12);
         // Hazard per hour: 2 events over 10 ms of person-time.
         let hours = 10.0 / 3_600_000.0;
         assert!((curve.hazard_per_hour() - 2.0 / hours).abs() < 1e-6);

@@ -32,7 +32,7 @@ pub struct ChurnDecomposition {
 
 impl ChurnDecomposition {
     /// Total observed closes.
-    pub fn total_closes(&self) -> usize {
+    pub(crate) fn total_closes(&self) -> usize {
         self.closed_by_local_trim
             + self.closed_by_remote_trim
             + self.closed_by_peer_departure

@@ -63,7 +63,7 @@ impl CaptureRecapture {
     }
 
     /// Signed relative error of the point estimate against a ground truth.
-    pub fn error_vs(&self, truth: usize) -> EstimatorError {
+    pub(crate) fn error_vs(&self, truth: usize) -> EstimatorError {
         EstimatorError::new(self.estimate.round() as usize, truth)
     }
 
@@ -276,16 +276,6 @@ pub struct VantageAnalysis {
 }
 
 impl VantageAnalysis {
-    /// The row accumulating all deployed vantages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the analysis has no rows (a campaign always deploys at
-    /// least one vantage).
-    pub fn final_row(&self) -> &VantageCountRow {
-        self.rows.last().expect("every campaign deploys at least one vantage")
-    }
-
     fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.insert("scenario", self.scenario.as_str());
@@ -689,7 +679,7 @@ mod tests {
             }
         }
         assert!(analysis.rows[0].chao1.is_none(), "one vantage, no estimate");
-        assert!(analysis.final_row().chao1.is_some());
+        assert!(analysis.rows.last().unwrap().chao1.is_some());
     }
 
     #[test]

@@ -1177,7 +1177,7 @@ fn export(a: &Args, stdout: &mut dyn Write) -> Result<(), CliError> {
             entry.insert("scenario", *label);
             entry.insert("events", *events as u64);
             entry.insert("bytes", archive.len() as u64);
-            entry.insert("checksum", netsim::archive::fnv1a(archive));
+            entry.insert("checksum", simclock::rng::fnv1a(archive));
             manifest_cells.push(entry);
             let per_event = format!("{:.1}", archive.len() as f64 / (*events).max(1) as f64);
             rows.push(vec![
@@ -1256,7 +1256,7 @@ fn analyze(a: &Args, stdout: &mut dyn Write) -> Result<(), CliError> {
             let path = format!("{dir}/{file}");
             let bytes = fs::read(&path).map_err(failed(format!("read {path}")))?;
             if let Some(expected) = cell.get("checksum").and_then(Json::as_u64) {
-                let actual = netsim::archive::fnv1a(&bytes);
+                let actual = simclock::rng::fnv1a(&bytes);
                 if actual != expected {
                     return Err(CliError::Runtime(format!(
                         "{path} does not match its manifest checksum (expected {expected:016x}, got {actual:016x})"

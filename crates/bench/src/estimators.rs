@@ -155,32 +155,22 @@ pub fn run_estimators_bench_with_progress(
     }
 }
 
-/// Runs the calibration bench without progress reporting.
-pub fn run_estimators_bench(cfg: &EstimatorsBenchConfig, threads: usize) -> EstimatorsBenchReport {
-    run_estimators_bench_with_progress(cfg, threads, |_| {})
-}
-
-/// A reduced configuration for smoke tests and CI.
-pub fn smoke_config() -> EstimatorsBenchConfig {
-    EstimatorsBenchConfig {
-        period: MeasurementPeriod::P1,
-        scale: 0.003,
-        replicates: 2,
-        bootstrap: 50,
-        scenarios: vec![ChurnScenario::Baseline, ChurnScenario::flash_crowd()],
-        ..EstimatorsBenchConfig::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn smoke_report_covers_every_cell_and_is_deterministic() {
-        let cfg = smoke_config();
-        let a = run_estimators_bench(&cfg, 1);
-        let b = run_estimators_bench(&cfg, 4);
+        let cfg = EstimatorsBenchConfig {
+            period: MeasurementPeriod::P1,
+            scale: 0.003,
+            replicates: 2,
+            bootstrap: 50,
+            scenarios: vec![ChurnScenario::Baseline, ChurnScenario::flash_crowd()],
+            ..EstimatorsBenchConfig::default()
+        };
+        let a = run_estimators_bench_with_progress(&cfg, 1, |_| {});
+        let b = run_estimators_bench_with_progress(&cfg, 4, |_| {});
         assert_eq!(
             a.deterministic_json().to_string_compact(),
             b.deterministic_json().to_string_compact(),

@@ -25,13 +25,14 @@ use measurement::serve::{
     read_frame, write_frame, Frame, ServeOptions, ServeState, FRAME_EVENTS, FRAME_REGISTRY,
 };
 use measurement::{StreamConfig, StreamingMonitor};
-use netsim::archive::{encode_event_block, encode_registry_delta, fnv1a};
+use netsim::archive::{encode_event_block, encode_registry_delta};
 use netsim::{IdentifyRegistry, ObservationSink, ObservationTable};
 use p2pmodel::{
     AgentVersion, CloseReason, ConnectionId, Direction, IdentifyInfo, IpAddress, Multiaddr,
     PeerId, ProtocolSet, Transport,
 };
 use population::{ChurnScenario, MeasurementPeriod, Scenario};
+use simclock::rng::{fnv1a, FNV_OFFSET};
 use simclock::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -480,7 +481,7 @@ pub fn run_serve_bench(
 
     // Query storm: network-size answers round-robin over the live tenants.
     let mut latencies_us = Vec::with_capacity(cfg.queries);
-    let mut answers_fnv = 0xcbf2_9ce4_8422_2325u64;
+    let mut answers_fnv = FNV_OFFSET;
     for q in 0..cfg.queries {
         let feed = &feeds[q % feeds.len()];
         let mut query = Json::object();

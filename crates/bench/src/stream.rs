@@ -15,11 +15,11 @@
 //!   state bytes**, in both duration-store modes;
 //! * the exact mode (differential-grade, byte-identical estimates) must
 //!   stay a large constant factor below batch at every horizon
-//!   ([`StreamBenchReport::min_exact_ratio`]);
+//!   (`StreamBenchReport::min_exact_ratio`);
 //! * the log-bucketed mode must be **flat**: its peak grows by at most a
 //!   small factor while batch grows with the horizon
-//!   ([`StreamBenchReport::bucketed_growth`] vs
-//!   [`StreamBenchReport::batch_growth`]) — asserted by this module's
+//!   (`StreamBenchReport::bucketed_growth` vs
+//!   `StreamBenchReport::batch_growth`) — asserted by this module's
 //!   `horizon_results_grow_with_the_horizon_and_stream_stays_small` unit
 //!   test and by the CI `stream-smoke` job over `BENCH_stream.json`.
 //!
@@ -108,24 +108,24 @@ pub struct StreamBenchReport {
 
 impl StreamBenchReport {
     /// Growth of batch resident bytes from the first to the last horizon.
-    pub fn batch_growth(&self) -> f64 {
+    pub(crate) fn batch_growth(&self) -> f64 {
         growth(self.horizons.first(), self.horizons.last(), |h| h.batch_bytes)
     }
 
     /// Growth of the exact-mode streaming peak across the horizons.
-    pub fn exact_growth(&self) -> f64 {
+    pub(crate) fn exact_growth(&self) -> f64 {
         growth(self.horizons.first(), self.horizons.last(), |h| h.exact_peak_bytes)
     }
 
     /// Growth of the bucketed-mode streaming peak across the horizons —
     /// the number that must stay ≈ flat while [`Self::batch_growth`]
     /// scales with the horizon.
-    pub fn bucketed_growth(&self) -> f64 {
+    pub(crate) fn bucketed_growth(&self) -> f64 {
         growth(self.horizons.first(), self.horizons.last(), |h| h.bucketed_peak_bytes)
     }
 
     /// The smallest batch-over-exact-stream memory ratio over all horizons.
-    pub fn min_exact_ratio(&self) -> f64 {
+    pub(crate) fn min_exact_ratio(&self) -> f64 {
         self.horizons
             .iter()
             .map(HorizonResult::exact_ratio)
@@ -200,7 +200,7 @@ fn growth(first: Option<&HorizonResult>, last: Option<&HorizonResult>, f: impl F
 /// Runs one horizon: simulates the Extended population truncated to `days`,
 /// materialises the batch view, and replays the primary log through the
 /// streaming engine in both duration-store modes.
-pub fn run_horizon(cfg: &StreamBenchConfig, days: u64) -> HorizonResult {
+pub(crate) fn run_horizon(cfg: &StreamBenchConfig, days: u64) -> HorizonResult {
     let days = days.clamp(1, 14);
     let scenario = Scenario::new(MeasurementPeriod::Extended)
         .with_scale(cfg.scale)

@@ -215,15 +215,6 @@ impl Json {
         }
     }
 
-    /// The value as an `i64`, if it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::UInt(v) => i64::try_from(*v).ok(),
-            Json::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The value as an `f64`, if it is any number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -235,7 +226,7 @@ impl Json {
     }
 
     /// The value as a `bool`, if it is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(v) => Some(*v),
             _ => None,

@@ -11,7 +11,7 @@
 //!   run duration — into one archive file per campaign cell.
 //! * [`read_campaign_archive`] reverses it: the registry, the per-observer
 //!   columns, the ground truth and the DHT history come back value-identical,
-//!   and [`ArchivedCampaign::into_campaign`] feeds them through the *same*
+//!   and `ArchivedCampaign::into_campaign` feeds them through the *same*
 //!   [`campaign_from_output`] ingestion path the direct simulation uses. The
 //!   resulting reports are byte-identical to the simulate-and-analyse path —
 //!   `tests/archive_differential.rs` pins this — with zero re-simulation:
@@ -99,7 +99,7 @@ pub struct ArchivedCampaign {
 impl ArchivedCampaign {
     /// Runs the archived output through the standard campaign-ingestion path
     /// (monitors + crawler replay) — the zero-re-simulation analyse step.
-    pub fn into_campaign(self) -> MeasurementCampaign {
+    pub(crate) fn into_campaign(self) -> MeasurementCampaign {
         campaign_from_output(
             self.meta.scenario,
             self.meta.ground_truth_participants,

@@ -155,13 +155,6 @@ impl ActiveCrawler {
         self
     }
 
-    /// Returns a copy with a different crawl time budget.
-    #[must_use = "with_* builders return a new value instead of mutating in place"]
-    pub fn with_budget(mut self, budget: SimDuration) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// The shared crawl loop: one snapshot per interval starting at
     /// `start`, optionally tracking the distinct-server union. Both public
     /// entry points replay the same log with the same per-crawl seeds, so a
@@ -360,7 +353,7 @@ impl Default for CrawlSummary {
 }
 
 /// Builds the min/max summary of a crawl series.
-pub fn summarize(snapshots: &[CrawlSnapshot], distinct_servers: usize) -> CrawlSummary {
+pub(crate) fn summarize(snapshots: &[CrawlSnapshot], distinct_servers: usize) -> CrawlSummary {
     let mean_recall = if snapshots.is_empty() {
         0.0
     } else {
@@ -642,7 +635,10 @@ mod tests {
         }
         let poisoned_log = tracker.into_log();
 
-        let crawler = ActiveCrawler::new().with_budget(SimDuration::from_secs(30));
+        let crawler = ActiveCrawler {
+            budget: SimDuration::from_secs(30),
+            ..ActiveCrawler::new()
+        };
         let benign = crawler.crawl(&benign_log, &gt, SimTime::ZERO, SimTime::ZERO);
         let attacked = crawler.crawl(&poisoned_log, &gt, SimTime::ZERO, SimTime::ZERO);
         assert!(!benign[0].truncated, "60 honest servers fit a 30 s budget");

@@ -10,7 +10,7 @@ use jsonio::{Json, JsonError};
 use p2pmodel::{CloseReason, Direction, PeerId};
 use simclock::{SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// The complete data set recorded by one measurement client (or the union of
 /// several hydra heads).
@@ -73,11 +73,6 @@ impl MeasurementDataset {
     /// Total number of recorded connections.
     pub fn connection_count(&self) -> usize {
         self.connections.len()
-    }
-
-    /// The connections of one peer.
-    pub fn connections_of(&self, peer: &PeerId) -> Vec<&ConnectionRecord> {
-        self.connections.iter().filter(|c| c.peer == *peer).collect()
     }
 
     /// Approximate resident bytes of the data set: the connection and
@@ -151,7 +146,7 @@ impl MeasurementDataset {
     ///   every vantage point's load samples (analyses take maxima over them,
     ///   which for a union means "max at any single vantage").
     ///
-    /// The result is in canonical form (see [`Self::canonicalize`]), which
+    /// The result is in canonical form (see `Self::canonicalize`), which
     /// makes the union **commutative, associative and idempotent** up to the
     /// `client` label — the algebra the vantage property suite pins.
     pub fn merge(&mut self, other: &MeasurementDataset) {
@@ -179,7 +174,7 @@ impl MeasurementDataset {
     /// [`Self::merge`] canonicalizes implicitly; monitors emit records in
     /// observation order, which for a single vantage is already the export
     /// the paper's clients produce, so nothing else calls this by default.
-    pub fn canonicalize(&mut self) {
+    pub(crate) fn canonicalize(&mut self) {
         for record in self.peers.values_mut() {
             canonicalize_peer(record);
         }
@@ -192,7 +187,7 @@ impl MeasurementDataset {
     ///
     /// Equivalent to folding [`Self::merge`] over the inputs — every merge
     /// step is associative and commutative into one canonical form — but
-    /// implemented as one concatenation plus a single [`Self::canonicalize`]
+    /// implemented as one concatenation plus a single `Self::canonicalize`
     /// pass, so a `k`-way union sorts the combined record vectors once
     /// instead of `k` times. Shares merge's single-id-space precondition.
     pub fn union_of<'a>(
@@ -298,32 +293,9 @@ impl MeasurementDataset {
         writer.write_all(self.to_json().to_string_pretty().as_bytes())
     }
 
-    /// Reads a data set back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if reading fails or the input is not valid JSON for
-    /// this schema.
-    pub fn read_json<R: Read>(mut reader: R) -> Result<Self, JsonError> {
-        let mut text = String::new();
-        reader
-            .read_to_string(&mut text)
-            .map_err(|e| JsonError::schema(format!("read error: {e}")))?;
-        Self::from_json_str(&text)
-    }
-
     /// Serialises to a JSON string.
     pub fn to_json_string(&self) -> String {
         self.to_json().to_string_compact()
-    }
-
-    /// Parses a data set from a JSON string.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input is not valid JSON for this schema.
-    pub fn from_json_str(s: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(s)?)
     }
 }
 
@@ -456,26 +428,24 @@ mod tests {
         assert_eq!(ds.connected_pid_count(), 9);
         assert_eq!(ds.dht_server_pid_count(), 3);
         assert_eq!(ds.duration(), SimDuration::from_hours(24));
-        assert_eq!(ds.connections_of(&PeerId::derived(0)).len(), 2);
     }
 
     #[test]
     fn json_roundtrip_preserves_everything() {
         let ds = dataset_with(5, 7);
-        let json = ds.to_json_string();
-        let parsed = MeasurementDataset::from_json_str(&json).unwrap();
-        assert_eq!(parsed, ds);
+        let parsed = MeasurementDataset::from_json(&Json::parse(&ds.to_json_string()).unwrap());
+        assert_eq!(parsed.unwrap(), ds);
 
         let mut buf = Vec::new();
         ds.write_json(&mut buf).unwrap();
-        let parsed = MeasurementDataset::read_json(buf.as_slice()).unwrap();
-        assert_eq!(parsed, ds);
+        let written = Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
+        assert_eq!(MeasurementDataset::from_json(&written).unwrap(), ds);
     }
 
     #[test]
     fn from_json_rejects_garbage() {
-        assert!(MeasurementDataset::from_json_str("not json").is_err());
-        assert!(MeasurementDataset::from_json_str("{\"client\":1}").is_err());
+        let doc = Json::parse("{\"client\":1}").unwrap();
+        assert!(MeasurementDataset::from_json(&doc).is_err());
     }
 
     #[test]
@@ -551,8 +521,6 @@ mod tests {
         let merged = &a.connections[0];
         assert_eq!(merged.opened_at, SimTime::from_secs(90));
         assert_eq!(merged.closed_at, SimTime::from_secs(1020));
-        // classify_peers-style accounting sees one connection, not two.
-        assert_eq!(a.connections_of(&PeerId::derived(1)).len(), 1);
     }
 
     #[test]

@@ -63,23 +63,19 @@ pub use crawler::{ActiveCrawler, CrawlSnapshot, CrawlSummary};
 pub use dataset::MeasurementDataset;
 pub use monitor::{GoIpfsMonitor, HydraMonitor};
 pub use record::{ConnectionRecord, MetadataChangeRecord, PeerRecord, SnapshotRecord};
-pub use replicate::{replicate_seed, run_replicated_vantage_suite, ReplicateSuite};
+pub use replicate::{run_replicated_vantage_suite, ReplicateSuite};
 pub use runner::{
     campaign_from_output, run_built, run_period, run_scenario, run_scenario_suite,
     MeasurementCampaign,
 };
 pub use serve::{
-    config_from_json, config_to_json, debug_answerer, read_frame, serve_connection, serve_unix,
-    write_frame, Frame, QueryAnswerer, ServeOptions, ServeState, FRAME_CONTROL, FRAME_EVENTS,
-    FRAME_REGISTRY, MAX_FRAME_LEN,
+    config_from_json, config_to_json, read_frame, serve_connection, serve_unix, write_frame, Frame,
+    QueryAnswerer, ServeOptions, ServeState, FRAME_EVENTS, FRAME_REGISTRY, MAX_FRAME_LEN,
 };
 pub use stream::{
     batch_resident_bytes, run_stream_suite, run_streaming_built, run_streaming_campaign,
     sliding_windows, DirectionAgg, DurationMode, PaneSummary, PeerStreamAgg, StreamConfig,
     StreamSummary, StreamingCampaign, StreamingMonitor, WindowEvent, WindowSnapshot, WindowState,
 };
-pub use sweep::{run_sweep, ObserverTweak, SweepGrid, SweepReport, SweepRunner};
-pub use vantage::{
-    run_vantage_built, run_vantage_campaign, run_vantage_suite, single_vantage_view,
-    VantageCampaign,
-};
+pub use sweep::{ObserverTweak, SweepGrid, SweepReport, SweepRunner};
+pub use vantage::{run_vantage_built, run_vantage_campaign, run_vantage_suite, VantageCampaign};

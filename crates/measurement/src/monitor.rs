@@ -82,7 +82,7 @@ impl HydraMonitor {
     /// Converts the log of a single head. Connection events are recorded at
     /// their exact timestamps (the hydra instrumentation logs connect and
     /// disconnect events directly).
-    pub fn ingest_head(&self, log: &ObserverLog) -> MeasurementDataset {
+    pub(crate) fn ingest_head(&self, log: &ObserverLog) -> MeasurementDataset {
         build_dataset(log, None, self.update_interval)
     }
 

@@ -23,6 +23,7 @@
 //! contract as every other suite runner in this crate.
 
 use crate::parallel::run_parallel_ordered;
+use crate::sweep::splitmix;
 use crate::vantage::{run_vantage_suite, VantageCampaign};
 use population::{ChurnScenario, MeasurementPeriod};
 use simclock::rng::fnv1a;
@@ -44,7 +45,7 @@ pub struct ReplicateSuite {
 /// replicates ≥ 1 run the sweep grid's SplitMix64 chain over the cell
 /// coordinates plus the replicate index. Deterministic and
 /// scheduling-independent by construction.
-pub fn replicate_seed(
+pub(crate) fn replicate_seed(
     base_seed: u64,
     period: MeasurementPeriod,
     scale: f64,
@@ -89,12 +90,6 @@ pub fn run_replicated_vantage_suite(
         seed,
         campaigns: run_vantage_suite(period, scale, seed, vantages, scenarios, inner_threads),
     })
-}
-
-/// SplitMix64 finaliser (shared with `simclock` and [`crate::sweep`]).
-fn splitmix(v: u64) -> u64 {
-    let mut state = v;
-    simclock::rng::splitmix64(&mut state)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! Every frame on the wire is `u32` little-endian length, one kind byte,
 //! then the payload ([`write_frame`] / [`read_frame`]):
 //!
-//! * [`FRAME_CONTROL`] — a compact JSON document (the `jsonio` dialect):
+//! * `FRAME_CONTROL` — a compact JSON document (the `jsonio` dialect):
 //!   requests carry an `op` field (`hello`, `status`, `query`, `finish`,
 //!   `checkpoint`, `ping`, `shutdown`), replies carry `ok` plus either the
 //!   result fields or an `error` string. Control frames are always
@@ -66,7 +66,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Frame kind: a JSON control message (always answered with one).
-pub const FRAME_CONTROL: u8 = 0;
+pub(crate) const FRAME_CONTROL: u8 = 0;
 /// Frame kind: tenant name + columnar event block (never answered).
 pub const FRAME_EVENTS: u8 = 1;
 /// Frame kind: tenant name + registry delta (never answered).
@@ -80,7 +80,7 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// One protocol frame: a kind byte and its payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// One of [`FRAME_CONTROL`], [`FRAME_EVENTS`], [`FRAME_REGISTRY`].
+    /// One of `FRAME_CONTROL`, [`FRAME_EVENTS`], [`FRAME_REGISTRY`].
     pub kind: u8,
     /// Kind-specific payload bytes.
     pub payload: Vec<u8>,
@@ -171,17 +171,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
 /// the caller (the `analysis` crate supplies the real one) so this module
 /// never depends on the analysis layer above it.
 pub type QueryAnswerer = Arc<dyn Fn(&StreamSummary, &Json) -> Result<Json, String> + Send + Sync>;
-
-/// A [`QueryAnswerer`] that replies with the summary's `Debug` rendering —
-/// enough for the byte-identity tests in this crate, which compare restored
-/// and uninterrupted monitors without reaching into `analysis`.
-pub fn debug_answerer() -> QueryAnswerer {
-    Arc::new(|summary, _query| {
-        let mut doc = Json::object();
-        doc.insert("debug", format!("{summary:?}"));
-        Ok(doc)
-    })
-}
 
 /// Serialises a [`StreamConfig`] as the JSON document the `hello` op
 /// carries.
@@ -276,7 +265,6 @@ pub struct ServeState {
     options: ServeOptions,
     shutdown: bool,
     event_frames: u64,
-    checkpoints_written: u64,
 }
 
 impl ServeState {
@@ -288,12 +276,11 @@ impl ServeState {
             options,
             shutdown: false,
             event_frames: 0,
-            checkpoints_written: 0,
         }
     }
 
     /// True once a `shutdown` op was handled; transport loops exit on it.
-    pub fn is_shutdown(&self) -> bool {
+    pub(crate) fn is_shutdown(&self) -> bool {
         self.shutdown
     }
 
@@ -308,11 +295,6 @@ impl ServeState {
             .values()
             .map(|t| t.monitor.events_ingested())
             .sum()
-    }
-
-    /// Checkpoints written so far (manual ops + automatic cadence).
-    pub fn checkpoints_written(&self) -> u64 {
-        self.checkpoints_written
     }
 
     /// Serialises the complete tenant table — monitor state snapshots plus
@@ -407,7 +389,6 @@ impl ServeState {
             options,
             shutdown: false,
             event_frames,
-            checkpoints_written: 0,
         })
     }
 
@@ -415,7 +396,7 @@ impl ServeState {
     /// way that survives power loss: the bytes go to a temp file that is
     /// synced before it is renamed over the checkpoint, and the directory
     /// is synced after the rename so the new entry is durable too.
-    pub fn write_checkpoint(&mut self) -> io::Result<u64> {
+    pub fn write_checkpoint(&self) -> io::Result<u64> {
         let path = self.options.checkpoint_path.clone().ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, "no checkpoint path configured")
         })?;
@@ -436,7 +417,6 @@ impl ServeState {
             let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
             std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
         }
-        self.checkpoints_written += 1;
         Ok(bytes.len() as u64)
     }
 
@@ -721,6 +701,17 @@ mod tests {
     use netsim::{ObservationSink, ObservationTable};
     use p2pmodel::{AgentVersion, CloseReason, ConnectionId, Direction, IdentifyInfo, IpAddress,
         Multiaddr, PeerId, ProtocolSet, Transport};
+
+    /// A [`QueryAnswerer`] that replies with the summary's `Debug` rendering —
+    /// enough for the byte-identity tests in this crate, which compare restored
+    /// and uninterrupted monitors without reaching into `analysis`.
+    fn debug_answerer() -> QueryAnswerer {
+        Arc::new(|summary, _query| {
+            let mut doc = Json::object();
+            doc.insert("debug", format!("{summary:?}"));
+            Ok(doc)
+        })
+    }
 
     fn sample_feed() -> (StreamConfig, IdentifyRegistry, ObservationTable) {
         let mut registry = IdentifyRegistry::new();

@@ -94,10 +94,8 @@ impl WindowEvent {
 /// The mergeable partial aggregate of one window pane.
 ///
 /// `WindowState` forms a commutative monoid under [`WindowState::merge`]
-/// with [`WindowState::new`] as the identity, and every
-/// [`WindowState::apply`] has an exact inverse [`WindowState::retract`] —
-/// the algebra that makes panes combinable into sliding windows and
-/// evictable without replay. All three laws are fuzzed in
+/// with [`WindowState::new`] as the identity — the algebra that makes panes
+/// combinable into sliding windows. Both laws are fuzzed in
 /// `tests/stream_properties.rs`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowState {
@@ -161,35 +159,6 @@ impl WindowState {
             WindowEvent::Discovered { .. } => self.discoveries += 1,
         }
         *self.peer_events.entry(event.slot()).or_insert(0) += 1;
-    }
-
-    /// Removes one previously [`apply`](Self::apply)ed event — the exact
-    /// inverse, so `apply(e); retract(e)` is a no-op. Retracting an event
-    /// that was never applied saturates at empty instead of underflowing.
-    pub fn retract(&mut self, event: WindowEvent) {
-        match event {
-            WindowEvent::Opened { .. } => self.opened = self.opened.saturating_sub(1),
-            WindowEvent::Closed { dur_ms, .. } => {
-                self.closed = self.closed.saturating_sub(1);
-                self.dur_ms_sum = self.dur_ms_sum.saturating_sub(dur_ms as u128);
-                if let Some(count) = self.dur_hist.get_mut(&dur_ms) {
-                    *count -= 1;
-                    if *count == 0 {
-                        self.dur_hist.remove(&dur_ms);
-                    }
-                }
-            }
-            WindowEvent::Identify { .. } => self.identifies = self.identifies.saturating_sub(1),
-            WindowEvent::Discovered { .. } => {
-                self.discoveries = self.discoveries.saturating_sub(1)
-            }
-        }
-        if let Some(count) = self.peer_events.get_mut(&event.slot()) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                self.peer_events.remove(&event.slot());
-            }
-        }
     }
 
     /// Merges another partial state into this one (commutative and
@@ -1023,7 +992,7 @@ impl StreamingMonitor {
     /// Approximate resident bytes of the engine state right now
     /// (deterministic, content-based — the quantity whose high-water mark
     /// [`StreamSummary::peak_state_bytes`] reports).
-    pub fn approx_state_bytes(&self) -> usize {
+    pub(crate) fn approx_state_bytes(&self) -> usize {
         use std::mem::size_of;
         let map_entry = |key: usize, value: usize| key + value + 16;
         self.slots.len() * map_entry(size_of::<u32>(), size_of::<SlotAgg>())

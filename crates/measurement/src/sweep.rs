@@ -11,9 +11,9 @@
 //!
 //! * [`SweepGrid`] describes the cross product of measurement periods,
 //!   population scales, seeds and [`ObserverTweak`]s to run.
-//! * [`run_sweep`] / [`SweepRunner`] execute every cell of the grid in
+//! * [`SweepRunner`] executes every cell of the grid in
 //!   parallel on OS threads (one campaign per cell, work-stealing over a
-//!   shared cursor) and stream each finished [`crate::MeasurementCampaign`] into a
+//!   shared cursor) and streams each finished [`crate::MeasurementCampaign`] into a
 //!   per-cell [`CellReport`], so memory stays bounded by the largest single
 //!   campaign rather than the whole grid.
 //! * [`SweepReport`] aggregates the cells into cross-seed mean / standard
@@ -36,15 +36,15 @@
 //! # Example
 //!
 //! ```
-//! use measurement::sweep::{run_sweep, SweepGrid};
+//! use measurement::sweep::{SweepGrid, SweepRunner};
 //! use population::MeasurementPeriod;
 //!
 //! let grid = SweepGrid::new(vec![MeasurementPeriod::P1])
 //!     .with_scales(vec![0.003])
-//!     .with_seed_count(2);
+//!     .with_seeds((1..=2).collect());
 //! assert_eq!(grid.cell_count(), 2);
 //!
-//! let report = run_sweep(&grid);
+//! let report = SweepRunner::new().run(&grid);
 //! assert_eq!(report.cells.len(), 2);
 //! assert_eq!(report.aggregates.len(), 1);
 //! let agg = &report.aggregates[0];
@@ -151,13 +151,6 @@ impl SweepGrid {
     pub fn with_seeds(mut self, seeds: Vec<u64>) -> Self {
         self.seeds = seeds;
         self
-    }
-
-    /// Uses seeds `1..=n`.
-    #[must_use = "with_* builders return a new value instead of mutating in place"]
-    pub fn with_seed_count(self, n: u64) -> Self {
-        let seeds = (1..=n).collect();
-        self.with_seeds(seeds)
     }
 
     /// Replaces the observer variations.
@@ -309,8 +302,8 @@ impl SweepGrid {
 }
 
 /// SplitMix64 finaliser (shared with `simclock`): diffuses cell coordinates
-/// into campaign seeds.
-fn splitmix(v: u64) -> u64 {
+/// into campaign seeds, here and in [`crate::replicate`].
+pub(crate) fn splitmix(v: u64) -> u64 {
     let mut state = v;
     simclock::rng::splitmix64(&mut state)
 }
@@ -614,7 +607,7 @@ pub struct SweepReport {
 
 impl SweepReport {
     /// Builds the report from completed cells (assumed to be in grid order).
-    pub fn from_cells(cells: Vec<CellReport>) -> SweepReport {
+    pub(crate) fn from_cells(cells: Vec<CellReport>) -> SweepReport {
         let mut aggregates: Vec<AggregateRow> = Vec::new();
         // Group scales by bit pattern, not f64 equality, so even a rogue NaN
         // scale groups with itself instead of producing empty aggregates.
@@ -804,11 +797,6 @@ impl SweepRunner {
     }
 }
 
-/// Runs a sweep with a default-sized thread pool.
-pub fn run_sweep(grid: &SweepGrid) -> SweepReport {
-    SweepRunner::new().run(grid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -816,7 +804,7 @@ mod tests {
     fn tiny_grid() -> SweepGrid {
         SweepGrid::new(vec![MeasurementPeriod::P1, MeasurementPeriod::P3])
             .with_scales(vec![0.003])
-            .with_seed_count(3)
+            .with_seeds((1..=3).collect())
     }
 
     #[test]
@@ -854,7 +842,7 @@ mod tests {
     fn parallel_and_serial_sweeps_produce_identical_json() {
         let grid = SweepGrid::new(vec![MeasurementPeriod::P1])
             .with_scales(vec![0.003])
-            .with_seed_count(4);
+            .with_seeds((1..=4).collect());
         let serial = SweepRunner::new().with_threads(1).run(&grid);
         let parallel = SweepRunner::new().with_threads(4).run(&grid);
         assert_eq!(serial.to_json_string(), parallel.to_json_string());
@@ -863,7 +851,7 @@ mod tests {
 
     #[test]
     fn aggregates_group_by_configuration_and_count_seeds() {
-        let report = run_sweep(&tiny_grid());
+        let report = SweepRunner::new().run(&tiny_grid());
         assert_eq!(report.cells.len(), 6);
         assert_eq!(report.aggregates.len(), 2, "two periods, one scale, one tweak");
         for agg in &report.aggregates {
@@ -886,12 +874,12 @@ mod tests {
     fn observer_tweaks_change_results() {
         let base = SweepGrid::new(vec![MeasurementPeriod::P1])
             .with_scales(vec![0.003])
-            .with_seed_count(2);
+            .with_seeds((1..=2).collect());
         let tweaked = base
             .clone()
             .with_tweaks(vec![ObserverTweak::limits("tenth", 0.1)]);
-        let a = run_sweep(&base);
-        let b = run_sweep(&tweaked);
+        let a = SweepRunner::new().run(&base);
+        let b = SweepRunner::new().run(&tweaked);
         // Aggressive trimming yields shorter average connection durations.
         assert!(
             b.aggregates[0].conn_avg_secs.mean < a.aggregates[0].conn_avg_secs.mean,
@@ -918,8 +906,8 @@ mod tests {
     fn report_json_contains_cells_and_aggregates() {
         let grid = SweepGrid::new(vec![MeasurementPeriod::P1])
             .with_scales(vec![0.003])
-            .with_seed_count(2);
-        let report = run_sweep(&grid);
+            .with_seeds((1..=2).collect());
+        let report = SweepRunner::new().run(&grid);
         let json = jsonio::Json::parse(&report.to_json_string_pretty()).unwrap();
         assert_eq!(json.array_field("cells").unwrap().len(), 2);
         assert_eq!(json.array_field("aggregates").unwrap().len(), 1);
@@ -969,14 +957,14 @@ mod tests {
     fn scenario_axis_expands_the_grid_and_shifts_results() {
         let grid = SweepGrid::new(vec![MeasurementPeriod::P1])
             .with_scales(vec![0.003])
-            .with_seed_count(2)
+            .with_seeds((1..=2).collect())
             .with_scenarios(vec![
                 ChurnScenario::Baseline,
                 ChurnScenario::flash_crowd(),
             ]);
         assert_eq!(grid.cell_count(), 4);
         assert!(grid.validate().is_ok());
-        let report = run_sweep(&grid);
+        let report = SweepRunner::new().run(&grid);
         assert_eq!(report.aggregates.len(), 2, "one row per scenario");
         let baseline = report.aggregates.iter().find(|a| a.scenario == "baseline").unwrap();
         let flash = report.aggregates.iter().find(|a| a.scenario == "flashcrowd").unwrap();
@@ -1001,7 +989,7 @@ mod tests {
     fn vantage_axis_expands_the_grid_and_keeps_single_vantage_seeds() {
         let base = SweepGrid::new(vec![MeasurementPeriod::P4])
             .with_scales(vec![0.003])
-            .with_seed_count(2);
+            .with_seeds((1..=2).collect());
         let multi = base.clone().with_vantages(vec![1, 3]);
         assert_eq!(multi.cell_count(), 4);
         assert!(multi.validate().is_ok());
@@ -1014,7 +1002,7 @@ mod tests {
         for (a, b) in old.iter().zip(&v1) {
             assert_eq!(a.campaign_seed, b.campaign_seed);
         }
-        let report = run_sweep(&multi);
+        let report = SweepRunner::new().run(&multi);
         assert_eq!(report.aggregates.len(), 2, "one row per vantage count");
         let one = report.aggregates.iter().find(|a| a.vantages == 1).unwrap();
         let three = report.aggregates.iter().find(|a| a.vantages == 3).unwrap();
@@ -1064,7 +1052,7 @@ mod tests {
     #[test]
     fn empty_grid_produces_empty_report() {
         let grid = SweepGrid::new(Vec::new());
-        let report = run_sweep(&grid);
+        let report = SweepRunner::new().run(&grid);
         assert!(report.cells.is_empty());
         assert!(report.aggregates.is_empty());
     }
@@ -1074,7 +1062,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let grid = SweepGrid::new(vec![MeasurementPeriod::P1])
             .with_scales(vec![0.003])
-            .with_seed_count(3);
+            .with_seeds((1..=3).collect());
         let count = AtomicUsize::new(0);
         SweepRunner::new().run_with_progress(&grid, |_| {
             count.fetch_add(1, Ordering::Relaxed);

@@ -12,11 +12,9 @@
 //!   vantage's log into its own [`MeasurementDataset`] and produces the
 //!   deduplicating union of all of them via
 //!   [`MeasurementDataset::union_of`].
-//! * [`VantageCampaign::union_of_first`] exposes the union of the first `v`
-//!   vantages, treating the vantages of one run as the *capture occasions*
-//!   of the capture–recapture estimators in `analysis::vantage` — which is
-//!   what makes "observed union PIDs are monotone in vantage count" a
-//!   theorem instead of a tendency.
+//! * The vantages of one run are the *capture occasions* of the
+//!   capture–recapture estimators in `analysis::vantage`: the union of the
+//!   first `v` of them is monotone in `v` by construction.
 //! * [`run_vantage_suite`] runs one period × vantage count under several
 //!   churn regimes in parallel, with the same determinism contract as
 //!   [`crate::run_scenario_suite`]: results depend on the configuration,
@@ -29,7 +27,6 @@
 use crate::dataset::MeasurementDataset;
 use crate::monitor::GoIpfsMonitor;
 use crate::parallel::run_parallel_ordered;
-use crate::runner::MeasurementCampaign;
 use netsim::GroundTruth;
 use population::{ChurnScenario, MeasurementPeriod, Scenario, ScenarioRun};
 
@@ -54,13 +51,6 @@ impl VantageCampaign {
     /// Number of vantage points deployed.
     pub fn vantage_count(&self) -> usize {
         self.vantages.len()
-    }
-
-    /// The union of the first `v` vantages (clamped to the deployed count) —
-    /// the accumulation curve the capture–recapture analysis walks.
-    pub fn union_of_first(&self, v: usize) -> MeasurementDataset {
-        let v = v.clamp(1, self.vantages.len().max(1));
-        MeasurementDataset::union_of("vantage-union", self.vantages.iter().take(v))
     }
 }
 
@@ -102,21 +92,6 @@ pub fn run_vantage_built(run: ScenarioRun) -> VantageCampaign {
         vantages,
         union,
         ground_truth: output.ground_truth,
-    }
-}
-
-/// Derives a [`VantageCampaign`] view from a finished single-monitor
-/// campaign: its primary data set becomes the only vantage. Convenient for
-/// analyses that accept both pipelines.
-pub fn single_vantage_view(campaign: &MeasurementCampaign) -> VantageCampaign {
-    let primary = campaign.primary().clone();
-    let union = MeasurementDataset::union_of("vantage-union", [&primary]);
-    VantageCampaign {
-        scenario: campaign.scenario.clone(),
-        ground_truth_participants: campaign.ground_truth_participants,
-        vantages: vec![primary],
-        union,
-        ground_truth: campaign.ground_truth.clone(),
     }
 }
 
@@ -173,21 +148,12 @@ mod tests {
     }
 
     #[test]
-    fn prefix_unions_are_monotone() {
+    fn union_is_the_union_of_every_vantage() {
         let campaign = tiny(3);
-        let mut last = 0;
-        for v in 1..=3 {
-            let union = campaign.union_of_first(v);
-            assert!(union.pid_count() >= last);
-            last = union.pid_count();
-        }
         assert_eq!(
-            campaign.union_of_first(3).to_json_string(),
+            MeasurementDataset::union_of("vantage-union", &campaign.vantages).to_json_string(),
             campaign.union.to_json_string()
         );
-        // Clamped on both sides.
-        assert_eq!(campaign.union_of_first(0).pid_count(), campaign.vantages[0].pid_count());
-        assert_eq!(campaign.union_of_first(99).pid_count(), campaign.union.pid_count());
     }
 
     #[test]
@@ -202,9 +168,6 @@ mod tests {
             "one vantage must reproduce the paper pipeline byte-for-byte"
         );
         assert_eq!(vantage.ground_truth, single.ground_truth);
-        let view = single_vantage_view(&single);
-        assert_eq!(view.vantages[0], *single.primary());
-        assert_eq!(view.union.pid_count(), single.primary().pid_count());
     }
 
     #[test]

@@ -39,15 +39,16 @@ use p2pmodel::peer_id::PEER_ID_BYTES;
 use p2pmodel::{
     AgentVersion, IdentifyInfo, IpAddress, Multiaddr, PeerId, ProtocolSet, Transport, VersionFlavor,
 };
+use simclock::rng::fnv1a;
 use simclock::SimTime;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// Leading magic of every archive file.
-pub const MAGIC: [u8; 8] = *b"IPFSOBSA";
+pub(crate) const MAGIC: [u8; 8] = *b"IPFSOBSA";
 /// Trailing magic sealing the footer tail.
-pub const FOOTER_MAGIC: [u8; 8] = *b"IPFSOBSF";
+pub(crate) const FOOTER_MAGIC: [u8; 8] = *b"IPFSOBSF";
 /// The format version this build writes and the only one it reads.
 pub const FORMAT_VERSION: u32 = 1;
 
@@ -57,29 +58,29 @@ pub const GLOBAL_OWNER: u32 = u32::MAX;
 
 /// Block kinds. The `owner` field of column blocks is the observer's index
 /// in the [`BK_OBSERVERS`] directory.
-pub const BK_META: u16 = 1;
+pub(crate) const BK_META: u16 = 1;
 /// Dictionary page: interned peer IDs, in slot order.
-pub const BK_DICT_PEERS: u16 = 2;
+pub(crate) const BK_DICT_PEERS: u16 = 2;
 /// Dictionary page: interned multiaddresses, in id order.
-pub const BK_DICT_ADDRS: u16 = 3;
+pub(crate) const BK_DICT_ADDRS: u16 = 3;
 /// Dictionary page: interned identify payloads, in id order.
-pub const BK_DICT_INFOS: u16 = 4;
+pub(crate) const BK_DICT_INFOS: u16 = 4;
 /// Observer directory: per-log metadata, in log order.
-pub const BK_OBSERVERS: u16 = 5;
+pub(crate) const BK_OBSERVERS: u16 = 5;
 /// Ground-truth peers and events.
-pub const BK_GROUND_TRUTH: u16 = 6;
+pub(crate) const BK_GROUND_TRUTH: u16 = 6;
 /// DHT routing-table history.
-pub const BK_DHT: u16 = 7;
+pub(crate) const BK_DHT: u16 = 7;
 /// Timestamp column (delta-encoded).
-pub const BK_COL_AT: u16 = 8;
+pub(crate) const BK_COL_AT: u16 = 8;
 /// Kind column (raw discriminant bytes).
-pub const BK_COL_KIND: u16 = 9;
+pub(crate) const BK_COL_KIND: u16 = 9;
 /// Peer-slot column (varints).
-pub const BK_COL_PEER_SLOT: u16 = 10;
+pub(crate) const BK_COL_PEER_SLOT: u16 = 10;
 /// Connection-id column (varints, `NO_CONN` packed as 0).
-pub const BK_COL_CONN: u16 = 11;
+pub(crate) const BK_COL_CONN: u16 = 11;
 /// Payload column (varints).
-pub const BK_COL_PAYLOAD: u16 = 12;
+pub(crate) const BK_COL_PAYLOAD: u16 = 12;
 
 /// Everything that can go wrong reading an archive. Corruption is always a
 /// loud, typed failure — never a silently wrong analysis.
@@ -163,17 +164,6 @@ fn malformed(context: impl Into<String>) -> ArchiveError {
     }
 }
 
-/// FNV-1a over a byte slice — the same checksum the in-memory
-/// [`ObservationTable::checksum`] uses, applied to serialised blocks.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 // ---------------------------------------------------------------------------
 // Byte-level codec primitives
 // ---------------------------------------------------------------------------
@@ -201,12 +191,12 @@ impl ByteWriter {
     }
 
     /// Appends a little-endian u16.
-    pub fn put_u16(&mut self, v: u16) {
+    pub(crate) fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian u32.
-    pub fn put_u32(&mut self, v: u32) {
+    pub(crate) fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -239,7 +229,7 @@ impl ByteWriter {
     }
 
     /// Appends a zigzag-encoded signed varint.
-    pub fn put_ivarint(&mut self, v: i64) {
+    pub(crate) fn put_ivarint(&mut self, v: i64) {
         self.put_uvarint(((v << 1) ^ (v >> 63)) as u64);
     }
 
@@ -334,7 +324,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a zigzag-encoded signed varint.
-    pub fn ivarint(&mut self, context: &'static str) -> Result<i64, ArchiveError> {
+    pub(crate) fn ivarint(&mut self, context: &'static str) -> Result<i64, ArchiveError> {
         let raw = self.uvarint(context)?;
         Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
     }
@@ -396,7 +386,7 @@ impl<'a> ByteReader<'a> {
 
 /// One entry of the footer index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockEntry {
+pub(crate) struct BlockEntry {
     /// Block kind tag (`BK_*`).
     pub kind: u16,
     /// Owning observer index, or [`GLOBAL_OWNER`].
@@ -533,11 +523,6 @@ impl<'a> ArchiveFile<'a> {
         }
         r.finish("footer index")?;
         Ok(ArchiveFile { bytes, blocks })
-    }
-
-    /// The footer index.
-    pub fn blocks(&self) -> &[BlockEntry] {
-        &self.blocks
     }
 
     /// Looks up a block and returns its checksum-verified payload.
@@ -1517,7 +1502,7 @@ mod tests {
         w.push_block(BK_COL_AT, 1, b"column one");
         let bytes = w.finish();
         let file = ArchiveFile::parse(&bytes).unwrap();
-        assert_eq!(file.blocks().len(), 3);
+        assert_eq!(file.blocks.len(), 3);
         assert_eq!(file.block(BK_META, GLOBAL_OWNER).unwrap(), b"hello");
         assert_eq!(file.block(BK_COL_AT, 1).unwrap(), b"column one");
         assert_eq!(

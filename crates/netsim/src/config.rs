@@ -1,7 +1,7 @@
 //! Simulation and observer configuration.
 
 use p2pmodel::{ConnLimits, IpAddress, Multiaddr, PeerId};
-use simclock::{SimDuration, SimTime};
+use simclock::SimDuration;
 
 /// Whether a node participates in Kademlia DHT routing.
 ///
@@ -124,34 +124,17 @@ pub struct NetworkConfig {
 
 impl NetworkConfig {
     /// Creates a configuration with a single observer.
-    pub fn single_observer(seed: u64, duration: SimDuration, observer: ObserverSpec) -> Self {
+    #[cfg(test)]
+    pub(crate) fn single_observer(
+        seed: u64,
+        duration: SimDuration,
+        observer: ObserverSpec,
+    ) -> Self {
         NetworkConfig {
             seed,
             duration,
             observers: vec![observer],
         }
-    }
-
-    /// Creates a configuration deploying several observers in one campaign
-    /// (hydra heads, multi-vantage measurement fleets). Each observer feeds
-    /// its own [`crate::ObservationSink`] over the run's shared
-    /// [`crate::IdentifyRegistry`].
-    pub fn multi_observer(seed: u64, duration: SimDuration, observers: Vec<ObserverSpec>) -> Self {
-        NetworkConfig {
-            seed,
-            duration,
-            observers,
-        }
-    }
-
-    /// Registers one more observer peer in the campaign.
-    pub fn push_observer(&mut self, observer: ObserverSpec) {
-        self.observers.push(observer);
-    }
-
-    /// The end time of the simulation.
-    pub fn end_time(&self) -> SimTime {
-        SimTime::ZERO + self.duration
     }
 }
 
@@ -176,29 +159,5 @@ mod tests {
         assert_eq!(spec.maintenance_interval, SimDuration::from_secs(60));
         assert_eq!(spec.limits.low_water, 600);
         assert_eq!(spec.name, "go-ipfs");
-    }
-
-    #[test]
-    fn network_config_end_time() {
-        let spec = ObserverSpec::new("o", PeerId::derived(1), DhtRole::Client, ConnLimits::new(1, 2));
-        let cfg = NetworkConfig::single_observer(7, SimDuration::from_hours(24), spec);
-        assert_eq!(cfg.end_time(), SimTime::from_hours(24));
-        assert_eq!(cfg.observers.len(), 1);
-    }
-
-    #[test]
-    fn multi_observer_config_registers_every_vantage() {
-        let spec = |n: u64| {
-            ObserverSpec::new(format!("v{n}"), PeerId::derived(n), DhtRole::Server, ConnLimits::new(5, 9))
-        };
-        let mut cfg = NetworkConfig::multi_observer(
-            7,
-            SimDuration::from_hours(1),
-            vec![spec(1), spec(2)],
-        );
-        assert_eq!(cfg.observers.len(), 2);
-        cfg.push_observer(spec(3));
-        assert_eq!(cfg.observers.len(), 3);
-        assert_eq!(cfg.observers[2].name, "v3");
     }
 }

@@ -69,7 +69,7 @@ impl DhtConduct {
 
     /// Whether a table owned by a peer of this conduct admits an entry of
     /// the given conduct.
-    pub fn admits(&self, entry: DhtConduct) -> bool {
+    pub(crate) fn admits(&self, entry: DhtConduct) -> bool {
         match self {
             DhtConduct::Honest | DhtConduct::Poison { .. } => true,
             DhtConduct::Sybil { cluster } => {
@@ -187,11 +187,6 @@ impl DhtView {
     /// The peer's routing table, if it is online.
     pub fn table(&self, peer: &PeerId) -> Option<&RoutingTable> {
         self.tables.get(peer)
-    }
-
-    /// Number of online table owners.
-    pub fn online_count(&self) -> usize {
-        self.tables.len()
     }
 
     /// All online table owners in PID order. Deterministic regardless of
@@ -371,7 +366,7 @@ impl DhtTracker {
     /// A DHT-Server went offline: its own table is dropped and it is evicted
     /// from every table that holds it (owners in PID order). No-op if the
     /// peer is not up.
-    pub fn server_down(&mut self, at: SimTime, peer: PeerId) {
+    pub(crate) fn server_down(&mut self, at: SimTime, peer: PeerId) {
         if !self.enabled {
             return;
         }
@@ -430,7 +425,7 @@ impl DhtTracker {
     }
 
     /// Evicts `entry` from `owner`'s table, if present.
-    pub fn evict(&mut self, at: SimTime, owner: PeerId, entry: PeerId) {
+    pub(crate) fn evict(&mut self, at: SimTime, owner: PeerId, entry: PeerId) {
         if !self.enabled {
             return;
         }
@@ -576,7 +571,7 @@ mod tests {
         let log = tracker.into_log();
         let mut replay = log.replay();
         replay.advance_to(SimTime::from_secs(1_000_000));
-        assert_eq!(replay.view().online_count(), live.len());
+        assert_eq!(replay.view().owners_sorted().len(), live.len());
         for (owner, members) in &live {
             let replayed: BTreeSet<PeerId> = replay
                 .view()

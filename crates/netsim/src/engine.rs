@@ -31,7 +31,6 @@ use crate::events::{GroundTruth, ObserverLog};
 use crate::mailbox::{run_direct, run_lockstep, FullProtocolConfig, FullProtocolRun};
 use crate::obs::{IdentifyRegistry, ObservationSink, ObservationTable};
 use crate::spec::{PopulationEvent, RemotePeerSpec};
-use p2pmodel::protocol::well_known;
 use simclock::SimTime;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -147,7 +146,7 @@ impl SinkRun<ObservationTable> {
 /// use simclock::SimDuration;
 ///
 /// let observer = ObserverSpec::new("go-ipfs", PeerId::derived(0), DhtRole::Server, ConnLimits::new(50, 80));
-/// let config = NetworkConfig::single_observer(7, SimDuration::from_hours(1), observer);
+/// let config = NetworkConfig { seed: 7, duration: SimDuration::from_hours(1), observers: vec![observer] };
 /// let peers: Vec<RemotePeerSpec> = (1..20)
 ///     .map(|i| {
 ///         RemotePeerSpec::new(
@@ -256,11 +255,6 @@ impl Network {
     }
 }
 
-/// Convenience: the protocol toggled by DHT role switches; re-exported here
-/// so population builders and tests do not need to import `p2pmodel`
-/// internals.
-pub const KAD_PROTOCOL: &str = well_known::KAD;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +263,7 @@ mod tests {
     use crate::events::GroundTruthEvent;
     use crate::obs::ObservationKind;
     use crate::spec::{DialBehavior, ScheduledChange, SessionPattern};
+    use p2pmodel::protocol::well_known;
     use p2pmodel::{
         AgentVersion, CloseReason, ConnLimits, Direction, IdentifyInfo, IpAddress, Multiaddr,
         PeerId, ProtocolSet,
@@ -368,9 +363,7 @@ mod tests {
         assert!(!conns.is_empty());
         let still_open_before_end = conns
             .iter()
-            .filter(|c| {
-                c.close_reason() == Some(CloseReason::MeasurementEnd)
-            })
+            .filter(|c| matches!(c.closed, Some((_, CloseReason::MeasurementEnd))))
             .count();
         assert!(
             still_open_before_end <= 40 + 200,
@@ -379,7 +372,7 @@ mod tests {
         // Local trims must actually have happened.
         let local_trims = conns
             .iter()
-            .filter(|c| c.close_reason() == Some(CloseReason::TrimmedLocal))
+            .filter(|c| matches!(c.closed, Some((_, CloseReason::TrimmedLocal))))
             .count();
         assert!(local_trims > 0, "expected local connection trimming");
     }
@@ -455,7 +448,7 @@ mod tests {
         });
         p = p.with_changes(vec![ScheduledChange {
             at: SimTime::from_secs(1800),
-            change: MetadataChange::RemoveProtocol(KAD_PROTOCOL.to_string()),
+            change: MetadataChange::RemoveProtocol(well_known::KAD.to_string()),
         }]);
         let output = run(vec![p], ConnLimits::new(100, 200), DhtRole::Server, 1, 5);
         let log = &output.logs[0];

@@ -13,8 +13,8 @@
 //!   network (sessions, role changes), which the active-crawler baseline
 //!   crawls and which validation tests compare the passive view against.
 
-use crate::obs::{close_reason_from_payload, IdentifyRegistry, ObservationKind, ObservationTable};
-use p2pmodel::{ConnectionId, ConnectionInfo, PeerId};
+use crate::obs::{IdentifyRegistry, ObservationKind, ObservationTable};
+use p2pmodel::PeerId;
 use simclock::{SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -125,49 +125,51 @@ impl ObserverLog {
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
     }
+}
 
-    /// Iterates over connection-opened events as [`ConnectionInfo`] records
-    /// paired with their close (if observed). Convenient for analyses that
-    /// want per-connection rows.
-    pub fn connections(&self) -> Vec<ConnectionInfo> {
-        let mut open: std::collections::HashMap<ConnectionId, ConnectionInfo> =
-            std::collections::HashMap::new();
-        let mut all: Vec<ConnectionId> = Vec::new();
+/// One connection reassembled from a log's rows, for tests that read a run
+/// per connection.
+#[cfg(test)]
+pub(crate) struct LoggedConnection {
+    pub(crate) id: p2pmodel::ConnectionId,
+    pub(crate) peer: PeerId,
+    pub(crate) direction: p2pmodel::Direction,
+    pub(crate) opened_at: SimTime,
+    /// When and why the connection closed, if the log saw the close.
+    pub(crate) closed: Option<(SimTime, p2pmodel::CloseReason)>,
+}
+
+#[cfg(test)]
+impl ObserverLog {
+    /// The log's connections in open order, each with its first close.
+    pub(crate) fn connections(&self) -> Vec<LoggedConnection> {
         let t = &self.table;
+        let mut conns: Vec<LoggedConnection> = Vec::new();
+        let mut index = std::collections::HashMap::new();
         for i in 0..t.len() {
             match t.kind_at(i) {
                 kind @ (ObservationKind::OpenedInbound | ObservationKind::OpenedOutbound) => {
-                    let conn = t.conn_at(i).expect("open rows carry a connection id");
-                    open.insert(
-                        conn,
-                        ConnectionInfo::open(
-                            conn,
-                            self.registry.peer(t.peer_slot_at(i)),
-                            kind.direction().expect("open rows have a direction"),
-                            self.registry.addr(t.payload_at(i)),
-                            t.at(i),
-                        ),
-                    );
-                    all.push(conn);
+                    let id = t.conn_at(i).expect("open rows carry a connection id");
+                    index.insert(id, conns.len());
+                    conns.push(LoggedConnection {
+                        id,
+                        peer: self.registry.peer(t.peer_slot_at(i)),
+                        direction: kind.direction().expect("open rows have a direction"),
+                        opened_at: t.at(i),
+                        closed: None,
+                    });
                 }
                 ObservationKind::Closed => {
-                    let conn = t.conn_at(i).expect("close rows carry a connection id");
-                    if let Some(info) = open.get_mut(&conn) {
-                        info.close(t.at(i), close_reason_from_payload(t.payload_at(i)));
+                    let id = t.conn_at(i).expect("close rows carry a connection id");
+                    if let Some(&k) = index.get(&id) {
+                        let reason = crate::obs::close_reason_from_payload(t.payload_at(i));
+                        conns[k].closed.get_or_insert((t.at(i), reason));
                     }
                 }
                 _ => {}
             }
         }
-        all.into_iter().filter_map(|id| open.remove(&id)).collect()
-    }
-
-    /// Number of distinct peers appearing anywhere in the log.
-    pub fn distinct_peers(&self) -> usize {
-        let mut slots: Vec<u32> = self.table.peer_slots().to_vec();
-        slots.sort_unstable();
-        slots.dedup();
-        slots.len()
+        conns
     }
 }
 
@@ -294,11 +296,6 @@ impl GroundTruth {
     pub fn population_size(&self) -> usize {
         self.peers.len()
     }
-
-    /// Number of peers whose initial role is DHT-Server.
-    pub fn initial_server_count(&self) -> usize {
-        self.peers.iter().filter(|(_, server)| *server).count()
-    }
 }
 
 #[cfg(test)]
@@ -306,8 +303,8 @@ mod tests {
     use super::*;
     use crate::obs::ObservationSink;
     use p2pmodel::{
-        AgentVersion, CloseReason, Direction, IdentifyInfo, IpAddress, Multiaddr, ProtocolSet,
-        Transport,
+        AgentVersion, CloseReason, ConnectionId, Direction, IdentifyInfo, IpAddress, Multiaddr,
+        ProtocolSet, Transport,
     };
 
     fn addr(n: u32) -> Multiaddr {
@@ -369,13 +366,13 @@ mod tests {
         let conns = log.connections();
         assert_eq!(conns.len(), 2);
         let first = conns.iter().find(|c| c.id == ConnectionId(1)).unwrap();
-        assert!(!first.is_open());
-        assert_eq!(first.duration_at(log.ended_at), SimDuration::from_secs(60));
+        assert_eq!(
+            (first.opened_at, first.closed),
+            (s(10), Some((s(70), CloseReason::TrimmedRemote)))
+        );
         let second = conns.iter().find(|c| c.id == ConnectionId(2)).unwrap();
-        assert!(second.is_open());
-        assert_eq!(second.duration_at(log.ended_at), SimDuration::from_secs(80));
+        assert_eq!((second.opened_at, second.closed), (s(20), None));
 
-        assert_eq!(log.distinct_peers(), 2);
         assert_eq!(log.len(), 3);
         assert!(!log.is_empty());
         assert_eq!(log.duration(), SimDuration::from_secs(100));
@@ -419,7 +416,6 @@ mod tests {
             ],
         };
         assert_eq!(gt.population_size(), 2);
-        assert_eq!(gt.initial_server_count(), 1);
 
         let at5 = gt.online_at(SimTime::from_secs(5));
         assert_eq!(at5, vec![(p1, true)]);

@@ -79,7 +79,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use p2pmodel::{CloseReason, ConnectionId, ConnectionManager, Direction, IdentifyInfo, PeerId};
-use simclock::rng::splitmix64;
+use simclock::rng::{fnv1a_step, splitmix64, FNV_OFFSET};
 use simclock::{KeyedEventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::{NetworkConfig, ObserverSpec};
@@ -112,10 +112,6 @@ const OBSERVER_RNG_DOMAIN: u64 = 0x9ed1_cafe_0000_0002;
 
 /// Maintenance dial attempts per pass.
 const MAINT_DIAL_BUDGET: usize = 4;
-
-/// FNV-1a fold constants for combining per-observer table checksums.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Derives an independent RNG seed for entity `idx` in `domain` from the
 /// campaign seed, via two splitmix64 folds.
@@ -725,7 +721,7 @@ impl<S: ObservationSink> Shard<S> {
             if direction == Direction::Outbound {
                 ob.outbound_open += 1;
             }
-            ob.connmgr.track(conn, self.frozen.peer_ids[g as usize], now);
+            ob.connmgr.track(conn, now);
             let mut value = behavior.observer_value;
             if visible_server {
                 value += 10;
@@ -1019,7 +1015,7 @@ impl FullProtocolRun {
         let mut checksum = FNV_OFFSET;
         for log in &output.logs {
             stats.observations += log.table().len() as u64;
-            checksum = (checksum ^ log.table().checksum()).wrapping_mul(FNV_PRIME);
+            checksum = fnv1a_step(checksum, log.table().checksum());
         }
         stats.checksum = checksum;
         FullProtocolRun { output, stats, phases }

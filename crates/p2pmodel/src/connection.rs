@@ -1,4 +1,4 @@
-//! Connection records.
+//! Connection identifiers, directions and close reasons.
 //!
 //! The passive monitors observe the network through *connections*: every
 //! record in Table II is a connection with a direction, an open timestamp and
@@ -8,9 +8,6 @@
 //! verify the paper's central claim that connection churn is dominated by
 //! connection trimming rather than node churn.
 
-use crate::multiaddr::Multiaddr;
-use crate::peer_id::PeerId;
-use simclock::{SimDuration, SimTime};
 use std::fmt;
 
 /// Identifier of a single connection, unique within a simulation run.
@@ -98,129 +95,9 @@ impl std::str::FromStr for CloseReason {
     }
 }
 
-/// Lifecycle state of a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ConnectionState {
-    /// The connection is currently open.
-    Open,
-    /// The connection has been closed.
-    Closed(CloseReason),
-}
-
-/// A single observed connection, as recorded by a measurement node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConnectionInfo {
-    /// Connection identifier.
-    pub id: ConnectionId,
-    /// The remote peer.
-    pub peer: PeerId,
-    /// Direction relative to the observing node.
-    pub direction: Direction,
-    /// The remote multiaddress the connection was established with.
-    pub remote_addr: Multiaddr,
-    /// When the connection was opened.
-    pub opened_at: SimTime,
-    /// When the connection was closed (if it has been).
-    pub closed_at: Option<SimTime>,
-    /// Current state.
-    pub state: ConnectionState,
-}
-
-impl ConnectionInfo {
-    /// Creates a record for a newly opened connection.
-    pub fn open(
-        id: ConnectionId,
-        peer: PeerId,
-        direction: Direction,
-        remote_addr: Multiaddr,
-        opened_at: SimTime,
-    ) -> Self {
-        ConnectionInfo {
-            id,
-            peer,
-            direction,
-            remote_addr,
-            opened_at,
-            closed_at: None,
-            state: ConnectionState::Open,
-        }
-    }
-
-    /// Marks the connection as closed at `at` for `reason`.
-    ///
-    /// Closing an already-closed connection keeps the original close.
-    pub fn close(&mut self, at: SimTime, reason: CloseReason) {
-        if matches!(self.state, ConnectionState::Open) {
-            self.closed_at = Some(at);
-            self.state = ConnectionState::Closed(reason);
-        }
-    }
-
-    /// Whether the connection is still open.
-    pub fn is_open(&self) -> bool {
-        matches!(self.state, ConnectionState::Open)
-    }
-
-    /// The connection duration: close minus open for closed connections, or
-    /// `now` minus open for connections still active (the paper counts
-    /// connections still open at the end of a measurement as closed at that
-    /// moment).
-    pub fn duration_at(&self, now: SimTime) -> SimDuration {
-        match self.closed_at {
-            Some(closed) => closed - self.opened_at,
-            None => now - self.opened_at,
-        }
-    }
-
-    /// The ground-truth close reason, if the connection is closed.
-    pub fn close_reason(&self) -> Option<CloseReason> {
-        match self.state {
-            ConnectionState::Closed(reason) => Some(reason),
-            ConnectionState::Open => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiaddr::{IpAddress, Transport};
-
-    fn sample(opened_secs: u64) -> ConnectionInfo {
-        ConnectionInfo::open(
-            ConnectionId(1),
-            PeerId::derived(1),
-            Direction::Inbound,
-            Multiaddr::new(IpAddress::V4(1), Transport::Tcp, 4001),
-            SimTime::from_secs(opened_secs),
-        )
-    }
-
-    #[test]
-    fn open_connection_has_running_duration() {
-        let conn = sample(10);
-        assert!(conn.is_open());
-        assert_eq!(conn.close_reason(), None);
-        assert_eq!(conn.duration_at(SimTime::from_secs(40)), SimDuration::from_secs(30));
-    }
-
-    #[test]
-    fn close_freezes_duration_and_reason() {
-        let mut conn = sample(10);
-        conn.close(SimTime::from_secs(70), CloseReason::TrimmedRemote);
-        assert!(!conn.is_open());
-        assert_eq!(conn.close_reason(), Some(CloseReason::TrimmedRemote));
-        assert_eq!(conn.duration_at(SimTime::from_secs(1000)), SimDuration::from_secs(60));
-    }
-
-    #[test]
-    fn double_close_keeps_first_close() {
-        let mut conn = sample(0);
-        conn.close(SimTime::from_secs(10), CloseReason::PeerLeft);
-        conn.close(SimTime::from_secs(99), CloseReason::TrimmedLocal);
-        assert_eq!(conn.closed_at, Some(SimTime::from_secs(10)));
-        assert_eq!(conn.close_reason(), Some(CloseReason::PeerLeft));
-    }
 
     #[test]
     fn direction_and_reason_display_parse_roundtrip() {

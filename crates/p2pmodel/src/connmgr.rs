@@ -16,7 +16,6 @@
 //! until the count reaches LowWater.
 
 use crate::connection::ConnectionId;
-use crate::peer_id::PeerId;
 use simclock::{SimDuration, SimTime};
 use std::collections::HashMap;
 
@@ -73,9 +72,8 @@ impl Default for ConnLimits {
 }
 
 /// A tracked connection inside the manager.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct Tracked {
-    peer: PeerId,
     opened_at: SimTime,
     value: i32,
     protected: bool,
@@ -88,41 +86,27 @@ pub struct TrimDecision {
     pub to_close: Vec<ConnectionId>,
 }
 
-impl TrimDecision {
-    /// Whether the trim pass decided to close anything.
-    pub fn is_empty(&self) -> bool {
-        self.to_close.is_empty()
-    }
-
-    /// Number of connections to close.
-    pub fn len(&self) -> usize {
-        self.to_close.len()
-    }
-}
-
 /// A model of go-libp2p's basic connection manager.
 ///
 /// # Example
 ///
 /// ```
-/// use p2pmodel::{ConnLimits, ConnectionId, ConnectionManager, PeerId};
+/// use p2pmodel::{ConnLimits, ConnectionId, ConnectionManager};
 /// use simclock::{SimDuration, SimTime};
 ///
 /// let limits = ConnLimits::new(2, 3).with_grace_period(SimDuration::ZERO);
 /// let mut mgr = ConnectionManager::new(limits);
 /// for i in 0..4 {
-///     mgr.track(ConnectionId(i), PeerId::derived(i), SimTime::from_secs(i));
+///     mgr.track(ConnectionId(i), SimTime::from_secs(i));
 /// }
 /// let trim = mgr.maybe_trim(SimTime::from_secs(100));
 /// // 4 connections > HighWater 3, trim down to LowWater 2.
-/// assert_eq!(trim.len(), 2);
+/// assert_eq!(trim.to_close.len(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConnectionManager {
     limits: ConnLimits,
     connections: HashMap<ConnectionId, Tracked>,
-    trims_performed: u64,
-    connections_trimmed: u64,
 }
 
 impl ConnectionManager {
@@ -131,8 +115,6 @@ impl ConnectionManager {
         ConnectionManager {
             limits,
             connections: HashMap::new(),
-            trims_performed: 0,
-            connections_trimmed: 0,
         }
     }
 
@@ -146,17 +128,11 @@ impl ConnectionManager {
         self.connections.len()
     }
 
-    /// Whether a new connection would push the count past HighWater.
-    pub fn is_above_high_water(&self) -> bool {
-        self.connections.len() > self.limits.high_water
-    }
-
     /// Starts tracking a newly opened connection with neutral value.
-    pub fn track(&mut self, id: ConnectionId, peer: PeerId, opened_at: SimTime) {
+    pub fn track(&mut self, id: ConnectionId, opened_at: SimTime) {
         self.connections.insert(
             id,
             Tracked {
-                peer,
                 opened_at,
                 value: 0,
                 protected: false,
@@ -168,11 +144,6 @@ impl ConnectionManager {
     /// manager, e.g. the remote peer left).
     pub fn untrack(&mut self, id: ConnectionId) {
         self.connections.remove(&id);
-    }
-
-    /// Whether the manager currently tracks the connection.
-    pub fn is_tracked(&self, id: ConnectionId) -> bool {
-        self.connections.contains_key(&id)
     }
 
     /// Adjusts the value of a connection. DHT-relevant peers (close in XOR
@@ -190,23 +161,6 @@ impl ConnectionManager {
         if let Some(tracked) = self.connections.get_mut(&id) {
             tracked.protected = true;
         }
-    }
-
-    /// Removes trim protection from a connection.
-    pub fn unprotect(&mut self, id: ConnectionId) {
-        if let Some(tracked) = self.connections.get_mut(&id) {
-            tracked.protected = false;
-        }
-    }
-
-    /// Number of trim passes that actually closed connections.
-    pub fn trims_performed(&self) -> u64 {
-        self.trims_performed
-    }
-
-    /// Total number of connections closed by trimming.
-    pub fn connections_trimmed(&self) -> u64 {
-        self.connections_trimmed
     }
 
     /// Runs a trim pass if the connection count exceeds HighWater.
@@ -238,21 +192,7 @@ impl ConnectionManager {
         for id in &to_close {
             self.connections.remove(id);
         }
-        if !to_close.is_empty() {
-            self.trims_performed += 1;
-            self.connections_trimmed += to_close.len() as u64;
-        }
         TrimDecision { to_close }
-    }
-
-    /// The peer a tracked connection belongs to.
-    pub fn peer_of(&self, id: ConnectionId) -> Option<PeerId> {
-        self.connections.get(&id).map(|t| t.peer)
-    }
-
-    /// Iterates over the tracked connection ids (in arbitrary order).
-    pub fn tracked_ids(&self) -> impl Iterator<Item = ConnectionId> + '_ {
-        self.connections.keys().copied()
     }
 }
 
@@ -269,7 +209,7 @@ mod tests {
 
     fn fill(mgr: &mut ConnectionManager, n: u64, opened: SimTime) {
         for i in 0..n {
-            mgr.track(ConnectionId(i), PeerId::derived(i), opened);
+            mgr.track(ConnectionId(i), opened);
         }
     }
 
@@ -291,9 +231,8 @@ mod tests {
     fn no_trim_at_or_below_high_water() {
         let mut mgr = manager(2, 5, 0);
         fill(&mut mgr, 5, SimTime::ZERO);
-        assert!(mgr.maybe_trim(SimTime::from_secs(100)).is_empty());
+        assert!(mgr.maybe_trim(SimTime::from_secs(100)).to_close.is_empty());
         assert_eq!(mgr.connection_count(), 5);
-        assert_eq!(mgr.trims_performed(), 0);
     }
 
     #[test]
@@ -301,10 +240,8 @@ mod tests {
         let mut mgr = manager(3, 5, 0);
         fill(&mut mgr, 8, SimTime::ZERO);
         let decision = mgr.maybe_trim(SimTime::from_secs(100));
-        assert_eq!(decision.len(), 5);
+        assert_eq!(decision.to_close.len(), 5);
         assert_eq!(mgr.connection_count(), 3);
-        assert_eq!(mgr.trims_performed(), 1);
-        assert_eq!(mgr.connections_trimmed(), 5);
     }
 
     #[test]
@@ -312,16 +249,16 @@ mod tests {
         let mut mgr = manager(1, 3, 60);
         // Old connections.
         for i in 0..3 {
-            mgr.track(ConnectionId(i), PeerId::derived(i), SimTime::ZERO);
+            mgr.track(ConnectionId(i), SimTime::ZERO);
         }
         // Young connections within the grace period.
         for i in 3..6 {
-            mgr.track(ConnectionId(i), PeerId::derived(i), SimTime::from_secs(580));
+            mgr.track(ConnectionId(i), SimTime::from_secs(580));
         }
         let decision = mgr.maybe_trim(SimTime::from_secs(600));
         // Only the 3 old connections are candidates even though reaching
         // LowWater would require closing 5.
-        assert_eq!(decision.len(), 3);
+        assert_eq!(decision.to_close.len(), 3);
         for id in &decision.to_close {
             assert!(id.0 < 3, "young connection {id} must not be trimmed");
         }
@@ -337,14 +274,6 @@ mod tests {
         let decision = mgr.maybe_trim(SimTime::from_secs(100));
         assert!(!decision.to_close.contains(&ConnectionId(0)));
         assert!(!decision.to_close.contains(&ConnectionId(1)));
-
-        // Unprotecting makes the connection eligible again.
-        let mut mgr = manager(0, 1, 0);
-        fill(&mut mgr, 2, SimTime::ZERO);
-        mgr.protect(ConnectionId(0));
-        mgr.unprotect(ConnectionId(0));
-        let decision = mgr.maybe_trim(SimTime::from_secs(100));
-        assert_eq!(decision.len(), 2);
     }
 
     #[test]
@@ -362,17 +291,14 @@ mod tests {
     #[test]
     fn untrack_and_queries() {
         let mut mgr = manager(1, 10, 0);
-        mgr.track(ConnectionId(1), PeerId::derived(1), SimTime::ZERO);
-        assert!(mgr.is_tracked(ConnectionId(1)));
-        assert_eq!(mgr.peer_of(ConnectionId(1)), Some(PeerId::derived(1)));
-        assert_eq!(mgr.tracked_ids().count(), 1);
+        mgr.track(ConnectionId(1), SimTime::ZERO);
+        assert_eq!(mgr.connection_count(), 1);
         mgr.untrack(ConnectionId(1));
-        assert!(!mgr.is_tracked(ConnectionId(1)));
-        assert_eq!(mgr.peer_of(ConnectionId(1)), None);
+        assert_eq!(mgr.connection_count(), 0);
         // Tagging or protecting an unknown connection is a no-op.
         mgr.tag(ConnectionId(1), 5);
         mgr.protect(ConnectionId(1));
-        assert!(!mgr.is_tracked(ConnectionId(1)));
+        assert_eq!(mgr.connection_count(), 0);
     }
 
     #[test]
@@ -398,13 +324,13 @@ mod tests {
             let before = mgr.connection_count();
             let decision = mgr.maybe_trim(SimTime::from_secs(1000));
             let after = mgr.connection_count();
-            assert_eq!(before - decision.len(), after);
+            assert_eq!(before - decision.to_close.len(), after);
             if before > high {
                 // All candidates were eligible, so the manager reaches
                 // exactly LowWater.
                 assert_eq!(after, low);
             } else {
-                assert!(decision.is_empty());
+                assert!(decision.to_close.is_empty());
                 assert_eq!(after, before);
             }
         }
@@ -419,7 +345,7 @@ mod tests {
             fill(&mut mgr, n, SimTime::ZERO);
             let decision = mgr.maybe_trim(SimTime::from_secs(10));
             for id in &decision.to_close {
-                assert!(!mgr.is_tracked(*id));
+                assert!(!mgr.connections.contains_key(id));
             }
         }
     }

@@ -14,7 +14,7 @@ use std::fmt;
 pub const DEFAULT_BUCKET_SIZE: usize = 20;
 
 /// Number of bits in the key space.
-pub const KEY_BITS: u32 = (PEER_ID_BYTES as u32) * 8;
+pub(crate) const KEY_BITS: u32 = (PEER_ID_BYTES as u32) * 8;
 
 /// XOR distance between two peer IDs (a 256-bit unsigned value).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,7 +51,8 @@ impl Distance {
 
     /// Saturating big-integer addition, used only to state metric properties
     /// in tests (the triangle inequality of the XOR metric).
-    pub fn saturating_add(&self, other: &Distance) -> Distance {
+    #[cfg(test)]
+    pub(crate) fn saturating_add(&self, other: &Distance) -> Distance {
         let mut out = [0u8; PEER_ID_BYTES];
         let mut carry = 0u16;
         for i in (0..PEER_ID_BYTES).rev() {
@@ -76,7 +77,7 @@ impl fmt::Debug for Distance {
 /// A single k-bucket holding up to `capacity` peers at a given common-prefix
 /// length, ordered from least- to most-recently seen.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct KBucket {
+pub(crate) struct KBucket {
     peers: Vec<PeerId>,
     capacity: usize,
 }
@@ -98,16 +99,6 @@ impl KBucket {
     /// Number of peers currently in the bucket.
     pub fn len(&self) -> usize {
         self.peers.len()
-    }
-
-    /// Whether the bucket holds no peers.
-    pub fn is_empty(&self) -> bool {
-        self.peers.is_empty()
-    }
-
-    /// Whether the bucket is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.peers.len() >= self.capacity
     }
 
     /// Whether the bucket contains `peer`.
@@ -149,11 +140,6 @@ impl KBucket {
     /// Iterates over the peers from least- to most-recently seen.
     pub fn iter(&self) -> impl Iterator<Item = &PeerId> {
         self.peers.iter()
-    }
-
-    /// The least-recently seen peer, the eviction candidate in full buckets.
-    pub fn oldest(&self) -> Option<&PeerId> {
-        self.peers.first()
     }
 }
 
@@ -220,11 +206,6 @@ impl RoutingTable {
     /// Whether the table holds no peers.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of buckets currently unfolded.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
     }
 
     fn bucket_index_for(&self, peer: &PeerId) -> Option<usize> {
@@ -313,12 +294,6 @@ impl RoutingTable {
         peers.sort_by_key(|p| p.distance(target));
         peers
     }
-
-    /// The common-prefix-length histogram of the table, used by the crawler
-    /// model to decide which prefixes still need queries.
-    pub fn bucket_sizes(&self) -> Vec<usize> {
-        self.buckets.iter().map(KBucket::len).collect()
-    }
 }
 
 #[cfg(test)]
@@ -362,13 +337,13 @@ mod tests {
         let c = PeerId::derived(3);
         assert!(bucket.insert(a));
         assert!(bucket.insert(b));
-        assert!(bucket.is_full());
+        assert_eq!(bucket.len(), 2);
         // Full bucket rejects new peers (prefers long-lived entries)...
         assert!(!bucket.insert(c));
         // ...but refreshing an existing peer succeeds and reorders.
-        assert_eq!(bucket.oldest(), Some(&a));
+        assert_eq!(bucket.iter().next(), Some(&a));
         assert!(bucket.insert(a));
-        assert_eq!(bucket.oldest(), Some(&b));
+        assert_eq!(bucket.iter().next(), Some(&b));
         assert!(bucket.remove(&b));
         assert!(!bucket.remove(&b));
         assert!(bucket.insert(c));
@@ -413,7 +388,7 @@ mod tests {
         assert!(inserted > 100, "inserted only {inserted}");
         assert!(inserted < 2000);
         assert_eq!(table.len(), inserted);
-        assert!(table.bucket_count() > 1);
+        assert!(table.buckets.len() > 1);
     }
 
     #[test]
@@ -433,16 +408,6 @@ mod tests {
         for p in &closest {
             assert!(table.contains(p));
         }
-    }
-
-    #[test]
-    fn bucket_sizes_sum_to_len() {
-        let local = PeerId::derived(0);
-        let mut table = RoutingTable::new(local);
-        for p in random_ids(300, 11) {
-            table.insert(p);
-        }
-        assert_eq!(table.bucket_sizes().iter().sum::<usize>(), table.len());
     }
 
     fn random_labels(rng: &mut simclock::SimRng, max_len: usize, high: u64) -> Vec<u64> {
@@ -501,8 +466,8 @@ mod tests {
             for &l in &labels {
                 table.insert(PeerId::derived(l));
             }
-            for size in table.bucket_sizes() {
-                assert!(size <= table_size);
+            for bucket in &table.buckets {
+                assert!(bucket.len() <= table_size);
             }
         }
     }

@@ -33,10 +33,10 @@ pub mod peer_id;
 pub mod protocol;
 
 pub use agent::{AgentVersion, VersionChange, VersionFlavor};
-pub use connection::{CloseReason, ConnectionId, ConnectionInfo, ConnectionState, Direction};
+pub use connection::{CloseReason, ConnectionId, Direction};
 pub use connmgr::{ConnLimits, ConnectionManager, TrimDecision};
 pub use identify::IdentifyInfo;
-pub use kademlia::{Distance, KBucket, RoutingTable};
+pub use kademlia::{Distance, RoutingTable};
 pub use lookup::IterativeLookup;
 pub use multiaddr::{IpAddress, Multiaddr, Transport};
 pub use peer_id::PeerId;

@@ -37,7 +37,6 @@ pub const DEFAULT_ALPHA: usize = 3;
 ///         lookup.on_response((6..=9).map(PeerId::derived));
 ///     }
 /// }
-/// assert!(lookup.is_complete());
 /// assert!(!lookup.closest(20).is_empty());
 /// ```
 #[derive(Debug, Clone)]
@@ -117,15 +116,6 @@ impl IterativeLookup {
         Some(batch)
     }
 
-    /// Whether the lookup has converged ([`Self::next_batch`] would return
-    /// `None`).
-    pub fn is_complete(&self) -> bool {
-        self.shortlist
-            .iter()
-            .take(self.k)
-            .all(|(_, peer)| self.queried.contains(peer))
-    }
-
     /// Number of queries issued so far.
     pub fn queries(&self) -> usize {
         self.queried.len()
@@ -138,11 +128,6 @@ impl IterativeLookup {
             .take(count)
             .map(|(_, peer)| *peer)
             .collect()
-    }
-
-    /// Every peer the lookup has learned of, in distance order.
-    pub fn discovered(&self) -> impl Iterator<Item = &PeerId> {
-        self.shortlist.iter().map(|(_, peer)| peer)
     }
 }
 
@@ -163,7 +148,6 @@ mod tests {
                 lookup.on_response(std::iter::empty());
             }
         }
-        assert!(lookup.is_complete());
         // Only the top-k shortlist is queried, never the whole candidate set.
         assert_eq!(queries, 20);
         assert_eq!(lookup.queries(), 20);
@@ -218,7 +202,6 @@ mod tests {
     #[test]
     fn empty_seed_lookup_is_complete_immediately() {
         let mut lookup = IterativeLookup::new(PeerId::derived(1), 20, 3, std::iter::empty());
-        assert!(lookup.is_complete());
         assert!(lookup.next_batch().is_none());
         assert!(lookup.closest(5).is_empty());
     }

@@ -124,7 +124,7 @@ impl PeerId {
     }
 
     /// A short hexadecimal form (first 8 hex digits) for logs and reports.
-    pub fn short(&self) -> String {
+    pub(crate) fn short(&self) -> String {
         self.0[..4].iter().map(|b| format!("{b:02x}")).collect()
     }
 

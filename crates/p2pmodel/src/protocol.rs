@@ -55,50 +55,38 @@ pub mod well_known {
     /// Kademlia DHT (announcing it makes a peer a DHT-Server).
     pub const KAD: &str = "/ipfs/kad/1.0.0";
     /// LAN-scoped Kademlia DHT.
-    pub const LAN_KAD: &str = "/ipfs/lan/kad/1.0.0";
+    pub(crate) const LAN_KAD: &str = "/ipfs/lan/kad/1.0.0";
     /// Identify.
-    pub const ID: &str = "/ipfs/id/1.0.0";
+    pub(crate) const ID: &str = "/ipfs/id/1.0.0";
     /// Identify push.
-    pub const ID_PUSH: &str = "/ipfs/id/push/1.0.0";
-    /// Identify delta.
-    pub const ID_DELTA: &str = "/p2p/id/delta/1.0.0";
+    pub(crate) const ID_PUSH: &str = "/ipfs/id/push/1.0.0";
     /// Ping.
     pub const PING: &str = "/ipfs/ping/1.0.0";
     /// Bitswap (unversioned legacy id).
-    pub const BITSWAP: &str = "/ipfs/bitswap";
+    pub(crate) const BITSWAP: &str = "/ipfs/bitswap";
     /// Bitswap 1.0.0.
-    pub const BITSWAP_1_0: &str = "/ipfs/bitswap/1.0.0";
+    pub(crate) const BITSWAP_1_0: &str = "/ipfs/bitswap/1.0.0";
     /// Bitswap 1.1.0.
-    pub const BITSWAP_1_1: &str = "/ipfs/bitswap/1.1.0";
+    pub(crate) const BITSWAP_1_1: &str = "/ipfs/bitswap/1.1.0";
     /// Bitswap 1.2.0.
     pub const BITSWAP_1_2: &str = "/ipfs/bitswap/1.2.0";
     /// Gossipsub 1.0.
-    pub const MESHSUB_1_0: &str = "/meshsub/1.0.0";
+    pub(crate) const MESHSUB_1_0: &str = "/meshsub/1.0.0";
     /// Gossipsub 1.1.
-    pub const MESHSUB_1_1: &str = "/meshsub/1.1.0";
+    pub(crate) const MESHSUB_1_1: &str = "/meshsub/1.1.0";
     /// Floodsub.
-    pub const FLOODSUB: &str = "/floodsub/1.0.0";
+    pub(crate) const FLOODSUB: &str = "/floodsub/1.0.0";
     /// AutoNAT (announcement flaps in the paper's observations).
     pub const AUTONAT: &str = "/libp2p/autonat/1.0.0";
     /// Circuit relay v1.
-    pub const RELAY_V1: &str = "/libp2p/circuit/relay/0.1.0";
-    /// Circuit relay v2 (stop).
-    pub const RELAY_V2_STOP: &str = "/libp2p/circuit/relay/0.2.0/stop";
-    /// libp2p fetch.
-    pub const FETCH: &str = "/libp2p/fetch/0.0.1";
+    pub(crate) const RELAY_V1: &str = "/libp2p/circuit/relay/0.1.0";
     /// The storm botnet's protocol, also announced by suspicious go-ipfs
     /// v0.8.0 agents that hide their Bitswap support.
     pub const SBPTP: &str = "/sbptp/1.0.0";
     /// storm file-sharing protocol, v1.
     pub const SFST_1: &str = "/sfst/1.0.0";
     /// storm file-sharing protocol, v2.
-    pub const SFST_2: &str = "/sfst/2.0.0";
-    /// The ioi dial protocol.
-    pub const IOI_DIAL: &str = "/ioi/dial/1.0.0";
-    /// The ioi portssub protocol.
-    pub const IOI_PORTSSUB: &str = "/ioi/portssub/1.0.0";
-    /// The experimental `/x/` prefix.
-    pub const X: &str = "/x/";
+    pub(crate) const SFST_2: &str = "/sfst/2.0.0";
 }
 
 /// The set of protocols a peer announces.
@@ -127,7 +115,7 @@ impl ProtocolSet {
     }
 
     /// The baseline protocols every go-ipfs client announces.
-    pub fn go_ipfs_base() -> Self {
+    pub(crate) fn go_ipfs_base() -> Self {
         use well_known::*;
         [
             ID, ID_PUSH, PING, BITSWAP, BITSWAP_1_0, BITSWAP_1_1, BITSWAP_1_2, MESHSUB_1_0,
@@ -234,16 +222,6 @@ impl ProtocolSet {
     pub fn iter(&self) -> impl Iterator<Item = &ProtocolId> {
         self.protocols.iter()
     }
-
-    /// Protocols present in `self` but not in `other` and vice versa, i.e.
-    /// the symmetric difference — the "announcement changes" counted in
-    /// Section IV-B.
-    pub fn diff(&self, other: &ProtocolSet) -> Vec<ProtocolId> {
-        self.protocols
-            .symmetric_difference(&other.protocols)
-            .cloned()
-            .collect()
-    }
 }
 
 impl<P: Into<ProtocolId>> FromIterator<P> for ProtocolSet {
@@ -309,18 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_is_symmetric_difference() {
-        let server = ProtocolSet::go_ipfs_dht_server();
-        let client = ProtocolSet::go_ipfs_dht_client();
-        let diff = server.diff(&client);
-        assert_eq!(diff.len(), 2);
-        assert!(diff.iter().any(|p| p.as_str() == well_known::KAD));
-        assert!(diff.iter().any(|p| p.as_str() == well_known::LAN_KAD));
-        assert_eq!(client.diff(&server).len(), 2);
-        assert!(server.diff(&server).is_empty());
-    }
-
-    #[test]
     fn protocol_id_conversions() {
         let a: ProtocolId = "/ipfs/kad/1.0.0".into();
         let b = ProtocolId::new(String::from("/ipfs/kad/1.0.0"));
@@ -351,16 +317,6 @@ mod tests {
     fn random_protocol_set(rng: &mut simclock::SimRng, max: usize) -> Vec<String> {
         let count = rng.index(max + 1);
         (0..count).map(|_| random_protocol(rng)).collect()
-    }
-
-    #[test]
-    fn diff_with_self_is_empty() {
-        let mut rng = simclock::SimRng::seed_from(0x9207);
-        for _ in 0..128 {
-            let protocols = random_protocol_set(&mut rng, 19);
-            let set: ProtocolSet = protocols.iter().map(String::as_str).collect();
-            assert!(set.diff(&set).is_empty());
-        }
     }
 
     #[test]

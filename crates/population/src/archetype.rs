@@ -9,7 +9,7 @@
 
 use netsim::{DialBehavior, SessionPattern};
 use p2pmodel::ProtocolSet;
-use simclock::{SimDuration, SimRng};
+use simclock::SimRng;
 
 /// The behavioural archetype of a simulated peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -308,17 +308,6 @@ impl Archetype {
             Archetype::DisguisedStorm => "disguised-storm",
             Archetype::SilentPeer => "silent-peer",
             Archetype::EthereumNode => "ethereum-node",
-        }
-    }
-
-    /// A plausible upper bound for how long one connection of this archetype
-    /// survives (used by sanity tests; not used by the simulator itself).
-    pub fn max_expected_hold(self) -> SimDuration {
-        match self {
-            Archetype::StableServer | Archetype::HydraHead | Archetype::CoreClient => {
-                SimDuration::from_days(30)
-            }
-            _ => SimDuration::from_days(7),
         }
     }
 }

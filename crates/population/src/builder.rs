@@ -17,7 +17,7 @@ use simclock::{SimDuration, SimRng};
 
 /// How many peers of each archetype the population contains.
 ///
-/// The default ([`PopulationMix::paper_scale`]) reproduces the composition of
+/// The default (`PopulationMix::paper_scale`) reproduces the composition of
 /// the paper's three-day P4 data set; `one_time_per_day` scales with the run
 /// length because one-time users keep arriving for as long as the measurement
 /// runs (Fig. 6 shows the PID count growing continuously).
@@ -60,7 +60,7 @@ pub struct PopulationMix {
 
 impl PopulationMix {
     /// The composition of the paper's P4 data set (three days, ~65 k PIDs).
-    pub fn paper_scale() -> Self {
+    pub(crate) fn paper_scale() -> Self {
         PopulationMix {
             stable_servers: 420,
             core_clients: 9_090,
@@ -83,7 +83,7 @@ impl PopulationMix {
     /// Returns a copy with every count multiplied by `factor` (minimum 1 for
     /// categories that are non-zero at paper scale, so rare-but-important
     /// archetypes like the ethereum node survive even tiny scales).
-    pub fn scaled(&self, factor: f64) -> Self {
+    pub(crate) fn scaled(&self, factor: f64) -> Self {
         let scale = |n: usize| -> usize {
             if n == 0 {
                 0
@@ -108,28 +108,6 @@ impl PopulationMix {
             rotator_pids: scale(self.rotator_pids),
             ethereum_nodes: self.ethereum_nodes,
         }
-    }
-
-    /// Total number of peers generated for a run of the given length.
-    pub fn total(&self, run: SimDuration) -> usize {
-        let days = (run.as_secs_f64() / 86_400.0).max(1.0 / 24.0);
-        self.persistent_total() + (self.one_time_per_day as f64 * days).round() as usize
-    }
-
-    /// Number of peers that exist independent of the run length.
-    pub fn persistent_total(&self) -> usize {
-        self.stable_servers
-            + self.core_clients
-            + self.regular_servers
-            + self.regular_clients
-            + self.light_churners
-            + self.crawlers
-            + self.hydra_heads
-            + self.storm_nodes
-            + self.disguised_storm
-            + self.silent_peers
-            + self.rotator_pids
-            + self.ethereum_nodes
     }
 }
 
@@ -166,16 +144,6 @@ impl Population {
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty()
     }
-
-    /// Number of peers of the given archetype.
-    pub fn count_of(&self, archetype: Archetype) -> usize {
-        self.archetypes.iter().filter(|a| **a == archetype).count()
-    }
-
-    /// Number of peers whose initial identify announces the DHT-Server role.
-    pub fn dht_server_count(&self) -> usize {
-        self.specs.iter().filter(|s| s.is_dht_server()).count()
-    }
 }
 
 /// Builds populations with a given seed, scale, run length and dynamics
@@ -192,7 +160,7 @@ impl Population {
 ///     .with_duration(SimDuration::from_hours(24))
 ///     .build();
 /// assert!(population.len() > 100);
-/// assert!(population.dht_server_count() > 0);
+/// assert!(population.specs.iter().any(|s| s.is_dht_server()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct PopulationBuilder {
@@ -213,12 +181,6 @@ impl PopulationBuilder {
         }
     }
 
-    /// Replaces the population mix.
-    pub fn with_mix(mut self, mix: PopulationMix) -> Self {
-        self.mix = mix;
-        self
-    }
-
     /// Scales the current mix by `factor`.
     pub fn with_scale(mut self, factor: f64) -> Self {
         self.mix = self.mix.scaled(factor);
@@ -229,12 +191,6 @@ impl PopulationBuilder {
     /// arrivals and the span of metadata-change schedules).
     pub fn with_duration(mut self, run: SimDuration) -> Self {
         self.run = run;
-        self
-    }
-
-    /// Replaces the metadata-dynamics configuration.
-    pub fn with_dynamics(mut self, dynamics: DynamicsConfig) -> Self {
-        self.dynamics = dynamics;
         self
     }
 
@@ -397,23 +353,11 @@ mod tests {
         assert!(mix.hydra_heads >= 10);
         assert!(mix.ethereum_nodes == 1, "singletons must survive scaling");
         assert!(mix.stable_servers >= 4);
-        assert!(mix.persistent_total() < PopulationMix::paper_scale().persistent_total());
-    }
-
-    #[test]
-    fn total_grows_with_run_length() {
-        let mix = PopulationMix::paper_scale();
-        assert!(mix.total(SimDuration::from_days(3)) > mix.total(SimDuration::from_days(1)));
-        assert_eq!(
-            mix.total(SimDuration::from_days(1)) - mix.persistent_total(),
-            mix.one_time_per_day
-        );
     }
 
     #[test]
     fn paper_scale_totals_are_in_the_right_ballpark() {
-        let mix = PopulationMix::paper_scale();
-        let total = mix.total(SimDuration::from_days(3));
+        let total = PopulationBuilder::new(42).build().len();
         assert!((60_000..72_000).contains(&total), "P4 saw ~65 853 PIDs, builder yields {total}");
     }
 
@@ -431,13 +375,14 @@ mod tests {
     fn archetype_counts_follow_the_mix() {
         let population = small_population();
         let mix = PopulationMix::paper_scale().scaled(0.02);
-        assert_eq!(population.count_of(Archetype::HydraHead), mix.hydra_heads);
-        assert_eq!(population.count_of(Archetype::Crawler), mix.crawlers);
-        assert_eq!(population.count_of(Archetype::DisguisedStorm), mix.disguised_storm);
-        assert_eq!(population.count_of(Archetype::EthereumNode), 1);
+        let count_of = |a| population.archetypes.iter().filter(|x| **x == a).count();
+        assert_eq!(count_of(Archetype::HydraHead), mix.hydra_heads);
+        assert_eq!(count_of(Archetype::Crawler), mix.crawlers);
+        assert_eq!(count_of(Archetype::DisguisedStorm), mix.disguised_storm);
+        assert_eq!(count_of(Archetype::EthereumNode), 1);
         // One-time users = per-day count (1 day run) + rotator PIDs.
         assert_eq!(
-            population.count_of(Archetype::OneTimeUser),
+            count_of(Archetype::OneTimeUser),
             mix.one_time_per_day + mix.rotator_pids
         );
     }
@@ -445,7 +390,12 @@ mod tests {
     #[test]
     fn dht_server_fraction_matches_paper_ratio() {
         let population = small_population();
-        let fraction = population.dht_server_count() as f64 / population.len() as f64;
+        let servers = population
+            .specs
+            .iter()
+            .filter(|s| s.is_dht_server())
+            .count();
+        let fraction = servers as f64 / population.len() as f64;
         // The paper: 18 845 kad-announcing PIDs out of 65 853 ≈ 0.29.
         assert!(
             (0.18..0.42).contains(&fraction),

@@ -58,7 +58,7 @@ impl Default for DynamicsConfig {
 ///
 /// Returns at most one scheduled change, consistent with Table III where the
 /// 530 transitions are spread over tens of thousands of peers.
-pub fn version_change_events(
+pub(crate) fn version_change_events(
     current: &AgentVersion,
     run: SimDuration,
     config: &DynamicsConfig,
@@ -118,7 +118,7 @@ pub fn version_change_events(
 ///
 /// `initially_announced` states whether the peer announces the protocol at
 /// the start (the first flap is then a removal).
-pub fn flap_events(
+pub(crate) fn flap_events(
     protocol: &str,
     initially_announced: bool,
     run: SimDuration,

@@ -78,16 +78,6 @@ impl IpAllocator {
         let port = 1024 + self.rng.jitter(0, 60_000) as u16;
         Multiaddr::new(ip, Transport::Tcp, port)
     }
-
-    /// The set of hydra host addresses (for tests and reports).
-    pub fn hydra_ips(&self) -> &[IpAddress] {
-        &self.hydra_ips
-    }
-
-    /// The rotating-PID operator's address.
-    pub fn rotator_ip(&self) -> IpAddress {
-        self.rotator_ip
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +115,7 @@ mod tests {
         let mut alloc = allocator();
         let ips: BTreeSet<IpAddress> = (0..500).map(|_| alloc.rotator().ip()).collect();
         assert_eq!(ips.len(), 1);
-        assert_eq!(*ips.iter().next().unwrap(), alloc.rotator_ip());
+        assert_eq!(*ips.iter().next().unwrap(), alloc.rotator_ip);
     }
 
     #[test]
@@ -139,8 +129,8 @@ mod tests {
     #[test]
     fn hydra_ips_are_disjoint_from_rotator() {
         let alloc = allocator();
-        assert!(!alloc.hydra_ips().contains(&alloc.rotator_ip()));
-        assert_eq!(alloc.hydra_ips().len(), 11);
+        assert!(!alloc.hydra_ips.contains(&alloc.rotator_ip));
+        assert_eq!(alloc.hydra_ips.len(), 11);
     }
 
     #[test]

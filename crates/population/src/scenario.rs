@@ -260,7 +260,7 @@ impl Scenario {
     }
 
     /// Builds the network configuration (observers + duration + seed).
-    pub fn network_config(&self) -> NetworkConfig {
+    pub(crate) fn network_config(&self) -> NetworkConfig {
         NetworkConfig {
             seed: self.seed,
             duration: self.period.duration(),

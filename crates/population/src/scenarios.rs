@@ -191,7 +191,7 @@ impl ChurnScenario {
     }
 
     /// The Sybil-flood attack with default knobs.
-    pub fn sybil_flood() -> Self {
+    pub(crate) fn sybil_flood() -> Self {
         ChurnScenario::SybilFlood {
             sybils: 6_000,
             prefix_bits: 8,
@@ -227,7 +227,7 @@ impl ChurnScenario {
     /// The five non-baseline churn regimes with default knobs, in label
     /// order. The DHT-level attacks ([`Self::adversaries`]) are kept out of
     /// this list so estimator calibration sweeps stay purely churn-driven.
-    pub fn regimes() -> Vec<ChurnScenario> {
+    pub(crate) fn regimes() -> Vec<ChurnScenario> {
         vec![
             ChurnScenario::diurnal(),
             ChurnScenario::flash_crowd(),

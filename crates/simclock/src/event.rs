@@ -14,7 +14,7 @@ use std::collections::BinaryHeap;
 /// An event scheduled in a [`KeyedEventQueue`]: an instant, a source key and
 /// a FIFO sequence number.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyedScheduledEvent<E> {
+pub(crate) struct KeyedScheduledEvent<E> {
     /// The instant the event fires at.
     pub at: SimTime,
     /// Caller-assigned ordering key, compared after `at` and before `seq`.
@@ -241,11 +241,6 @@ impl<E: Eq> KeyedEventQueue<E> {
             Some(ev) if ev.at < limit => self.pop(),
             _ => None,
         }
-    }
-
-    /// The timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_event().map(|ev| ev.at)
     }
 }
 

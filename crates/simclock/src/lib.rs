@@ -36,7 +36,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{KeyedEventQueue, KeyedScheduledEvent};
+pub use event::KeyedEventQueue;
 pub use rng::SimRng;
 pub use stats::{Cdf, Histogram, Summary, TimeSeries};
 pub use time::{SimDuration, SimTime};

@@ -10,8 +10,6 @@
 //!
 //! * [`SimRng::exp`] — exponential inter-arrival times (Poisson processes).
 //! * [`SimRng::log_normal`] — heavy-tailed but finite-mean session durations.
-//! * [`SimRng::pareto`] — very heavy-tailed durations for the stable core.
-//! * [`SimRng::zipf`] — popularity-skewed choices (e.g. version adoption).
 //!
 //! The generator itself is a self-contained xoshiro256++ instance seeded via
 //! SplitMix64, so the whole workspace is reproducible without any external
@@ -33,7 +31,18 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a string, for mixing textual labels into seed derivations.
+/// The 64-bit FNV-1a offset basis: the hash of no input.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step: folds `value` (a byte, or a whole word for folds over
+/// checksums) into `hash`.
+#[inline]
+pub fn fnv1a_step(hash: u64, value: u64) -> u64 {
+    (hash ^ value).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// FNV-1a over bytes: mixes textual labels into seed derivations and
+/// checksums archive blocks.
 ///
 /// # Example
 ///
@@ -42,13 +51,13 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 ///
 /// assert_eq!(fnv1a("P1"), fnv1a("P1"));
 /// assert_ne!(fnv1a("P1"), fnv1a("P2"));
+/// assert_eq!(fnv1a("P1"), fnv1a(b"P1"));
 /// ```
-pub fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+pub fn fnv1a(bytes: &(impl AsRef<[u8]> + ?Sized)) -> u64 {
+    bytes
+        .as_ref()
+        .iter()
+        .fold(FNV_OFFSET, |hash, &b| fnv1a_step(hash, b.into()))
 }
 
 /// The xoshiro256++ core: 256 bits of state, 64-bit output.
@@ -226,48 +235,11 @@ impl SimRng {
         median * (sigma * z).exp()
     }
 
-    /// A Pareto-distributed value with minimum `scale` and tail index `alpha`.
-    ///
-    /// Used for the stable core of the network whose uptimes are very heavy
-    /// tailed (a small fraction of peers stays connected for days).
-    pub fn pareto(&mut self, scale: f64, alpha: f64) -> f64 {
-        if !scale.is_finite() || scale <= 0.0 || !alpha.is_finite() || alpha <= 0.0 {
-            return 0.0;
-        }
-        let u: f64 = self.inner.unit_f64().max(f64::EPSILON);
-        scale / u.powf(1.0 / alpha)
-    }
-
     /// A standard normal value (mean 0, variance 1) via Box–Muller.
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         let u1: f64 = self.inner.unit_f64().max(f64::EPSILON);
         let u2: f64 = self.inner.unit_f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// A Zipf-distributed rank in `[0, n)` with exponent `s`.
-    ///
-    /// Rank 0 is the most popular outcome. Used to skew e.g. agent-version
-    /// adoption towards the most recent releases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0, "zipf requires a non-empty range");
-        // Inverse-CDF sampling over the (small) discrete support. The support
-        // sizes used by the population models are tens of entries, so the
-        // linear scan is not a bottleneck.
-        let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
-        let total: f64 = weights.iter().sum();
-        let mut target = self.inner.unit_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if target < *w {
-                return i;
-            }
-            target -= *w;
-        }
-        n - 1
     }
 
     /// Chooses an index according to the given non-negative weights.
@@ -418,28 +390,6 @@ mod tests {
             (observed - median).abs() < median * 0.15,
             "observed median {observed} too far from {median}"
         );
-    }
-
-    #[test]
-    fn pareto_respects_scale_floor() {
-        let mut rng = SimRng::seed_from(17);
-        for _ in 0..1000 {
-            assert!(rng.pareto(60.0, 1.2) >= 60.0);
-        }
-        assert_eq!(rng.pareto(0.0, 1.0), 0.0);
-        assert_eq!(rng.pareto(1.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn zipf_is_skewed_towards_low_ranks() {
-        let mut rng = SimRng::seed_from(19);
-        let mut counts = [0usize; 10];
-        for _ in 0..10_000 {
-            counts[rng.zipf(10, 1.0)] += 1;
-        }
-        assert!(counts[0] > counts[5]);
-        assert!(counts[0] > counts[9]);
-        assert_eq!(counts.iter().sum::<usize>(), 10_000);
     }
 
     #[test]

@@ -147,7 +147,7 @@ impl Histogram {
     }
 
     /// Increments the count for `label` by `n`.
-    pub fn add_count(&mut self, label: impl Into<String>, n: u64) {
+    pub(crate) fn add_count(&mut self, label: impl Into<String>, n: u64) {
         *self.counts.entry(label.into()).or_insert(0) += n;
     }
 
@@ -266,11 +266,6 @@ impl Cdf {
         idx as f64 / self.sorted.len() as f64
     }
 
-    /// The `q`-quantile of the samples (`q` clamped to `[0, 1]`).
-    pub fn quantile(&self, q: f64) -> f64 {
-        percentile_sorted(&self.sorted, q)
-    }
-
     /// Evaluates the CDF at each of the given points, returning `(x, F(x))`
     /// pairs — the series plotted in Fig. 7.
     pub fn evaluate_at(&self, points: &[f64]) -> Vec<(f64, f64)> {
@@ -346,18 +341,6 @@ impl TimeSeries {
     /// The last value in the series, if any.
     pub fn last_value(&self) -> Option<f64> {
         self.points.last().map(|&(_, v)| v)
-    }
-
-    /// Restricts the series to samples with `time <= limit_secs`.
-    pub fn truncate_after(&self, limit_secs: f64) -> TimeSeries {
-        TimeSeries {
-            points: self
-                .points
-                .iter()
-                .copied()
-                .filter(|&(t, _)| t <= limit_secs)
-                .collect(),
-        }
     }
 
     /// Downsamples the series to at most `max_points` samples by keeping every
@@ -496,19 +479,10 @@ mod tests {
     }
 
     #[test]
-    fn cdf_quantiles_match_samples() {
-        let cdf = Cdf::from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(cdf.quantile(0.0), 1.0);
-        assert_eq!(cdf.quantile(0.5), 3.0);
-        assert_eq!(cdf.quantile(1.0), 5.0);
-    }
-
-    #[test]
     fn cdf_empty_is_safe() {
         let cdf = Cdf::from_samples(&[]);
         assert!(cdf.is_empty());
         assert_eq!(cdf.fraction_at_or_below(10.0), 0.0);
-        assert_eq!(cdf.quantile(0.5), 0.0);
     }
 
     #[test]
@@ -534,9 +508,6 @@ mod tests {
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.max_value(), 5.0);
         assert_eq!(ts.last_value(), Some(3.0));
-
-        let truncated = ts.truncate_after(30.0);
-        assert_eq!(truncated.len(), 2);
     }
 
     #[test]

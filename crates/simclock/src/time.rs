@@ -78,11 +78,6 @@ impl SimTime {
         self.0 as f64 / 1000.0
     }
 
-    /// Whole hours since simulation start.
-    pub const fn as_hours(self) -> u64 {
-        self.0 / 3_600_000
-    }
-
     /// The duration elapsed since `earlier`, or [`SimDuration::ZERO`] if
     /// `earlier` is in the future.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
@@ -152,11 +147,6 @@ impl SimDuration {
     /// Duration in seconds as a floating point value.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1000.0
-    }
-
-    /// Duration in whole hours.
-    pub const fn as_hours(self) -> u64 {
-        self.0 / 3_600_000
     }
 
     /// Whether this duration is zero.

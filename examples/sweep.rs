@@ -10,7 +10,7 @@
 //! reports cross-seed mean / stddev / 95 % CI for the headline metrics. The
 //! same grid always produces byte-identical JSON, whatever the thread count.
 
-use measurement::sweep::{run_sweep, ObserverTweak, SweepGrid};
+use measurement::sweep::{ObserverTweak, SweepGrid, SweepRunner};
 use population::MeasurementPeriod;
 
 fn main() {
@@ -20,14 +20,14 @@ fn main() {
     // beyond the paper's own grid.
     let grid = SweepGrid::new(vec![MeasurementPeriod::P1, MeasurementPeriod::P2])
         .with_scales(vec![0.005])
-        .with_seed_count(5)
+        .with_seeds((1..=5).collect())
         .with_tweaks(vec![
             ObserverTweak::default(),
             ObserverTweak::limits("tight", 0.5),
         ]);
 
     println!("running {} campaigns…", grid.cell_count());
-    let report = run_sweep(&grid);
+    let report = SweepRunner::new().run(&grid);
 
     println!("\n{}", report.summary_table());
 

@@ -43,25 +43,23 @@ pub use simclock;
 /// The most commonly used items, re-exported for convenient glob imports.
 pub mod prelude {
     pub use analysis::{
-        agent_histogram, analyze_stream, analyze_survival, analyze_vantages, calibration_report,
-        chao1, chao2, classify_peers, connection_count_cdf, connection_stats, connection_timeline,
+        agent_histogram, analyze_survival, analyze_vantages, calibration_report, chao1, chao2,
+        classify_peers, connection_count_cdf, connection_stats, connection_timeline,
         crawl_disagreement_report, crawl_disagreement_row, direction_stats, fingerprint_groups,
         horizon_comparison, ip_grouping, jackknife1, lincoln_petersen, max_duration_cdf,
         network_size_estimate, pid_growth, protocol_histogram, robustness_report, robustness_row,
-        role_switches, scenario_robustness, stream_estimates, stream_report, survival_report,
-        vantage_report, version_changes, window_bootstrap_seed, CalibrationReport, CaptureHistory,
-        ConnectionClass, CrawlDisagreementReport, CrawlDisagreementRow, EstimatorKind,
+        role_switches, scenario_robustness, stream_report, vantage_report, version_changes,
+        CalibrationReport, ConnectionClass, CrawlDisagreementReport, CrawlDisagreementRow,
         RobustnessReport, StreamAnalysis, StreamEstimates, StreamReport, SurvivalCurve,
-        SurvivalReport, VantageAnalysis, VantageReport, WINDOW_ESTIMATORS, WINDOW_OCCASIONS,
-        WINDOW_SPAN_SECS,
+        VantageAnalysis, VantageReport, WINDOW_OCCASIONS, WINDOW_SPAN_SECS,
     };
     pub use measurement::{
         run_period, run_replicated_vantage_suite, run_scenario, run_scenario_suite,
-        run_stream_suite, run_streaming_campaign, run_sweep, run_vantage_campaign,
-        run_vantage_suite, ActiveCrawler, CrawlSnapshot, CrawlSummary, GoIpfsMonitor,
-        HydraMonitor, MeasurementCampaign, MeasurementDataset, ObserverTweak, ReplicateSuite,
-        StreamSummary, StreamingCampaign, StreamingMonitor, SweepGrid, SweepReport, SweepRunner,
-        VantageCampaign, WindowState,
+        run_stream_suite, run_streaming_campaign, run_vantage_campaign, run_vantage_suite,
+        ActiveCrawler, CrawlSnapshot, CrawlSummary, GoIpfsMonitor, HydraMonitor,
+        MeasurementCampaign, MeasurementDataset, ObserverTweak, ReplicateSuite, StreamSummary,
+        StreamingCampaign, StreamingMonitor, SweepGrid, SweepReport, SweepRunner, VantageCampaign,
+        WindowState,
     };
     pub use netsim::{
         dht_log_from_ground_truth, DhtConduct, DhtLog, DhtRole, Network, NetworkConfig,

@@ -74,7 +74,6 @@ fn iterative_lookup_terminates_with_bounded_queries() {
                 lookup.on_response(tables[idx].closest(&target, 20));
             }
         }
-        assert!(lookup.is_complete());
         assert!(lookup.queries() <= n, "more queries than peers (seed {seed})");
         assert_eq!(lookup.queries(), queried.len());
     }

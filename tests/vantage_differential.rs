@@ -89,7 +89,9 @@ fn chao1_beats_the_single_vantage_naive_estimate_on_benign_periods() {
         let analysis = analyze_vantages(&campaign);
         let naive = &analysis.rows[0].naive;
         let chao = analysis
-            .final_row()
+            .rows
+            .last()
+            .expect("a campaign deploys at least one vantage")
             .chao1_error
             .as_ref()
             .expect("three vantages give a Chao1 estimate");

@@ -99,7 +99,7 @@ fn union_pid_count_is_monotone_in_vantage_count() {
         let campaign = random_campaign(rng);
         let mut last = 0;
         for v in 1..=campaign.vantage_count() {
-            let union = campaign.union_of_first(v);
+            let union = MeasurementDataset::union_of("union", campaign.vantages.iter().take(v));
             assert!(
                 union.pid_count() >= last,
                 "{}: union PIDs shrank from {last} to {} at {v} vantages",
