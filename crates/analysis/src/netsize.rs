@@ -108,17 +108,23 @@ impl ConnectionClass {
     /// Classifies a peer from its maximum connection duration and its number
     /// of connections, using the thresholds of Table IV.
     pub fn classify(max_duration: SimDuration, connection_count: usize) -> ConnectionClass {
-        let two_hours = SimDuration::from_hours(2);
-        let one_day = SimDuration::from_hours(24);
-        if max_duration > one_day {
+        if max_duration > SimDuration::from_hours(24) {
             ConnectionClass::Heavy
-        } else if max_duration > two_hours {
+        } else if Self::in_core(max_duration) {
             ConnectionClass::Normal
         } else if connection_count >= 3 {
             ConnectionClass::Light
         } else {
             ConnectionClass::OneTime
         }
+    }
+
+    /// Whether a peer whose longest connection lasted `max_duration` is in
+    /// the core network (§V-B): Heavy or Normal, connected for more than
+    /// 2 h. The connection count only separates Light from One-time, so the
+    /// core needs just the duration.
+    pub(crate) fn in_core(max_duration: SimDuration) -> bool {
+        max_duration > SimDuration::from_hours(2)
     }
 }
 

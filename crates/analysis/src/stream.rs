@@ -30,10 +30,10 @@ use crate::netsize::{
 use crate::report;
 use crate::vantage::{accumulation_rows, VantageCountRow};
 use jsonio::Json;
-use measurement::{sliding_windows, StreamSummary, StreamingCampaign};
+use measurement::{sliding_windows, StreamSummary, StreamView, StreamingCampaign};
 use p2pmodel::{IpAddress, PeerId};
 use simclock::{Summary, TimeSeries};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// Reconstructs `Summary::from_samples` bit-for-bit from an ascending
 /// run-length multiset of millisecond durations.
@@ -190,13 +190,31 @@ pub fn stream_classify_peers(summary: &StreamSummary) -> PeerClassification {
 /// The combined §V network-size estimate from a streaming summary —
 /// byte-identical to `network_size_estimate` on the matching batch data set.
 pub fn stream_network_size(summary: &StreamSummary) -> NetworkSizeEstimate {
-    let grouping = stream_ip_grouping(summary);
-    let classes = stream_classify_peers(summary);
+    network_size(StreamView::Finished(summary))
+}
+
+/// The one §V network-size estimator, over a live or a finished stream: the
+/// PID count, the distinct first IPs (the §V-A IP groups), the peers whose
+/// longest connection puts them in the core (§V-B) and the maximum of
+/// simultaneous connections. One pass over the peers: it resolves no
+/// identify payload, keys nothing by `PeerId` and sorts nothing, so a live
+/// query costs a pass over the tenant's peers and open connections.
+fn network_size(view: StreamView<'_>) -> NetworkSizeEstimate {
+    let mut first_ips: HashSet<IpAddress> = HashSet::new();
+    let mut core = 0;
+    for (first_ip, max_duration) in view.peers() {
+        if let Some(ip) = first_ip {
+            first_ips.insert(ip);
+        }
+        if ConnectionClass::in_core(max_duration) {
+            core += 1;
+        }
+    }
     NetworkSizeEstimate {
-        by_pids: summary.pids,
-        by_ip_groups: grouping.groups,
-        core_lower_bound: classes.core_size(),
-        max_simultaneous_connections: summary.max_open_connections,
+        by_pids: view.pids(),
+        by_ip_groups: first_ips.len(),
+        core_lower_bound: core,
+        max_simultaneous_connections: view.max_open_connections(),
     }
 }
 
@@ -472,14 +490,20 @@ fn insert_estimates(obj: &mut Json, e: &StreamEstimates) {
                     .collect(),
             ),
         );
-        let n = &e.netsize;
-        let mut netsize = Json::object();
-        netsize.insert("by_pids", n.by_pids);
-        netsize.insert("by_ip_groups", n.by_ip_groups);
-        netsize.insert("core_lower_bound", n.core_lower_bound);
-        netsize.insert("max_simultaneous_connections", n.max_simultaneous_connections);
-        obj.insert("netsize", netsize);
+        obj.insert("netsize", netsize_json(&e.netsize));
     }
+}
+
+fn netsize_json(n: &NetworkSizeEstimate) -> Json {
+    let mut netsize = Json::object();
+    netsize.insert("by_pids", n.by_pids);
+    netsize.insert("by_ip_groups", n.by_ip_groups);
+    netsize.insert("core_lower_bound", n.core_lower_bound);
+    netsize.insert(
+        "max_simultaneous_connections",
+        n.max_simultaneous_connections,
+    );
+    netsize
 }
 
 fn window_row_json(w: &WindowRow) -> Json {
@@ -540,11 +564,12 @@ fn series_json(series: &TimeSeries) -> Json {
     )
 }
 
-/// Answers one serve-daemon query against a finalised summary. The query's
-/// `kind` selects the answer shape:
+/// Answers one serve-daemon query against a live or a finished stream. The
+/// query's `kind` selects the answer shape:
 ///
 /// * `"summary"` (the default) — `stream_summary_json`;
-/// * `"network_size"` — just the §V network-size estimate;
+/// * `"network_size"` — just the §V network-size estimate, read from the
+///   view in place: a live tenant is neither cloned nor finalised;
 /// * `"sliding_windows"` — the [`measurement::sliding_windows`] merges over
 ///   the summary's retained full window states, `panes` panes wide
 ///   (default 2): one row per retained pane with the merged counters —
@@ -552,7 +577,10 @@ fn series_json(series: &TimeSeries) -> Json {
 ///   (`retained_panes > 0`);
 /// * `"time_series"` — the four per-pane series of
 ///   `stream_time_series` as `[t, value]` pairs.
-pub fn answer_stream_query(summary: &StreamSummary, query: &Json) -> Result<Json, String> {
+///
+/// Every kind but `network_size` reads a full [`StreamSummary`], which a
+/// live view builds by finishing a clone ([`StreamView::summary`]).
+pub fn answer_stream_query(view: StreamView<'_>, query: &Json) -> Result<Json, String> {
     let kind = match query.get("kind") {
         None => "summary",
         Some(k) => k
@@ -560,16 +588,8 @@ pub fn answer_stream_query(summary: &StreamSummary, query: &Json) -> Result<Json
             .ok_or_else(|| "query kind must be a string".to_string())?,
     };
     match kind {
-        "summary" => Ok(stream_summary_json(summary)),
-        "network_size" => {
-            let n = stream_network_size(summary);
-            let mut netsize = Json::object();
-            netsize.insert("by_pids", n.by_pids);
-            netsize.insert("by_ip_groups", n.by_ip_groups);
-            netsize.insert("core_lower_bound", n.core_lower_bound);
-            netsize.insert("max_simultaneous_connections", n.max_simultaneous_connections);
-            Ok(netsize)
-        }
+        "summary" => Ok(stream_summary_json(&view.summary())),
+        "network_size" => Ok(netsize_json(&network_size(view))),
         "sliding_windows" => {
             let panes = match query.get("panes") {
                 None => 2,
@@ -580,6 +600,7 @@ pub fn answer_stream_query(summary: &StreamSummary, query: &Json) -> Result<Json
                 .map_err(|_| "query panes out of range".to_string())?,
             };
             let panes = panes.max(1);
+            let summary = view.summary();
             let snapshots = &summary.recent_windows;
             let merged = sliding_windows(snapshots, panes);
             let mut rows = Json::array();
@@ -603,7 +624,7 @@ pub fn answer_stream_query(summary: &StreamSummary, query: &Json) -> Result<Json
             Ok(obj)
         }
         "time_series" => {
-            let series = stream_time_series(summary);
+            let series = stream_time_series(&view.summary());
             let mut obj = Json::object();
             obj.insert("closed_connections", series_json(&series.closed_connections));
             obj.insert("active_peers", series_json(&series.active_peers));

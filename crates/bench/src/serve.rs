@@ -24,7 +24,7 @@ use jsonio::Json;
 use measurement::serve::{
     read_frame, write_frame, Frame, ServeOptions, ServeState, FRAME_EVENTS, FRAME_REGISTRY,
 };
-use measurement::{StreamConfig, StreamingMonitor};
+use measurement::{StreamConfig, StreamView, StreamingMonitor};
 use netsim::archive::{encode_event_block, encode_registry_delta};
 use netsim::{IdentifyRegistry, ObservationSink, ObservationTable};
 use p2pmodel::{
@@ -314,7 +314,7 @@ pub fn reference_answers(feeds: &[ServeFeed]) -> Json {
         let mut monitor = StreamingMonitor::new(feed.config.clone());
         monitor.ingest_table(&feed.table);
         let summary = monitor.finish(&feed.registry);
-        let answer = answer_stream_query(&summary, &query)
+        let answer = answer_stream_query(StreamView::Finished(&summary), &query)
             .expect("reference summary query cannot fail");
         let mut row = Json::object();
         row.insert("tenant", feed.tenant.as_str());

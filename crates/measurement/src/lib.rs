@@ -75,7 +75,8 @@ pub use serve::{
 pub use stream::{
     batch_resident_bytes, run_stream_suite, run_streaming_built, run_streaming_campaign,
     sliding_windows, DirectionAgg, DurationMode, PaneSummary, PeerStreamAgg, StreamConfig,
-    StreamSummary, StreamingCampaign, StreamingMonitor, WindowEvent, WindowSnapshot, WindowState,
+    StreamSummary, StreamView, StreamingCampaign, StreamingMonitor, WindowEvent, WindowSnapshot,
+    WindowState,
 };
 pub use sweep::{ObserverTweak, SweepGrid, SweepReport, SweepRunner};
 pub use vantage::{run_vantage_built, run_vantage_campaign, run_vantage_suite, VantageCampaign};

@@ -24,21 +24,26 @@
 //!   the trace archives use, so a feed is just archive rows cut into
 //!   batches. Event frames are **not** answered (ingest stays pipelined);
 //!   a malformed batch poisons the tenant and surfaces on its next control
-//!   op.
+//!   op. So does a batch with a row [`netsim::archive::check_rows`]
+//!   rejects: a missing connection id, a close payload that is no close
+//!   reason, or an id the tenant's registry does not hold.
 //! * [`FRAME_REGISTRY`] — a tenant name plus an incremental
 //!   [`netsim::archive::encode_registry_delta`] keeping the tenant's dense
 //!   id space aligned with the sender's. Must arrive before the event rows
-//!   that reference the new ids.
+//!   that reference the new ids; a row that names an id the registry does
+//!   not hold yet poisons the tenant.
 //!
 //! # Tenant lifecycle
 //!
 //! `hello` (with a [`StreamConfig`] as JSON) creates the tenant; registry
-//! deltas and event batches stream in; `query` answers against a clone of
-//! the live monitor (the clone is finalised, the original keeps ingesting);
-//! `finish` finalises the real monitor, returns the last answer and removes
-//! the tenant. `status` reports the ingest cursor (events ingested,
-//! registry counts) so a reconnecting feed knows how much of its log to
-//! skip — the resume handshake after a crash.
+//! deltas and event batches stream in; `query` answers from a
+//! [`StreamView::Live`] that borrows the live monitor and its registry, so
+//! a `network_size` answer reads the monitor in place and only the kinds
+//! that need a full summary finalise a clone; `finish` finalises the real
+//! monitor, returns the last answer and removes the tenant. `status`
+//! reports the ingest cursor (events ingested, registry counts) so a
+//! reconnecting feed knows how much of its log to skip — the resume
+//! handshake after a crash.
 //!
 //! # Checkpoint format and the monoid replay argument
 //!
@@ -50,13 +55,15 @@
 //! inverses and the monitor's remaining state is a finite map of plain
 //! aggregates, so *checkpoint + replay of the tail* is algebraically the
 //! same fold as an uninterrupted run — byte-identical summaries, which
-//! `tests/serve_differential.rs` pins across every scenario cell.
+//! `tests/serve_differential.rs` pins across every scenario cell. A restore
+//! also checks that every id a monitor holds resolves in its tenant's
+//! registry.
 
-use crate::stream::{DurationMode, StreamConfig, StreamSummary, StreamingMonitor};
+use crate::stream::{DurationMode, StreamConfig, StreamView, StreamingMonitor};
 use jsonio::Json;
 use netsim::archive::{
-    apply_registry_delta, decode_event_block, encode_registry_delta, ArchiveError, ArchiveFile,
-    ArchiveWriter, ByteReader, ByteWriter, GLOBAL_OWNER,
+    apply_registry_delta, check_rows, decode_event_block, encode_registry_delta, ArchiveError,
+    ArchiveFile, ArchiveWriter, ByteReader, ByteWriter, GLOBAL_OWNER,
 };
 use netsim::IdentifyRegistry;
 use simclock::{SimDuration, SimTime};
@@ -167,10 +174,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     }))
 }
 
-/// Answers a query JSON against a finalised [`StreamSummary`]. Injected by
-/// the caller (the `analysis` crate supplies the real one) so this module
-/// never depends on the analysis layer above it.
-pub type QueryAnswerer = Arc<dyn Fn(&StreamSummary, &Json) -> Result<Json, String> + Send + Sync>;
+/// Answers a query JSON against a [`StreamView`]: a live tenant for `query`,
+/// its finished summary for `finish`. Injected by the caller (the
+/// `analysis` crate supplies the real one) so this module never depends on
+/// the analysis layer above it.
+pub type QueryAnswerer = Arc<dyn Fn(StreamView<'_>, &Json) -> Result<Json, String> + Send + Sync>;
 
 /// Serialises a [`StreamConfig`] as the JSON document the `hello` op
 /// carries.
@@ -366,6 +374,11 @@ impl ServeState {
             let monitor = StreamingMonitor::restore(file.block(CK_MONITOR, owner)?)?;
             let mut registry = IdentifyRegistry::new();
             apply_registry_delta(&mut registry, file.block(CK_REGISTRY, owner)?)?;
+            monitor
+                .check_ids(&registry)
+                .map_err(|fault| ArchiveError::Malformed {
+                    context: format!("checkpoint tenant {name:?}: {fault}"),
+                })?;
             if tenants
                 .insert(
                     name.clone(),
@@ -462,9 +475,9 @@ impl ServeState {
             return;
         }
         let result = if events {
-            decode_event_block(&block).map(|table| {
-                tenant.monitor.ingest_table(&table);
-            })
+            decode_event_block(&block)
+                .and_then(|table| check_rows(&table, &tenant.registry).map(|()| table))
+                .map(|table| tenant.monitor.ingest_table(&table))
         } else {
             apply_registry_delta(&mut tenant.registry, &block)
         };
@@ -571,9 +584,7 @@ impl ServeState {
         if let Some(msg) = &tenant.poisoned {
             return Err(format!("tenant {name:?} poisoned: {msg}"));
         }
-        // The clone is finalised; the live monitor keeps ingesting.
-        let summary = tenant.monitor.clone().finish(&tenant.registry);
-        let answer = (self.answerer)(&summary, query)?;
+        let answer = (self.answerer)(StreamView::Live(&tenant.monitor, &tenant.registry), query)?;
         let mut ok = ok_doc();
         ok.insert("tenant", name);
         ok.insert("answer", answer);
@@ -599,7 +610,7 @@ impl ServeState {
         let query = doc.get("query").unwrap_or(&default_query).clone();
         let tenant = self.tenants.remove(name).expect("tenant checked above");
         let summary = tenant.monitor.finish(&tenant.registry);
-        let answer = (self.answerer)(&summary, &query)?;
+        let answer = (self.answerer)(StreamView::Finished(&summary), &query)?;
         let mut ok = ok_doc();
         ok.insert("tenant", name);
         ok.insert("answer", answer);
@@ -706,9 +717,9 @@ mod tests {
     /// enough for the byte-identity tests in this crate, which compare restored
     /// and uninterrupted monitors without reaching into `analysis`.
     fn debug_answerer() -> QueryAnswerer {
-        Arc::new(|summary, _query| {
+        Arc::new(|view, _query| {
             let mut doc = Json::object();
-            doc.insert("debug", format!("{summary:?}"));
+            doc.insert("debug", format!("{:?}", view.summary()));
             Ok(doc)
         })
     }
@@ -918,6 +929,57 @@ mod tests {
         let reply = state.handle_frame(&control_op("finish", Some("bad"))).unwrap();
         assert!(!reply.control_json().unwrap().bool_field("ok").unwrap());
         assert_eq!(state.tenant_count(), 1);
+    }
+
+    #[test]
+    fn restore_rejects_monitor_ids_the_registry_does_not_hold() {
+        let (config, registry, table) = sample_feed();
+        let mut monitor = StreamingMonitor::new(config);
+        monitor.ingest_table(&table);
+        let peers = vec![registry.peer(0), registry.peer(1)];
+        let addrs = vec![registry.addr(0), registry.addr(1)];
+        let infos = vec![registry.identify(0).clone()];
+        let registries = [
+            (
+                "none",
+                IdentifyRegistry::from_parts(peers.clone(), addrs.clone(), infos.clone()),
+            ),
+            (
+                "peer slot 1",
+                IdentifyRegistry::from_parts(peers[..1].to_vec(), addrs.clone(), infos.clone()),
+            ),
+            (
+                "address id 1",
+                IdentifyRegistry::from_parts(peers.clone(), addrs[..1].to_vec(), infos.clone()),
+            ),
+            (
+                "identify id 0",
+                IdentifyRegistry::from_parts(peers, addrs, Vec::new()),
+            ),
+        ];
+        for (missing, registry) in registries {
+            let mut state = ServeState::new(debug_answerer(), ServeOptions::default());
+            state.tenants.insert(
+                "t0".to_string(),
+                Tenant {
+                    monitor: monitor.clone(),
+                    registry,
+                    poisoned: None,
+                },
+            );
+            let restored = ServeState::restore(
+                &state.checkpoint_bytes(),
+                debug_answerer(),
+                ServeOptions::default(),
+            );
+            match restored {
+                Ok(_) => assert_eq!(missing, "none", "a checkpoint missing {missing} restored"),
+                Err(ArchiveError::Malformed { context }) => {
+                    assert!(context.contains(missing), "{missing}: {context}");
+                }
+                Err(err) => panic!("{missing}: unexpected error {err:?}"),
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@ use netsim::{
 use p2pmodel::{CloseReason, ConnectionId, Direction, IpAddress, PeerId};
 use population::{ChurnScenario, MeasurementPeriod, Scenario, ScenarioRun};
 use simclock::{SimDuration, SimTime};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -569,6 +570,73 @@ impl StreamSummary {
     }
 }
 
+/// A borrowed view of one stream, live or finished: what the serve daemon's
+/// query answerer reads.
+///
+/// A live view reads a monitor mid-stream through the registry its ids
+/// resolve in, and reports what [`StreamingMonitor::finish`] would: the
+/// connections still open count as closed at the measurement end. The PID
+/// count, each peer's first IP and longest duration and the maximum-open
+/// gauge come straight from the monitor, without cloning or finalising it.
+/// Only [`Self::summary`] finalises, on a clone.
+#[derive(Debug, Clone, Copy)]
+pub enum StreamView<'a> {
+    /// A monitor still ingesting, and the registry its ids resolve in.
+    Live(&'a StreamingMonitor, &'a IdentifyRegistry),
+    /// A finished pass.
+    Finished(&'a StreamSummary),
+}
+
+impl<'a> StreamView<'a> {
+    /// Distinct PIDs ever observed ([`StreamSummary::pids`]).
+    pub fn pids(self) -> usize {
+        match self {
+            StreamView::Live(monitor, _) => monitor.pids(),
+            StreamView::Finished(summary) => summary.pids,
+        }
+    }
+
+    /// Each peer's first connected IP and longest recorded duration
+    /// ([`PeerStreamAgg::first_ip`], [`PeerStreamAgg::max_duration`]), in
+    /// no particular order.
+    pub fn peers(self) -> Box<dyn Iterator<Item = (Option<IpAddress>, SimDuration)> + 'a> {
+        match self {
+            StreamView::Live(monitor, registry) => {
+                Box::new(monitor.peer_aggs().map(move |(_, agg, records)| {
+                    (
+                        agg.first_addr_id.map(|id| registry.addr(id).ip()),
+                        SimDuration::from_millis(records.max_duration_ms),
+                    )
+                }))
+            }
+            StreamView::Finished(summary) => Box::new(
+                summary
+                    .per_peer
+                    .values()
+                    .map(|agg| (agg.first_ip, agg.max_duration)),
+            ),
+        }
+    }
+
+    /// Maximum simultaneously open connections at any snapshot tick
+    /// ([`StreamSummary::max_open_connections`]).
+    pub fn max_open_connections(self) -> usize {
+        match self {
+            StreamView::Live(monitor, _) => monitor.max_open_connections(),
+            StreamView::Finished(summary) => summary.max_open_connections,
+        }
+    }
+
+    /// The finished summary: borrowed from a finished view, or a clone of
+    /// the live monitor finished against its registry.
+    pub fn summary(self) -> Cow<'a, StreamSummary> {
+        match self {
+            StreamView::Live(monitor, registry) => Cow::Owned(monitor.clone().finish(registry)),
+            StreamView::Finished(summary) => Cow::Borrowed(summary),
+        }
+    }
+}
+
 /// Static configuration of one streaming pass, mirroring the corresponding
 /// batch monitor's observation model.
 #[derive(Debug, Clone, PartialEq)]
@@ -681,13 +749,29 @@ impl StreamConfig {
     }
 }
 
+/// A peer's completed connection records, folded in completion order.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct RecordFold {
+    connections: u64,
+    duration_sum_secs: f64,
+    max_duration_ms: u64,
+}
+
+impl RecordFold {
+    /// Folds in one record. The f64 sum depends on the order of the calls,
+    /// which is why `finish` closes open connections in connection-id order.
+    fn push(&mut self, recorded: SimDuration) {
+        self.connections += 1;
+        self.duration_sum_secs += recorded.as_secs_f64();
+        self.max_duration_ms = self.max_duration_ms.max(recorded.as_millis());
+    }
+}
+
 /// Per-slot cumulative state (id-level; resolved to [`PeerStreamAgg`] at
 /// finish).
 #[derive(Debug, Clone, Default, PartialEq)]
 struct SlotAgg {
-    connections: u64,
-    duration_sum_secs: f64,
-    max_duration_ms: u64,
+    records: RecordFold,
     first_addr_id: Option<u32>,
     identify_ids: Vec<u32>,
 }
@@ -1058,9 +1142,9 @@ impl StreamingMonitor {
         w.put_uvarint(slots.len() as u64);
         for (&slot, agg) in slots {
             w.put_uvarint(slot as u64);
-            w.put_uvarint(agg.connections);
-            w.put_f64(agg.duration_sum_secs);
-            w.put_uvarint(agg.max_duration_ms);
+            w.put_uvarint(agg.records.connections);
+            w.put_f64(agg.records.duration_sum_secs);
+            w.put_uvarint(agg.records.max_duration_ms);
             put_opt_u32(&mut w, agg.first_addr_id);
             w.put_uvarint(agg.identify_ids.len() as u64);
             for &id in &agg.identify_ids {
@@ -1155,9 +1239,11 @@ impl StreamingMonitor {
             slots.insert(
                 slot,
                 SlotAgg {
-                    connections,
-                    duration_sum_secs,
-                    max_duration_ms,
+                    records: RecordFold {
+                        connections,
+                        duration_sum_secs,
+                        max_duration_ms,
+                    },
                     first_addr_id,
                     identify_ids,
                 },
@@ -1179,6 +1265,15 @@ impl StreamingMonitor {
                 }
             };
             let opened_at = SimTime::from_millis(r.uvarint("open conn time")?);
+            // Ingest creates a peer's aggregate when it opens a connection;
+            // `finish` folds the end close into that aggregate.
+            if !slots.contains_key(&slot) {
+                return Err(ArchiveError::Malformed {
+                    context: format!(
+                        "open connection {conn} names slot {slot}, which has no aggregate"
+                    ),
+                });
+            }
             open.insert(
                 conn,
                 OpenConn {
@@ -1326,16 +1421,12 @@ impl StreamingMonitor {
         self.events += 1;
     }
 
-    /// Completes one connection record: updates the per-slot aggregate, the
-    /// direction aggregates and the current pane. `recorded_dur` is the
-    /// quantised duration the batch dataset would carry.
-    fn complete_record(&mut self, slot: u32, direction: Direction, recorded_dur: SimDuration) {
-        let agg = self.slots.entry(slot).or_default();
-        agg.connections += 1;
-        agg.duration_sum_secs += recorded_dur.as_secs_f64();
-        if recorded_dur.as_millis() > agg.max_duration_ms {
-            agg.max_duration_ms = recorded_dur.as_millis();
-        }
+    /// Counts one completed connection record in the direction aggregates
+    /// and the current pane. `recorded_dur` is the quantised duration the
+    /// batch dataset would carry. An event close also folds the record into
+    /// its peer's aggregate; an end close leaves that to
+    /// [`Self::peer_aggs`].
+    fn count_record(&mut self, slot: u32, direction: Direction, recorded_dur: SimDuration) {
         match direction {
             Direction::Inbound => {
                 self.inbound_count += 1;
@@ -1375,6 +1466,13 @@ impl StreamingMonitor {
     /// without finalising — the serve daemon's batch-ingest step. Rows must
     /// be in chronological order and arrive after everything already
     /// ingested, the same contract the live sink has.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an open or close row without a connection id, or a close
+    /// row whose payload is no close reason. Rows decoded from untrusted
+    /// bytes must pass [`netsim::archive::check_rows`] first, which also
+    /// keeps every id the monitor stores resolvable at `finish`.
     pub fn ingest_table(&mut self, table: &ObservationTable) {
         for i in 0..table.len() {
             let at = table.at(i);
@@ -1404,27 +1502,141 @@ impl StreamingMonitor {
         }
     }
 
+    /// Distinct PIDs observed so far: the [`StreamSummary::pids`] that
+    /// [`Self::finish`] reports.
+    pub(crate) fn pids(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The connections still open, in connection-id order, each with its
+    /// duration at the measurement end: the closes [`Self::finish`] applies.
+    fn end_closes(&self) -> Vec<(OpenConn, SimDuration)> {
+        let mut open: Vec<(u64, OpenConn)> =
+            self.open.iter().map(|(&conn, &oc)| (conn, oc)).collect();
+        open.sort_unstable_by_key(|&(conn, _)| conn);
+        open.into_iter()
+            .map(|(_, oc)| (oc, self.config.ended_at.saturating_since(oc.opened_at)))
+            .collect()
+    }
+
+    /// Every peer's aggregate as [`Self::finish`] reports it, by registry
+    /// slot and in no particular order: the end closes fold into their
+    /// peers' records in connection-id order, as an overlay over the live
+    /// aggregates that leaves the monitor untouched.
+    fn peer_aggs(&self) -> impl Iterator<Item = (u32, &SlotAgg, RecordFold)> + '_ {
+        let mut closed: HashMap<u32, RecordFold> = HashMap::new();
+        for (open, duration) in self.end_closes() {
+            // Ingest (and restore) keep an aggregate for every open slot.
+            closed
+                .entry(open.slot)
+                .or_insert(self.slots[&open.slot].records)
+                .push(duration);
+        }
+        self.slots
+            .iter()
+            .map(move |(&slot, agg)| (slot, agg, closed.get(&slot).copied().unwrap_or(agg.records)))
+    }
+
+    /// The maximum-open gauge as [`Self::finish`] reports it: the ticks
+    /// still due up to the measurement end sample the current open count.
+    pub(crate) fn max_open_connections(&self) -> usize {
+        let tick_due =
+            !self.config.snapshot_interval.is_zero() && self.next_snapshot <= self.config.ended_at;
+        if tick_due {
+            self.max_open.max(self.open_count)
+        } else {
+            self.max_open
+        }
+    }
+
+    /// Checks that every id the monitor holds resolves in `registry`. Rows
+    /// that passed [`netsim::archive::check_rows`] keep this true during
+    /// ingest; a restored snapshot must be checked against its registry
+    /// before a query resolves its ids.
+    pub(crate) fn check_ids(&self, registry: &IdentifyRegistry) -> Result<(), String> {
+        let (peers, addrs, infos) = (
+            registry.peer_count(),
+            registry.addr_count(),
+            registry.identify_count(),
+        );
+        let pane_slots = std::iter::once(&self.pane)
+            .chain(self.recent_windows.iter().map(|w| &w.state))
+            .flat_map(|state| state.peer_events.keys());
+        if let Some(slot) = self
+            .slots
+            .keys()
+            .chain(self.connected.keys())
+            .chain(pane_slots)
+            .find(|&&slot| slot as usize >= peers)
+        {
+            return Err(format!(
+                "peer slot {slot} is not in the registry ({peers} peers)"
+            ));
+        }
+        if let Some(id) = self
+            .slots
+            .values()
+            .filter_map(|agg| agg.first_addr_id.as_ref())
+            .chain(&self.conn_addr_ids)
+            .find(|&&id| id as usize >= addrs)
+        {
+            return Err(format!(
+                "address id {id} is not in the registry ({addrs} addresses)"
+            ));
+        }
+        if let Some(id) = self
+            .slots
+            .values()
+            .flat_map(|agg| &agg.identify_ids)
+            .find(|&&id| id as usize >= infos)
+        {
+            return Err(format!(
+                "identify id {id} is not in the registry ({infos} payloads)"
+            ));
+        }
+        Ok(())
+    }
+
     /// Finalises the pass: closes still-open connections at the measurement
     /// end (in connection-id order, like the batch monitors), flushes the
-    /// remaining ticks and panes, and resolves every id through `registry`.
+    /// remaining panes, and resolves every id through `registry`. The PID
+    /// count, the peer aggregates and the maximum-open gauge come from the
+    /// same borrowing functions a live [`StreamView`] reads, so a live
+    /// answer and a finished one cannot drift apart.
     pub fn finish(mut self, registry: &IdentifyRegistry) -> StreamSummary {
         let ended_at = self.config.ended_at;
-        self.flush_snapshots(ended_at);
+        let pids = self.pids();
+        let max_open_connections = self.max_open_connections();
+        let per_peer: BTreeMap<PeerId, PeerStreamAgg> = self
+            .peer_aggs()
+            .map(|(slot, agg, records)| {
+                let peer = PeerStreamAgg {
+                    connections: records.connections,
+                    duration_sum_secs: records.duration_sum_secs,
+                    max_duration: SimDuration::from_millis(records.max_duration_ms),
+                    first_ip: agg.first_addr_id.map(|id| registry.addr(id).ip()),
+                    ever_dht_server: agg
+                        .identify_ids
+                        .iter()
+                        .any(|&id| registry.identify(id).is_dht_server()),
+                };
+                (registry.peer(slot), peer)
+            })
+            .collect();
         self.flush_panes(ended_at);
         // Sample the final pane's gauges before the end-closes drain the
         // open table (the last batch snapshot precedes them too), but fold
         // the end-close records into the final pane's aggregate.
         let final_gauges = (self.open_count, self.connected.len());
-        let mut remaining: Vec<(u64, OpenConn)> = self.open.drain().collect();
-        remaining.sort_by_key(|&(conn, _)| conn);
-        for (_, open) in remaining {
-            let duration = ended_at.saturating_since(open.opened_at);
+        let end_closes = self.end_closes();
+        self.open.clear();
+        for (open, duration) in end_closes {
             // End-of-measurement closes are the right-censored observations:
             // the true session outlived the horizon. Track their durations
             // separately so the survival layer can split censored from
             // completed sessions.
             self.censored_durs.push(duration.as_millis());
-            self.complete_record(open.slot, open.direction, duration);
+            self.count_record(open.slot, open.direction, duration);
         }
         let state = std::mem::take(&mut self.pane);
         let snapshot = WindowSnapshot {
@@ -1445,22 +1657,6 @@ impl StreamingMonitor {
         for &addr_id in &self.conn_addr_ids {
             distinct_ips.insert(registry.addr(addr_id).ip());
         }
-        let mut per_peer: BTreeMap<PeerId, PeerStreamAgg> = BTreeMap::new();
-        for (&slot, agg) in &self.slots {
-            per_peer.insert(
-                registry.peer(slot),
-                PeerStreamAgg {
-                    connections: agg.connections,
-                    duration_sum_secs: agg.duration_sum_secs,
-                    max_duration: SimDuration::from_millis(agg.max_duration_ms),
-                    first_ip: agg.first_addr_id.map(|id| registry.addr(id).ip()),
-                    ever_dht_server: agg
-                        .identify_ids
-                        .iter()
-                        .any(|&id| registry.identify(id).is_dht_server()),
-                },
-            );
-        }
         StreamSummary {
             observer: self.config.observer,
             dht_server: self.config.dht_server,
@@ -1469,7 +1665,7 @@ impl StreamingMonitor {
             window: self.config.window,
             duration_mode: self.config.duration_mode,
             events: self.events,
-            pids: per_peer.len(),
+            pids,
             connections: self.inbound_count + self.outbound_count,
             inbound: DirectionAgg {
                 count: self.inbound_count,
@@ -1484,7 +1680,7 @@ impl StreamingMonitor {
             censored_dur_hist: self.censored_durs.into_hist(),
             per_peer,
             distinct_connection_ips: distinct_ips.len(),
-            max_open_connections: self.max_open,
+            max_open_connections,
             panes: self.panes,
             recent_windows: self.recent_windows.into_iter().collect(),
             peak_state_bytes: self.peak_state_bytes,
@@ -1546,7 +1742,12 @@ impl ObservationSink for StreamingMonitor {
         if matches!(reason, CloseReason::MeasurementEnd) {
             self.censored_durs.push(duration.as_millis());
         }
-        self.complete_record(open.slot, open.direction, duration);
+        self.slots
+            .entry(open.slot)
+            .or_default()
+            .records
+            .push(duration);
+        self.count_record(open.slot, open.direction, duration);
     }
 
     fn identify_received(&mut self, at: SimTime, peer_slot: u32, payload_id: u32) {
@@ -1909,6 +2110,96 @@ mod tests {
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.streams, b.streams);
             assert_eq!(a.batch.primary(), b.batch.primary());
+        }
+    }
+
+    #[test]
+    fn end_closes_fold_into_the_peer_in_connection_id_order() {
+        // One peer with a completed 0.1 s record and two connections still
+        // open at the end, of 0.2 s (connection 1) and 0.4 s (connection 2).
+        // Connection 2 opened first, so arrival order and the open table's
+        // order are not connection-id order.
+        let mut registry = IdentifyRegistry::new();
+        let peer = registry.register_peer(PeerId::derived(7));
+        let a = registry.intern_addr(addr(7));
+        let end = SimTime::from_secs(10);
+        let ms = SimTime::from_millis;
+        let mut t = ObservationTable::new();
+        t.connection_opened(ms(1_000), ConnectionId(0), peer, Direction::Inbound, a);
+        t.connection_closed(ms(1_100), ConnectionId(0), peer, CloseReason::PeerLeft);
+        t.connection_opened(ms(9_600), ConnectionId(2), peer, Direction::Inbound, a);
+        t.connection_opened(ms(9_800), ConnectionId(1), peer, Direction::Outbound, a);
+        let config = StreamConfig::hydra("hydra-h0", SimTime::ZERO, end, SimDuration::from_secs(5));
+        let mut monitor = StreamingMonitor::new(config);
+        monitor.ingest_table(&t);
+
+        let live: Vec<(Option<IpAddress>, SimDuration)> =
+            StreamView::Live(&monitor, &registry).peers().collect();
+        let summary = monitor.finish(&registry);
+        let agg = &summary.per_peer[&PeerId::derived(7)];
+        assert_eq!(agg.connections, 3);
+        assert_eq!(agg.max_duration, SimDuration::from_millis(400));
+        assert_eq!(live, vec![(Some(addr(7).ip()), agg.max_duration)]);
+        let in_id_order = 0.1 + 0.2 + 0.4;
+        let in_open_order = 0.1 + 0.4 + 0.2;
+        assert_ne!(f64::to_bits(in_id_order), f64::to_bits(in_open_order));
+        assert_eq!(agg.duration_sum_secs.to_bits(), f64::to_bits(in_id_order));
+        // The end closes still reach the direction and censored stores.
+        assert_eq!((summary.inbound.count, summary.outbound.count), (2, 1));
+        assert_eq!(summary.censored_dur_hist, vec![(200, 1), (400, 1)]);
+    }
+
+    #[test]
+    fn the_tick_still_due_at_the_end_samples_the_open_connections() {
+        // Three connections open at 3 590 s, after the last event-driven
+        // tick (3 570 s); the 30 s gauge ticks once more at the 3 600 s end.
+        let log = sample_log();
+        let mut t = ObservationTable::new();
+        for conn in 10..13 {
+            t.connection_opened(
+                SimTime::from_secs(3_590),
+                ConnectionId(conn),
+                0,
+                Direction::Inbound,
+                0,
+            );
+        }
+        let mut monitor = StreamingMonitor::new(go_ipfs_config(600));
+        monitor.ingest_table(&t);
+        let live = StreamView::Live(&monitor, log.registry()).max_open_connections();
+        assert_eq!(live, 3);
+        assert_eq!(monitor.finish(log.registry()).max_open_connections, 3);
+    }
+
+    #[test]
+    fn live_view_reads_what_finish_reports() {
+        let log = sample_log();
+        for config in [
+            go_ipfs_config(600),
+            go_ipfs_config(600).with_retained_panes(0),
+        ] {
+            let mut monitor = StreamingMonitor::new(config);
+            for i in 0..log.table().len() {
+                let mut chunk = ObservationTable::new();
+                copy_row(log.table(), i, &mut chunk);
+                monitor.ingest_table(&chunk);
+                let view = StreamView::Live(&monitor, log.registry());
+                let finished = monitor.clone().finish(log.registry());
+                let done = StreamView::Finished(&finished);
+                assert_eq!(view.pids(), done.pids(), "after row {i}");
+                assert_eq!(
+                    view.max_open_connections(),
+                    done.max_open_connections(),
+                    "after row {i}"
+                );
+                let sorted = |v: StreamView<'_>| {
+                    let mut peers: Vec<_> = v.peers().collect();
+                    peers.sort();
+                    peers
+                };
+                assert_eq!(sorted(view), sorted(done), "after row {i}");
+                assert_eq!(*view.summary(), finished, "after row {i}");
+            }
         }
     }
 

@@ -33,7 +33,7 @@
 use crate::dht::{DhtConduct, DhtEvent, DhtLog};
 use crate::engine::SimulationOutput;
 use crate::events::{GroundTruth, GroundTruthEvent, ObserverLog};
-use crate::obs::{IdentifyRegistry, ObservationKind, ObservationTable};
+use crate::obs::{try_close_reason, IdentifyRegistry, ObservationKind, ObservationTable, NO_CONN};
 use p2pmodel::agent::SemVer;
 use p2pmodel::peer_id::PEER_ID_BYTES;
 use p2pmodel::{
@@ -943,6 +943,60 @@ pub fn decode_event_block(payload: &[u8]) -> Result<ObservationTable, ArchiveErr
     ))
 }
 
+/// Checks every row of a decoded table against the registry its ids refer
+/// to: open and close rows carry a connection id, a close row's payload is a
+/// close reason, and every peer slot, opened or discovered address id and
+/// identify id resolves in `registry`.
+///
+/// The monitors resolve these ids and payloads without checking, so rows
+/// decoded from untrusted bytes — an archive, a serve event frame — must
+/// pass before they are ingested. Tables the engine writes always pass.
+pub fn check_rows(
+    table: &ObservationTable,
+    registry: &IdentifyRegistry,
+) -> Result<(), ArchiveError> {
+    let (peers, addrs, infos) = (
+        registry.peer_count(),
+        registry.addr_count(),
+        registry.identify_count(),
+    );
+    let rows = table
+        .kinds()
+        .iter()
+        .zip(table.peer_slots())
+        .zip(table.conns())
+        .zip(table.payloads());
+    for (row, (((&kind, &slot), &conn), &payload)) in rows.enumerate() {
+        let fault = match kind {
+            _ if slot as usize >= peers => {
+                format!("peer slot {slot} is not in the registry ({peers} peers)")
+            }
+            ObservationKind::OpenedInbound | ObservationKind::OpenedOutbound if conn == NO_CONN => {
+                "open row without a connection id".to_string()
+            }
+            ObservationKind::Closed if conn == NO_CONN => {
+                "close row without a connection id".to_string()
+            }
+            ObservationKind::Closed if try_close_reason(payload).is_none() => {
+                format!("close payload {payload} is not a close reason")
+            }
+            ObservationKind::OpenedInbound
+            | ObservationKind::OpenedOutbound
+            | ObservationKind::Discovered
+                if payload as usize >= addrs =>
+            {
+                format!("address id {payload} is not in the registry ({addrs} addresses)")
+            }
+            ObservationKind::Identify if payload as usize >= infos => {
+                format!("identify id {payload} is not in the registry ({infos} payloads)")
+            }
+            _ => continue,
+        };
+        return Err(malformed(format!("row {row}: {fault}")));
+    }
+    Ok(())
+}
+
 /// Encodes every registry entry past the `(from_peers, from_addrs,
 /// from_infos)` cursor as an incremental dictionary delta. The base counts
 /// are recorded in the payload so the receiver can verify its own registry
@@ -1437,6 +1491,7 @@ pub fn decode_output(bytes: &[u8]) -> Result<(Vec<u8>, SimulationOutput), Archiv
             )));
         }
         let table = ObservationTable::from_columns(at, kind, peer_slot, conn, payload);
+        check_rows(&table, &registry)?;
         logs.push(ObserverLog::from_columns(
             observer,
             peer_id,
@@ -1776,6 +1831,86 @@ mod tests {
         }
         assert_eq!(decoded.ground_truth, output.ground_truth);
         assert_eq!(decoded.dht, output.dht);
+    }
+
+    /// `sample_output` with one row of its table replaced: `(row, kind, peer
+    /// slot, connection id, payload)`.
+    fn forged_output(
+        row: usize,
+        kind: ObservationKind,
+        slot: u32,
+        conn: u64,
+        payload: u32,
+    ) -> SimulationOutput {
+        let output = sample_output();
+        let log = &output.logs[0];
+        let t = log.table();
+        let (mut kinds, mut slots, mut conns, mut payloads) = (
+            t.kinds().to_vec(),
+            t.peer_slots().to_vec(),
+            t.conns().to_vec(),
+            t.payloads().to_vec(),
+        );
+        (kinds[row], slots[row], conns[row], payloads[row]) = (kind, slot, conn, payload);
+        let table = ObservationTable::from_columns(t.ats().to_vec(), kinds, slots, conns, payloads);
+        let forged = ObserverLog::from_columns(
+            log.observer.clone(),
+            log.peer_id,
+            log.dht_server,
+            log.started_at,
+            log.ended_at,
+            table,
+            Arc::new(log.registry().clone()),
+        );
+        SimulationOutput::from_logs(
+            vec![forged],
+            output.ground_truth.clone(),
+            output.dht.clone(),
+        )
+    }
+
+    #[test]
+    fn forged_rows_with_valid_checksums_are_rejected() {
+        use ObservationKind::{Closed, Discovered, Identify, OpenedInbound};
+        // The sample registry holds one peer, one address and one identify
+        // payload; rows 0, 1 and 2 open, identify and close connection 3.
+        let forgeries = [
+            ("close payload 9", forged_output(2, Closed, 0, 3, 9)),
+            (
+                "open row without a connection",
+                forged_output(0, OpenedInbound, 0, NO_CONN, 0),
+            ),
+            (
+                "close row without a connection",
+                forged_output(2, Closed, 0, NO_CONN, 2),
+            ),
+            (
+                "unknown peer slot",
+                forged_output(1, Identify, 1, NO_CONN, 0),
+            ),
+            (
+                "unknown open address",
+                forged_output(0, OpenedInbound, 0, 3, 1),
+            ),
+            (
+                "unknown discovered address",
+                forged_output(1, Discovered, 0, NO_CONN, 1),
+            ),
+            (
+                "unknown identify payload",
+                forged_output(1, Identify, 0, NO_CONN, 1),
+            ),
+        ];
+        for (what, output) in forgeries {
+            let bytes = encode_output(&output, b"").unwrap();
+            assert!(
+                matches!(decode_output(&bytes), Err(ArchiveError::Malformed { .. })),
+                "{what}: a forged row must not decode"
+            );
+        }
+        // The unforged sample passes the same check.
+        let output = sample_output();
+        check_rows(output.logs[0].table(), output.logs[0].registry()).unwrap();
     }
 
     #[test]

@@ -89,20 +89,27 @@ pub(crate) fn close_reason_to_payload(reason: CloseReason) -> u32 {
     }
 }
 
+/// Unpacks a payload written by `close_reason_to_payload`, or `None` for a
+/// value no close reason maps to.
+pub(crate) fn try_close_reason(payload: u32) -> Option<CloseReason> {
+    match payload {
+        0 => Some(CloseReason::TrimmedLocal),
+        1 => Some(CloseReason::TrimmedRemote),
+        2 => Some(CloseReason::PeerLeft),
+        3 => Some(CloseReason::MeasurementEnd),
+        _ => None,
+    }
+}
+
 /// Unpacks a payload written by `close_reason_to_payload`.
 ///
 /// # Panics
 ///
-/// Panics on a payload value no close reason maps to; the table only ever
-/// stores values produced by the packing function.
+/// Panics on a payload value no close reason maps to; the engine only ever
+/// stores values produced by the packing function, and decoded tables are
+/// screened by [`crate::archive::check_rows`].
 pub fn close_reason_from_payload(payload: u32) -> CloseReason {
-    match payload {
-        0 => CloseReason::TrimmedLocal,
-        1 => CloseReason::TrimmedRemote,
-        2 => CloseReason::PeerLeft,
-        3 => CloseReason::MeasurementEnd,
-        other => panic!("invalid close-reason payload {other}"),
-    }
+    try_close_reason(payload).unwrap_or_else(|| panic!("invalid close-reason payload {payload}"))
 }
 
 /// The sink the simulation engine emits observations into.

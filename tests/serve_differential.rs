@@ -8,6 +8,10 @@
 //!
 //! * the `finish` answers equal the reference answers computed directly on
 //!   a `StreamingMonitor` byte-for-byte,
+//! * after every event batch of a feed cut into about a dozen, the live
+//!   `network_size` answer equals the answer over a finished clone of a
+//!   monitor fed the same rows, and so does the live `summary` answer at
+//!   seeded batches,
 //! * killing the daemon after *any* ingested frame (seeded positions per
 //!   cell), restoring from the checkpoint and resuming via the `status`
 //!   handshake converges to a byte-identical daemon state — the same
@@ -29,7 +33,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 mod common;
-use common::{SCALE, SEED};
+use common::{assert_live_answers_match_finished_clones, SCALE, SEED};
 
 /// Window width of the serve campaigns (any width must work).
 const WINDOW: SimDuration = SimDuration::from_hours(6);
@@ -180,6 +184,25 @@ fn daemon_answers_equal_reference_on_every_period_and_churn_regime() {
                 "{label}: daemon answers must equal the in-process reference"
             );
             assert_eq!(state.tenant_count(), 0, "{label}: finish clears tenants");
+        }
+    }
+}
+
+#[test]
+fn live_answers_equal_finished_clones_on_every_period_and_churn_regime() {
+    for (cell, period) in periods().into_iter().enumerate() {
+        for churn in ChurnScenario::all() {
+            let mut rng = SEED ^ ((cell as u64) << 32) ^ churn.label().len() as u64;
+            for feed in cell_feeds(period, &churn).iter() {
+                // Each reference answer finishes a clone of the whole
+                // monitor, so the feed is cut into about a dozen batches.
+                let batch_rows = feed.table.len().div_ceil(12).max(BATCH_ROWS);
+                let batches = feed.table.len().div_ceil(batch_rows).max(1);
+                let summary_at = [lcg(&mut rng), lcg(&mut rng)].map(|r| r as usize % batches);
+                assert_live_answers_match_finished_clones(feed, batch_rows, |batch| {
+                    summary_at.contains(&batch)
+                });
+            }
         }
     }
 }

@@ -9,7 +9,11 @@
 //!   base cursors exceed the payload size (a regression: `ByteReader::len`'s
 //!   corruption guard must not fire on cursors),
 //! * the control-protocol state machine: tenant lifecycle, poisoning on
-//!   corrupt binary frames, query answering through the injected answerer,
+//!   corrupt binary frames and on forged rows the monitor cannot ingest or
+//!   resolve, query answering through the injected answerer,
+//! * live answers equal the answers over a finished clone of the tenant's
+//!   monitor, after every batch, in both duration modes and with and
+//!   without retained window states,
 //! * seeded checkpoint/restore fuzz on synthetic feeds — checkpoint after
 //!   any frame, restore, continue, and the final state is byte-identical to
 //!   the uninterrupted daemon's checkpoint,
@@ -27,10 +31,13 @@ use measurement::serve::{
     config_from_json, config_to_json, read_frame, write_frame, Frame, ServeOptions, ServeState,
     FRAME_EVENTS, FRAME_REGISTRY, MAX_FRAME_LEN,
 };
-use measurement::{StreamConfig, StreamingMonitor};
+use measurement::{DurationMode, StreamConfig, StreamingMonitor};
 use netsim::archive::{apply_registry_delta, encode_event_block, encode_registry_delta};
-use netsim::IdentifyRegistry;
-use simclock::SimDuration;
+use netsim::obs::NO_CONN;
+use netsim::{IdentifyRegistry, ObservationKind, ObservationTable};
+use simclock::{SimDuration, SimTime};
+
+mod common;
 
 fn answerer() -> measurement::QueryAnswerer {
     analysis::serve_answerer()
@@ -240,63 +247,159 @@ fn tenant_lifecycle_hello_status_query_finish() {
     }
 }
 
-#[test]
-fn corrupt_event_frame_poisons_the_tenant() {
-    let feed = synthetic_feed(2, 13, 100);
-    let mut state = ServeState::new(answerer(), ServeOptions::default());
-    assert_eq!(hello(&mut state, &feed).bool_field("ok"), Ok(true));
-    assert!(state
-        .handle_frame(&Frame::tenant_block(
-            FRAME_REGISTRY,
-            &feed.tenant,
-            &encode_registry_delta(&feed.registry, 0, 0, 0),
-        ))
-        .is_none());
+/// Event blocks a tenant fed `feed`'s registry must refuse: a bit-flipped
+/// block that fails to decode, and single forged rows that decode but that
+/// the monitor cannot ingest or whose ids the registry does not hold.
+fn hostile_event_blocks(feed: &ServeFeed) -> Vec<(&'static str, Vec<u8>)> {
+    let mut flipped = encode_event_block(&feed.table, 0, 40);
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x40;
+    let forged = |kind, slot, conn, payload| {
+        let row = ObservationTable::from_columns(
+            vec![SimTime::from_secs(1)],
+            vec![kind],
+            vec![slot],
+            vec![conn],
+            vec![payload],
+        );
+        encode_event_block(&row, 0, 1)
+    };
+    let peers = feed.registry.peer_count() as u32;
+    let addrs = feed.registry.addr_count() as u32;
+    let infos = feed.registry.identify_count() as u32;
+    use ObservationKind::{Closed, Discovered, Identify, OpenedInbound, OpenedOutbound};
+    vec![
+        ("bit-flipped block", flipped),
+        ("close payload 9", forged(Closed, 0, 5, 9)),
+        (
+            "open row without a connection id",
+            forged(OpenedInbound, 0, NO_CONN, 0),
+        ),
+        (
+            "close row without a connection id",
+            forged(Closed, 0, NO_CONN, 2),
+        ),
+        ("unknown peer slot", forged(OpenedOutbound, peers, 5, 0)),
+        ("unknown open address", forged(OpenedInbound, 0, 5, addrs)),
+        (
+            "unknown identify payload",
+            forged(Identify, 0, NO_CONN, infos),
+        ),
+        (
+            "unknown discovered address",
+            forged(Discovered, 0, NO_CONN, addrs),
+        ),
+    ]
+}
 
-    // A bit-flipped event block must poison the tenant...
-    let mut block = encode_event_block(&feed.table, 0, 40);
-    let mid = block.len() / 2;
-    block[mid] ^= 0x40;
-    state.handle_frame(&Frame::tenant_block(FRAME_EVENTS, &feed.tenant, &block));
-    let status = op(
-        &mut state,
-        &[("op", Json::from("status")), ("tenant", Json::from(feed.tenant.as_str()))],
-    );
-    assert!(
-        status.str_field("poisoned").is_ok(),
-        "status must carry the poison message: {status:?}"
-    );
-
-    // ...queries against it fail, later (valid) frames are dropped...
+fn query(state: &mut ServeState, tenant: &str, kind: &str) -> Json {
     let mut query = Json::object();
-    query.insert("kind", "summary");
-    let reply = op(
-        &mut state,
+    query.insert("kind", kind);
+    op(
+        state,
         &[
             ("op", Json::from("query")),
-            ("tenant", Json::from(feed.tenant.as_str())),
+            ("tenant", Json::from(tenant)),
             ("query", query),
         ],
-    );
-    assert_eq!(reply.bool_field("ok"), Ok(false));
-    state.handle_frame(&Frame::tenant_block(
-        FRAME_EVENTS,
-        &feed.tenant,
-        &encode_event_block(&feed.table, 0, 40),
-    ));
-    let status = op(
-        &mut state,
-        &[("op", Json::from("status")), ("tenant", Json::from(feed.tenant.as_str()))],
-    );
-    assert_eq!(status.u64_field("events"), Ok(0), "frames after poison are dropped");
+    )
+}
 
-    // ...and finish reports the poison but still clears the slot.
-    let reply = op(
-        &mut state,
-        &[("op", Json::from("finish")), ("tenant", Json::from(feed.tenant.as_str()))],
-    );
-    assert_eq!(reply.bool_field("ok"), Ok(false));
-    assert_eq!(state.tenant_count(), 0);
+#[test]
+fn corrupt_event_frame_poisons_the_tenant() {
+    let victim = synthetic_feed(2, 13, 100);
+    let bystander = synthetic_feed(3, 13, 100);
+    for (what, block) in hostile_event_blocks(&victim) {
+        let mut state = ServeState::new(answerer(), ServeOptions::default());
+        for feed in [&victim, &bystander] {
+            assert_eq!(hello(&mut state, feed).bool_field("ok"), Ok(true), "{what}");
+        }
+        assert!(state
+            .handle_frame(&Frame::tenant_block(
+                FRAME_REGISTRY,
+                &victim.tenant,
+                &encode_registry_delta(&victim.registry, 0, 0, 0),
+            ))
+            .is_none());
+
+        // A hostile event block must poison the tenant: queries against it
+        // fail, and status carries the poison message...
+        state.handle_frame(&Frame::tenant_block(FRAME_EVENTS, &victim.tenant, &block));
+        for kind in ["network_size", "summary"] {
+            let reply = query(&mut state, &victim.tenant, kind);
+            assert_eq!(
+                reply.bool_field("ok"),
+                Ok(false),
+                "{what}: {kind} on a poisoned tenant"
+            );
+        }
+        let status = op(
+            &mut state,
+            &[
+                ("op", Json::from("status")),
+                ("tenant", Json::from(victim.tenant.as_str())),
+            ],
+        );
+        assert!(
+            status.str_field("poisoned").is_ok(),
+            "{what}: status must carry the poison message: {status:?}"
+        );
+
+        // ...later (valid) frames are dropped...
+        state.handle_frame(&Frame::tenant_block(
+            FRAME_EVENTS,
+            &victim.tenant,
+            &encode_event_block(&victim.table, 0, 40),
+        ));
+        let status = op(
+            &mut state,
+            &[
+                ("op", Json::from("status")),
+                ("tenant", Json::from(victim.tenant.as_str())),
+            ],
+        );
+        assert_eq!(
+            status.u64_field("events"),
+            Ok(0),
+            "{what}: frames after poison are dropped"
+        );
+
+        // ...the other tenant ingests and answers as usual...
+        ingest(&mut state, &bystander, 32, None);
+        let reply = query(&mut state, &bystander.tenant, "network_size");
+        assert_eq!(
+            reply.bool_field("ok"),
+            Ok(true),
+            "{what}: the other tenant still answers"
+        );
+
+        // ...and finish reports the poison but still clears the slot.
+        let reply = op(
+            &mut state,
+            &[
+                ("op", Json::from("finish")),
+                ("tenant", Json::from(victim.tenant.as_str())),
+            ],
+        );
+        assert_eq!(reply.bool_field("ok"), Ok(false), "{what}");
+        assert_eq!(state.tenant_count(), 1, "{what}");
+    }
+}
+
+#[test]
+fn live_answers_equal_finished_clones_in_every_monitor_mode() {
+    for mode in [DurationMode::Exact, DurationMode::LogBucketed] {
+        for retained in [usize::MAX, 0] {
+            for index in 0..3 {
+                let mut feed = synthetic_feed(index, 31, 240);
+                feed.config = feed
+                    .config
+                    .with_duration_mode(mode)
+                    .with_retained_panes(retained);
+                common::assert_live_answers_match_finished_clones(&feed, 16, |_| true);
+            }
+        }
+    }
 }
 
 #[test]
@@ -323,7 +426,7 @@ fn stream_config_json_roundtrips() {
             simclock::SimTime::from_hours(1),
             SimDuration::from_mins(5),
         )
-        .with_duration_mode(measurement::DurationMode::LogBucketed)
+        .with_duration_mode(DurationMode::LogBucketed)
         .with_retained_panes(3),
     ];
     for config in &configs {
