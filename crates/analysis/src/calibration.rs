@@ -80,7 +80,7 @@ impl EstimatorKind {
     ];
 
     /// Stable label used in JSON, tables and seed derivation.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             EstimatorKind::LincolnPetersen => "lincoln_petersen",
             EstimatorKind::Chao1 => "chao1",
@@ -91,7 +91,7 @@ impl EstimatorKind {
 
     /// Applies the estimator to a capture history. `None` below two
     /// occasions (no capture structure to exploit).
-    pub fn estimate(&self, history: &CaptureHistory) -> Option<vantage::CaptureRecapture> {
+    pub(crate) fn estimate(&self, history: &CaptureHistory) -> Option<vantage::CaptureRecapture> {
         match self {
             EstimatorKind::LincolnPetersen => {
                 let (n1, n2, m) = history.two_occasion_view();
@@ -202,7 +202,7 @@ impl CaptureHistory {
     }
 
     /// Observed PIDs (the union size).
-    pub fn observed(&self) -> usize {
+    pub(crate) fn observed(&self) -> usize {
         self.masks.len()
     }
 
@@ -222,7 +222,7 @@ impl CaptureHistory {
 
     /// Occasion-unique PID counts per occasion (the jackknife's `s_j`
     /// input): entry `i` counts the PIDs seen *only* by occasion `i`.
-    pub fn uniques_per_occasion(&self) -> Vec<usize> {
+    pub(crate) fn uniques_per_occasion(&self) -> Vec<usize> {
         let mut uniques = vec![0usize; self.occasions];
         for mask in &self.masks {
             if mask.count_ones() == 1 {
@@ -771,11 +771,6 @@ impl CalibrationReport {
         obj
     }
 
-    /// Serialises to compact JSON.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_string_compact()
-    }
-
     /// Serialises to pretty-printed JSON.
     pub fn to_json_string_pretty(&self) -> String {
         self.to_json().to_string_pretty()
@@ -950,7 +945,10 @@ mod tests {
         }
         // Deterministic JSON.
         let again = calibration_report(&suites, &[], 50);
-        assert_eq!(report.to_json_string(), again.to_json_string());
+        assert_eq!(
+            report.to_json_string_pretty(),
+            again.to_json_string_pretty()
+        );
         assert!(report.cell("baseline").is_some());
         assert!(report.cell("nope").is_none());
         let table = report.summary_table();

@@ -22,7 +22,7 @@ pub struct HorizonEntry {
 
 impl HorizonEntry {
     /// Builds the entry for one data set.
-    pub fn from_dataset(dataset: &MeasurementDataset) -> Self {
+    pub(crate) fn from_dataset(dataset: &MeasurementDataset) -> Self {
         HorizonEntry {
             client: dataset.client.clone(),
             total_pids: dataset.pid_count(),

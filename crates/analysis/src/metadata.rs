@@ -120,13 +120,6 @@ pub struct VersionChangeTable {
     pub peers_with_changes: usize,
 }
 
-impl VersionChangeTable {
-    /// Total number of classified transitions.
-    pub fn total(&self) -> usize {
-        self.upgrades + self.downgrades + self.changes
-    }
-}
-
 /// Computes Table III from the recorded agent-change histories.
 pub fn version_changes(dataset: &MeasurementDataset) -> VersionChangeTable {
     let mut table = VersionChangeTable::default();
@@ -353,7 +346,6 @@ mod tests {
         assert_eq!(table.upgrades, 1);
         assert_eq!(table.downgrades, 1);
         assert_eq!(table.changes, 1);
-        assert_eq!(table.total(), 3);
         assert_eq!(table.peers_with_changes, 3);
         assert_eq!(table.main_to_main, 2);
         assert_eq!(table.main_to_dirty, 1);

@@ -96,7 +96,7 @@ impl ConnectionClass {
     ];
 
     /// The label used in Table IV.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ConnectionClass::Heavy => "Heavy",
             ConnectionClass::Normal => "Normal",
@@ -107,7 +107,7 @@ impl ConnectionClass {
 
     /// Classifies a peer from its maximum connection duration and its number
     /// of connections, using the thresholds of Table IV.
-    pub fn classify(max_duration: SimDuration, connection_count: usize) -> ConnectionClass {
+    pub(crate) fn classify(max_duration: SimDuration, connection_count: usize) -> ConnectionClass {
         if max_duration > SimDuration::from_hours(24) {
             ConnectionClass::Heavy
         } else if Self::in_core(max_duration) {

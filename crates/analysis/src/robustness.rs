@@ -48,7 +48,7 @@ pub struct EstimatorError {
 
 impl EstimatorError {
     /// Compares an estimate against a ground-truth value.
-    pub fn new(estimate: usize, truth: usize) -> EstimatorError {
+    pub(crate) fn new(estimate: usize, truth: usize) -> EstimatorError {
         let signed_rel_error = if truth == 0 {
             if estimate == 0 { 0.0 } else { f64::INFINITY }
         } else {
@@ -181,11 +181,6 @@ pub fn robustness_report(campaigns: &[MeasurementCampaign]) -> RobustnessReport 
 }
 
 impl RobustnessReport {
-    /// Looks up the row of a scenario by label.
-    pub fn row(&self, scenario: &str) -> Option<&RobustnessRow> {
-        self.rows.iter().find(|r| r.scenario == scenario)
-    }
-
     /// Renders the report as a [`Json`] value. The output contains nothing
     /// execution-dependent, so the same campaigns always yield the same
     /// document.
@@ -201,11 +196,6 @@ impl RobustnessReport {
     /// Serialises to compact JSON.
     pub fn to_json_string(&self) -> String {
         self.to_json().to_string_compact()
-    }
-
-    /// Serialises to pretty-printed JSON.
-    pub fn to_json_string_pretty(&self) -> String {
-        self.to_json().to_string_pretty()
     }
 
     /// Renders the rows as an aligned text table (errors as signed
@@ -352,11 +342,6 @@ pub fn crawl_disagreement_report(campaigns: &[MeasurementCampaign]) -> CrawlDisa
 }
 
 impl CrawlDisagreementReport {
-    /// Looks up the row of a scenario by label.
-    pub fn row(&self, scenario: &str) -> Option<&CrawlDisagreementRow> {
-        self.rows.iter().find(|r| r.scenario == scenario)
-    }
-
     /// Renders the report as a [`Json`] value. The output contains nothing
     /// execution-dependent, so the same campaigns always yield the same
     /// document.
@@ -367,16 +352,6 @@ impl CrawlDisagreementReport {
             Json::Array(self.rows.iter().map(|r| r.to_json()).collect()),
         );
         obj
-    }
-
-    /// Serialises to compact JSON.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_string_compact()
-    }
-
-    /// Serialises to pretty-printed JSON.
-    pub fn to_json_string_pretty(&self) -> String {
-        self.to_json().to_string_pretty()
     }
 
     /// Renders the rows as an aligned text table (recall as percentages).
@@ -438,8 +413,8 @@ mod tests {
         let campaigns = run_scenario_suite(MeasurementPeriod::P4, 0.004, 5, &scenarios, 2);
         let report = robustness_report(&campaigns);
         assert_eq!(report.rows.len(), 2);
-        let baseline = report.row("baseline").unwrap();
-        let flood = report.row("pidflood").unwrap();
+        let row = |scenario| report.rows.iter().find(|r| r.scenario == scenario).unwrap();
+        let (baseline, flood) = (row("baseline"), row("pidflood"));
         // The flood adds many PIDs but exactly one participant, so the naive
         // PID estimator degrades more than the §V-A IP grouping.
         assert_eq!(flood.truth_participants, baseline.truth_participants + 1);
@@ -470,8 +445,8 @@ mod tests {
         let campaigns = run_scenario_suite(MeasurementPeriod::P4, 0.004, 5, &scenarios, 2);
         let report = crawl_disagreement_report(&campaigns);
         assert_eq!(report.rows.len(), 2);
-        let baseline = report.row("baseline").unwrap();
-        let poison = report.row("poison").unwrap();
+        let row = |scenario| report.rows.iter().find(|r| r.scenario == scenario).unwrap();
+        let (baseline, poison) = (row("baseline"), row("poison"));
         assert_eq!(baseline.adversarial_found, 0);
         assert!(poison.adversarial_found > 0, "poisoners answer crawls");
         assert!(
@@ -488,7 +463,7 @@ mod tests {
             assert!(row.min_recall <= row.mean_recall && row.mean_recall <= row.max_recall);
             assert!(row.crawls > 0);
         }
-        let json = Json::parse(&report.to_json_string()).unwrap();
+        let json = report.to_json();
         assert_eq!(json.array_field("rows").unwrap().len(), 2);
         let table = report.summary_table();
         assert!(table.contains("poison"));
@@ -502,7 +477,7 @@ mod tests {
         let report = robustness_report(&campaigns);
         let again = robustness_report(&campaigns);
         assert_eq!(report.to_json_string(), again.to_json_string());
-        let json = Json::parse(&report.to_json_string_pretty()).unwrap();
+        let json = report.to_json();
         let rows = json.array_field("rows").unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].str_field("scenario").unwrap(), "baseline");
@@ -512,6 +487,5 @@ mod tests {
         let table = report.summary_table();
         assert!(table.contains("natchurn"));
         assert!(table.contains('%'));
-        assert_eq!(report.row("nope"), None);
     }
 }

@@ -682,11 +682,6 @@ pub fn stream_report(campaigns: &[StreamingCampaign]) -> StreamReport {
 }
 
 impl StreamReport {
-    /// Looks up the analysis of a scenario by label.
-    pub fn analysis(&self, scenario: &str) -> Option<&StreamAnalysis> {
-        self.analyses.iter().find(|a| a.scenario == scenario)
-    }
-
     /// Renders the report as a [`Json`] value. Contains nothing
     /// execution-dependent (no timings, no memory sizes), so the same
     /// campaigns yield the same document at any thread count.
@@ -697,11 +692,6 @@ impl StreamReport {
             Json::Array(self.analyses.iter().map(|a| a.to_json()).collect()),
         );
         obj
-    }
-
-    /// Serialises to compact JSON.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_string_compact()
     }
 
     /// Serialises to pretty-printed JSON.
@@ -808,8 +798,6 @@ mod tests {
         assert!(analyses[0].array_field("windows").unwrap().len() >= 6);
         let table = report.summary_table();
         assert!(table.contains("P4"));
-        assert!(report.analysis("baseline").is_some());
-        assert!(report.analysis("nope").is_none());
 
         let series = stream_time_series(campaign.primary_stream());
         assert_eq!(series.closed_connections.len(), analysis.windows.len());

@@ -236,26 +236,6 @@ impl SurvivalCurve {
         let hours = self.time_at_risk_ms as f64 / 3_600_000.0;
         self.deaths as f64 / hours
     }
-
-    /// Renders the full step curve as a JSON array of point objects.
-    pub fn to_json(&self) -> Json {
-        Json::Array(
-            self.points
-                .iter()
-                .map(|p| {
-                    let mut obj = Json::object();
-                    obj.insert("time_ms", p.time_ms);
-                    obj.insert("at_risk", p.at_risk);
-                    obj.insert("deaths", p.deaths);
-                    obj.insert("censored", p.censored);
-                    obj.insert("survival", p.survival);
-                    obj.insert("variance", p.variance);
-                    obj.insert("cum_hazard", p.cum_hazard);
-                    obj
-                })
-                .collect(),
-        )
-    }
 }
 
 /// The survival analysis of one streaming campaign's primary stream.
@@ -278,10 +258,9 @@ pub struct SurvivalAnalysis {
 }
 
 impl SurvivalAnalysis {
-    /// Renders the scalar survival summary (no curve points — reports and
-    /// fixtures stay small; use [`SurvivalCurve::to_json`] for the full
-    /// step function).
-    pub fn to_json(&self) -> Json {
+    /// Renders the scalar survival summary (no curve points, so reports and
+    /// fixtures stay small).
+    pub(crate) fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.insert("scenario", self.scenario.as_str());
         obj.insert("period", self.period.as_str());

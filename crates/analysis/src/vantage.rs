@@ -441,11 +441,6 @@ pub fn vantage_report(campaigns: &[VantageCampaign]) -> VantageReport {
 }
 
 impl VantageReport {
-    /// Looks up the analysis of a scenario by label.
-    pub fn analysis(&self, scenario: &str) -> Option<&VantageAnalysis> {
-        self.analyses.iter().find(|a| a.scenario == scenario)
-    }
-
     /// Renders the report as a [`Json`] value. The output contains nothing
     /// execution-dependent, so the same campaigns always yield the same
     /// document at any thread count.
@@ -456,11 +451,6 @@ impl VantageReport {
             Json::Array(self.analyses.iter().map(|a| a.to_json()).collect()),
         );
         obj
-    }
-
-    /// Serialises to compact JSON.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_string_compact()
     }
 
     /// Serialises to pretty-printed JSON.
@@ -688,7 +678,10 @@ mod tests {
         let campaigns = run_vantage_suite(MeasurementPeriod::P4, 0.003, 9, 3, &scenarios, 2);
         let report = vantage_report(&campaigns);
         let again = vantage_report(&campaigns);
-        assert_eq!(report.to_json_string(), again.to_json_string());
+        assert_eq!(
+            report.to_json_string_pretty(),
+            again.to_json_string_pretty()
+        );
         let json = Json::parse(&report.to_json_string_pretty()).unwrap();
         let analyses = json.array_field("analyses").unwrap();
         assert_eq!(analyses.len(), 2);
@@ -701,7 +694,5 @@ mod tests {
         let table = report.summary_table();
         assert!(table.contains("pidflood"));
         assert!(table.contains("Chao1"));
-        assert_eq!(report.analysis("nope"), None);
-        assert!(report.analysis("baseline").is_some());
     }
 }

@@ -13,7 +13,7 @@
 //!   signed bias and the estimator leaderboard, with seeded-bootstrap CI95s
 //!   next to the analytic ones.
 //!
-//! Determinism: everything in [`EstimatorsBenchReport::deterministic_json`]
+//! Determinism: everything in `EstimatorsBenchReport::deterministic_json`
 //! is content-derived — the CI smoke job compares stdout of a 1-thread run
 //! against an 8-thread run byte for byte. Wall-clock timing goes only into
 //! the full report (`BENCH_estimators.json`) and stderr.
@@ -69,14 +69,14 @@ pub struct EstimatorsBenchReport {
     /// The calibration report (cells, coverage, leaderboards).
     pub report: CalibrationReport,
     /// Wall-clock seconds (non-deterministic; excluded from
-    /// [`Self::deterministic_json`]).
+    /// `Self::deterministic_json`).
     pub wall_secs: f64,
 }
 
 impl EstimatorsBenchReport {
     /// The deterministic part of the report — byte-identical across
     /// `--threads` values; the CI smoke job compares exactly this.
-    pub fn deterministic_json(&self) -> Json {
+    pub(crate) fn deterministic_json(&self) -> Json {
         let mut obj = Json::object();
         obj.insert("period", self.config.period.label());
         obj.insert("scale", self.config.scale);
@@ -90,14 +90,14 @@ impl EstimatorsBenchReport {
     }
 
     /// The full report including timing, for `BENCH_estimators.json`.
-    pub fn full_json(&self) -> Json {
+    pub(crate) fn full_json(&self) -> Json {
         let mut obj = self.deterministic_json();
         obj.insert("wall_secs", round2(self.wall_secs));
         obj
     }
 
     /// Human-readable one-line summary (stderr of the CLI).
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         let winners: Vec<String> = self
             .report
             .cells

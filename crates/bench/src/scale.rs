@@ -165,16 +165,16 @@ pub struct TrueProtocolReport {
     /// Engine counters (epochs, mailbox traffic, checksum).
     pub stats: MailboxStats,
     /// Wall-clock seconds of the engine run (excludes population sampling).
-    /// Non-deterministic; excluded from [`Self::deterministic_json`].
+    /// Non-deterministic; excluded from `Self::deterministic_json`.
     pub wall_secs: f64,
     /// Wall-clock time of each engine phase. Non-deterministic; printed in
-    /// [`Self::summary`] only.
+    /// `Self::summary` only.
     pub phases: PhaseTimes,
 }
 
 impl TrueProtocolReport {
     /// Simulator events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
+    pub(crate) fn events_per_sec(&self) -> f64 {
         if self.wall_secs <= 0.0 {
             return 0.0;
         }
@@ -187,7 +187,7 @@ impl TrueProtocolReport {
     /// the engine-internal counters (`sim_events`, `mailbox_events`,
     /// `cross_shard_events`) scale with the partition: broadcasts fan out
     /// once per observer-hosting shard.
-    pub fn deterministic_json(&self) -> Json {
+    pub(crate) fn deterministic_json(&self) -> Json {
         let mut obj = Json::object();
         obj.insert("peers", self.config.peers as u64);
         obj.insert("shards", self.config.shards as u64);
@@ -206,7 +206,7 @@ impl TrueProtocolReport {
 
     /// The full report including timing, merged into `BENCH_scale.json` as
     /// the `true_protocol_<peers>` row.
-    pub fn full_json(&self) -> Json {
+    pub(crate) fn full_json(&self) -> Json {
         let mut obj = self.deterministic_json();
         obj.insert("wall_secs", round2(self.wall_secs));
         obj.insert("events_per_sec", round2(self.events_per_sec()));
@@ -215,7 +215,7 @@ impl TrueProtocolReport {
     }
 
     /// Human-readable one-screen summary (stderr of `repro scale`).
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         let p = &self.phases;
         format!(
             "true-protocol: peers {} | shards {} | epochs {} | cross-shard events {} | \

@@ -26,7 +26,7 @@ use measurement::serve::{
 };
 use measurement::{StreamConfig, StreamView, StreamingMonitor};
 use netsim::archive::{encode_event_block, encode_registry_delta};
-use netsim::{IdentifyRegistry, ObservationSink, ObservationTable};
+use netsim::{IdentifyRegistry, ObservationTable};
 use p2pmodel::{
     AgentVersion, CloseReason, ConnectionId, Direction, IdentifyInfo, IpAddress, Multiaddr,
     PeerId, ProtocolSet, Transport,
@@ -71,9 +71,7 @@ pub fn campaign_feeds(
             .with_churn(churn.clone())
             .build();
         let duration = run.config.duration;
-        let output = netsim::Network::new(run.config, run.population.specs)
-            .with_population_events(run.events)
-            .run();
+        let output = run.simulate();
         for log in &output.logs {
             feeds.push(ServeFeed {
                 tenant: format!("{label}/{}", log.observer),
@@ -382,7 +380,7 @@ pub struct ServeBenchReport {
 
 impl ServeBenchReport {
     /// One-line summary for stderr.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "serve bench: {} tenants, {} events at {:.0} events/s; \
              query p50 {:.0} us, p99 {:.0} us; checkpoint {} B in {:.3} s, restore {:.3} s",
@@ -398,7 +396,7 @@ impl ServeBenchReport {
     }
 
     /// The deterministic fields only — safe for byte-compared stdout.
-    pub fn deterministic_json(&self) -> Json {
+    pub(crate) fn deterministic_json(&self) -> Json {
         let mut obj = Json::object();
         obj.insert("tenants", self.tenants);
         obj.insert("total_events", self.total_events);
@@ -409,7 +407,7 @@ impl ServeBenchReport {
     }
 
     /// The full report including timing, for `BENCH_serve.json`.
-    pub fn full_json(&self) -> Json {
+    pub(crate) fn full_json(&self) -> Json {
         let mut obj = self.deterministic_json();
         obj.insert("ingest_secs", self.ingest_secs);
         obj.insert("events_per_sec", self.events_per_sec);

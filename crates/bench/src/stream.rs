@@ -86,7 +86,7 @@ pub struct HorizonResult {
 
 impl HorizonResult {
     /// Batch bytes per streaming exact-mode byte at this horizon.
-    pub fn exact_ratio(&self) -> f64 {
+    pub(crate) fn exact_ratio(&self) -> f64 {
         if self.exact_peak_bytes == 0 {
             return 0.0;
         }
@@ -102,7 +102,7 @@ pub struct StreamBenchReport {
     /// One result per horizon, in input order.
     pub horizons: Vec<HorizonResult>,
     /// Wall-clock seconds (non-deterministic; excluded from
-    /// [`Self::deterministic_json`]).
+    /// `Self::deterministic_json`).
     pub wall_secs: f64,
 }
 
@@ -134,7 +134,7 @@ impl StreamBenchReport {
 
     /// The deterministic part of the report — byte-identical across
     /// `--threads` values; the CI smoke job compares exactly this.
-    pub fn deterministic_json(&self) -> Json {
+    pub(crate) fn deterministic_json(&self) -> Json {
         let mut obj = Json::object();
         obj.insert("scale", self.config.scale);
         obj.insert("seed", self.config.seed);
@@ -168,14 +168,14 @@ impl StreamBenchReport {
     }
 
     /// The full report including timing, for `BENCH_stream.json`.
-    pub fn full_json(&self) -> Json {
+    pub(crate) fn full_json(&self) -> Json {
         let mut obj = self.deterministic_json();
         obj.insert("wall_secs", round2(self.wall_secs));
         obj
     }
 
     /// Human-readable one-screen summary (stderr of the CLI).
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         let last = self.horizons.last();
         format!(
             "{} horizons to {} days | batch grows {:.1}x, stream exact {:.1}x (≥{:.1}x smaller \

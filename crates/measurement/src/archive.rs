@@ -167,16 +167,13 @@ pub fn export_suite(
             .with_seed(seed)
             .with_churn(churn.clone());
         let run = scenario.build();
-        let scenario = run.scenario;
         let meta = CampaignMeta {
-            scenario: scenario.clone(),
+            scenario: run.scenario.clone(),
             ground_truth_participants: run.ground_truth_participants,
             duration: run.config.duration,
         };
         let sim_started = std::time::Instant::now();
-        let output = netsim::Network::new(run.config, run.population.specs)
-            .with_population_events(run.events)
-            .run();
+        let output = run.simulate();
         let sim_secs = sim_started.elapsed().as_secs_f64();
         let encode_started = std::time::Instant::now();
         let archive = write_campaign_archive(&meta, &output)

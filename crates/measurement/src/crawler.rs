@@ -148,13 +148,6 @@ impl ActiveCrawler {
         Self::default()
     }
 
-    /// Returns a copy with a different crawl interval.
-    #[must_use = "with_* builders return a new value instead of mutating in place"]
-    pub fn with_interval(mut self, interval: SimDuration) -> Self {
-        self.interval = interval;
-        self
-    }
-
     /// The shared crawl loop: one snapshot per interval starting at
     /// `start`, optionally tracking the distinct-server union. Both public
     /// entry points replay the same log with the same per-crawl seeds, so a

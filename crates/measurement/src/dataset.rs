@@ -10,7 +10,6 @@ use jsonio::{Json, JsonError};
 use p2pmodel::{CloseReason, Direction, PeerId};
 use simclock::{SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::io::Write;
 
 /// The complete data set recorded by one measurement client (or the union of
 /// several hydra heads).
@@ -83,7 +82,7 @@ impl MeasurementDataset {
     /// streaming bench (`BENCH_stream.json`): the batch pipeline must hold
     /// all of this before any estimator runs, and the connection vector —
     /// the term that grows with measurement *duration* — dominates it.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let connection_bytes = self.connections.capacity() * size_of::<ConnectionRecord>();
         let snapshot_bytes = self.snapshots.capacity() * size_of::<SnapshotRecord>();
@@ -117,8 +116,25 @@ impl MeasurementDataset {
         connection_bytes + snapshot_bytes + peer_bytes
     }
 
-    /// Merges another data set into this one as a **deduplicating union**
-    /// (hydra heads / vantage points → union view).
+    /// Rewrites the data set into its canonical form: per-peer address lists
+    /// and change histories sorted and deduplicated, duplicate connection ids
+    /// collapsed into one spanning record, connections sorted by
+    /// `(opened_at, id)` and snapshots sorted and deduplicated.
+    ///
+    /// [`Self::union_of`] canonicalizes its result; monitors emit records in
+    /// observation order, which for a single vantage is already the export
+    /// the paper's clients produce, so nothing else calls this by default.
+    pub(crate) fn canonicalize(&mut self) {
+        for record in self.peers.values_mut() {
+            canonicalize_peer(record);
+        }
+        canonicalize_connections(&mut self.connections);
+        canonicalize_snapshots(&mut self.snapshots);
+    }
+
+    /// The **deduplicating union** of several data sets under the given
+    /// client label (hydra heads / vantage points → union view); empty input
+    /// gives an empty data set with an empty measurement window.
     ///
     /// The union is the input of every multi-vantage analysis, so it must
     /// behave like a set union, not a concatenation:
@@ -134,62 +150,22 @@ impl MeasurementDataset {
     ///   record spanning the earliest observed open and the latest observed
     ///   close, instead of double-counting in [`Self::connection_count`] and
     ///   every classification built on it.
-    ///
-    /// **Precondition:** the inputs must share one connection-id space —
-    /// i.e. come from the *same* campaign (the simulator numbers
-    /// connections from a single per-run counter, so hydra heads and
-    /// vantage points always satisfy this). Merging exports of *independent*
-    /// runs is outside the contract: their id spaces both start at 0, and
-    /// unrelated records that collide on `(id, peer)` would be collapsed.
-    /// Re-key the connections first if you need such a merge.
     /// * Snapshots are unioned and sorted by timestamp: the union view keeps
     ///   every vantage point's load samples (analyses take maxima over them,
     ///   which for a union means "max at any single vantage").
     ///
-    /// The result is in canonical form (see `Self::canonicalize`), which
-    /// makes the union **commutative, associative and idempotent** up to the
-    /// `client` label — the algebra the vantage property suite pins.
-    pub fn merge(&mut self, other: &MeasurementDataset) {
-        for (peer, record) in &other.peers {
-            match self.peers.get_mut(peer) {
-                None => {
-                    self.peers.insert(*peer, record.clone());
-                }
-                Some(existing) => merge_peer(existing, record),
-            }
-        }
-        self.connections.extend(other.connections.iter().cloned());
-        self.snapshots.extend(other.snapshots.iter().copied());
-        self.dht_server |= other.dht_server;
-        self.started_at = self.started_at.min(other.started_at);
-        self.ended_at = self.ended_at.max(other.ended_at);
-        self.canonicalize();
-    }
-
-    /// Rewrites the data set into its canonical form: per-peer address lists
-    /// and change histories sorted and deduplicated, duplicate connection ids
-    /// collapsed into one spanning record, connections sorted by
-    /// `(opened_at, id)` and snapshots sorted and deduplicated.
+    /// **Precondition:** the inputs must share one connection-id space —
+    /// i.e. come from the *same* campaign (the simulator numbers
+    /// connections from a single per-run counter, so hydra heads and
+    /// vantage points always satisfy this). A union of exports of
+    /// *independent* runs is outside the contract: their id spaces both
+    /// start at 0, and unrelated records that collide on `(id, peer)` would
+    /// be collapsed. Re-key the connections first if you need such a union.
     ///
-    /// [`Self::merge`] canonicalizes implicitly; monitors emit records in
-    /// observation order, which for a single vantage is already the export
-    /// the paper's clients produce, so nothing else calls this by default.
-    pub(crate) fn canonicalize(&mut self) {
-        for record in self.peers.values_mut() {
-            canonicalize_peer(record);
-        }
-        canonicalize_connections(&mut self.connections);
-        canonicalize_snapshots(&mut self.snapshots);
-    }
-
-    /// The union of several data sets under the given client label (empty
-    /// input → empty data set with an empty measurement window).
-    ///
-    /// Equivalent to folding [`Self::merge`] over the inputs — every merge
-    /// step is associative and commutative into one canonical form — but
-    /// implemented as one concatenation plus a single `Self::canonicalize`
-    /// pass, so a `k`-way union sorts the combined record vectors once
-    /// instead of `k` times. Shares merge's single-id-space precondition.
+    /// The inputs are concatenated and canonicalized in one pass (see
+    /// `Self::canonicalize`), which makes the union **commutative,
+    /// associative and idempotent** up to the `client` label — the algebra
+    /// the vantage property suite pins.
     pub fn union_of<'a>(
         label: impl Into<String>,
         datasets: impl IntoIterator<Item = &'a MeasurementDataset>,
@@ -222,7 +198,7 @@ impl MeasurementDataset {
     /// Renders the data set as a [`Json`] value (the paper's export schema:
     /// client, measurement window, peer records keyed by hex PID, connection
     /// records in open order, periodic snapshots).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.insert("client", self.client.as_str());
         obj.insert("dht_server", self.dht_server);
@@ -282,15 +258,6 @@ impl MeasurementDataset {
             connections,
             snapshots,
         })
-    }
-
-    /// Serialises the data set to pretty-printed JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the writer reports an I/O error.
-    pub fn write_json<W: Write>(&self, mut writer: W) -> Result<(), std::io::Error> {
-        writer.write_all(self.to_json().to_string_pretty().as_bytes())
     }
 
     /// Serialises to a JSON string.
@@ -435,11 +402,6 @@ mod tests {
         let ds = dataset_with(5, 7);
         let parsed = MeasurementDataset::from_json(&Json::parse(&ds.to_json_string()).unwrap());
         assert_eq!(parsed.unwrap(), ds);
-
-        let mut buf = Vec::new();
-        ds.write_json(&mut buf).unwrap();
-        let written = Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
-        assert_eq!(MeasurementDataset::from_json(&written).unwrap(), ds);
     }
 
     #[test]
@@ -449,8 +411,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_peers_and_deduplicates_connections() {
-        let mut a = dataset_with(4, 4);
+    fn union_merges_peers_and_deduplicates_connections() {
+        let a = dataset_with(4, 4);
         let mut b = dataset_with(6, 3);
         b.client = "hydra-h1".into();
         // Distinct connection ids on b's side: heads draw from one global id
@@ -463,38 +425,33 @@ mod tests {
             record.last_seen = SimTime::from_hours(20);
             record.agent = "go-ipfs/0.12.0/".into();
         }
-        a.merge(&b);
+        let a = MeasurementDataset::union_of("go-ipfs", [&a, &b]);
         assert_eq!(a.pid_count(), 6);
         assert_eq!(a.connection_count(), 7);
         assert_eq!(a.peers[&PeerId::derived(0)].agent, "go-ipfs/0.12.0/");
-        // Connections stay sorted by open time after merging.
+        // Connections stay sorted by open time in the union.
         for pair in a.connections.windows(2) {
             assert!(pair[0].opened_at <= pair[1].opened_at);
         }
     }
 
     #[test]
-    fn merge_is_idempotent() {
-        // The latent double-count bug this regression pins: merging a data
-        // set with itself (or with another monitor's view of the *same*
+    fn union_is_idempotent() {
+        // The latent double-count bug this regression pins: the union of a
+        // data set with itself (or with another monitor's view of the *same*
         // connections) used to double connection_count and every analysis
         // built on it.
-        let mut a = dataset_with(4, 2);
-        let b = a.clone();
-        a.merge(&b);
+        let b = dataset_with(4, 2);
+        let a = MeasurementDataset::union_of("go-ipfs", [&b, &b]);
         assert_eq!(a.pid_count(), 4);
         assert_eq!(a.connection_count(), 2, "same connection ids must not double-count");
         assert_eq!(a.snapshots.len(), b.snapshots.len());
-        let again = {
-            let mut again = a.clone();
-            again.merge(&b);
-            again
-        };
+        let again = MeasurementDataset::union_of("go-ipfs", [&a, &b]);
         assert_eq!(again.to_json_string(), a.to_json_string());
     }
 
     #[test]
-    fn merge_collapses_duplicate_ids_with_skewed_windows() {
+    fn union_collapses_duplicate_ids_with_skewed_windows() {
         // Two monitors record the same connection with skewed refresh
         // windows (e.g. a 30 s-polling client rounds the close up, a
         // logging client records it exactly). The union must keep ONE
@@ -516,7 +473,7 @@ mod tests {
         skewed.closed_at = SimTime::from_secs(1020); // close rounded up
         a.connections.push(record);
         b.connections.push(skewed);
-        a.merge(&b);
+        let a = MeasurementDataset::union_of("go-ipfs", [&a, &b]);
         assert_eq!(a.connection_count(), 1);
         let merged = &a.connections[0];
         assert_eq!(merged.opened_at, SimTime::from_secs(90));
@@ -524,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_commutative_up_to_the_client_label() {
+    fn union_is_commutative() {
         let a = dataset_with(4, 4);
         let mut b = dataset_with(6, 3);
         for (i, conn) in b.connections.iter_mut().enumerate() {
@@ -534,11 +491,8 @@ mod tests {
         if let Some(record) = b.peers.get_mut(&PeerId::derived(1)) {
             record.agent = "go-ipfs/0.12.0/".into(); // same last_seen, other metadata
         }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        ba.client = ab.client.clone();
+        let ab = MeasurementDataset::union_of("union", [&a, &b]);
+        let ba = MeasurementDataset::union_of("union", [&b, &a]);
         assert_eq!(ab.to_json_string(), ba.to_json_string());
     }
 

@@ -34,10 +34,10 @@
 //!   protocol, answering live queries and checkpointing/restoring the
 //!   whole tenant table for crash recovery.
 //! * [`stream`] is the single-pass alternative to materialised data sets: a
-//!   [`StreamingMonitor`] consumes the engine's emissions live (teed next to
-//!   the classic pipeline) and maintains sliding/tumbling-window state in
-//!   `O(window + peers)` memory; its cumulative summary reproduces the batch
-//!   estimators byte-identically.
+//!   [`StreamingMonitor`] folds an observer's observation table row by row
+//!   and maintains sliding/tumbling-window state in `O(window + peers)`
+//!   memory; its cumulative summary reproduces the batch estimators
+//!   byte-identically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

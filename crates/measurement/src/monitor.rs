@@ -43,12 +43,6 @@ impl GoIpfsMonitor {
         Self::default()
     }
 
-    /// Creates a monitor with a custom refresh interval.
-    #[must_use = "with_* builders return a new value instead of mutating in place"]
-    pub fn with_interval(snapshot_interval: SimDuration) -> Self {
-        GoIpfsMonitor { snapshot_interval }
-    }
-
     /// Converts an observer log into the data set the client would have
     /// exported. Connection close times are rounded **up** to the next
     /// refresh tick, exactly like a 30 s polling client over-estimates
@@ -298,7 +292,7 @@ pub(crate) fn quantise_up(at: SimTime, origin: SimTime, step: SimDuration) -> Si
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{IdentifyRegistry, ObservationSink, ObservationTable};
+    use netsim::{IdentifyRegistry, ObservationTable};
     use p2pmodel::{
         AgentVersion, CloseReason, ConnectionId, Direction, IdentifyInfo, IpAddress, Multiaddr,
         ProtocolSet, Transport,

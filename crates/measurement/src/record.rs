@@ -208,7 +208,7 @@ fn reason_from_json(v: &Json) -> Result<Option<CloseReason>, JsonError> {
 
 impl MetadataChangeRecord {
     /// Renders the record as a JSON object.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.insert("at", time_to_json(self.at));
         obj.insert("field", self.field.as_str());
@@ -222,7 +222,7 @@ impl MetadataChangeRecord {
     /// # Errors
     ///
     /// Returns a [`JsonError`] when a field is missing or has the wrong type.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub(crate) fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(MetadataChangeRecord {
             at: time_from_json(v.field("at")?)?,
             field: v.str_field("field")?.to_string(),
@@ -234,7 +234,7 @@ impl MetadataChangeRecord {
 
 impl PeerRecord {
     /// Renders the record as a JSON object.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.insert("peer", peer_to_json(&self.peer));
         obj.insert("agent", self.agent.as_str());
@@ -263,7 +263,7 @@ impl PeerRecord {
     /// # Errors
     ///
     /// Returns a [`JsonError`] when a field is missing or has the wrong type.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub(crate) fn from_json(v: &Json) -> Result<Self, JsonError> {
         let protocols = v
             .array_field("protocols")?
             .iter()
@@ -300,7 +300,7 @@ impl PeerRecord {
 
 impl ConnectionRecord {
     /// Renders the record as a JSON object.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.insert("id", self.id.0);
         obj.insert("peer", peer_to_json(&self.peer));
@@ -318,7 +318,7 @@ impl ConnectionRecord {
     /// # Errors
     ///
     /// Returns a [`JsonError`] when a field is missing or has the wrong type.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub(crate) fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(ConnectionRecord {
             id: ConnectionId(v.u64_field("id")?),
             peer: peer_from_json(v.field("peer")?)?,
@@ -334,7 +334,7 @@ impl ConnectionRecord {
 
 impl SnapshotRecord {
     /// Renders the record as a JSON object.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         let mut obj = Json::object();
         obj.insert("at", time_to_json(self.at));
         obj.insert("open_connections", self.open_connections);
@@ -348,7 +348,7 @@ impl SnapshotRecord {
     /// # Errors
     ///
     /// Returns a [`JsonError`] when a field is missing or has the wrong type.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub(crate) fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(SnapshotRecord {
             at: time_from_json(v.field("at")?)?,
             open_connections: v.u64_field("open_connections")? as usize,

@@ -77,12 +77,10 @@ pub fn run_scenario(scenario: Scenario) -> MeasurementCampaign {
 /// vary observer configurations (connection-manager limits, maintenance
 /// cadence) across grid cells without touching the scenario definitions.
 pub fn run_built(run: population::ScenarioRun) -> MeasurementCampaign {
-    let scenario = run.scenario;
+    let scenario = run.scenario.clone();
     let ground_truth_participants = run.ground_truth_participants;
     let duration = run.config.duration;
-    let output = netsim::Network::new(run.config, run.population.specs)
-        .with_population_events(run.events)
-        .run();
+    let output = run.simulate();
     campaign_from_output(scenario, ground_truth_participants, duration, output)
 }
 
@@ -90,9 +88,9 @@ pub fn run_built(run: population::ScenarioRun) -> MeasurementCampaign {
 /// monitor ingestion, hydra union, active-crawler baseline.
 ///
 /// [`run_built`] is `simulate + campaign_from_output`; the streaming runner
-/// ([`crate::stream::run_streaming_built`]) reuses this half after producing
-/// the output through a sink tee, so both pipelines share one ingestion
-/// path — a precondition of the byte-identical differential contract.
+/// ([`crate::stream::run_streaming_built`]) hands this half the same output
+/// its streaming monitors folded, so both pipelines read one simulation's
+/// logs — a precondition of the byte-identical differential contract.
 pub fn campaign_from_output(
     scenario: Scenario,
     ground_truth_participants: usize,

@@ -709,7 +709,7 @@ pub fn serve_unix(_path: &Path, _state: Arc<Mutex<ServeState>>) -> io::Result<()
 mod tests {
     use super::*;
     use netsim::archive::encode_event_block;
-    use netsim::{ObservationSink, ObservationTable};
+    use netsim::ObservationTable;
     use p2pmodel::{AgentVersion, CloseReason, ConnectionId, Direction, IdentifyInfo, IpAddress,
         Multiaddr, PeerId, ProtocolSet, Transport};
 
@@ -936,26 +936,27 @@ mod tests {
         let (config, registry, table) = sample_feed();
         let mut monitor = StreamingMonitor::new(config);
         monitor.ingest_table(&table);
-        let peers = vec![registry.peer(0), registry.peer(1)];
-        let addrs = vec![registry.addr(0), registry.addr(1)];
-        let infos = vec![registry.identify(0).clone()];
+        let peers = [registry.peer(0), registry.peer(1)];
+        let addrs = [registry.addr(0), registry.addr(1)];
+        let infos = [registry.identify(0).clone()];
+        let interned = |peers: &[PeerId], addrs: &[Multiaddr], infos: &[IdentifyInfo]| {
+            let mut registry = IdentifyRegistry::new();
+            for &peer in peers {
+                registry.register_peer(peer);
+            }
+            for &addr in addrs {
+                registry.intern_addr(addr);
+            }
+            for info in infos {
+                registry.intern_identify(info);
+            }
+            registry
+        };
         let registries = [
-            (
-                "none",
-                IdentifyRegistry::from_parts(peers.clone(), addrs.clone(), infos.clone()),
-            ),
-            (
-                "peer slot 1",
-                IdentifyRegistry::from_parts(peers[..1].to_vec(), addrs.clone(), infos.clone()),
-            ),
-            (
-                "address id 1",
-                IdentifyRegistry::from_parts(peers.clone(), addrs[..1].to_vec(), infos.clone()),
-            ),
-            (
-                "identify id 0",
-                IdentifyRegistry::from_parts(peers, addrs, Vec::new()),
-            ),
+            ("none", interned(&peers, &addrs, &infos)),
+            ("peer slot 1", interned(&peers[..1], &addrs, &infos)),
+            ("address id 1", interned(&peers, &addrs[..1], &infos)),
+            ("identify id 0", interned(&peers, &addrs, &[])),
         ];
         for (missing, registry) in registries {
             let mut state = ServeState::new(debug_answerer(), ServeOptions::default());

@@ -6,11 +6,11 @@
 //! *peers* by orders of magnitude. Week-scale measurement horizons therefore
 //! drown the batch pipeline in connection records it only ever folds once.
 //!
-//! This module is the incremental alternative: a [`StreamingMonitor`] is an
-//! [`ObservationSink`] that consumes the engine's emissions **as they
-//! happen** (teed next to the classic columnar table via
-//! [`netsim::TeeSink`], or replayed from a finished log with
-//! [`StreamingMonitor::ingest_log`]) and maintains
+//! This module is the incremental alternative: a [`StreamingMonitor`]
+//! folds an observer's [`ObservationTable`] in one pass, row by row —
+//! a finished log through [`StreamingMonitor::ingest_log`], or the serve
+//! daemon's batches through [`StreamingMonitor::ingest_table`] — and
+//! maintains
 //!
 //! * per-peer aggregates (connection count, duration sum/max, first
 //!   connected IP, DHT-role history) — `O(peers)`,
@@ -38,10 +38,7 @@ use crate::parallel::run_parallel_ordered;
 use crate::runner::{campaign_from_output, MeasurementCampaign};
 use netsim::archive::{ArchiveError, ByteReader, ByteWriter};
 use netsim::obs::close_reason_from_payload;
-use netsim::{
-    IdentifyRegistry, ObservationKind, ObservationSink, ObservationTable, ObserverLog, SinkRun,
-    TeeSink,
-};
+use netsim::{IdentifyRegistry, ObservationKind, ObservationTable, ObserverLog};
 use p2pmodel::{CloseReason, ConnectionId, Direction, IpAddress, PeerId};
 use population::{ChurnScenario, MeasurementPeriod, Scenario, ScenarioRun};
 use simclock::{SimDuration, SimTime};
@@ -82,7 +79,7 @@ pub enum WindowEvent {
 
 impl WindowEvent {
     /// The registry slot the event concerns.
-    pub fn slot(&self) -> u32 {
+    pub(crate) fn slot(&self) -> u32 {
         match self {
             WindowEvent::Opened { slot }
             | WindowEvent::Closed { slot, .. }
@@ -132,11 +129,6 @@ impl WindowState {
         self.peer_events.len()
     }
 
-    /// Whether the window holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.event_count() == 0
-    }
-
     /// Mean recorded duration (seconds) of the window's completed records
     /// (`0` for a window without completed records).
     pub fn mean_duration_secs(&self) -> f64 {
@@ -180,7 +172,7 @@ impl WindowState {
 
     /// Approximate resident bytes of the state (honest self-accounting for
     /// the memory bench; deterministic, content-based).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Self>()
             + self.dur_hist.len() * (size_of::<u64>() * 2 + 16)
@@ -523,16 +515,11 @@ pub struct StreamSummary {
     /// High-water mark of the engine's resident state bytes over the run
     /// (honest self-accounting; the memory the batch pipeline holds instead
     /// is the full data set — see
-    /// [`crate::MeasurementDataset::approx_bytes`]).
+    /// `crate::MeasurementDataset::approx_bytes`).
     pub peak_state_bytes: usize,
 }
 
 impl StreamSummary {
-    /// Distinct PIDs with at least one completed connection record.
-    pub fn connected_pids(&self) -> usize {
-        self.per_peer.values().filter(|p| p.connections > 0).count()
-    }
-
     /// The combined (inbound + outbound) ascending duration histogram.
     pub fn combined_dur_hist(&self) -> Vec<(u64, u64)> {
         let mut merged: Vec<(u64, u64)> = Vec::with_capacity(
@@ -1007,12 +994,11 @@ fn decode_window_snapshot(r: &mut ByteReader<'_>) -> Result<WindowSnapshot, Arch
 
 /// The incremental single-pass estimator engine.
 ///
-/// Feed it observations through the [`ObservationSink`] trait (live, teed
-/// next to the classic table) or replay a finished log with
-/// [`Self::ingest_log`]; then call [`Self::finish`] with the run's registry
-/// to obtain the [`StreamSummary`]. Events must arrive in chronological
-/// order — exactly what the engine emits and what a time-sorted
-/// [`ObservationTable`] replays.
+/// Feed it an observer's rows with [`Self::ingest_table`] (in batches, as
+/// the serve daemon does) or a finished log with [`Self::ingest_log`]; then
+/// call [`Self::finish`] with the run's registry to obtain the
+/// [`StreamSummary`]. Rows must arrive in chronological order, as a
+/// time-sorted [`ObservationTable`] holds them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingMonitor {
     config: StreamConfig,
@@ -1107,14 +1093,9 @@ impl StreamingMonitor {
         }
     }
 
-    /// The configuration the monitor was created with.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
     /// Events ingested so far — the serve daemon's resume cursor: a client
     /// continuing after a restore skips exactly this many rows of its feed.
-    pub fn events_ingested(&self) -> u64 {
+    pub(crate) fn events_ingested(&self) -> u64 {
         self.events
     }
 
@@ -1454,18 +1435,15 @@ impl StreamingMonitor {
         }
     }
 
-    /// Replays a finished observer log through the engine and finalises the
-    /// summary — the post-hoc path, byte-identical to having run live as a
-    /// teed sink (pinned by the differential suite).
+    /// Folds a finished observer log and finalises the summary.
     pub fn ingest_log(mut self, log: &ObserverLog) -> StreamSummary {
         self.ingest_table(log.table());
         self.finish(log.registry())
     }
 
-    /// Replays every row of an [`ObservationTable`] through the engine
-    /// without finalising — the serve daemon's batch-ingest step. Rows must
-    /// be in chronological order and arrive after everything already
-    /// ingested, the same contract the live sink has.
+    /// Folds every row of an [`ObservationTable`] without finalising — the
+    /// serve daemon's batch-ingest step. Rows must be in chronological order
+    /// and arrive after everything already ingested.
     ///
     /// # Panics
     ///
@@ -1686,9 +1664,9 @@ impl StreamingMonitor {
             peak_state_bytes: self.peak_state_bytes,
         }
     }
-}
 
-impl ObservationSink for StreamingMonitor {
+    // The row folds of `ingest_table`, one per observation kind.
+
     fn connection_opened(
         &mut self,
         at: SimTime,
@@ -1767,8 +1745,8 @@ impl ObservationSink for StreamingMonitor {
 }
 
 /// The complete result of one streaming measurement campaign: the classic
-/// batch view and the streaming summaries, produced by **one** simulation
-/// through a sink tee.
+/// batch view and the streaming summaries, both read from **one**
+/// simulation's output.
 #[derive(Debug, Clone)]
 pub struct StreamingCampaign {
     /// The batch pipeline's view of the run (identical to
@@ -1811,13 +1789,15 @@ impl StreamingCampaign {
     }
 }
 
-/// Runs a scenario once, with every observer teed into both pipelines.
+/// Runs a scenario once and reads every observer's log into both
+/// pipelines.
 pub fn run_streaming_campaign(scenario: Scenario, window: SimDuration) -> StreamingCampaign {
     run_streaming_built(scenario.build(), window, DurationMode::Exact)
 }
 
-/// Runs an already materialised scenario through the tee, with the given
-/// window width and duration-store mode.
+/// Simulates an already materialised scenario once, folds each observer's
+/// log into a [`StreamingMonitor`] with the given window width and
+/// duration-store mode, and hands the same output to the batch pipeline.
 pub fn run_streaming_built(
     run: ScenarioRun,
     window: SimDuration,
@@ -1826,43 +1806,17 @@ pub fn run_streaming_built(
     let scenario = run.scenario.clone();
     let ground_truth_participants = run.ground_truth_participants;
     let duration = run.config.duration;
-    let observers = run.config.observers.clone();
-
-    let sinks: Vec<TeeSink<ObservationTable, StreamingMonitor>> = observers
+    let output = run.simulate();
+    let streams = output
+        .logs
         .iter()
-        .map(|spec| {
+        .map(|log| {
             let config =
-                StreamConfig::for_observer(&spec.name, spec.role.is_server(), duration, window)
+                StreamConfig::for_observer(&log.observer, log.dht_server, duration, window)
                     .with_duration_mode(duration_mode);
-            TeeSink::new(spec.presized_table(), StreamingMonitor::new(config))
+            StreamingMonitor::new(config).ingest_log(log)
         })
         .collect();
-    let sink_run = netsim::Network::new(run.config, run.population.specs)
-        .with_population_events(run.events)
-        .run_with_sinks(sinks);
-
-    // Split the tees, finalise the streams against the run's registry, and
-    // hand the table halves back to netsim's own log assembly — the batch
-    // side of the tee goes through the exact code `Network::run` uses.
-    let mut tables = Vec::with_capacity(observers.len());
-    let mut monitors = Vec::with_capacity(observers.len());
-    for tee in sink_run.sinks {
-        let (table, monitor) = tee.into_parts();
-        tables.push(table);
-        monitors.push(monitor);
-    }
-    let streams: Vec<StreamSummary> = monitors
-        .into_iter()
-        .map(|monitor| monitor.finish(&sink_run.registry))
-        .collect();
-    let output = SinkRun {
-        sinks: tables,
-        ground_truth: sink_run.ground_truth,
-        registry: sink_run.registry,
-        ended_at: sink_run.ended_at,
-        dht: sink_run.dht,
-    }
-    .into_output(&observers);
     let batch = campaign_from_output(scenario, ground_truth_participants, duration, output);
     StreamingCampaign {
         batch,
@@ -1872,7 +1826,7 @@ pub fn run_streaming_built(
 }
 
 /// Runs one period × scale × vantage count under every given churn regime,
-/// in parallel, through the streaming tee.
+/// in parallel, through both pipelines.
 ///
 /// Campaigns come back in `scenarios` order regardless of `threads` —
 /// the same determinism contract as [`crate::run_scenario_suite`].
@@ -1961,7 +1915,8 @@ mod tests {
         let summary = StreamingMonitor::new(go_ipfs_config(600)).ingest_log(&sample_log());
         assert_eq!(summary.connections, 2);
         assert_eq!(summary.pids, 3);
-        assert_eq!(summary.connected_pids(), 2);
+        let connected = summary.per_peer.values().filter(|p| p.connections > 0);
+        assert_eq!(connected.count(), 2);
         // Connection 1: closed at 995 s, quantised up to 1 020 s → 1 010 s.
         assert_eq!(summary.inbound.count, 1);
         assert_eq!(summary.inbound.dur_hist, vec![(1_010_000, 1)]);
@@ -2070,7 +2025,7 @@ mod tests {
         assert_eq!(
             streaming.batch.primary().to_json_string(),
             classic.primary().to_json_string(),
-            "the tee must not perturb the batch pipeline"
+            "the streaming campaign's batch side must equal the classic runner"
         );
         assert_eq!(streaming.batch.ground_truth, classic.ground_truth);
         assert_eq!(streaming.batch.crawl_summary, classic.crawl_summary);

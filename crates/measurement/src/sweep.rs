@@ -264,7 +264,7 @@ impl SweepGrid {
     /// grid from before the vantage dimension existed (implicitly
     /// `vantages = [1]`) keeps its campaign seeds — and therefore its
     /// results — bit-for-bit.
-    pub fn cells(&self) -> Vec<SweepCell> {
+    pub(crate) fn cells(&self) -> Vec<SweepCell> {
         let mut cells = Vec::with_capacity(self.cell_count());
         for &period in &self.periods {
             for scenario in &self.scenarios {
@@ -311,7 +311,7 @@ pub(crate) fn splitmix(v: u64) -> u64 {
 /// One cell of a sweep: a fully determined campaign configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
-    /// Position of the cell in [`SweepGrid::cells`] order.
+    /// Position of the cell in `SweepGrid::cells` order.
     pub index: usize,
     /// The measurement period to reproduce.
     pub period: MeasurementPeriod,
@@ -369,7 +369,7 @@ impl SweepCell {
     /// data set; a multi-vantage cell runs the vantage pipeline and reports
     /// the deduplicating union (for one vantage the two coincide, which is
     /// why the vantage dimension leaves existing grids' numbers unchanged).
-    pub fn run(&self) -> (MeasurementDataset, usize) {
+    pub(crate) fn run(&self) -> (MeasurementDataset, usize) {
         let built = self.build();
         if self.vantages > 1 {
             let campaign = run_vantage_built(built);
@@ -431,7 +431,7 @@ impl CellReport {
     /// Computes the report from a cell's reduced data set (the primary
     /// monitor's for single-vantage cells, the union's otherwise) and the
     /// run's ground-truth population size.
-    pub fn from_dataset(
+    pub(crate) fn from_dataset(
         cell: &SweepCell,
         dataset: &MeasurementDataset,
         ground_truth_population: usize,
@@ -599,7 +599,7 @@ impl AggregateRow {
 /// aggregation, in deterministic grid order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
-    /// Per-cell metrics, in [`SweepGrid::cells`] order.
+    /// Per-cell metrics, in `SweepGrid::cells` order.
     pub cells: Vec<CellReport>,
     /// One row per `(period, scale, tweak)`, aggregated over seeds.
     pub aggregates: Vec<AggregateRow>,
@@ -673,11 +673,6 @@ impl SweepReport {
             Json::Array(self.aggregates.iter().map(|a| a.to_json()).collect()),
         );
         obj
-    }
-
-    /// Serialises to compact JSON.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_string_compact()
     }
 
     /// Serialises to pretty-printed JSON.
@@ -845,7 +840,10 @@ mod tests {
             .with_seeds((1..=4).collect());
         let serial = SweepRunner::new().with_threads(1).run(&grid);
         let parallel = SweepRunner::new().with_threads(4).run(&grid);
-        assert_eq!(serial.to_json_string(), parallel.to_json_string());
+        assert_eq!(
+            serial.to_json_string_pretty(),
+            parallel.to_json_string_pretty()
+        );
         assert_eq!(serial, parallel);
     }
 
@@ -976,7 +974,7 @@ mod tests {
         );
         // Scenario labels survive into cells, JSON and the text table.
         assert!(report.cells.iter().any(|c| c.scenario == "flashcrowd"));
-        let json = jsonio::Json::parse(&report.to_json_string()).unwrap();
+        let json = report.to_json();
         assert_eq!(json.array_field("aggregates").unwrap().len(), 2);
         assert!(report.summary_table().contains("flashcrowd"));
         // Duplicate scenarios are rejected like any other dimension.
@@ -1015,7 +1013,7 @@ mod tests {
         assert!(three.connections.mean > one.connections.mean);
         // The axis shows up in cells, JSON and the text table.
         assert!(report.cells.iter().any(|c| c.vantages == 3));
-        let json = jsonio::Json::parse(&report.to_json_string()).unwrap();
+        let json = report.to_json();
         assert_eq!(json.array_field("cells").unwrap()[0].u64_field("vantages").unwrap(), 1);
         assert!(report.summary_table().contains("Vant"));
         // Degenerate vantage configurations are rejected.

@@ -279,12 +279,12 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian u16.
-    pub fn u16(&mut self, context: &'static str) -> Result<u16, ArchiveError> {
+    pub(crate) fn u16(&mut self, context: &'static str) -> Result<u16, ArchiveError> {
         Ok(u16::from_le_bytes(self.take(2, context)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian u32.
-    pub fn u32(&mut self, context: &'static str) -> Result<u32, ArchiveError> {
+    pub(crate) fn u32(&mut self, context: &'static str) -> Result<u32, ArchiveError> {
         Ok(u32::from_le_bytes(self.take(4, context)?.try_into().unwrap()))
     }
 
@@ -559,10 +559,6 @@ impl<'a> ArchiveFile<'a> {
 /// Fewest bytes an encoded [`Multiaddr`] takes: tag, IPv4, transport, port.
 const ADDR_MIN_LEN: usize = 8;
 
-/// Fewest bytes an encoded [`IdentifyInfo`] takes: a missing agent and two
-/// empty lists.
-const IDENTIFY_MIN_LEN: usize = 3;
-
 fn put_peer(w: &mut ByteWriter, peer: &PeerId) {
     w.put_raw(peer.as_bytes());
 }
@@ -734,36 +730,52 @@ fn encode_dict_infos(registry: &IdentifyRegistry) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// Reads one dictionary section (a count, then that many entries) and
+/// interns each entry, which must land on the next dense id, `base + i`.
+/// A registry hands each distinct value out once, so an entry repeating
+/// one already interned would map the writer's new id to an old one: the
+/// section is malformed.
+fn intern_section<T>(
+    r: &mut ByteReader<'_>,
+    context: &'static str,
+    base: usize,
+    read: fn(&mut ByteReader<'_>) -> Result<T, ArchiveError>,
+    mut intern: impl FnMut(T) -> u32,
+) -> Result<(), ArchiveError> {
+    let count = r.len(context)?;
+    for i in 0..count {
+        let expected = base + i;
+        if intern(read(r)?) as usize != expected {
+            return Err(malformed(format!(
+                "{context}: entry {i} repeats an earlier one (expected id {expected})"
+            )));
+        }
+    }
+    Ok(())
+}
+
 fn decode_registry(
     peers: &[u8],
     addrs: &[u8],
     infos: &[u8],
 ) -> Result<IdentifyRegistry, ArchiveError> {
+    let mut registry = IdentifyRegistry::new();
     let mut r = ByteReader::new(peers);
-    let count = r.len("peer dictionary count")?;
-    let mut peer_vec = r.vec_for(count, PEER_ID_BYTES);
-    for _ in 0..count {
-        peer_vec.push(read_peer(&mut r)?);
-    }
+    intern_section(&mut r, "peer dictionary", 0, read_peer, |peer| {
+        registry.register_peer(peer)
+    })?;
     r.finish("peer dictionary")?;
-
     let mut r = ByteReader::new(addrs);
-    let count = r.len("address dictionary count")?;
-    let mut addr_vec = r.vec_for(count, ADDR_MIN_LEN);
-    for _ in 0..count {
-        addr_vec.push(read_addr(&mut r)?);
-    }
+    intern_section(&mut r, "address dictionary", 0, read_addr, |addr| {
+        registry.intern_addr(addr)
+    })?;
     r.finish("address dictionary")?;
-
     let mut r = ByteReader::new(infos);
-    let count = r.len("identify dictionary count")?;
-    let mut info_vec = r.vec_for(count, IDENTIFY_MIN_LEN);
-    for _ in 0..count {
-        info_vec.push(read_identify(&mut r)?);
-    }
+    intern_section(&mut r, "identify dictionary", 0, read_identify, |info| {
+        registry.intern_identify(&info)
+    })?;
     r.finish("identify dictionary")?;
-
-    Ok(IdentifyRegistry::from_parts(peer_vec, addr_vec, info_vec))
+    Ok(registry)
 }
 
 // ---------------------------------------------------------------------------
@@ -1075,36 +1087,27 @@ pub fn apply_registry_delta(
             registry.identify_count()
         )));
     }
-    let count = r.len("registry delta peer count")?;
-    for i in 0..count {
-        let peer = read_peer(&mut r)?;
-        let expected = (base_peers + i) as u32;
-        if registry.register_peer(peer) != expected {
-            return Err(malformed(format!(
-                "registry delta peer {i} duplicates an existing entry (expected slot {expected})"
-            )));
-        }
-    }
-    let count = r.len("registry delta addr count")?;
-    for i in 0..count {
-        let addr = read_addr(&mut r)?;
-        let expected = (base_addrs + i) as u32;
-        if registry.intern_addr(addr) != expected {
-            return Err(malformed(format!(
-                "registry delta addr {i} duplicates an existing entry (expected id {expected})"
-            )));
-        }
-    }
-    let count = r.len("registry delta identify count")?;
-    for i in 0..count {
-        let info = read_identify(&mut r)?;
-        let expected = (base_infos + i) as u32;
-        if registry.intern_identify(&info) != expected {
-            return Err(malformed(format!(
-                "registry delta identify {i} duplicates an existing entry (expected id {expected})"
-            )));
-        }
-    }
+    intern_section(
+        &mut r,
+        "registry delta peers",
+        base_peers,
+        read_peer,
+        |peer| registry.register_peer(peer),
+    )?;
+    intern_section(
+        &mut r,
+        "registry delta addrs",
+        base_addrs,
+        read_addr,
+        |addr| registry.intern_addr(addr),
+    )?;
+    intern_section(
+        &mut r,
+        "registry delta identifies",
+        base_infos,
+        read_identify,
+        |info| registry.intern_identify(&info),
+    )?;
     r.finish("registry delta")
 }
 
@@ -1506,13 +1509,12 @@ pub fn decode_output(bytes: &[u8]) -> Result<(Vec<u8>, SimulationOutput), Archiv
 
     let ground_truth = decode_ground_truth(file.block(BK_GROUND_TRUTH, GLOBAL_OWNER)?)?;
     let dht = decode_dht(file.block(BK_DHT, GLOBAL_OWNER)?)?;
-    Ok((meta, SimulationOutput::from_logs(logs, ground_truth, dht)))
+    Ok((meta, SimulationOutput::new(logs, ground_truth, dht)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::ObservationSink;
     use p2pmodel::{CloseReason, ConnectionId, Direction};
 
     #[test]
@@ -1811,7 +1813,7 @@ mod tests {
                 },
             ],
         };
-        SimulationOutput::from_logs(vec![log], ground_truth, dht)
+        SimulationOutput::new(vec![log], ground_truth, dht)
     }
 
     #[test]
@@ -1862,7 +1864,7 @@ mod tests {
             table,
             Arc::new(log.registry().clone()),
         );
-        SimulationOutput::from_logs(
+        SimulationOutput::new(
             vec![forged],
             output.ground_truth.clone(),
             output.dht.clone(),
@@ -1913,9 +1915,67 @@ mod tests {
         check_rows(output.logs[0].table(), output.logs[0].registry()).unwrap();
     }
 
+    /// The sample archive re-encoded with every block of `kind` replaced
+    /// by `page`, under valid checksums.
+    fn with_page(kind: u16, page: &[u8]) -> Vec<u8> {
+        let bytes = encode_output(&sample_output(), b"").unwrap();
+        let file = ArchiveFile::parse(&bytes).unwrap();
+        let mut writer = ArchiveWriter::new();
+        for entry in &file.blocks {
+            let payload = if entry.kind == kind {
+                page
+            } else {
+                file.block(entry.kind, entry.owner).unwrap()
+            };
+            writer.push_block(entry.kind, entry.owner, payload);
+        }
+        writer.finish()
+    }
+
+    #[test]
+    fn repeated_dictionary_entries_with_valid_checksums_are_rejected() {
+        let output = sample_output();
+        let registry = output.logs[0].registry();
+        assert!(decode_output(&with_page(BK_DICT_PEERS, &encode_dict_peers(registry))).is_ok());
+        // Each forged page holds the sample's one entry twice.
+        let twice = |put: &dyn Fn(&mut ByteWriter)| {
+            let mut w = ByteWriter::new();
+            w.put_uvarint(2);
+            put(&mut w);
+            put(&mut w);
+            w.into_bytes()
+        };
+        let forgeries = [
+            (
+                "peer",
+                BK_DICT_PEERS,
+                twice(&|w| put_peer(w, &registry.peer(0))),
+            ),
+            (
+                "address",
+                BK_DICT_ADDRS,
+                twice(&|w| put_addr(w, &registry.addr(0))),
+            ),
+            (
+                "identify payload",
+                BK_DICT_INFOS,
+                twice(&|w| put_identify(w, registry.identify(0))),
+            ),
+        ];
+        for (what, kind, page) in forgeries {
+            assert!(
+                matches!(
+                    decode_output(&with_page(kind, &page)),
+                    Err(ArchiveError::Malformed { .. })
+                ),
+                "a repeated {what} must not decode"
+            );
+        }
+    }
+
     #[test]
     fn empty_output_roundtrips() {
-        let output = SimulationOutput::from_logs(Vec::new(), GroundTruth::default(), DhtLog::default());
+        let output = SimulationOutput::new(Vec::new(), GroundTruth::default(), DhtLog::default());
         let bytes = encode_output(&output, b"").unwrap();
         let (meta, decoded) = decode_output(&bytes).unwrap();
         assert!(meta.is_empty());

@@ -95,15 +95,15 @@ impl ObserverSpec {
     /// pass. The single sizing heuristic behind every per-observer
     /// pre-allocation (engine connection maps, observation tables) — tune
     /// it here, not at the call sites.
-    pub fn expected_connections(&self) -> usize {
+    pub(crate) fn expected_connections(&self) -> usize {
         self.limits.high_water + self.limits.high_water / 4 + 16
     }
 
     /// A columnar observation table pre-sized for one run of this observer:
     /// every open/close pair is two rows, so one full turn-over of the
-    /// connection table is reserved up front. [`crate::Network::run`] and
-    /// tee pipelines share this constructor.
-    pub fn presized_table(&self) -> crate::obs::ObservationTable {
+    /// connection table is reserved up front. The engine gives each
+    /// observer one when it builds a run.
+    pub(crate) fn presized_table(&self) -> crate::obs::ObservationTable {
         let mut table = crate::obs::ObservationTable::new();
         table.reserve(self.expected_connections() * 4);
         table

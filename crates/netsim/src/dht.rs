@@ -118,7 +118,7 @@ pub enum DhtEvent {
 
 impl DhtEvent {
     /// The timestamp of the event.
-    pub fn at(&self) -> SimTime {
+    pub(crate) fn at(&self) -> SimTime {
         match self {
             DhtEvent::Up { at, .. }
             | DhtEvent::Down { at, .. }
@@ -292,7 +292,7 @@ impl DhtTracker {
     }
 
     /// A tracker that records nothing.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         let mut tracker = DhtTracker::new(DEFAULT_BUCKET_SIZE);
         tracker.enabled = false;
         tracker
@@ -404,7 +404,7 @@ impl DhtTracker {
     /// offline, the entry is already a member, the owner's conduct rejects
     /// the entry, or the target bucket is full (LRU keeps the long-lived
     /// incumbents, as go-ipfs does).
-    pub fn admit(&mut self, at: SimTime, owner: PeerId, entry: PeerId) {
+    pub(crate) fn admit(&mut self, at: SimTime, owner: PeerId, entry: PeerId) {
         if !self.enabled || owner == entry {
             return;
         }

@@ -19,21 +19,18 @@
 //! * metadata changes propagate to connected observers via identify push,
 //! * scripted joins, leaves and PID rotations reshape the population mid-run.
 //!
-//! Observations are emitted through the [`ObservationSink`] trait as plain
-//! ids. Identify payloads and multiaddresses are interned once in an
-//! [`IdentifyRegistry`]; the hot path records 4-byte ids, so an identify
-//! push to `k` connected observers costs `k` column appends instead of `k`
-//! deep payload clones.
+//! Each observer's observations are appended to its own
+//! [`crate::ObservationTable`] as plain ids. Identify payloads and
+//! multiaddresses are interned once in an [`crate::IdentifyRegistry`]; the
+//! hot path records 4-byte ids, so an identify push to `k` connected
+//! observers costs `k` column appends instead of `k` deep payload clones.
 
-use crate::config::{NetworkConfig, ObserverSpec};
+use crate::config::NetworkConfig;
 use crate::dht::DhtLog;
 use crate::events::{GroundTruth, ObserverLog};
 use crate::mailbox::{run_direct, run_lockstep, FullProtocolConfig, FullProtocolRun};
-use crate::obs::{IdentifyRegistry, ObservationSink, ObservationTable};
 use crate::spec::{PopulationEvent, RemotePeerSpec};
-use simclock::SimTime;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Result of a simulation run.
 #[derive(Debug, Clone)]
@@ -51,7 +48,9 @@ pub struct SimulationOutput {
 }
 
 impl SimulationOutput {
-    fn new(logs: Vec<ObserverLog>, ground_truth: GroundTruth, dht: DhtLog) -> Self {
+    /// Assembles an output from its logs, the run's ground truth and its
+    /// DHT log: the engine's assembly and the archive reader's.
+    pub(crate) fn new(logs: Vec<ObserverLog>, ground_truth: GroundTruth, dht: DhtLog) -> Self {
         let mut by_name = HashMap::with_capacity(logs.len());
         for (idx, log) in logs.iter().enumerate() {
             // First-wins on duplicate names, matching the linear scan this
@@ -66,73 +65,9 @@ impl SimulationOutput {
         }
     }
 
-    /// Assembles a simulation output from externally built logs (the tee
-    /// pipelines that run [`Network::run_with_sinks`] and re-create the logs
-    /// with [`ObserverLog::from_columns`]) plus the run's ground truth and
-    /// DHT log.
-    pub fn from_logs(logs: Vec<ObserverLog>, ground_truth: GroundTruth, dht: DhtLog) -> Self {
-        SimulationOutput::new(logs, ground_truth, dht)
-    }
-
     /// Looks up an observer log by name.
     pub fn log(&self, observer: &str) -> Option<&ObserverLog> {
         self.by_name.get(observer).map(|&idx| &self.logs[idx])
-    }
-}
-
-/// Result of a simulation run into caller-provided [`ObservationSink`]s.
-///
-/// Returned by [`Network::run_with_sinks`]; `sinks` are the caller's sinks
-/// after the run, in observer-configuration order, and `registry` resolves
-/// every peer slot, address id and identify id the sinks were handed.
-#[derive(Debug)]
-pub struct SinkRun<S> {
-    /// The sinks, one per configured observer.
-    pub sinks: Vec<S>,
-    /// Ground truth of the simulated network.
-    pub ground_truth: GroundTruth,
-    /// Routing-table membership history of the run.
-    pub dht: DhtLog,
-    /// The interning registry of the run.
-    pub registry: IdentifyRegistry,
-    /// When the run ended.
-    pub ended_at: SimTime,
-}
-
-impl SinkRun<ObservationTable> {
-    /// Assembles the [`SimulationOutput`] from table sinks: each
-    /// table is time-sorted and wrapped into an [`ObserverLog`] over the
-    /// run's shared registry. `specs` must be the observer configuration
-    /// the run used, in order.
-    ///
-    /// [`Network::run`] is `run_with_sinks(presized tables)` plus this;
-    /// tee pipelines (`TeeSink<ObservationTable, _>`) rebuild a `SinkRun`
-    /// from their table halves and reuse the exact same assembly, so both
-    /// paths stay byte-identical by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `specs.len()` differs from the number of sinks.
-    pub fn into_output(self, specs: &[ObserverSpec]) -> SimulationOutput {
-        assert_eq!(specs.len(), self.sinks.len(), "one spec per sink");
-        let registry = Arc::new(self.registry);
-        let logs = specs
-            .iter()
-            .zip(self.sinks)
-            .map(|(spec, mut table)| {
-                table.stable_sort_by_time();
-                ObserverLog::from_columns(
-                    spec.name.clone(),
-                    spec.peer_id,
-                    spec.role.is_server(),
-                    SimTime::ZERO,
-                    self.ended_at,
-                    table,
-                    Arc::clone(&registry),
-                )
-            })
-            .collect();
-        SimulationOutput::new(logs, self.ground_truth, self.dht)
     }
 }
 
@@ -201,38 +136,11 @@ impl Network {
         self
     }
 
-    /// Number of peers in the initial population (scripted joins excluded).
-    pub fn population_size(&self) -> usize {
-        self.peers.len()
-    }
-
     /// Runs the simulation to completion and returns the observation logs and
     /// ground truth.
     pub fn run(self) -> SimulationOutput {
-        let sinks: Vec<ObservationTable> = self
-            .config
-            .observers
-            .iter()
-            .map(ObserverSpec::presized_table)
-            .collect();
-        let specs: Vec<ObserverSpec> = self.config.observers.clone();
-        self.run_with_sinks(sinks).into_output(&specs)
-    }
-
-    /// Runs the simulation, emitting every observation into the caller's
-    /// sinks (one per configured observer, in configuration order).
-    ///
-    /// This is the raw columnar entry point: no [`ObserverLog`]s are built
-    /// and nothing is buffered beyond what the sinks keep. The streaming
-    /// campaigns tee a table and a streaming monitor through it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sinks.len()` differs from the number of configured
-    /// observers.
-    pub fn run_with_sinks<S: ObservationSink>(self, sinks: Vec<S>) -> SinkRun<S> {
         let cfg = FullProtocolConfig::from_network(&self.config);
-        run_direct(&cfg, self.peers, self.population_events, sinks, self.dht_tracking).0
+        run_direct(&cfg, self.peers, self.population_events, self.dht_tracking).0
     }
 
     /// Runs the simulation on `shards` lock-step engine shards across
@@ -243,15 +151,9 @@ impl Network {
         let cfg = FullProtocolConfig::from_network(&self.config)
             .with_shards(shards)
             .with_threads(threads);
-        let sinks = cfg.observers.iter().map(ObserverSpec::presized_table).collect();
-        let (run, stats, phases) = run_lockstep::<ObservationTable>(
-            &cfg,
-            self.peers,
-            self.population_events,
-            sinks,
-            self.dht_tracking,
-        );
-        FullProtocolRun::new(run.into_output(&cfg.observers), stats, phases)
+        let (output, stats, phases) =
+            run_lockstep(&cfg, self.peers, self.population_events, self.dht_tracking);
+        FullProtocolRun::new(output, stats, phases)
     }
 }
 
@@ -268,7 +170,7 @@ mod tests {
         AgentVersion, CloseReason, ConnLimits, Direction, IdentifyInfo, IpAddress, Multiaddr,
         PeerId, ProtocolSet,
     };
-    use simclock::SimDuration;
+    use simclock::{SimDuration, SimTime};
 
     fn server_identify() -> IdentifyInfo {
         IdentifyInfo::new(
@@ -729,36 +631,5 @@ mod tests {
         assert!(!log.is_empty());
         assert!(log.registry().peer_count() <= 5);
         assert!(row_peers(log).contains(&PeerId::derived(3)));
-    }
-
-    #[test]
-    fn run_with_sinks_sees_exactly_the_events_run_stores() {
-        let make = || {
-            let mut config = NetworkConfig::single_observer(
-                31,
-                SimDuration::from_hours(1),
-                ObserverSpec::new("go-ipfs", PeerId::derived(3_000_000), DhtRole::Server, ConnLimits::new(30, 60)),
-            );
-            config.observers.push(ObserverSpec::new(
-                "hydra-h0",
-                PeerId::derived(3_000_001),
-                DhtRole::Server,
-                ConnLimits::new(30, 60),
-            ));
-            (config, (0..60).map(peer).collect::<Vec<_>>())
-        };
-        let (config, peers) = make();
-        let output = Network::new(config, peers).run();
-        let (config, peers) = make();
-        let sinks = config.observers.iter().map(ObserverSpec::presized_table).collect();
-        let mut run = Network::new(config, peers).run_with_sinks(sinks);
-        assert_eq!(run.sinks.len(), 2);
-        for (table, log) in run.sinks.iter_mut().zip(&output.logs) {
-            table.stable_sort_by_time();
-            assert_eq!(table.len(), log.len());
-            assert_eq!(table.checksum(), log.table().checksum());
-        }
-        assert_eq!(run.ground_truth, output.ground_truth);
-        assert_eq!(run.registry.peer_count(), output.logs[0].registry().peer_count());
     }
 }

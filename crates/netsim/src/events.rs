@@ -73,12 +73,8 @@ impl ObserverLog {
     /// Assembles a log from a columnar table and the interning registry that
     /// resolves its ids.
     ///
-    /// This is how the engine builds the logs of [`crate::Network::run`], and
-    /// how tee pipelines ([`crate::TeeSink`] under
-    /// [`crate::Network::run_with_sinks`]) re-assemble a log from the table
-    /// half of a tee while a streaming consumer keeps the other half. The
-    /// table should be time-sorted
-    /// ([`ObservationTable::stable_sort_by_time`]); every id in it must have
+    /// This is how the engine's assembly and the archive reader build their
+    /// logs. The table should be time-sorted, and every id in it must have
     /// been handed out by `registry`.
     pub fn from_columns(
         observer: impl Into<String>,
@@ -114,11 +110,6 @@ impl ObserverLog {
     /// The duration covered by the log.
     pub fn duration(&self) -> SimDuration {
         self.ended_at - self.started_at
-    }
-
-    /// Number of events in the log.
-    pub fn len(&self) -> usize {
-        self.table.len()
     }
 
     /// Whether the log contains no events.
@@ -301,7 +292,6 @@ impl GroundTruth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::ObservationSink;
     use p2pmodel::{
         AgentVersion, CloseReason, ConnectionId, Direction, IdentifyInfo, IpAddress, Multiaddr,
         ProtocolSet, Transport,
@@ -373,7 +363,7 @@ mod tests {
         let second = conns.iter().find(|c| c.id == ConnectionId(2)).unwrap();
         assert_eq!((second.opened_at, second.closed), (s(20), None));
 
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.table().len(), 3);
         assert!(!log.is_empty());
         assert_eq!(log.duration(), SimDuration::from_secs(100));
     }

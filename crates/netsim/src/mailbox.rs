@@ -8,14 +8,17 @@
 //!
 //! * the **direct driver** runs the whole population as one shard through
 //!   one [`KeyedEventQueue`], with no epochs and no mailboxes.
-//!   [`crate::Network::run`] and [`crate::Network::run_with_sinks`] use it;
+//!   [`crate::Network::run`] uses it;
 //! * the **lock-step driver** partitions the population across `S` shards
 //!   and runs them over sealed simulated time-slices (*epochs*), exchanging
 //!   cross-shard events through mailboxes at every barrier.
 //!   [`run_full_protocol`] and [`crate::Network::run_sharded`] use it.
 //!
 //! Both produce the byte-identical trace for any shard count and any
-//! worker-thread count.
+//! worker-thread count. Each observer appends its observations to its own
+//! [`ObservationTable`], and the assembly hands the tables out as the
+//! run's [`ObserverLog`]s: the tables are the only way events leave the
+//! engine.
 //!
 //! # Ownership
 //!
@@ -84,9 +87,9 @@ use simclock::{KeyedEventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::{NetworkConfig, ObserverSpec};
 use crate::dht::{replay_dht, DhtConduct, DhtContact, DhtTracker};
-use crate::engine::{SimulationOutput, SinkRun};
-use crate::events::{GroundTruth, GroundTruthEvent};
-use crate::obs::{IdentifyRegistry, ObservationSink, ObservationTable, ShardMap};
+use crate::engine::SimulationOutput;
+use crate::events::{GroundTruth, GroundTruthEvent, ObserverLog};
+use crate::obs::{IdentifyRegistry, ObservationTable, ShardMap};
 use crate::spec::{DialBehavior, PopulationAction, PopulationEvent, RemotePeerSpec, SessionPattern};
 
 /// Event ranks for peer-keyed events (low rank pops first on time ties): a
@@ -276,11 +279,11 @@ impl VisibleNet {
 }
 
 /// Per-observer runtime state, owned by shard `o % S`.
-struct ObserverRuntime<S> {
+struct ObserverRuntime {
     spec: ObserverSpec,
     global: u32,
     rng: SimRng,
-    sink: S,
+    table: ObservationTable,
     connmgr: ConnectionManager,
     conn_peer: HashMap<ConnectionId, (u32, Direction)>,
     peer_conn: HashMap<u32, ConnectionId>,
@@ -292,7 +295,7 @@ struct ObserverRuntime<S> {
     contacts: Option<Vec<(SimTime, u32, bool)>>,
 }
 
-impl<S> ObserverRuntime<S> {
+impl ObserverRuntime {
     fn contact(&mut self, at: SimTime, g: u32, admit: bool) {
         if let Some(contacts) = &mut self.contacts {
             contacts.push((at, g, admit));
@@ -314,11 +317,11 @@ enum Route {
 
 /// One engine shard: a contiguous peer range, its round-robin observers, a
 /// keyed event queue and the outbound mailboxes of the current epoch.
-struct Shard<S> {
+struct Shard {
     frozen: Arc<FrozenPopulation>,
     peer_start: u32,
     peers: Vec<PeerRuntime>,
-    observers: Vec<ObserverRuntime<S>>,
+    observers: Vec<ObserverRuntime>,
     visible: Option<VisibleNet>,
     queue: KeyedEventQueue<FpEvent>,
     route: Route,
@@ -334,7 +337,7 @@ struct Shard<S> {
     processed: u64,
 }
 
-impl<S: ObservationSink> Shard<S> {
+impl Shard {
     fn local_peer(&self, g: u32) -> usize {
         (g - self.peer_start) as usize
     }
@@ -606,7 +609,7 @@ impl<S: ObservationSink> Shard<S> {
         let slot = self.frozen.slots[g as usize];
         for ob in &mut self.observers {
             if ob.peer_conn.contains_key(&g) {
-                ob.sink.identify_received(now, slot, id);
+                ob.table.identify_received(now, slot, id);
             }
         }
     }
@@ -635,7 +638,7 @@ impl<S: ObservationSink> Shard<S> {
         let slot = self.frozen.slots[g as usize];
         let addr = self.frozen.addr_ids[g as usize];
         let ob = &mut self.observers[li];
-        ob.sink.peer_discovered(now, slot, addr);
+        ob.table.peer_discovered(now, slot, addr);
         // Gossip carries a server into the observer's table, possibly as a
         // stale entry — the staleness a real crawler has to dial through.
         if server {
@@ -709,7 +712,7 @@ impl<S: ObservationSink> Shard<S> {
             // observers' connections, and a lone observer counts 0, 1, 2, ….
             let conn = ConnectionId(ob.next_conn_id * self.obs_total as u64 + ob.global as u64);
             ob.next_conn_id += 1;
-            ob.sink.connection_opened(
+            ob.table.connection_opened(
                 now,
                 conn,
                 self.frozen.slots[g as usize],
@@ -734,7 +737,7 @@ impl<S: ObservationSink> Shard<S> {
                 ob.connmgr.protect(conn);
             }
             if ob.rng.chance(behavior.identify_prob) {
-                ob.sink
+                ob.table
                     .identify_received(now, self.frozen.slots[g as usize], visible_identify);
             }
             let valued_by_remote =
@@ -766,7 +769,7 @@ impl<S: ObservationSink> Shard<S> {
                 ob.outbound_open -= 1;
             }
             ob.connmgr.untrack(conn);
-            ob.sink
+            ob.table
                 .connection_closed(now, conn, self.frozen.slots[g as usize], reason);
             // Losing the connection drops the peer from the observer's
             // table, as go-ipfs evicts disconnected contacts.
@@ -827,7 +830,7 @@ impl<S: ObservationSink> Shard<S> {
 /// observer-hosting shards), stable-sorted by the globally unique
 /// `(time, key)` pair and handed over via `schedule_batch`. Adds the
 /// delivered and cross-shard entry counts to `stats`.
-fn exchange<S: ObservationSink>(shards: &mut [Shard<S>], stats: &mut MailboxStats) {
+fn exchange(shards: &mut [Shard], stats: &mut MailboxStats) {
     let outs: Vec<(Vec<Vec<MailEntry>>, Vec<MailEntry>)> =
         shards.iter_mut().map(Shard::take_outbox).collect();
     for (d, shard) in shards.iter_mut().enumerate() {
@@ -857,11 +860,7 @@ fn exchange<S: ObservationSink>(shards: &mut [Shard<S>], stats: &mut MailboxStat
 /// `threads` scoped worker threads. The assignment is static (`shard % t`),
 /// so the partition of work — and therefore the trace — is identical for
 /// every thread count; threads only change wall-clock time.
-fn par_shards<S, F>(shards: &mut [Shard<S>], threads: usize, f: F)
-where
-    S: ObservationSink + Send,
-    F: Fn(&mut Shard<S>) + Sync,
-{
+fn par_shards<F: Fn(&mut Shard) + Sync>(shards: &mut [Shard], threads: usize, f: F) {
     let t = threads.max(1).min(shards.len().max(1));
     if t <= 1 {
         for shard in shards.iter_mut() {
@@ -869,7 +868,7 @@ where
         }
         return;
     }
-    let mut buckets: Vec<Vec<&mut Shard<S>>> = (0..t).map(|_| Vec::new()).collect();
+    let mut buckets: Vec<Vec<&mut Shard>> = (0..t).map(|_| Vec::new()).collect();
     for (i, shard) in shards.iter_mut().enumerate() {
         buckets[i % t].push(shard);
     }
@@ -1147,17 +1146,15 @@ fn freeze(
 }
 
 /// Builds the shards of a run: `shard_count` lock-step shards, or the one
-/// shard of the direct driver. `sinks` go to their observers, one each in
-/// configuration order.
-fn build<S: ObservationSink>(
+/// shard of the direct driver. Each observer gets a table presized from its
+/// spec.
+fn build(
     cfg: &FullProtocolConfig,
     specs: Vec<RemotePeerSpec>,
     events: Vec<PopulationEvent>,
-    sinks: Vec<S>,
     track_dht: bool,
     lockstep: bool,
-) -> Vec<Shard<S>> {
-    assert_eq!(sinks.len(), cfg.observers.len(), "one sink per configured observer");
+) -> Vec<Shard> {
     let end = SimTime::ZERO + cfg.duration;
     let (peers, joined, retirements) = flatten(specs, events, end);
     let n = peers.len();
@@ -1165,13 +1162,13 @@ fn build<S: ObservationSink>(
     let map = ShardMap::new(n, shard_count);
     let (frozen, runtimes) = freeze(peers, joined, retirements, cfg, &map);
     let frozen = Arc::new(frozen);
-    let mut observers: Vec<Vec<ObserverRuntime<S>>> = (0..shard_count).map(|_| Vec::new()).collect();
-    for (o, (spec, sink)) in cfg.observers.iter().zip(sinks).enumerate() {
+    let mut observers: Vec<Vec<ObserverRuntime>> = (0..shard_count).map(|_| Vec::new()).collect();
+    for (o, spec) in cfg.observers.iter().enumerate() {
         observers[o % shard_count].push(ObserverRuntime {
             spec: spec.clone(),
             global: o as u32,
             rng: SimRng::seed_from(derive_seed(cfg.seed, OBSERVER_RNG_DOMAIN, o as u64)),
-            sink,
+            table: spec.presized_table(),
             connmgr: ConnectionManager::new(spec.limits),
             conn_peer: HashMap::with_capacity(spec.expected_connections()),
             peer_conn: HashMap::with_capacity(spec.expected_connections()),
@@ -1214,15 +1211,17 @@ fn build<S: ObservationSink>(
         .collect()
 }
 
-/// Assembles the run's output: sinks in observer order, the canonical
-/// ground truth, and — when tracking — the routing-table post-pass.
-fn assemble<S: ObservationSink>(
-    shards: Vec<Shard<S>>,
+/// Assembles the run's output: each observer's table, time-sorted and
+/// wrapped in an [`ObserverLog`] over the run's registry, in observer
+/// order; the canonical ground truth; and — when tracking — the
+/// routing-table post-pass.
+fn assemble(
+    shards: Vec<Shard>,
     track_dht: bool,
     mut stats: MailboxStats,
-) -> (SinkRun<S>, MailboxStats) {
+) -> (SimulationOutput, MailboxStats) {
     let end = shards[0].end;
-    let mut observers: Vec<ObserverRuntime<S>> = Vec::new();
+    let mut observers: Vec<ObserverRuntime> = Vec::new();
     let mut gt_rows: Vec<(SimTime, u32, u8, bool)> = Vec::new();
     let mut frozen = None;
     for mut shard in shards {
@@ -1287,44 +1286,79 @@ fn assemble<S: ObservationSink>(
         DhtTracker::disabled().into_log()
     };
 
-    let run = SinkRun {
-        sinks: observers.into_iter().map(|ob| ob.sink).collect(),
-        ground_truth,
-        dht,
-        registry: frozen.registry,
-        ended_at: end,
-    };
-    (run, stats)
+    let registry = Arc::new(frozen.registry);
+    let logs = observers
+        .into_iter()
+        .map(|mut ob| {
+            ob.table.stable_sort_by_time();
+            ObserverLog::from_columns(
+                ob.spec.name,
+                ob.spec.peer_id,
+                ob.spec.role.is_server(),
+                SimTime::ZERO,
+                end,
+                ob.table,
+                Arc::clone(&registry),
+            )
+        })
+        .collect();
+    (SimulationOutput::new(logs, ground_truth, dht), stats)
 }
 
 /// The direct driver: the whole population as one shard, one queue, no
 /// epochs and no mailboxes.
-pub(crate) fn run_direct<S: ObservationSink>(
+pub(crate) fn run_direct(
     cfg: &FullProtocolConfig,
     specs: Vec<RemotePeerSpec>,
     events: Vec<PopulationEvent>,
-    sinks: Vec<S>,
     track_dht: bool,
-) -> (SinkRun<S>, MailboxStats) {
-    let mut shards = build(cfg, specs, events, sinks, track_dht, false);
+) -> (SimulationOutput, MailboxStats) {
+    let shards = drive_direct(cfg, specs, events, track_dht);
+    assemble(shards, track_dht, MailboxStats::default())
+}
+
+/// Simulates a run on the direct driver's one shard, up to and including
+/// the end-of-measurement closes.
+fn drive_direct(
+    cfg: &FullProtocolConfig,
+    specs: Vec<RemotePeerSpec>,
+    events: Vec<PopulationEvent>,
+    track_dht: bool,
+) -> Vec<Shard> {
+    let mut shards = build(cfg, specs, events, track_dht, false);
     let shard = &mut shards[0];
     shard.init();
     shard.run_epoch(shard.end, true);
     shard.finish();
-    assemble(shards, track_dht, MailboxStats::default())
+    shards
 }
 
 /// The lock-step driver: `cfg.shards` shards over sealed epochs, with
 /// deterministic inter-shard mailboxes, on `cfg.threads` worker threads.
-pub(crate) fn run_lockstep<S: ObservationSink + Send>(
+pub(crate) fn run_lockstep(
     cfg: &FullProtocolConfig,
     specs: Vec<RemotePeerSpec>,
     events: Vec<PopulationEvent>,
-    sinks: Vec<S>,
     track_dht: bool,
-) -> (SinkRun<S>, MailboxStats, PhaseTimes) {
+) -> (SimulationOutput, MailboxStats, PhaseTimes) {
     let mut phases = PhaseTimes::default();
-    let mut shards = timed(&mut phases.build, || build(cfg, specs, events, sinks, track_dht, true));
+    let (shards, stats) = drive_lockstep(cfg, specs, events, track_dht, &mut phases);
+    let (output, stats) = timed(&mut phases.assemble, || assemble(shards, track_dht, stats));
+    (output, stats, phases)
+}
+
+/// Simulates a run on the lock-step driver's shards, up to and including
+/// the end-of-measurement closes, timing each phase into `phases`.
+fn drive_lockstep(
+    cfg: &FullProtocolConfig,
+    specs: Vec<RemotePeerSpec>,
+    events: Vec<PopulationEvent>,
+    track_dht: bool,
+    phases: &mut PhaseTimes,
+) -> (Vec<Shard>, MailboxStats) {
+    let mut shards = timed(&mut phases.build, || {
+        build(cfg, specs, events, track_dht, true)
+    });
     let mut stats = MailboxStats::default();
     timed(&mut phases.init, || par_shards(&mut shards, cfg.threads, Shard::init));
     // Upfront exchange: gossip sightings drawn at init are scheduled at
@@ -1349,8 +1383,7 @@ pub(crate) fn run_lockstep<S: ObservationSink + Send>(
         par_shards(&mut shards, cfg.threads, |shard| shard.run_epoch(end, true));
         par_shards(&mut shards, cfg.threads, Shard::finish);
     });
-    let (run, stats) = timed(&mut phases.assemble, || assemble(shards, track_dht, stats));
-    (run, stats, phases)
+    (shards, stats)
 }
 
 /// Runs a population sharded across `cfg.shards` lock-step engine shards
@@ -1361,17 +1394,14 @@ pub(crate) fn run_lockstep<S: ObservationSink + Send>(
 /// worker-thread count, and equal to [`crate::Network::run`] on the same
 /// inputs when the epoch is the default 60 s.
 pub fn run_full_protocol(cfg: &FullProtocolConfig, specs: Vec<RemotePeerSpec>) -> FullProtocolRun {
-    let sinks = cfg.observers.iter().map(ObserverSpec::presized_table).collect();
-    let (run, stats, phases) =
-        run_lockstep::<ObservationTable>(cfg, specs, Vec::new(), sinks, false);
-    FullProtocolRun::new(run.into_output(&cfg.observers), stats, phases)
+    let (output, stats, phases) = run_lockstep(cfg, specs, Vec::new(), false);
+    FullProtocolRun::new(output, stats, phases)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::DhtRole;
-    use crate::events::ObserverLog;
     use crate::obs::ObservationKind;
     use crate::spec::{
         DialBehavior, MetadataChange, RemotePeerSpec, ScheduledChange, SessionPattern,
@@ -1460,18 +1490,21 @@ mod tests {
             .with_threads(threads)
     }
 
-    /// The direct driver with table sinks, completed like a lock-step run.
+    /// The direct driver, completed like a lock-step run.
     fn reference(cfg: &FullProtocolConfig, specs: Vec<RemotePeerSpec>) -> FullProtocolRun {
-        let sinks = cfg.observers.iter().map(ObserverSpec::presized_table).collect();
-        let (run, stats) = run_direct::<ObservationTable>(cfg, specs, Vec::new(), sinks, false);
-        FullProtocolRun::new(run.into_output(&cfg.observers), stats, PhaseTimes::default())
+        let (output, stats) = run_direct(cfg, specs, Vec::new(), false);
+        FullProtocolRun::new(output, stats, PhaseTimes::default())
     }
 
     fn fingerprint(run: &FullProtocolRun) -> (u64, u64, Vec<usize>, usize) {
         (
             run.stats.checksum,
             run.stats.observations,
-            run.output.logs.iter().map(ObserverLog::len).collect(),
+            run.output
+                .logs
+                .iter()
+                .map(|log| log.table().len())
+                .collect(),
             run.output.ground_truth.events.len(),
         )
     }
@@ -1489,6 +1522,47 @@ mod tests {
         for (a, b) in reference.output.logs.iter().zip(&sharded.output.logs) {
             assert_eq!(a.observer, b.observer);
             assert_eq!(a, b);
+        }
+    }
+
+    /// The engine appends each observer's rows in time order, so the sort
+    /// in `assemble` never permutes a simulated table: checked on the tables
+    /// before assembly, under scripted joins and leaves, for the direct
+    /// driver and for a lock-step run on three shards.
+    #[test]
+    fn engine_tables_are_chronological() {
+        let cfg = tiny_config(17, 3, 2);
+        let events = || {
+            vec![
+                PopulationEvent {
+                    at: SimTime::from_secs(600),
+                    action: PopulationAction::Join(tiny_population(70, 9).split_off(60)),
+                },
+                PopulationEvent {
+                    at: SimTime::from_secs(1200),
+                    action: PopulationAction::Leave((0..10).map(PeerId::derived).collect()),
+                },
+            ]
+        };
+        let direct = drive_direct(&cfg, tiny_population(60, 5), events(), true);
+        let mut phases = PhaseTimes::default();
+        let (lockstep, _) =
+            drive_lockstep(&cfg, tiny_population(60, 5), events(), true, &mut phases);
+        assert_eq!(lockstep.len(), 3);
+        for shards in [direct, lockstep] {
+            let tables: Vec<&ObservationTable> = shards
+                .iter()
+                .flat_map(|shard| &shard.observers)
+                .map(|ob| &ob.table)
+                .collect();
+            assert_eq!(tables.len(), cfg.observers.len());
+            for table in tables {
+                assert!(!table.is_empty());
+                assert!(
+                    table.is_sorted_by_time(),
+                    "the engine must append rows in time order"
+                );
+            }
         }
     }
 

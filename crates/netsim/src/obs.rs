@@ -3,21 +3,21 @@
 //! The paper's central observation is that *connection churn dwarfs node
 //! churn*: a measurement log holds orders of magnitude more events than the
 //! network holds peers, so nothing on the observation path allocates per
-//! event. It is built from three pieces:
+//! event. It is built from two pieces:
 //!
-//! * [`ObservationSink`] — the trait the engine emits observations into:
-//!   one sink method per observation, with plain ids.
 //! * [`IdentifyRegistry`] — interns every distinct [`IdentifyInfo`],
 //!   [`Multiaddr`] and [`PeerId`] once and hands out dense `u32` ids. An
 //!   identify push records a 4-byte payload id instead of cloning the
 //!   payload (agent string, protocol set, address list).
-//! * [`ObservationTable`] — the struct-of-arrays backing store: parallel
-//!   `at` / `kind` / `peer_slot` / `conn` / `payload` columns, 25 bytes per
-//!   event, no per-event heap allocation.
+//! * [`ObservationTable`] — the struct-of-arrays store the engine appends
+//!   every observation to, one method per observation kind with plain ids:
+//!   parallel `at` / `kind` / `peer_slot` / `conn` / `payload` columns, 25
+//!   bytes per event, no per-event heap allocation.
 //!
 //! [`ObserverLog`](crate::ObserverLog) wraps a table plus a shared
-//! registry; its consumers (the measurement monitors, the streaming engine,
-//! the archive codec) read the columns through it.
+//! registry. Every consumer (the measurement monitors, the streaming
+//! engine, the archive codec) reads the columns through it; no monitor
+//! sees the engine's events any other way.
 
 use p2pmodel::{CloseReason, ConnectionId, Direction, IdentifyInfo, Multiaddr, PeerId};
 use simclock::rng::{fnv1a_step, FNV_OFFSET};
@@ -53,7 +53,7 @@ impl ObservationKind {
 
     /// Decodes a discriminant byte written by `kind as u8` — the inverse the
     /// archive reader needs. Returns `None` for bytes no kind maps to.
-    pub fn from_u8(byte: u8) -> Option<ObservationKind> {
+    pub(crate) fn from_u8(byte: u8) -> Option<ObservationKind> {
         match byte {
             0 => Some(ObservationKind::OpenedInbound),
             1 => Some(ObservationKind::OpenedOutbound),
@@ -112,37 +112,6 @@ pub fn close_reason_from_payload(payload: u32) -> CloseReason {
     try_close_reason(payload).unwrap_or_else(|| panic!("invalid close-reason payload {payload}"))
 }
 
-/// The sink the simulation engine emits observations into.
-///
-/// One implementation is [`ObservationTable`] (the columnar store every
-/// [`crate::Network::run`] uses); custom sinks — counters, stream writers —
-/// can be plugged in through [`crate::Network::run_with_sinks`] to measure
-/// pure engine throughput or to stream events out without buffering them.
-///
-/// All ids refer to the run's [`IdentifyRegistry`]: `peer_slot` is the
-/// registry slot of the remote peer, `addr_id` an interned multiaddress and
-/// `payload_id` an interned identify payload.
-pub trait ObservationSink {
-    /// A connection to the peer in `peer_slot` was opened.
-    fn connection_opened(
-        &mut self,
-        at: SimTime,
-        conn: ConnectionId,
-        peer_slot: u32,
-        direction: Direction,
-        addr_id: u32,
-    );
-
-    /// A connection was closed.
-    fn connection_closed(&mut self, at: SimTime, conn: ConnectionId, peer_slot: u32, reason: CloseReason);
-
-    /// An identify payload (registry id `payload_id`) was received.
-    fn identify_received(&mut self, at: SimTime, peer_slot: u32, payload_id: u32);
-
-    /// The peer was discovered through routing gossip without a connection.
-    fn peer_discovered(&mut self, at: SimTime, peer_slot: u32, addr_id: u32);
-}
-
 /// Interning store shared by every observer of one simulation run.
 ///
 /// Each distinct [`PeerId`], [`Multiaddr`] and [`IdentifyInfo`] is stored
@@ -167,53 +136,13 @@ impl IdentifyRegistry {
     }
 
     /// Creates a registry pre-sized for a population of `peers` peers.
-    pub fn with_capacity(peers: usize) -> Self {
+    pub(crate) fn with_capacity(peers: usize) -> Self {
         IdentifyRegistry {
             peers: Vec::with_capacity(peers),
             peer_slots: HashMap::with_capacity(peers),
             addrs: Vec::with_capacity(peers),
             addr_ids: HashMap::with_capacity(peers),
             ..Self::default()
-        }
-    }
-
-    /// Rebuilds a registry from its interned value vectors, in id order —
-    /// the archive reader's path. `peers[i]` gets slot `i`, `addrs[i]` id
-    /// `i`, `infos[i]` id `i`, exactly as the original interning handed them
-    /// out, so every id stored in an archived [`ObservationTable`] resolves
-    /// to the same value it was created from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector contains a duplicate value: interning guarantees
-    /// distinctness, so a duplicate means the dictionary data is not a
-    /// registry image.
-    pub fn from_parts(peers: Vec<PeerId>, addrs: Vec<Multiaddr>, infos: Vec<IdentifyInfo>) -> Self {
-        let peer_slots: HashMap<PeerId, u32> = peers
-            .iter()
-            .enumerate()
-            .map(|(slot, peer)| (*peer, dense_id(slot, "IdentifyRegistry peer-slot")))
-            .collect();
-        assert_eq!(peer_slots.len(), peers.len(), "duplicate peer in registry image");
-        let addr_ids: HashMap<Multiaddr, u32> = addrs
-            .iter()
-            .enumerate()
-            .map(|(id, addr)| (*addr, dense_id(id, "IdentifyRegistry address-id")))
-            .collect();
-        assert_eq!(addr_ids.len(), addrs.len(), "duplicate address in registry image");
-        let info_ids: HashMap<IdentifyInfo, u32> = infos
-            .iter()
-            .enumerate()
-            .map(|(id, info)| (info.clone(), dense_id(id, "IdentifyRegistry identify-id")))
-            .collect();
-        assert_eq!(info_ids.len(), infos.len(), "duplicate identify payload in registry image");
-        IdentifyRegistry {
-            peers,
-            peer_slots,
-            addrs,
-            addr_ids,
-            infos,
-            info_ids,
         }
     }
 
@@ -362,7 +291,7 @@ impl ObservationTable {
     }
 
     /// Reserves room for `additional` more events in every column.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.at.reserve(additional);
         self.kind.reserve(additional);
         self.peer_slot.reserve(additional);
@@ -376,6 +305,51 @@ impl ObservationTable {
         self.peer_slot.push(peer_slot);
         self.conn.push(conn);
         self.payload.push(payload);
+    }
+
+    /// Appends a row: a connection to the peer in `peer_slot` was opened
+    /// from or to the interned address `addr_id`.
+    pub fn connection_opened(
+        &mut self,
+        at: SimTime,
+        conn: ConnectionId,
+        peer_slot: u32,
+        direction: Direction,
+        addr_id: u32,
+    ) {
+        let kind = match direction {
+            Direction::Inbound => ObservationKind::OpenedInbound,
+            Direction::Outbound => ObservationKind::OpenedOutbound,
+        };
+        self.push_row(at, kind, peer_slot, conn.0, addr_id);
+    }
+
+    /// Appends a row: a connection was closed.
+    pub fn connection_closed(
+        &mut self,
+        at: SimTime,
+        conn: ConnectionId,
+        peer_slot: u32,
+        reason: CloseReason,
+    ) {
+        self.push_row(
+            at,
+            ObservationKind::Closed,
+            peer_slot,
+            conn.0,
+            close_reason_to_payload(reason),
+        );
+    }
+
+    /// Appends a row: the identify payload `payload_id` was received.
+    pub fn identify_received(&mut self, at: SimTime, peer_slot: u32, payload_id: u32) {
+        self.push_row(at, ObservationKind::Identify, peer_slot, NO_CONN, payload_id);
+    }
+
+    /// Appends a row: the peer was discovered through routing gossip
+    /// without a connection.
+    pub fn peer_discovered(&mut self, at: SimTime, peer_slot: u32, addr_id: u32) {
+        self.push_row(at, ObservationKind::Discovered, peer_slot, NO_CONN, addr_id);
     }
 
     /// Number of events in the table.
@@ -394,7 +368,7 @@ impl ObservationTable {
     }
 
     /// The kind column.
-    pub fn kinds(&self) -> &[ObservationKind] {
+    pub(crate) fn kinds(&self) -> &[ObservationKind] {
         &self.kind
     }
 
@@ -404,7 +378,7 @@ impl ObservationTable {
     }
 
     /// The connection-id column ([`NO_CONN`] for non-connection rows).
-    pub fn conns(&self) -> &[u64] {
+    pub(crate) fn conns(&self) -> &[u64] {
         &self.conn
     }
 
@@ -453,7 +427,7 @@ impl ObservationTable {
     }
 
     /// Whether the `at` column is already non-decreasing.
-    pub fn is_sorted_by_time(&self) -> bool {
+    pub(crate) fn is_sorted_by_time(&self) -> bool {
         self.at.windows(2).all(|w| w[0] <= w[1])
     }
 
@@ -461,7 +435,7 @@ impl ObservationTable {
     /// simulation order, which is already chronological, so the common case
     /// is a single O(n) sortedness check; manually built tables pay one
     /// index permutation.
-    pub fn stable_sort_by_time(&mut self) {
+    pub(crate) fn stable_sort_by_time(&mut self) {
         if self.is_sorted_by_time() {
             return;
         }
@@ -567,98 +541,6 @@ impl ObservationTable {
     }
 }
 
-impl ObservationSink for ObservationTable {
-    fn connection_opened(
-        &mut self,
-        at: SimTime,
-        conn: ConnectionId,
-        peer_slot: u32,
-        direction: Direction,
-        addr_id: u32,
-    ) {
-        let kind = match direction {
-            Direction::Inbound => ObservationKind::OpenedInbound,
-            Direction::Outbound => ObservationKind::OpenedOutbound,
-        };
-        self.push_row(at, kind, peer_slot, conn.0, addr_id);
-    }
-
-    fn connection_closed(&mut self, at: SimTime, conn: ConnectionId, peer_slot: u32, reason: CloseReason) {
-        self.push_row(
-            at,
-            ObservationKind::Closed,
-            peer_slot,
-            conn.0,
-            close_reason_to_payload(reason),
-        );
-    }
-
-    fn identify_received(&mut self, at: SimTime, peer_slot: u32, payload_id: u32) {
-        self.push_row(at, ObservationKind::Identify, peer_slot, NO_CONN, payload_id);
-    }
-
-    fn peer_discovered(&mut self, at: SimTime, peer_slot: u32, addr_id: u32) {
-        self.push_row(at, ObservationKind::Discovered, peer_slot, NO_CONN, addr_id);
-    }
-}
-
-/// A fan-out sink: forwards every observation to two child sinks.
-///
-/// This is how a streaming consumer runs *concurrently* with the classic
-/// buffering pipeline in a single simulation: tee the engine's emissions into
-/// an [`ObservationTable`] (for the batch `MeasurementDataset` path) and into
-/// an incremental estimator (`measurement::stream`) at the same time, paying
-/// for one engine run instead of two. Tees nest, so any fan-out degree is
-/// expressible as `TeeSink<A, TeeSink<B, C>>`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TeeSink<A, B> {
-    /// The first child sink.
-    pub first: A,
-    /// The second child sink.
-    pub second: B,
-}
-
-impl<A, B> TeeSink<A, B> {
-    /// Creates a tee over two child sinks.
-    pub fn new(first: A, second: B) -> Self {
-        TeeSink { first, second }
-    }
-
-    /// Consumes the tee and returns both child sinks.
-    pub fn into_parts(self) -> (A, B) {
-        (self.first, self.second)
-    }
-}
-
-impl<A: ObservationSink, B: ObservationSink> ObservationSink for TeeSink<A, B> {
-    fn connection_opened(
-        &mut self,
-        at: SimTime,
-        conn: ConnectionId,
-        peer_slot: u32,
-        direction: Direction,
-        addr_id: u32,
-    ) {
-        self.first.connection_opened(at, conn, peer_slot, direction, addr_id);
-        self.second.connection_opened(at, conn, peer_slot, direction, addr_id);
-    }
-
-    fn connection_closed(&mut self, at: SimTime, conn: ConnectionId, peer_slot: u32, reason: CloseReason) {
-        self.first.connection_closed(at, conn, peer_slot, reason);
-        self.second.connection_closed(at, conn, peer_slot, reason);
-    }
-
-    fn identify_received(&mut self, at: SimTime, peer_slot: u32, payload_id: u32) {
-        self.first.identify_received(at, peer_slot, payload_id);
-        self.second.identify_received(at, peer_slot, payload_id);
-    }
-
-    fn peer_discovered(&mut self, at: SimTime, peer_slot: u32, addr_id: u32) {
-        self.first.peer_discovered(at, peer_slot, addr_id);
-        self.second.peer_discovered(at, peer_slot, addr_id);
-    }
-}
-
 /// Stable global PID ↔ (shard, slot) mapping for partitioned simulations.
 ///
 /// The cross-shard engine ([`crate::mailbox`]) partitions the global peer
@@ -686,13 +568,8 @@ impl ShardMap {
         ShardMap { peers, shards }
     }
 
-    /// Total number of peers mapped.
-    pub fn peers(&self) -> usize {
-        self.peers
-    }
-
     /// Number of shards.
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.shards
     }
 
@@ -785,39 +662,6 @@ mod tests {
     #[should_panic(expected = "IdentifyRegistry peer-slot capacity exceeded")]
     fn dense_id_guard_panics_loudly_past_u32() {
         let _ = dense_id(u32::MAX as usize + 1, "IdentifyRegistry peer-slot");
-    }
-
-    #[test]
-    fn registry_rebuilds_from_parts_with_identical_ids() {
-        let mut reg = IdentifyRegistry::new();
-        let p0 = PeerId::derived(1);
-        let p1 = PeerId::derived(2);
-        reg.register_peer(p0);
-        reg.register_peer(p1);
-        reg.intern_addr(addr(7));
-        reg.intern_addr(addr(9));
-        let i0 = reg.intern_identify(&info("go-ipfs/0.11.0/"));
-
-        let peers: Vec<PeerId> = (0..reg.peer_count() as u32).map(|s| reg.peer(s)).collect();
-        let addrs: Vec<Multiaddr> = (0..reg.addr_count() as u32).map(|a| reg.addr(a)).collect();
-        let infos: Vec<IdentifyInfo> =
-            (0..reg.identify_count() as u32).map(|i| reg.identify(i).clone()).collect();
-        let rebuilt = IdentifyRegistry::from_parts(peers, addrs, infos);
-
-        assert_eq!(rebuilt.peer_slots, reg.peer_slots);
-        assert_eq!(rebuilt.addr(1), addr(9));
-        assert_eq!(rebuilt.identify(i0), reg.identify(i0));
-        // And interning continues where the original left off.
-        let mut rebuilt = rebuilt;
-        assert_eq!(rebuilt.intern_addr(addr(7)), 0);
-        assert_eq!(rebuilt.intern_addr(addr(11)), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate peer in registry image")]
-    fn registry_from_parts_rejects_duplicates() {
-        let p = PeerId::derived(3);
-        let _ = IdentifyRegistry::from_parts(vec![p, p], Vec::new(), Vec::new());
     }
 
     #[test]
@@ -962,27 +806,5 @@ mod tests {
         b.identify_received(SimTime::from_secs(1), 1, 0);
         assert_ne!(a.checksum(), b.checksum());
         assert_eq!(a.checksum(), a.clone().checksum());
-    }
-
-    #[test]
-    fn tee_sink_forwards_every_event_to_both_children() {
-        let mut tee = TeeSink::new(ObservationTable::new(), ObservationTable::new());
-        tee.connection_opened(SimTime::from_secs(1), ConnectionId(4), 2, Direction::Inbound, 7);
-        tee.identify_received(SimTime::from_secs(2), 2, 1);
-        tee.connection_closed(SimTime::from_secs(3), ConnectionId(4), 2, CloseReason::PeerLeft);
-        tee.peer_discovered(SimTime::from_secs(4), 9, 3);
-        let (first, second) = tee.into_parts();
-        assert_eq!(first.len(), 4);
-
-        // A direct table records the identical columns.
-        let mut direct = ObservationTable::new();
-        direct.connection_opened(SimTime::from_secs(1), ConnectionId(4), 2, Direction::Inbound, 7);
-        direct.identify_received(SimTime::from_secs(2), 2, 1);
-        direct.connection_closed(SimTime::from_secs(3), ConnectionId(4), 2, CloseReason::PeerLeft);
-        direct.peer_discovered(SimTime::from_secs(4), 9, 3);
-        for table in [&first, &second] {
-            assert_eq!(table, &direct);
-            assert_eq!(table.checksum(), direct.checksum());
-        }
     }
 }

@@ -46,7 +46,7 @@ impl SessionPattern {
     /// The first session of the pattern: `(start, optional end)` relative to
     /// the simulation start. `None` means the session lasts to the end of the
     /// run.
-    pub fn first_session(&self, rng: &mut SimRng) -> (SimTime, Option<SimTime>) {
+    pub(crate) fn first_session(&self, rng: &mut SimRng) -> (SimTime, Option<SimTime>) {
         match self {
             SessionPattern::AlwaysOn => (SimTime::ZERO, None),
             SessionPattern::Intermittent {
@@ -71,7 +71,11 @@ impl SessionPattern {
 
     /// The next session after a session that ended at `ended_at`, if the
     /// pattern rejoins: `(start, optional end)`.
-    pub fn next_session(&self, ended_at: SimTime, rng: &mut SimRng) -> Option<(SimTime, Option<SimTime>)> {
+    pub(crate) fn next_session(
+        &self,
+        ended_at: SimTime,
+        rng: &mut SimRng,
+    ) -> Option<(SimTime, Option<SimTime>)> {
         match self {
             SessionPattern::AlwaysOn | SessionPattern::OneShot { .. } => None,
             SessionPattern::Intermittent {
@@ -148,7 +152,7 @@ impl DialBehavior {
     }
 
     /// Samples the hold time of a new connection given the observer role.
-    pub fn sample_hold(&self, observer_is_server: bool, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample_hold(&self, observer_is_server: bool, rng: &mut SimRng) -> SimDuration {
         let median = if observer_is_server {
             self.hold_server_median_secs
         } else {
@@ -158,12 +162,12 @@ impl DialBehavior {
     }
 
     /// Samples the delay before the peer (re)dials an observer.
-    pub fn sample_redial_delay(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample_redial_delay(&self, rng: &mut SimRng) -> SimDuration {
         SimDuration::from_secs_f64(rng.log_normal(self.redial_median_secs, self.redial_sigma).max(1.0))
     }
 
     /// Whether the peer dials an observer with the given role at all.
-    pub fn dials(&self, observer_is_server: bool, rng: &mut SimRng) -> bool {
+    pub(crate) fn dials(&self, observer_is_server: bool, rng: &mut SimRng) -> bool {
         let p = if observer_is_server {
             self.dial_server_prob
         } else {
@@ -193,7 +197,7 @@ impl MetadataChange {
     /// The engine's build applies each peer's whole chain up front, in
     /// schedule order, to intern every payload version the peer will ever
     /// announce; the metadata events then carry only the interned ids.
-    pub fn apply(&self, identify: &mut IdentifyInfo) {
+    pub(crate) fn apply(&self, identify: &mut IdentifyInfo) {
         match self {
             MetadataChange::SetAgent(agent) => identify.agent = agent.clone(),
             MetadataChange::AddProtocol(p) => {

@@ -205,14 +205,6 @@ impl AgentVersion {
         }
     }
 
-    /// The flavor of a go-ipfs build (`None` for other agents).
-    pub fn flavor(&self) -> Option<VersionFlavor> {
-        match self {
-            AgentVersion::GoIpfs { flavor, .. } => Some(*flavor),
-            _ => None,
-        }
-    }
-
     /// Classifies the transition from `self` to `new` following Table III.
     ///
     /// Returns `None` unless **both** agents are go-ipfs (the paper only
@@ -366,7 +358,13 @@ mod tests {
         assert_eq!(a.to_string(), "go-ipfs/0.11.0-dev/0c2f9d5-dirty");
 
         let clean = AgentVersion::parse("go-ipfs/0.8.0/");
-        assert_eq!(clean.flavor(), Some(VersionFlavor::Main));
+        assert!(matches!(
+            clean,
+            AgentVersion::GoIpfs {
+                flavor: VersionFlavor::Main,
+                ..
+            }
+        ));
         assert_eq!(clean.display_group(), "0.8.0");
     }
 

@@ -118,16 +118,6 @@ impl ConnectionManager {
         }
     }
 
-    /// The configured limits.
-    pub fn limits(&self) -> ConnLimits {
-        self.limits
-    }
-
-    /// Number of currently tracked (open) connections.
-    pub fn connection_count(&self) -> usize {
-        self.connections.len()
-    }
-
     /// Starts tracking a newly opened connection with neutral value.
     pub fn track(&mut self, id: ConnectionId, opened_at: SimTime) {
         self.connections.insert(
@@ -232,7 +222,7 @@ mod tests {
         let mut mgr = manager(2, 5, 0);
         fill(&mut mgr, 5, SimTime::ZERO);
         assert!(mgr.maybe_trim(SimTime::from_secs(100)).to_close.is_empty());
-        assert_eq!(mgr.connection_count(), 5);
+        assert_eq!(mgr.connections.len(), 5);
     }
 
     #[test]
@@ -241,7 +231,7 @@ mod tests {
         fill(&mut mgr, 8, SimTime::ZERO);
         let decision = mgr.maybe_trim(SimTime::from_secs(100));
         assert_eq!(decision.to_close.len(), 5);
-        assert_eq!(mgr.connection_count(), 3);
+        assert_eq!(mgr.connections.len(), 3);
     }
 
     #[test]
@@ -262,7 +252,7 @@ mod tests {
         for id in &decision.to_close {
             assert!(id.0 < 3, "young connection {id} must not be trimmed");
         }
-        assert_eq!(mgr.connection_count(), 3);
+        assert_eq!(mgr.connections.len(), 3);
     }
 
     #[test]
@@ -292,13 +282,13 @@ mod tests {
     fn untrack_and_queries() {
         let mut mgr = manager(1, 10, 0);
         mgr.track(ConnectionId(1), SimTime::ZERO);
-        assert_eq!(mgr.connection_count(), 1);
+        assert_eq!(mgr.connections.len(), 1);
         mgr.untrack(ConnectionId(1));
-        assert_eq!(mgr.connection_count(), 0);
+        assert_eq!(mgr.connections.len(), 0);
         // Tagging or protecting an unknown connection is a no-op.
         mgr.tag(ConnectionId(1), 5);
         mgr.protect(ConnectionId(1));
-        assert_eq!(mgr.connection_count(), 0);
+        assert_eq!(mgr.connections.len(), 0);
     }
 
     #[test]
@@ -321,9 +311,9 @@ mod tests {
             let high = low + extra;
             let mut mgr = manager(low, high, 0);
             fill(&mut mgr, n, SimTime::ZERO);
-            let before = mgr.connection_count();
+            let before = mgr.connections.len();
             let decision = mgr.maybe_trim(SimTime::from_secs(1000));
-            let after = mgr.connection_count();
+            let after = mgr.connections.len();
             assert_eq!(before - decision.to_close.len(), after);
             if before > high {
                 // All candidates were eligible, so the manager reaches

@@ -47,7 +47,7 @@ impl IdentifyInfo {
 
     /// An empty payload for peers that never completed an identify exchange;
     /// the paper reports 3 059 such PIDs ("missing" agent).
-    pub fn unknown() -> Self {
+    pub(crate) fn unknown() -> Self {
         IdentifyInfo {
             agent: AgentVersion::Missing,
             protocols: ProtocolSet::new(),

@@ -29,11 +29,6 @@ impl Distance {
         Distance(bytes)
     }
 
-    /// Whether the distance is zero.
-    pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&b| b == 0)
-    }
-
     /// Number of leading zero bits (0..=256). Equal to the common prefix
     /// length of the two peer IDs.
     pub fn leading_zeros(&self) -> u32 {
@@ -88,7 +83,7 @@ impl KBucket {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "bucket capacity must be positive");
         KBucket {
             peers: Vec::new(),
@@ -97,12 +92,12 @@ impl KBucket {
     }
 
     /// Number of peers currently in the bucket.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.peers.len()
     }
 
     /// Whether the bucket contains `peer`.
-    pub fn contains(&self, peer: &PeerId) -> bool {
+    pub(crate) fn contains(&self, peer: &PeerId) -> bool {
         self.peers.contains(peer)
     }
 
@@ -114,7 +109,7 @@ impl KBucket {
     /// * If the bucket is full the peer is rejected and `false` is returned
     ///   (Kademlia prefers long-lived peers, which is also why crawlers see a
     ///   stable core).
-    pub fn insert(&mut self, peer: PeerId) -> bool {
+    pub(crate) fn insert(&mut self, peer: PeerId) -> bool {
         if let Some(pos) = self.peers.iter().position(|p| *p == peer) {
             self.peers.remove(pos);
             self.peers.push(peer);
@@ -128,7 +123,7 @@ impl KBucket {
     }
 
     /// Removes a peer, returning whether it was present.
-    pub fn remove(&mut self, peer: &PeerId) -> bool {
+    pub(crate) fn remove(&mut self, peer: &PeerId) -> bool {
         if let Some(pos) = self.peers.iter().position(|p| p == peer) {
             self.peers.remove(pos);
             true
@@ -138,7 +133,7 @@ impl KBucket {
     }
 
     /// Iterates over the peers from least- to most-recently seen.
-    pub fn iter(&self) -> impl Iterator<Item = &PeerId> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &PeerId> {
         self.peers.iter()
     }
 }
@@ -193,13 +188,8 @@ impl RoutingTable {
         }
     }
 
-    /// The local peer this table is centred on.
-    pub fn local(&self) -> &PeerId {
-        &self.local
-    }
-
     /// Total number of peers across all buckets.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buckets.iter().map(KBucket::len).sum()
     }
 

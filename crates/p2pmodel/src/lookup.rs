@@ -77,11 +77,6 @@ impl IterativeLookup {
         lookup
     }
 
-    /// The lookup target.
-    pub fn target(&self) -> &PeerId {
-        &self.target
-    }
-
     /// Merges queried-peer responses (or seeds) into the shortlist.
     pub fn on_response(&mut self, peers: impl IntoIterator<Item = PeerId>) {
         for peer in peers {

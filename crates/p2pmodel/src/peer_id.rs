@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn distance_to_self_is_zero() {
         let id = PeerId::derived(3);
-        assert!(id.distance(&id).is_zero());
+        assert_eq!(id.distance(&id), Distance::ZERO);
         assert_eq!(id.bucket_index(&id), None);
     }
 
@@ -269,7 +269,7 @@ mod tests {
             let b = if rng.chance(0.25) { a } else { rng.raw_u64() };
             let x = PeerId::derived(a);
             let y = PeerId::derived(b);
-            assert_eq!(x.distance(&y).is_zero(), x == y);
+            assert_eq!(x.distance(&y) == Distance::ZERO, x == y);
         }
     }
 

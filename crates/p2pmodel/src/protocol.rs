@@ -188,7 +188,7 @@ impl ProtocolSet {
     }
 
     /// Whether the given protocol is announced.
-    pub fn contains(&self, protocol: &str) -> bool {
+    pub(crate) fn contains(&self, protocol: &str) -> bool {
         self.protocols.contains(&ProtocolId::new(protocol))
     }
 

@@ -73,7 +73,7 @@ impl Archetype {
 
     /// Whether peers of this archetype announce the Kademlia protocol
     /// (DHT-Server role) by default.
-    pub fn is_dht_server(self) -> bool {
+    pub(crate) fn is_dht_server(self) -> bool {
         match self {
             Archetype::StableServer
             | Archetype::RegularServer
@@ -95,7 +95,7 @@ impl Archetype {
     /// `LightChurner` and `OneTimeUser` peers are ordinary go-ipfs nodes, a
     /// fraction of which runs as DHT-Server; the builder flips their profile
     /// accordingly via `server_override`.
-    pub fn protocols(self, server_override: bool) -> ProtocolSet {
+    pub(crate) fn protocols(self, server_override: bool) -> ProtocolSet {
         match self {
             Archetype::StableServer | Archetype::RegularServer => ProtocolSet::go_ipfs_dht_server(),
             Archetype::CoreClient | Archetype::RegularClient => ProtocolSet::go_ipfs_dht_client(),
@@ -119,7 +119,7 @@ impl Archetype {
     /// `run_secs` is the total scheduled run length; one-time users arrive
     /// uniformly over the run, recurring peers start with a random offset so
     /// the network does not "boot" all at once.
-    pub fn session(self, run_secs: f64, rng: &mut SimRng) -> SessionPattern {
+    pub(crate) fn session(self, run_secs: f64, rng: &mut SimRng) -> SessionPattern {
         match self {
             Archetype::StableServer
             | Archetype::CoreClient
@@ -165,7 +165,7 @@ impl Archetype {
 
     /// The dialing/holding behaviour of peers of this archetype towards the
     /// measurement nodes.
-    pub fn behavior(self, rng: &mut SimRng) -> DialBehavior {
+    pub(crate) fn behavior(self, rng: &mut SimRng) -> DialBehavior {
         match self {
             Archetype::StableServer | Archetype::HydraHead => DialBehavior {
                 dial_server_prob: 0.97,
@@ -284,7 +284,7 @@ impl Archetype {
 
     /// Probability that an observer learns about a peer of this archetype
     /// through routing gossip alone (without a connection).
-    pub fn gossip_visibility(self) -> f64 {
+    pub(crate) fn gossip_visibility(self) -> f64 {
         match self {
             Archetype::StableServer | Archetype::RegularServer | Archetype::HydraHead => 0.10,
             Archetype::StormNode | Archetype::DisguisedStorm => 0.05,
@@ -294,7 +294,7 @@ impl Archetype {
     }
 
     /// A human-readable label used in reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Archetype::StableServer => "stable-server",
             Archetype::CoreClient => "core-client",

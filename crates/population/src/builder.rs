@@ -194,16 +194,6 @@ impl PopulationBuilder {
         self
     }
 
-    /// The run length the builder is configured for.
-    pub fn duration(&self) -> SimDuration {
-        self.run
-    }
-
-    /// The configured mix.
-    pub fn mix(&self) -> &PopulationMix {
-        &self.mix
-    }
-
     /// Generates the population.
     pub fn build(&self) -> Population {
         let mut rng = SimRng::seed_from(self.seed);

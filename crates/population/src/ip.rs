@@ -32,7 +32,7 @@ impl IpAllocator {
     pub const HYDRA_HEADS_PER_IP: usize = 100;
 
     /// Creates an allocator with its own RNG stream.
-    pub fn new(rng: &mut SimRng) -> Self {
+    pub(crate) fn new(rng: &mut SimRng) -> Self {
         let mut rng = rng.fork(0x1b);
         let hydra_ips = (0..11).map(|_| IpAddress::random_v4(&mut rng)).collect();
         let rotator_ip = IpAddress::random_v4(&mut rng);
@@ -47,7 +47,7 @@ impl IpAllocator {
     }
 
     /// A unique public address for a peer that shares its IP with nobody.
-    pub fn unique(&mut self) -> Multiaddr {
+    pub(crate) fn unique(&mut self) -> Multiaddr {
         let transport = if self.rng.chance(0.25) {
             Transport::Quic
         } else {
@@ -58,7 +58,7 @@ impl IpAllocator {
 
     /// The address for the next hydra head: heads fill up the 11 shared
     /// addresses round-robin in blocks of [`Self::HYDRA_HEADS_PER_IP`].
-    pub fn hydra(&mut self) -> Multiaddr {
+    pub(crate) fn hydra(&mut self) -> Multiaddr {
         let idx = (self.hydra_assigned / Self::HYDRA_HEADS_PER_IP).min(self.hydra_ips.len() - 1);
         self.hydra_assigned += 1;
         // Each head listens on its own port on the shared host.
@@ -67,13 +67,13 @@ impl IpAllocator {
     }
 
     /// The address of the rotating-PID operator (one IP, thousands of PIDs).
-    pub fn rotator(&mut self) -> Multiaddr {
+    pub(crate) fn rotator(&mut self) -> Multiaddr {
         let port = 4001 + self.rng.jitter(0, 2000) as u16;
         Multiaddr::new(self.rotator_ip, Transport::Tcp, port)
     }
 
     /// An address drawn from a small pool of NAT / shared-cloud addresses.
-    pub fn nat_shared(&mut self) -> Multiaddr {
+    pub(crate) fn nat_shared(&mut self) -> Multiaddr {
         let ip = *self.rng.choose(&self.nat_pools);
         let port = 1024 + self.rng.jitter(0, 60_000) as u16;
         Multiaddr::new(ip, Transport::Tcp, port)

@@ -269,7 +269,7 @@ impl Scenario {
     }
 
     /// Builds the population for this scenario.
-    pub fn population(&self) -> Population {
+    pub(crate) fn population(&self) -> Population {
         PopulationBuilder::new(self.seed.wrapping_add(1))
             .with_scale(self.scale)
             .with_duration(self.period.duration())
@@ -278,7 +278,7 @@ impl Scenario {
 
     /// Compiles the scenario's churn regime into its population-event
     /// stream over the given base population.
-    pub fn population_events(&self, population: &Population) -> Vec<PopulationEvent> {
+    pub(crate) fn population_events(&self, population: &Population) -> Vec<PopulationEvent> {
         self.churn
             .events(self.seed, self.scale, self.period.duration(), population)
     }

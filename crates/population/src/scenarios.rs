@@ -301,7 +301,7 @@ impl ChurnScenario {
     /// Number of ground-truth *participants* the scenario adds: NATed and
     /// flash-crowd users are each real participants, while the whole
     /// rotation flood — like each DHT-level attack — is a single operator.
-    pub fn participants_added(&self, scale: f64) -> usize {
+    pub(crate) fn participants_added(&self, scale: f64) -> usize {
         match self {
             ChurnScenario::Baseline | ChurnScenario::MassExit { .. } => 0,
             ChurnScenario::PidRotationFlood { .. }
@@ -318,7 +318,7 @@ impl ChurnScenario {
     /// The stream is a pure function of the arguments: the same inputs
     /// always produce the same events, independent of thread count or
     /// anything else in the environment.
-    pub fn events(
+    pub(crate) fn events(
         &self,
         seed: u64,
         scale: f64,

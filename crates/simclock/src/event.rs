@@ -103,22 +103,6 @@ impl<E: Eq> KeyedEventQueue<E> {
         }
     }
 
-    /// The current simulated time: the timestamp of the most recently popped
-    /// event (or [`SimTime::ZERO`] before the first pop).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len() + self.run.len()
-    }
-
-    /// Whether the queue has no pending events.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.run.is_empty()
-    }
-
     /// Schedules `event` at instant `at` under ordering key `key`.
     ///
     /// Instants earlier than the current clock are clamped to the clock (the

@@ -72,11 +72,6 @@ impl Summary {
             p99: percentile_sorted(&values, 0.99),
         }
     }
-
-    /// Whether the summary was computed from an empty sample set.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
 }
 
 /// Computes the `q`-quantile (`0.0 ..= 1.0`) of an **already sorted** slice
@@ -167,7 +162,7 @@ impl Histogram {
     }
 
     /// Iterates over `(label, count)` pairs in label order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counts.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
@@ -192,13 +187,6 @@ impl Histogram {
             }
         }
         grouped
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (label, count) in other.iter() {
-            self.add_count(label, count);
-        }
     }
 }
 
@@ -375,7 +363,6 @@ mod tests {
     #[test]
     fn summary_of_empty_input_is_zeroed() {
         let s = Summary::from_samples(&[]);
-        assert!(s.is_empty());
         assert_eq!(s.count, 0);
         assert_eq!(s.mean, 0.0);
         assert_eq!(s.median, 0.0);
@@ -451,13 +438,10 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_and_collect() {
-        let mut a: Histogram = ["x", "y"].into_iter().collect();
-        let b: Histogram = ["y", "z"].into_iter().collect();
-        a.merge(&b);
+    fn histogram_collects_and_extends() {
+        let a: Histogram = ["x", "y", "y"].into_iter().collect();
         assert_eq!(a.count("x"), 1);
         assert_eq!(a.count("y"), 2);
-        assert_eq!(a.count("z"), 1);
 
         let mut c = Histogram::new();
         c.extend(["p", "p"]);

@@ -83,16 +83,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Returns the later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// Returns the earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
 }
 
 impl SimDuration {
@@ -152,21 +142,6 @@ impl SimDuration {
     /// Whether this duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 }
 
@@ -315,18 +290,6 @@ mod tests {
         assert_eq!(SimDuration::from_days(2).to_string(), "2d00h00m00s");
         assert_eq!(SimDuration::from_millis(1500).to_string(), "1.500s");
         assert_eq!(SimTime::from_secs(65).to_string(), "t+1m05s");
-    }
-
-    #[test]
-    fn min_max_behave() {
-        let a = SimTime::from_secs(1);
-        let b = SimTime::from_secs(2);
-        assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
-        let x = SimDuration::from_secs(1);
-        let y = SimDuration::from_secs(2);
-        assert_eq!(x.max(y), y);
-        assert_eq!(x.min(y), x);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Property tests for the columnar observation pipeline: the
-//! `IdentifyRegistry` interning round trips and the engine's pre-sorted
-//! column stream. `netsim`'s `events.rs` and `measurement`'s `monitor.rs`
-//! unit tests pin that logs over differently ordered registries compare
-//! and ingest equal.
+//! `IdentifyRegistry` interning round trips. `netsim`'s `mailbox.rs` unit
+//! tests pin the engine's pre-sorted column stream, and its `events.rs` and
+//! `measurement`'s `monitor.rs` unit tests pin that logs over differently
+//! ordered registries compare and ingest equal.
 
 use ipfs_passive_measurement::prelude::*;
 use netsim::IdentifyRegistry;
 use p2pmodel::{IpAddress, Transport};
-use simclock::SimTime;
 
 fn random_identify(rng: &mut SimRng) -> IdentifyInfo {
     let agents = [
@@ -91,42 +90,5 @@ fn registry_peers_and_addrs_roundtrip() {
             assert_eq!(registry.intern_addr(addr), id);
         }
         assert!(registry.peer_count() <= 30);
-    }
-}
-
-/// The engine's raw column stream is chronological *before* any end-of-run
-/// sort: observed through `run_with_sinks` (which never sorts), every
-/// table must already be time-ordered, so the compatibility sort in
-/// `Network::run` is a no-op on simulated traces.
-#[test]
-fn engine_tables_are_chronological() {
-    use netsim::{Network, ObservationTable};
-    for churn in [ChurnScenario::Baseline, ChurnScenario::flash_crowd()] {
-        let run = population::Scenario::new(MeasurementPeriod::P1)
-            .with_scale(0.003)
-            .with_seed(7)
-            .with_churn(churn.clone())
-            .build();
-        let sinks: Vec<ObservationTable> = run
-            .config
-            .observers
-            .iter()
-            .map(|_| ObservationTable::new())
-            .collect();
-        let raw = Network::new(run.config, run.population.specs)
-            .with_population_events(run.events)
-            .run_with_sinks(sinks);
-        assert!(!raw.sinks.is_empty());
-        for table in &raw.sinks {
-            assert!(
-                table.is_sorted_by_time(),
-                "{churn}: engine must emit columns pre-sorted"
-            );
-            let mut prev = SimTime::ZERO;
-            for at in table.ats() {
-                assert!(*at >= prev, "{churn}");
-                prev = *at;
-            }
-        }
     }
 }

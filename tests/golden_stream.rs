@@ -1,13 +1,13 @@
 //! Golden time-series regression tests for the streaming subsystem.
 //!
 //! Mirrors `golden_scenarios` / `golden_vantage`: P4 at SCALE = 0.005 under
-//! the flash-crowd and PID-rotation-flood regimes, streamed through the
-//! sink tee with 6 h tumbling windows, must reproduce the committed
-//! fixtures in `tests/golden/` *byte-identically*, at any thread count.
-//! Each fixture holds the full `repro stream` surface — cumulative
-//! estimates plus the per-window time series — so any drift in the
-//! simulator, the tee, the window algebra or the streaming estimators
-//! fails loudly here.
+//! the flash-crowd and PID-rotation-flood regimes, each observer's log
+//! folded by the streaming monitor with 6 h tumbling windows, must
+//! reproduce the committed fixtures in `tests/golden/` *byte-identically*,
+//! at any thread count. Each fixture holds the full `repro stream` surface
+//! — cumulative estimates plus the per-window time series — so any drift
+//! in the simulator, the log replay, the window algebra or the streaming
+//! estimators fails loudly here.
 //!
 //! If a change intentionally alters simulation traces, regenerate with
 //! `UPDATE_GOLDEN=1 cargo test --test golden_stream` and review the diff

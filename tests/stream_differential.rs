@@ -5,14 +5,13 @@
 //! final cumulative window must be *byte-identical* to the batch estimators
 //! (`analysis::{churn,netsize,vantage}`) computed on the materialised data
 //! set of the same campaign — same bits in every float, same `Debug`
-//! rendering. Both pipelines are fed by one simulation through the
-//! `netsim::TeeSink`, so any divergence is an estimator bug, not a seed
-//! artefact.
+//! rendering. Both pipelines read the logs of one simulation, so any
+//! divergence is an estimator bug, not a seed artefact.
 //!
-//! Also pinned here: the live (teed) and post-hoc (log replay) streaming
-//! paths agree exactly, the streaming capture–recapture rows equal the
-//! batch vantage analysis, and the `repro stream` report is byte-identical
-//! at 1 and 8 threads.
+//! Also pinned here: a streaming campaign's summaries equal a replay of a
+//! second simulation's logs and its batch side equals `run_scenario`, the
+//! streaming capture–recapture rows equal the batch vantage analysis, and
+//! the `repro stream` report is byte-identical at 1 and 8 threads.
 
 use ipfs_passive_measurement::prelude::*;
 use measurement::stream::StreamConfig;
@@ -112,29 +111,18 @@ fn streaming_matches_batch_on_every_period_and_churn_regime() {
 }
 
 #[test]
-fn live_tee_and_post_hoc_replay_produce_identical_summaries() {
-    // The tee'd monitor consumed events as the engine emitted them; the
-    // post-hoc path replays the finished log's columns. Exactly equal state
-    // — including window panes, gauges and peak accounting inputs — or the
-    // "streaming runs concurrently" claim would be vacuous.
+fn streaming_campaigns_match_a_replay_and_the_batch_runner() {
+    // Replaying a second simulation's logs must give exactly the campaign's
+    // summaries, window panes, gauges and peak accounting inputs included.
     for churn in [ChurnScenario::Baseline, ChurnScenario::flash_crowd()] {
         let scenario = Scenario::new(MeasurementPeriod::P1)
             .with_scale(SCALE)
             .with_seed(SEED)
             .with_churn(churn.clone());
         let streaming = run_streaming_campaign(scenario.clone(), WINDOW);
-        let classic = run_scenario(scenario);
-        // Replay the classic runner's logs post-hoc. The classic runner and
-        // the tee runner simulate the same trace, so summaries must agree.
-        let output = {
-            // Re-simulate to get the raw logs (run_scenario consumes them).
-            let run = Scenario::new(MeasurementPeriod::P1)
-                .with_scale(SCALE)
-                .with_seed(SEED)
-                .with_churn(churn.clone())
-                .build();
-            run.simulate()
-        };
+        let classic = run_scenario(scenario.clone());
+        // Re-simulate to get the raw logs (run_scenario consumes them).
+        let output = scenario.build().simulate();
         for stream in &streaming.streams {
             let log = output.log(&stream.observer).expect("observer log");
             let config = StreamConfig::for_observer(
@@ -146,12 +134,12 @@ fn live_tee_and_post_hoc_replay_produce_identical_summaries() {
             let replayed = StreamingMonitor::new(config).ingest_log(log);
             assert_eq!(
                 &replayed, stream,
-                "{}/{}: live tee and post-hoc replay must agree exactly",
+                "{}/{}: the campaign and a replay must agree exactly",
                 churn.label(),
                 stream.observer
             );
         }
-        // And the batch side of the tee matches the classic runner.
+        // And the campaign's batch side matches the classic runner.
         assert_eq!(
             streaming.batch.primary().to_json_string(),
             classic.primary().to_json_string()
