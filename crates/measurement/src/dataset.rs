@@ -7,7 +7,7 @@
 
 use crate::record::{self, ConnectionRecord, MetadataChangeRecord, PeerRecord, SnapshotRecord};
 use jsonio::{Json, JsonError};
-use p2pmodel::{CloseReason, Direction, PeerId};
+use p2pmodel::{CloseReason, ConnectionId, Direction, PeerId};
 use simclock::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -116,22 +116,6 @@ impl MeasurementDataset {
         connection_bytes + snapshot_bytes + peer_bytes
     }
 
-    /// Rewrites the data set into its canonical form: per-peer address lists
-    /// and change histories sorted and deduplicated, duplicate connection ids
-    /// collapsed into one spanning record, connections sorted by
-    /// `(opened_at, id)` and snapshots sorted and deduplicated.
-    ///
-    /// [`Self::union_of`] canonicalizes its result; monitors emit records in
-    /// observation order, which for a single vantage is already the export
-    /// the paper's clients produce, so nothing else calls this by default.
-    pub(crate) fn canonicalize(&mut self) {
-        for record in self.peers.values_mut() {
-            canonicalize_peer(record);
-        }
-        canonicalize_connections(&mut self.connections);
-        canonicalize_snapshots(&mut self.snapshots);
-    }
-
     /// The **deduplicating union** of several data sets under the given
     /// client label (hydra heads / vantage points → union view); empty input
     /// gives an empty data set with an empty measurement window.
@@ -162,21 +146,28 @@ impl MeasurementDataset {
     /// start at 0, and unrelated records that collide on `(id, peer)` would
     /// be collapsed. Re-key the connections first if you need such a union.
     ///
-    /// The inputs are concatenated and canonicalized in one pass (see
-    /// `Self::canonicalize`), which makes the union **commutative,
-    /// associative and idempotent** up to the `client` label — the algebra
-    /// the vantage property suite pins.
+    /// The inputs are merged and put into canonical form in one pass — per-peer
+    /// address lists and change histories sorted and deduplicated,
+    /// duplicate connections collapsed, connections sorted by
+    /// `(opened_at, id, peer)`, snapshots sorted and deduplicated — which
+    /// makes the union **commutative, associative and idempotent** up to the
+    /// `client` label: the algebra the vantage property suite pins. The
+    /// connection pass sorts compact `(key, index)` arrays rather than the
+    /// records themselves and gathers each surviving record once.
     pub fn union_of<'a>(
         label: impl Into<String>,
         datasets: impl IntoIterator<Item = &'a MeasurementDataset>,
     ) -> MeasurementDataset {
-        let mut datasets = datasets.into_iter();
-        let mut union = match datasets.next() {
-            Some(first) => first.clone(),
-            None => MeasurementDataset::new("", false, SimTime::ZERO, SimTime::ZERO),
-        };
-        union.client = label.into();
-        for dataset in datasets {
+        let datasets: Vec<&MeasurementDataset> = datasets.into_iter().collect();
+        let mut union = MeasurementDataset::new(label, false, SimTime::ZERO, SimTime::ZERO);
+        if let Some(first) = datasets.first() {
+            union.dht_server = first.dht_server;
+            union.started_at = first.started_at;
+            union.ended_at = first.ended_at;
+            union.peers = first.peers.clone();
+            union.snapshots = first.snapshots.clone();
+        }
+        for dataset in datasets.iter().skip(1) {
             for (peer, record) in &dataset.peers {
                 match union.peers.get_mut(peer) {
                     None => {
@@ -185,13 +176,18 @@ impl MeasurementDataset {
                     Some(existing) => merge_peer(existing, record),
                 }
             }
-            union.connections.extend(dataset.connections.iter().cloned());
             union.snapshots.extend(dataset.snapshots.iter().copied());
             union.dht_server |= dataset.dht_server;
             union.started_at = union.started_at.min(dataset.started_at);
             union.ended_at = union.ended_at.max(dataset.ended_at);
         }
-        union.canonicalize();
+        for record in union.peers.values_mut() {
+            canonicalize_peer(record);
+        }
+        let connections: Vec<&ConnectionRecord> =
+            datasets.iter().flat_map(|d| &d.connections).collect();
+        union.connections = canonicalize_connections(&connections);
+        canonicalize_snapshots(&mut union.snapshots);
         union
     }
 
@@ -283,7 +279,9 @@ fn change_key_cmp(a: &MetadataChangeRecord, b: &MetadataChangeRecord) -> std::cm
 /// Metadata follows the later last-seen; on a tie the larger metadata tuple
 /// wins, so the result never depends on which side was `self`.
 fn merge_peer(existing: &mut PeerRecord, record: &PeerRecord) {
-    let metadata = |r: &PeerRecord| (r.last_seen, r.agent.clone(), r.protocols.clone(), r.dht_server);
+    fn metadata(r: &PeerRecord) -> (SimTime, &str, &[String], bool) {
+        (r.last_seen, &r.agent, &r.protocols, r.dht_server)
+    }
     if metadata(record) > metadata(existing) {
         existing.agent = record.agent.clone();
         existing.protocols = record.protocols.clone();
@@ -301,10 +299,16 @@ fn merge_peer(existing: &mut PeerRecord, record: &PeerRecord) {
     existing.changes.dedup();
 }
 
-/// A fixed total order on connection records sharing an id: later close wins,
-/// remaining fields only break exact-tie ambiguity deterministically.
+/// A fixed total order on connection records sharing an id, for a record
+/// whose open and close times so far are `opened_at` and `closed_at`: later
+/// close wins, remaining fields only break exact-tie ambiguity
+/// deterministically.
 #[allow(clippy::type_complexity)]
-fn conn_rank(c: &ConnectionRecord) -> (SimTime, bool, u8, PeerId, p2pmodel::Multiaddr, u8, SimTime) {
+fn conn_rank(
+    c: &ConnectionRecord,
+    opened_at: SimTime,
+    closed_at: SimTime,
+) -> (SimTime, bool, u8, PeerId, p2pmodel::Multiaddr, u8, SimTime) {
     let direction = match c.direction {
         Direction::Inbound => 0u8,
         Direction::Outbound => 1u8,
@@ -316,7 +320,24 @@ fn conn_rank(c: &ConnectionRecord) -> (SimTime, bool, u8, PeerId, p2pmodel::Mult
         Some(CloseReason::PeerLeft) => 3,
         Some(CloseReason::MeasurementEnd) => 4,
     };
-    (c.closed_at, c.open_at_end, direction, c.peer, c.remote_addr, reason, c.opened_at)
+    (
+        closed_at,
+        c.open_at_end,
+        direction,
+        c.peer,
+        c.remote_addr,
+        reason,
+        opened_at,
+    )
+}
+
+/// One `(connection id, peer)` group of [`canonicalize_connections`]: the
+/// input index of the record whose fields win, and the group's span so far.
+struct ConnectionGroup {
+    id: ConnectionId,
+    winner: u32,
+    opened_at: SimTime,
+    closed_at: SimTime,
 }
 
 /// Collapses duplicate `(connection id, peer)` records into one spanning
@@ -325,24 +346,61 @@ fn conn_rank(c: &ConnectionRecord) -> (SimTime, bool, u8, PeerId, p2pmodel::Mult
 /// order, so the result is independent of input order. Keying on the peer
 /// as well as the id keeps records of *distinct* peers apart even if their
 /// ids collide (defence in depth for out-of-contract cross-run merges).
-fn canonicalize_connections(connections: &mut Vec<ConnectionRecord>) {
-    connections.sort_by_key(|c| (c.id, c.peer));
-    let mut merged: Vec<ConnectionRecord> = Vec::with_capacity(connections.len());
-    for conn in connections.drain(..) {
-        match merged.last_mut() {
-            Some(last) if last.id == conn.id && last.peer == conn.peer => {
+///
+/// Duplicates fold in input order. Both sorts move `(key, index)` pairs and
+/// read a record's peer only when ids tie; each surviving record is copied
+/// once, into the result. The result has room for every input record:
+/// [`MeasurementDataset::approx_bytes`] counts capacity, and the long-horizon
+/// stream report pins it.
+fn canonicalize_connections(connections: &[&ConnectionRecord]) -> Vec<ConnectionRecord> {
+    let index = |i: usize| u32::try_from(i).expect("a union holds at most u32::MAX connections");
+    let peer = |i: u32| &connections[i as usize].peer;
+    let mut by_id: Vec<(ConnectionId, u32)> = connections
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (c.id, index(i)))
+        .collect();
+    by_id.sort_unstable_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then_with(|| peer(a.1).cmp(peer(b.1)))
+            .then(a.1.cmp(&b.1))
+    });
+    let mut groups: Vec<ConnectionGroup> = Vec::with_capacity(by_id.len());
+    for (id, i) in by_id {
+        let conn = connections[i as usize];
+        match groups.last_mut() {
+            Some(last) if last.id == id && *peer(last.winner) == conn.peer => {
                 let earliest_open = last.opened_at.min(conn.opened_at);
-                if conn_rank(&conn) > conn_rank(last) {
-                    *last = conn;
+                let leader = connections[last.winner as usize];
+                if conn_rank(conn, conn.opened_at, conn.closed_at)
+                    > conn_rank(leader, last.opened_at, last.closed_at)
+                {
+                    last.winner = i;
+                    last.closed_at = conn.closed_at;
                 }
                 last.opened_at = earliest_open;
                 last.closed_at = last.closed_at.max(last.opened_at);
             }
-            _ => merged.push(conn),
+            _ => groups.push(ConnectionGroup {
+                id,
+                winner: i,
+                opened_at: conn.opened_at,
+                closed_at: conn.closed_at,
+            }),
         }
     }
-    merged.sort_by_key(|c| (c.opened_at, c.id, c.peer));
-    *connections = merged;
+    groups.sort_unstable_by(|a, b| {
+        (a.opened_at, a.id)
+            .cmp(&(b.opened_at, b.id))
+            .then_with(|| peer(a.winner).cmp(peer(b.winner)))
+    });
+    let mut canonical = Vec::with_capacity(connections.len());
+    canonical.extend(groups.into_iter().map(|group| ConnectionRecord {
+        opened_at: group.opened_at,
+        closed_at: group.closed_at,
+        ..connections[group.winner as usize].clone()
+    }));
+    canonical
 }
 
 fn snapshot_key(s: &SnapshotRecord) -> (SimTime, usize, usize, usize) {
@@ -358,7 +416,8 @@ fn canonicalize_snapshots(snapshots: &mut Vec<SnapshotRecord>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2pmodel::{ConnectionId, Direction, IpAddress, Multiaddr, Transport};
+    use p2pmodel::{IpAddress, Multiaddr, Transport};
+    use simclock::SimRng;
 
     fn addr(n: u32) -> Multiaddr {
         Multiaddr::new(IpAddress::V4(n), Transport::Tcp, 4001)
@@ -514,5 +573,97 @@ mod tests {
         let empty = MeasurementDataset::union_of("none", []);
         assert_eq!(empty.pid_count(), 0);
         assert_eq!(empty.client, "none");
+    }
+
+    /// The record-sorting canonicalisation that `canonicalize_connections`
+    /// replaced: stable-sort the records by `(id, peer)`, fold each group in
+    /// input order, stable-sort the survivors by `(opened_at, id, peer)`.
+    fn reference_canonicalize_connections(connections: &mut Vec<ConnectionRecord>) {
+        connections.sort_by_key(|c| (c.id, c.peer));
+        let mut merged: Vec<ConnectionRecord> = Vec::with_capacity(connections.len());
+        for conn in connections.drain(..) {
+            match merged.last_mut() {
+                Some(last) if last.id == conn.id && last.peer == conn.peer => {
+                    let earliest_open = last.opened_at.min(conn.opened_at);
+                    if conn_rank(&conn, conn.opened_at, conn.closed_at)
+                        > conn_rank(last, last.opened_at, last.closed_at)
+                    {
+                        *last = conn;
+                    }
+                    last.opened_at = earliest_open;
+                    last.closed_at = last.closed_at.max(last.opened_at);
+                }
+                _ => merged.push(conn),
+            }
+        }
+        merged.sort_by_key(|c| (c.opened_at, c.id, c.peer));
+        *connections = merged;
+    }
+
+    /// Runs `cases` deterministic random configurations through `check`.
+    fn for_cases(label: &str, cases: u64, mut check: impl FnMut(&mut SimRng)) {
+        let mut rng = SimRng::seed_from(simclock::rng::fnv1a(label));
+        for _ in 0..cases {
+            check(&mut rng);
+        }
+    }
+
+    /// A connection drawn from few ids, peers and times, so that repeated
+    /// `(id, peer)` pairs, ids shared by two peers and equal `opened_at`
+    /// values are common. Its close may precede its open, as in a hand-edited
+    /// export, which makes the fold's result depend on its order.
+    fn random_connection(rng: &mut SimRng) -> ConnectionRecord {
+        ConnectionRecord {
+            id: ConnectionId(rng.uniform_u64(0, 6)),
+            peer: PeerId::derived(rng.uniform_u64(0, 3)),
+            direction: if rng.chance(0.5) {
+                Direction::Inbound
+            } else {
+                Direction::Outbound
+            },
+            remote_addr: addr(rng.uniform_u64(0, 2) as u32),
+            opened_at: SimTime::from_secs(rng.uniform_u64(0, 4) * 100),
+            closed_at: SimTime::from_secs(rng.uniform_u64(0, 7) * 50),
+            open_at_end: rng.chance(0.3),
+            close_reason: match rng.uniform_u64(0, 3) {
+                0 => None,
+                1 => Some(CloseReason::TrimmedLocal),
+                _ => Some(CloseReason::PeerLeft),
+            },
+        }
+    }
+
+    #[test]
+    fn union_connections_match_the_record_sorting_reference() {
+        let (mut repeated_pairs, mut shared_ids, mut equal_opens) = (0, 0, 0);
+        for_cases("dataset_union_reference", 300, |rng| {
+            let inputs: Vec<MeasurementDataset> = (0..rng.uniform_u64(1, 5))
+                .map(|_| {
+                    let mut ds = dataset_with(0, 0);
+                    ds.connections = (0..rng.uniform_u64(0, 10))
+                        .map(|_| random_connection(rng))
+                        .collect();
+                    ds
+                })
+                .collect();
+            let mut expected: Vec<ConnectionRecord> = inputs
+                .iter()
+                .flat_map(|d| d.connections.iter().cloned())
+                .collect();
+            for (i, a) in expected.iter().enumerate() {
+                for b in &expected[i + 1..] {
+                    repeated_pairs += usize::from(a.id == b.id && a.peer == b.peer);
+                    shared_ids += usize::from(a.id == b.id && a.peer != b.peer);
+                    equal_opens += usize::from(a.opened_at == b.opened_at);
+                }
+            }
+            reference_canonicalize_connections(&mut expected);
+            assert_eq!(
+                MeasurementDataset::union_of("u", &inputs).connections,
+                expected
+            );
+        });
+        // The ties the reference's order depends on did occur.
+        assert!(repeated_pairs > 100 && shared_ids > 100 && equal_opens > 100);
     }
 }

@@ -18,7 +18,7 @@ use crate::dataset::MeasurementDataset;
 use crate::record::{ConnectionRecord, MetadataChangeRecord, PeerRecord, SnapshotRecord};
 use netsim::obs::close_reason_from_payload;
 use netsim::{ObservationKind, ObserverLog};
-use p2pmodel::PeerId;
+use p2pmodel::ConnectionId;
 use simclock::{SimDuration, SimTime};
 use std::collections::HashMap;
 
@@ -102,65 +102,71 @@ impl HydraMonitor {
 /// [`SnapshotRecord`]s.
 ///
 /// This is the ingest hot path: it walks the log's columnar
-/// [`netsim::ObservationTable`] row by row. Identify payloads are compared
-/// by registry id, so a million identify events with an unchanged payload
-/// cost a million integer compares — not a million deep `IdentifyInfo`
-/// clones.
+/// [`netsim::ObservationTable`] row by row and folds each row into the
+/// state of its peer's registry slot. A table of one `u32` per slot of the
+/// log's registry leads to that state, which lives in a `Vec` in first-seen
+/// order: the peer's record, its last identify id and its open-connection
+/// count. No row hashes or compares a `PeerId`, and `dataset.peers` is
+/// built once, at the end. Identify payloads are compared by registry id,
+/// so a million identify events with an unchanged payload cost a million
+/// integer compares — not a million deep `IdentifyInfo` clones.
+///
+/// Connection records stay where their open row put them. The export order
+/// — closes in close order, then the connections still open at the end in
+/// id order, stably sorted by open time — comes from sorting one
+/// `(opened_at, position)` key per record, and each record is copied once,
+/// into the dataset.
 fn build_dataset(
     log: &ObserverLog,
     close_quantisation: Option<SimDuration>,
     snapshot_interval: SimDuration,
 ) -> MeasurementDataset {
-    let mut dataset = MeasurementDataset::new(
-        log.observer.clone(),
-        log.dht_server,
-        log.started_at,
-        log.ended_at,
-    );
-
     let table = log.table();
     let registry = log.registry();
+    // Peers, records and exports each number at most one per row, so every
+    // position below fits a `u32`, 1 + a peer's position too.
+    assert!(
+        table.len() < u32::MAX as usize,
+        "a table's row positions fit u32"
+    );
 
-    // Last identify payload per peer, by registry id — an id compare replaces
-    // the payload clone-and-diff of the enum path.
-    let mut last_identify: HashMap<PeerId, u32> = HashMap::new();
-    let mut open_conns: HashMap<p2pmodel::ConnectionId, ConnectionRecord> = HashMap::new();
+    // `slot_index[slot]` is 1 + the position of the slot's state in
+    // `peers`, or 0 until a row names the slot.
+    let mut slot_index = vec![0u32; registry.peer_count()];
+    let mut peers: Vec<PeerState> = Vec::new();
+    let mut connected_peers: usize = 0;
 
-    // Snapshot bookkeeping.
-    let mut next_snapshot = log.started_at + snapshot_interval;
-    let mut open_count: usize = 0;
-    let mut connected_peers: HashMap<PeerId, usize> = HashMap::new();
+    // Connection records in open order; `open_conns` leads from a live
+    // connection to its record, `exported` lists records in export order.
+    let mut records: Vec<ConnectionRecord> = Vec::new();
+    let mut open_conns: HashMap<ConnectionId, u32> = HashMap::new();
+    let mut exported: Vec<u32> = Vec::new();
 
-    let flush_snapshots = |up_to: SimTime,
-                               next_snapshot: &mut SimTime,
-                               dataset: &mut MeasurementDataset,
-                               open_count: usize,
-                               connected: usize| {
-        while *next_snapshot <= up_to {
-            dataset.snapshots.push(SnapshotRecord {
-                at: *next_snapshot,
-                open_connections: open_count,
-                known_pids: dataset.peers.len(),
-                connected_pids: connected,
-            });
-            *next_snapshot += snapshot_interval;
-        }
+    let mut snapshots = Snapshots {
+        next: log.started_at + snapshot_interval,
+        interval: snapshot_interval,
+        records: Vec::new(),
     };
+    let mut open_count: usize = 0;
 
     for i in 0..table.len() {
         let at = table.at(i);
-        flush_snapshots(
-            at,
-            &mut next_snapshot,
-            &mut dataset,
-            open_count,
-            connected_peers.len(),
-        );
-        let peer = registry.peer(table.peer_slot_at(i));
-        let record = dataset
-            .peers
-            .entry(peer)
-            .or_insert_with(|| PeerRecord::new(peer, at));
+        snapshots.flush(at, open_count, peers.len(), connected_peers);
+        let slot = table.peer_slot_at(i);
+        let index = match slot_index[slot as usize] {
+            0 => {
+                peers.push(PeerState {
+                    record: PeerRecord::new(registry.peer(slot), at),
+                    last_identify: None,
+                    open: 0,
+                });
+                slot_index[slot as usize] = peers.len() as u32;
+                peers.len() - 1
+            }
+            position => position as usize - 1,
+        };
+        let state = &mut peers[index];
+        let record = &mut state.record;
         if at > record.last_seen {
             record.last_seen = at;
         }
@@ -172,25 +178,29 @@ fn build_dataset(
                 if !record.addrs.contains(&remote_addr) {
                     record.addrs.push(remote_addr);
                 }
-                open_conns.insert(
-                    conn,
-                    ConnectionRecord {
-                        id: conn,
-                        peer,
-                        direction: kind.direction().expect("open rows have a direction"),
-                        remote_addr,
-                        opened_at: at,
-                        closed_at: log.ended_at,
-                        open_at_end: true,
-                        close_reason: None,
-                    },
-                );
+                // A repeated open of a live id replaces its record, which is
+                // then never exported.
+                open_conns.insert(conn, records.len() as u32);
+                records.push(ConnectionRecord {
+                    id: conn,
+                    peer: record.peer,
+                    direction: kind.direction().expect("open rows have a direction"),
+                    remote_addr,
+                    opened_at: at,
+                    closed_at: log.ended_at,
+                    open_at_end: true,
+                    close_reason: None,
+                });
                 open_count += 1;
-                *connected_peers.entry(peer).or_insert(0) += 1;
+                state.open += 1;
+                if state.open == 1 {
+                    connected_peers += 1;
+                }
             }
             ObservationKind::Closed => {
                 let conn = table.conn_at(i).expect("close rows carry a connection id");
-                if let Some(mut rec) = open_conns.remove(&conn) {
+                if let Some(position) = open_conns.remove(&conn) {
+                    let rec = &mut records[position as usize];
                     let closed_at = match close_quantisation {
                         Some(step) if !step.is_zero() => quantise_up(at, log.started_at, step)
                             .min(log.ended_at),
@@ -199,19 +209,21 @@ fn build_dataset(
                     rec.closed_at = closed_at.max(rec.opened_at);
                     rec.open_at_end = false;
                     rec.close_reason = Some(close_reason_from_payload(table.payload_at(i)));
-                    dataset.connections.push(rec);
+                    exported.push(position);
                     open_count = open_count.saturating_sub(1);
-                    if let Some(count) = connected_peers.get_mut(&peer) {
-                        *count -= 1;
-                        if *count == 0 {
-                            connected_peers.remove(&peer);
+                    // The close row's peer loses an open connection, as
+                    // long as it holds one.
+                    if state.open > 0 {
+                        state.open -= 1;
+                        if state.open == 0 {
+                            connected_peers -= 1;
                         }
                     }
                 }
             }
             ObservationKind::Identify => {
                 let payload_id = table.payload_at(i);
-                let previous_id = last_identify.insert(peer, payload_id);
+                let previous_id = state.last_identify.replace(payload_id);
                 // Same interned id ⇒ byte-identical payload ⇒ the enum path
                 // would have found no changed fields and re-written the same
                 // record values. Skip it entirely.
@@ -257,24 +269,75 @@ fn build_dataset(
     }
 
     // Snapshots up to the end of the run.
-    flush_snapshots(
-        log.ended_at,
-        &mut next_snapshot,
-        &mut dataset,
-        open_count,
-        connected_peers.len(),
-    );
+    snapshots.flush(log.ended_at, open_count, peers.len(), connected_peers);
 
-    // Connections still open at the end are recorded as closed now.
-    let mut remaining: Vec<ConnectionRecord> = open_conns.into_values().collect();
-    remaining.sort_by_key(|c| c.id);
-    for mut rec in remaining {
-        rec.closed_at = log.ended_at;
-        rec.open_at_end = true;
-        dataset.connections.push(rec);
+    // Connections still open at the end are exported after the closed ones,
+    // in id order, as closed now (their records were opened that way).
+    let mut remaining: Vec<(ConnectionId, u32)> = open_conns.into_iter().collect();
+    remaining.sort_unstable_by_key(|&(id, _)| id);
+    exported.extend(remaining.into_iter().map(|(_, position)| position));
+    let mut order: Vec<(SimTime, u32)> = exported
+        .iter()
+        .enumerate()
+        .map(|(k, &position)| (records[position as usize].opened_at, k as u32))
+        .collect();
+    order.sort_unstable();
+
+    let mut dataset = MeasurementDataset::new(
+        log.observer.clone(),
+        log.dht_server,
+        log.started_at,
+        log.ended_at,
+    );
+    dataset.peers = peers
+        .into_iter()
+        .map(|state| (state.record.peer, state.record))
+        .collect();
+    // Grown by push, not collected: `approx_bytes` counts capacity, and the
+    // long-horizon stream report pins it.
+    for (_, k) in order {
+        dataset.connections.push(records[exported[k as usize] as usize].clone());
     }
-    dataset.connections.sort_by_key(|c| c.opened_at);
+    dataset.snapshots = snapshots.records;
     dataset
+}
+
+/// What [`build_dataset`] keeps about one peer a row has named.
+struct PeerState {
+    record: PeerRecord,
+    /// Registry id of the last identify payload received.
+    last_identify: Option<u32>,
+    /// Connections to the peer that are open.
+    open: usize,
+}
+
+/// The periodic [`SnapshotRecord`]s of one ingest.
+struct Snapshots {
+    next: SimTime,
+    interval: SimDuration,
+    records: Vec<SnapshotRecord>,
+}
+
+impl Snapshots {
+    /// Records every snapshot due at or before `up_to` with the given
+    /// counters.
+    fn flush(
+        &mut self,
+        up_to: SimTime,
+        open_connections: usize,
+        known_pids: usize,
+        connected_pids: usize,
+    ) {
+        while self.next <= up_to {
+            self.records.push(SnapshotRecord {
+                at: self.next,
+                open_connections,
+                known_pids,
+                connected_pids,
+            });
+            self.next += self.interval;
+        }
+    }
 }
 
 /// Rounds `at` up to the next multiple of `step` after `origin`.
@@ -294,7 +357,7 @@ mod tests {
     use super::*;
     use netsim::{IdentifyRegistry, ObservationTable};
     use p2pmodel::{
-        AgentVersion, CloseReason, ConnectionId, Direction, IdentifyInfo, IpAddress, Multiaddr,
+        AgentVersion, CloseReason, Direction, IdentifyInfo, IpAddress, Multiaddr, PeerId,
         ProtocolSet, Transport,
     };
     use std::sync::Arc;
@@ -312,28 +375,55 @@ mod tests {
     }
 
     fn sample_log() -> ObserverLog {
-        sample_log_interned(false)
+        sample_log_interned(Interning::InRowOrder)
     }
 
-    /// The sample log; `reversed` interns its peers, addresses and payloads
-    /// in the opposite order before any row is written, so the same rows
-    /// carry other registry ids.
-    fn sample_log_interned(reversed: bool) -> ObserverLog {
+    /// How the sample log's registry hands out ids before the rows are
+    /// written.
+    #[derive(Clone, Copy)]
+    enum Interning {
+        /// Peers, addresses and payloads in the order the rows name them.
+        InRowOrder,
+        /// The same values in the opposite order.
+        Reversed,
+        /// Each used value preceded by one that no row names, as in an
+        /// archive log, whose registry every observer shares.
+        Sparse,
+    }
+
+    /// The sample log, with the same rows under the registry ids `interning`
+    /// hands out.
+    fn sample_log_interned(interning: Interning) -> ObserverLog {
         let (peers, addrs) = ([1, 2, 3].map(PeerId::derived), [1, 2, 3].map(addr));
         let infos = [
             server_info("go-ipfs/0.10.0/abc"),
             server_info("go-ipfs/0.11.0/def"),
         ];
         let mut registry = IdentifyRegistry::new();
-        if reversed {
-            for &peer in peers.iter().rev() {
-                registry.register_peer(peer);
+        match interning {
+            Interning::InRowOrder => {}
+            Interning::Reversed => {
+                for &peer in peers.iter().rev() {
+                    registry.register_peer(peer);
+                }
+                for &addr in addrs.iter().rev() {
+                    registry.intern_addr(addr);
+                }
+                for info in infos.iter().rev() {
+                    registry.intern_identify(info);
+                }
             }
-            for &addr in addrs.iter().rev() {
-                registry.intern_addr(addr);
-            }
-            for info in infos.iter().rev() {
-                registry.intern_identify(info);
+            Interning::Sparse => {
+                for (n, (&peer, &used_addr)) in (100..).zip(peers.iter().zip(&addrs)) {
+                    registry.register_peer(PeerId::derived(n));
+                    registry.register_peer(peer);
+                    registry.intern_addr(addr(n as u32));
+                    registry.intern_addr(used_addr);
+                }
+                for (n, info) in infos.iter().enumerate() {
+                    registry.intern_identify(&server_info(&format!("go-ipfs/0.{n}.0/unused")));
+                    registry.intern_identify(info);
+                }
             }
         }
         let [p1, p2, p3] = peers.map(|peer| registry.register_peer(peer));
@@ -362,15 +452,24 @@ mod tests {
 
     #[test]
     fn ingest_is_independent_of_registry_ids() {
-        let (log, reinterned) = (sample_log(), sample_log_interned(true));
-        assert_ne!(log.table().payloads(), reinterned.table().payloads());
-        assert_eq!(log, reinterned);
-        assert_eq!(
-            GoIpfsMonitor::new().ingest(&log),
-            GoIpfsMonitor::new().ingest(&reinterned)
-        );
-        let hydra = HydraMonitor::new();
-        assert_eq!(hydra.ingest_head(&log), hydra.ingest_head(&reinterned));
+        let (log, hydra) = (sample_log(), HydraMonitor::new());
+        for interning in [Interning::Reversed, Interning::Sparse] {
+            let reinterned = sample_log_interned(interning);
+            assert_ne!(log.table().peer_slots(), reinterned.table().peer_slots());
+            assert_ne!(log.table().payloads(), reinterned.table().payloads());
+            assert_eq!(log, reinterned);
+            assert_eq!(
+                GoIpfsMonitor::new().ingest(&log),
+                GoIpfsMonitor::new().ingest(&reinterned)
+            );
+            assert_eq!(hydra.ingest_head(&log), hydra.ingest_head(&reinterned));
+        }
+        // Half of the sparse registry is never named by a row.
+        let sparse = sample_log_interned(Interning::Sparse);
+        let registry = sparse.registry();
+        assert_eq!(registry.peer_count(), 6);
+        assert_eq!(registry.addr_count(), 6);
+        assert_eq!(registry.identify_count(), 4);
     }
 
     #[test]
@@ -409,6 +508,38 @@ mod tests {
         assert!(conn.open_at_end);
         assert_eq!(conn.closed_at, SimTime::from_hours(1));
         assert_eq!(conn.close_reason, None);
+    }
+
+    #[test]
+    fn connections_opened_together_export_in_close_order_then_id_order() {
+        let mut registry = IdentifyRegistry::new();
+        let peer = registry.register_peer(PeerId::derived(1));
+        let remote = registry.intern_addr(addr(1));
+        let (mut t, s) = (ObservationTable::new(), SimTime::from_secs);
+        t.connection_opened(s(5), ConnectionId(9), peer, Direction::Outbound, remote);
+        for id in [1, 2, 3, 5, 4] {
+            t.connection_opened(s(10), ConnectionId(id), peer, Direction::Inbound, remote);
+        }
+        // Closed out of open order; 4 and 5 stay open to the end.
+        for id in [3, 1, 2] {
+            t.connection_closed(s(20), ConnectionId(id), peer, CloseReason::PeerLeft);
+        }
+        t.connection_closed(s(30), ConnectionId(9), peer, CloseReason::TrimmedLocal);
+        let (start, end) = (SimTime::ZERO, SimTime::from_hours(1));
+        let log = ObserverLog::from_columns(
+            "go-ipfs",
+            PeerId::derived(0),
+            true,
+            start,
+            end,
+            t,
+            Arc::new(registry),
+        );
+        let ids = |dataset: MeasurementDataset| -> Vec<u64> {
+            dataset.connections.iter().map(|c| c.id.0).collect()
+        };
+        assert_eq!(ids(GoIpfsMonitor::new().ingest(&log)), [9, 3, 1, 2, 4, 5]);
+        assert_eq!(ids(HydraMonitor::new().ingest_head(&log)), [9, 3, 1, 2, 4, 5]);
     }
 
     #[test]

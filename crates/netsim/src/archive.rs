@@ -772,7 +772,7 @@ fn decode_registry(
     r.finish("address dictionary")?;
     let mut r = ByteReader::new(infos);
     intern_section(&mut r, "identify dictionary", 0, read_identify, |info| {
-        registry.intern_identify(&info)
+        registry.intern_identify_owned(info)
     })?;
     r.finish("identify dictionary")?;
     Ok(registry)
@@ -1106,7 +1106,7 @@ pub fn apply_registry_delta(
         "registry delta identifies",
         base_infos,
         read_identify,
-        |info| registry.intern_identify(&info),
+        |info| registry.intern_identify_owned(info),
     )?;
     r.finish("registry delta")
 }

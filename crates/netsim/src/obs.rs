@@ -22,6 +22,7 @@
 use p2pmodel::{CloseReason, ConnectionId, Direction, IdentifyInfo, Multiaddr, PeerId};
 use simclock::rng::{fnv1a_step, FNV_OFFSET};
 use simclock::SimTime;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// The kind discriminant of one observation row (one byte per event).
@@ -149,13 +150,14 @@ impl IdentifyRegistry {
     /// Registers a peer and returns its slot; registering the same peer
     /// again returns the existing slot.
     pub fn register_peer(&mut self, peer: PeerId) -> u32 {
-        if let Some(&slot) = self.peer_slots.get(&peer) {
-            return slot;
+        match self.peer_slots.entry(peer) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(new) => {
+                let slot = dense_id(self.peers.len(), "IdentifyRegistry peer-slot");
+                self.peers.push(peer);
+                *new.insert(slot)
+            }
         }
-        let slot = dense_id(self.peers.len(), "IdentifyRegistry peer-slot");
-        self.peers.push(peer);
-        self.peer_slots.insert(peer, slot);
-        slot
     }
 
     /// Resolves a peer slot.
@@ -174,13 +176,14 @@ impl IdentifyRegistry {
 
     /// Interns a multiaddress and returns its id.
     pub fn intern_addr(&mut self, addr: Multiaddr) -> u32 {
-        if let Some(&id) = self.addr_ids.get(&addr) {
-            return id;
+        match self.addr_ids.entry(addr) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(new) => {
+                let id = dense_id(self.addrs.len(), "IdentifyRegistry address-id");
+                self.addrs.push(addr);
+                *new.insert(id)
+            }
         }
-        let id = dense_id(self.addrs.len(), "IdentifyRegistry address-id");
-        self.addrs.push(addr);
-        self.addr_ids.insert(addr, id);
-        id
     }
 
     /// Resolves an address id.
@@ -201,13 +204,24 @@ impl IdentifyRegistry {
     /// only on first insertion; every later intern of an equal payload is a
     /// hash lookup.
     pub fn intern_identify(&mut self, info: &IdentifyInfo) -> u32 {
-        if let Some(&id) = self.info_ids.get(info) {
-            return id;
+        match self.info_ids.get(info) {
+            Some(&id) => id,
+            None => self.intern_identify_owned(info.clone()),
         }
-        let id = dense_id(self.infos.len(), "IdentifyRegistry identify-id");
-        self.infos.push(info.clone());
-        self.info_ids.insert(info.clone(), id);
-        id
+    }
+
+    /// Interns an identify payload the caller owns, such as one just
+    /// decoded: a new payload is cloned once, into the id vector, and moved
+    /// into the lookup map.
+    pub(crate) fn intern_identify_owned(&mut self, info: IdentifyInfo) -> u32 {
+        match self.info_ids.entry(info) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(new) => {
+                let id = dense_id(self.infos.len(), "IdentifyRegistry identify-id");
+                self.infos.push(new.key().clone());
+                *new.insert(id)
+            }
+        }
     }
 
     /// Resolves an identify id.
