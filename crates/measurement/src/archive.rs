@@ -2,21 +2,22 @@
 //! re-analyse it forever.
 //!
 //! This is the measurement half of the archive subsystem. `netsim::archive`
-//! owns the binary container (blocks, dictionary pages, checksums, footer
-//! index); this module gives the container campaign semantics:
+//! owns the binary container (blocks, checksums, footer index) and stores
+//! the registry and each observer's rows in the serve daemon's wire blocks;
+//! this module gives the container campaign semantics:
 //!
 //! * [`write_campaign_archive`] serialises a finished [`SimulationOutput`]
 //!   plus the scenario metadata that `analysis::robustness` needs — period,
 //!   churn regime, scale, seed, vantage count, ground-truth participants and
 //!   run duration — into one archive file per campaign cell.
 //! * [`read_campaign_archive`] reverses it: the registry, the per-observer
-//!   columns, the ground truth and the DHT history come back value-identical,
+//!   rows, the ground truth and the DHT history come back value-identical,
 //!   and `ArchivedCampaign::into_campaign` feeds them through the *same*
 //!   [`campaign_from_output`] ingestion path the direct simulation uses. The
 //!   resulting reports are byte-identical to the simulate-and-analyse path —
 //!   `tests/archive_differential.rs` pins this — with zero re-simulation:
 //!   re-analysis pays for monitor ingestion and crawler replay only.
-//! * [`export_suite`] and [`read_suite`] are the `repro export` /
+//! * [`export_suite`] and [`analyze_suite`] are the `repro export` /
 //!   `repro analyze` entry points: one archive per churn regime of a
 //!   scenario suite, cells processed in parallel, deterministic order at any
 //!   thread count.
@@ -246,20 +247,6 @@ pub fn analyze_suite(
             resident_bytes,
             decode_secs,
         })
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Reads a suite of archives back into campaigns, in input order, cells
-/// processed in parallel — the `repro analyze` path. Every cell is decoded
-/// and ingested without any simulation.
-pub fn read_suite(
-    archives: &[Vec<u8>],
-    threads: usize,
-) -> Result<Vec<MeasurementCampaign>, ArchiveError> {
-    run_parallel_ordered(archives, threads, |_, bytes| {
-        read_campaign_archive(bytes).map(ArchivedCampaign::into_campaign)
     })
     .into_iter()
     .collect()

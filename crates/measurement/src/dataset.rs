@@ -2,11 +2,14 @@
 //!
 //! Both instrumented clients in the paper periodically export their records
 //! to JSON files; [`MeasurementDataset`] is the in-memory equivalent and the
-//! single input type of every analysis. Hydra heads can be merged into a
-//! union data set exactly like the paper unions the PID sets of all heads.
+//! single input type of every analysis. Data sets are exported to JSON and
+//! not read back: analyses take them from a monitor, and a campaign is
+//! stored as a trace archive instead (`measurement::archive`). Hydra heads
+//! can be merged into a union data set exactly like the paper unions the
+//! PID sets of all heads.
 
 use crate::record::{self, ConnectionRecord, MetadataChangeRecord, PeerRecord, SnapshotRecord};
-use jsonio::{Json, JsonError};
+use jsonio::Json;
 use p2pmodel::{CloseReason, ConnectionId, Direction, PeerId};
 use simclock::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -215,47 +218,6 @@ impl MeasurementDataset {
         obj
     }
 
-    /// Rebuilds a data set from its [`Json`] form.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the document does not match the export schema.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let mut peers = BTreeMap::new();
-        let entries = v
-            .field("peers")?
-            .as_object()
-            .ok_or_else(|| JsonError::schema("`peers` must be an object"))?;
-        for (hex, rec) in entries {
-            let peer = PeerId::from_hex(hex)
-                .ok_or_else(|| JsonError::schema("peer key must be a 64-char hex string"))?;
-            let record = PeerRecord::from_json(rec)?;
-            if record.peer != peer {
-                return Err(JsonError::schema("peer key does not match record"));
-            }
-            peers.insert(peer, record);
-        }
-        let connections = v
-            .array_field("connections")?
-            .iter()
-            .map(ConnectionRecord::from_json)
-            .collect::<Result<_, _>>()?;
-        let snapshots = v
-            .array_field("snapshots")?
-            .iter()
-            .map(SnapshotRecord::from_json)
-            .collect::<Result<_, _>>()?;
-        Ok(MeasurementDataset {
-            client: v.str_field("client")?.to_string(),
-            dht_server: v.bool_field("dht_server")?,
-            started_at: record::time_from_json(v.field("started_at")?)?,
-            ended_at: record::time_from_json(v.field("ended_at")?)?,
-            peers,
-            connections,
-            snapshots,
-        })
-    }
-
     /// Serialises to a JSON string.
     pub fn to_json_string(&self) -> String {
         self.to_json().to_string_compact()
@@ -454,19 +416,6 @@ mod tests {
         assert_eq!(ds.connected_pid_count(), 9);
         assert_eq!(ds.dht_server_pid_count(), 3);
         assert_eq!(ds.duration(), SimDuration::from_hours(24));
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_everything() {
-        let ds = dataset_with(5, 7);
-        let parsed = MeasurementDataset::from_json(&Json::parse(&ds.to_json_string()).unwrap());
-        assert_eq!(parsed.unwrap(), ds);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        let doc = Json::parse("{\"client\":1}").unwrap();
-        assert!(MeasurementDataset::from_json(&doc).is_err());
     }
 
     #[test]

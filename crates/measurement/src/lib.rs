@@ -13,7 +13,9 @@
 //!   that takes a fresh snapshot of the online DHT-Servers every eight hours.
 //! * [`MeasurementDataset`] is the JSON-exportable record format (peers,
 //!   metadata changes, connections, periodic snapshots) that all analyses in
-//!   the `analysis` crate consume.
+//!   the `analysis` crate consume. Data sets are exported to JSON and not
+//!   read back; a campaign is stored and re-analysed as a trace
+//!   [`archive`].
 //! * [`MeasurementCampaign`] / [`run_period`] tie everything together: build
 //!   a scenario, run the simulation, feed every monitor and return the
 //!   complete data for one measurement period.
@@ -56,7 +58,7 @@ pub mod sweep;
 pub mod vantage;
 
 pub use archive::{
-    analyze_suite, export_suite, read_campaign_archive, read_suite, write_campaign_archive,
+    analyze_suite, export_suite, read_campaign_archive, write_campaign_archive,
     AnalyzedCell, ArchivedCampaign, CampaignMeta, ExportedCell,
 };
 pub use crawler::{ActiveCrawler, CrawlSnapshot, CrawlSummary};

@@ -6,7 +6,7 @@
 //! close timestamps). These types mirror that export format; everything the
 //! `analysis` crate computes is a function of these records.
 
-use jsonio::{Json, JsonError};
+use jsonio::Json;
 use p2pmodel::{CloseReason, ConnectionId, Direction, Multiaddr, PeerId};
 use simclock::{SimDuration, SimTime};
 
@@ -143,66 +143,34 @@ pub struct SnapshotRecord {
     pub connected_pids: usize,
 }
 
-// ---- JSON codecs -----------------------------------------------------------
+// ---- JSON export -----------------------------------------------------------
 //
 // The build environment has no serde, so the export format is implemented
-// explicitly against `jsonio`. Leaf conventions: timestamps are integer
-// milliseconds, peer IDs are 64-char hex strings, multiaddresses use their
-// canonical `/ip4/…` text form, and enums use their `Display` tokens.
+// explicitly against `jsonio`. Records are exported, never read back. Leaf
+// conventions: timestamps are integer milliseconds, peer IDs are 64-char hex
+// strings, multiaddresses use their canonical `/ip4/…` text form, and enums
+// use their `Display` tokens.
 
 pub(crate) fn time_to_json(t: SimTime) -> Json {
     Json::UInt(t.as_millis())
-}
-
-pub(crate) fn time_from_json(v: &Json) -> Result<SimTime, JsonError> {
-    v.as_u64()
-        .map(SimTime::from_millis)
-        .ok_or_else(|| JsonError::schema("timestamp must be integer milliseconds"))
 }
 
 pub(crate) fn peer_to_json(peer: &PeerId) -> Json {
     Json::Str(peer.to_hex())
 }
 
-pub(crate) fn peer_from_json(v: &Json) -> Result<PeerId, JsonError> {
-    v.as_str()
-        .and_then(PeerId::from_hex)
-        .ok_or_else(|| JsonError::schema("peer id must be a 64-char hex string"))
-}
-
 pub(crate) fn addr_to_json(addr: &Multiaddr) -> Json {
     Json::Str(addr.to_string())
-}
-
-pub(crate) fn addr_from_json(v: &Json) -> Result<Multiaddr, JsonError> {
-    v.as_str()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| JsonError::schema("invalid multiaddress"))
 }
 
 fn direction_to_json(direction: Direction) -> Json {
     Json::Str(direction.to_string())
 }
 
-fn direction_from_json(v: &Json) -> Result<Direction, JsonError> {
-    v.as_str()
-        .ok_or_else(|| JsonError::schema("direction must be a string"))?
-        .parse()
-        .map_err(JsonError::schema)
-}
-
 fn reason_to_json(reason: Option<CloseReason>) -> Json {
     match reason {
         Some(reason) => Json::Str(reason.to_string()),
         None => Json::Null,
-    }
-}
-
-fn reason_from_json(v: &Json) -> Result<Option<CloseReason>, JsonError> {
-    match v {
-        Json::Null => Ok(None),
-        Json::Str(s) => s.parse().map(Some).map_err(JsonError::schema),
-        _ => Err(JsonError::schema("close reason must be a string or null")),
     }
 }
 
@@ -215,20 +183,6 @@ impl MetadataChangeRecord {
         obj.insert("old", self.old.as_str());
         obj.insert("new", self.new.as_str());
         obj
-    }
-
-    /// Parses a record from its JSON object form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] when a field is missing or has the wrong type.
-    pub(crate) fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(MetadataChangeRecord {
-            at: time_from_json(v.field("at")?)?,
-            field: v.str_field("field")?.to_string(),
-            old: v.str_field("old")?.to_string(),
-            new: v.str_field("new")?.to_string(),
-        })
     }
 }
 
@@ -257,45 +211,6 @@ impl PeerRecord {
         );
         obj
     }
-
-    /// Parses a record from its JSON object form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] when a field is missing or has the wrong type.
-    pub(crate) fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let protocols = v
-            .array_field("protocols")?
-            .iter()
-            .map(|p| {
-                p.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| JsonError::schema("protocol must be a string"))
-            })
-            .collect::<Result<_, _>>()?;
-        let addrs = v
-            .array_field("addrs")?
-            .iter()
-            .map(addr_from_json)
-            .collect::<Result<_, _>>()?;
-        let changes = v
-            .array_field("changes")?
-            .iter()
-            .map(MetadataChangeRecord::from_json)
-            .collect::<Result<_, _>>()?;
-        Ok(PeerRecord {
-            peer: peer_from_json(v.field("peer")?)?,
-            agent: v.str_field("agent")?.to_string(),
-            protocols,
-            addrs,
-            first_seen: time_from_json(v.field("first_seen")?)?,
-            last_seen: time_from_json(v.field("last_seen")?)?,
-            dht_server: v.bool_field("dht_server")?,
-            ever_dht_server: v.bool_field("ever_dht_server")?,
-            metadata_known: v.bool_field("metadata_known")?,
-            changes,
-        })
-    }
 }
 
 impl ConnectionRecord {
@@ -312,24 +227,6 @@ impl ConnectionRecord {
         obj.insert("close_reason", reason_to_json(self.close_reason));
         obj
     }
-
-    /// Parses a record from its JSON object form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] when a field is missing or has the wrong type.
-    pub(crate) fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ConnectionRecord {
-            id: ConnectionId(v.u64_field("id")?),
-            peer: peer_from_json(v.field("peer")?)?,
-            direction: direction_from_json(v.field("direction")?)?,
-            remote_addr: addr_from_json(v.field("remote_addr")?)?,
-            opened_at: time_from_json(v.field("opened_at")?)?,
-            closed_at: time_from_json(v.field("closed_at")?)?,
-            open_at_end: v.bool_field("open_at_end")?,
-            close_reason: reason_from_json(v.field("close_reason")?)?,
-        })
-    }
 }
 
 impl SnapshotRecord {
@@ -341,20 +238,6 @@ impl SnapshotRecord {
         obj.insert("known_pids", self.known_pids);
         obj.insert("connected_pids", self.connected_pids);
         obj
-    }
-
-    /// Parses a record from its JSON object form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] when a field is missing or has the wrong type.
-    pub(crate) fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(SnapshotRecord {
-            at: time_from_json(v.field("at")?)?,
-            open_connections: v.u64_field("open_connections")? as usize,
-            known_pids: v.u64_field("known_pids")? as usize,
-            connected_pids: v.u64_field("connected_pids")? as usize,
-        })
     }
 }
 

@@ -20,9 +20,9 @@
 //!   result fields or an `error` string. Control frames are always
 //!   answered.
 //! * [`FRAME_EVENTS`] — a tenant name plus a columnar event block
-//!   ([`netsim::archive::encode_event_block`]): the same five column codecs
-//!   the trace archives use, so a feed is just archive rows cut into
-//!   batches. Event frames are **not** answered (ingest stays pipelined);
+//!   ([`netsim::archive::encode_event_block`]): the block a trace archive
+//!   stores for each observer, here over a batch of rows, so a feed is just
+//!   archive rows cut into batches. Event frames are **not** answered (ingest stays pipelined);
 //!   a malformed batch poisons the tenant and surfaces on its next control
 //!   op. So does a batch with a row [`netsim::archive::check_rows`]
 //!   rejects: a missing connection id, a close payload that is no close

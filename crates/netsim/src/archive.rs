@@ -3,10 +3,10 @@
 //! Every analysis in the repo used to re-run the simulation; the dataset died
 //! with the process. This module is the storage half of the `repro export` /
 //! `repro analyze` pair: a versioned binary container that persists a full
-//! [`SimulationOutput`] — the per-observer [`ObservationTable`] columns, the
-//! interned [`IdentifyRegistry`] (written exactly once as dictionary pages),
-//! the ground truth and the DHT routing-table history — so a campaign is
-//! simulated once and re-analysed many times, byte-identically.
+//! [`SimulationOutput`] — the per-observer [`ObservationTable`] rows, the
+//! interned [`IdentifyRegistry`] (written exactly once), the ground truth and
+//! the DHT routing-table history — so a campaign is simulated once and
+//! re-analysed many times, byte-identically.
 //!
 //! # Container layout
 //!
@@ -19,16 +19,18 @@
 //! ```
 //!
 //! All integers are little-endian. Offsets/lengths/checksums live only in the
-//! footer, so a reader seeks from the fixed-size tail straight to any column
+//! footer, so a reader seeks from the fixed-size tail straight to any block
 //! without parsing the file; block payloads are verified against their FNV-1a
 //! checksum on access, so a flipped bit fails loudly instead of corrupting an
 //! analysis. The format version is checked before anything else — an archive
-//! written by a future incompatible version is rejected, not misparsed.
+//! written by another format version is rejected, not misparsed.
 //!
-//! Column payloads are compact: timestamps are delta-encoded (zigzag varint
-//! deltas after an absolute first value), ids and connection numbers are
-//! LEB128 varints, kinds are raw bytes. The campaign-level metadata block is
-//! opaque at this layer — `measurement::archive` owns its encoding.
+//! The registry and the observation rows use the wire codecs the serve
+//! daemon's frames use: the registry is one [`encode_registry_delta`] block
+//! from an empty registry, and each observer's rows are one
+//! [`encode_event_block`] block over its whole table. An archive therefore
+//! stores exactly the bytes a serve feed sends. The campaign-level metadata
+//! block is opaque at this layer — `measurement::archive` owns its encoding.
 
 use crate::dht::{DhtConduct, DhtEvent, DhtLog};
 use crate::engine::SimulationOutput;
@@ -50,37 +52,25 @@ pub(crate) const MAGIC: [u8; 8] = *b"IPFSOBSA";
 /// Trailing magic sealing the footer tail.
 pub(crate) const FOOTER_MAGIC: [u8; 8] = *b"IPFSOBSF";
 /// The format version this build writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Owner tag of blocks that belong to the whole archive rather than to one
-/// observer (dictionary pages, ground truth, metadata).
+/// observer (registry, ground truth, metadata).
 pub const GLOBAL_OWNER: u32 = u32::MAX;
 
-/// Block kinds. The `owner` field of column blocks is the observer's index
+/// Block kinds. The `owner` field of an events block is the observer's index
 /// in the [`BK_OBSERVERS`] directory.
 pub(crate) const BK_META: u16 = 1;
-/// Dictionary page: interned peer IDs, in slot order.
-pub(crate) const BK_DICT_PEERS: u16 = 2;
-/// Dictionary page: interned multiaddresses, in id order.
-pub(crate) const BK_DICT_ADDRS: u16 = 3;
-/// Dictionary page: interned identify payloads, in id order.
-pub(crate) const BK_DICT_INFOS: u16 = 4;
+/// The run's registry: one [`encode_registry_delta`] block from `(0, 0, 0)`.
+pub(crate) const BK_REGISTRY: u16 = 2;
 /// Observer directory: per-log metadata, in log order.
 pub(crate) const BK_OBSERVERS: u16 = 5;
 /// Ground-truth peers and events.
 pub(crate) const BK_GROUND_TRUTH: u16 = 6;
 /// DHT routing-table history.
 pub(crate) const BK_DHT: u16 = 7;
-/// Timestamp column (delta-encoded).
-pub(crate) const BK_COL_AT: u16 = 8;
-/// Kind column (raw discriminant bytes).
-pub(crate) const BK_COL_KIND: u16 = 9;
-/// Peer-slot column (varints).
-pub(crate) const BK_COL_PEER_SLOT: u16 = 10;
-/// Connection-id column (varints, `NO_CONN` packed as 0).
-pub(crate) const BK_COL_CONN: u16 = 11;
-/// Payload column (varints).
-pub(crate) const BK_COL_PAYLOAD: u16 = 12;
+/// One observer's rows: one [`encode_event_block`] block over its table.
+pub(crate) const BK_EVENTS: u16 = 8;
 
 /// Everything that can go wrong reading an archive. Corruption is always a
 /// loud, typed failure — never a silently wrong analysis.
@@ -700,85 +690,6 @@ fn read_identify(r: &mut ByteReader<'_>) -> Result<IdentifyInfo, ArchiveError> {
 }
 
 // ---------------------------------------------------------------------------
-// Dictionary pages (IdentifyRegistry)
-// ---------------------------------------------------------------------------
-
-fn encode_dict_peers(registry: &IdentifyRegistry) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_uvarint(registry.peer_count() as u64);
-    for slot in 0..registry.peer_count() as u32 {
-        put_peer(&mut w, &registry.peer(slot));
-    }
-    w.into_bytes()
-}
-
-fn encode_dict_addrs(registry: &IdentifyRegistry) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_uvarint(registry.addr_count() as u64);
-    for id in 0..registry.addr_count() as u32 {
-        put_addr(&mut w, &registry.addr(id));
-    }
-    w.into_bytes()
-}
-
-fn encode_dict_infos(registry: &IdentifyRegistry) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_uvarint(registry.identify_count() as u64);
-    for id in 0..registry.identify_count() as u32 {
-        put_identify(&mut w, registry.identify(id));
-    }
-    w.into_bytes()
-}
-
-/// Reads one dictionary section (a count, then that many entries) and
-/// interns each entry, which must land on the next dense id, `base + i`.
-/// A registry hands each distinct value out once, so an entry repeating
-/// one already interned would map the writer's new id to an old one: the
-/// section is malformed.
-fn intern_section<T>(
-    r: &mut ByteReader<'_>,
-    context: &'static str,
-    base: usize,
-    read: fn(&mut ByteReader<'_>) -> Result<T, ArchiveError>,
-    mut intern: impl FnMut(T) -> u32,
-) -> Result<(), ArchiveError> {
-    let count = r.len(context)?;
-    for i in 0..count {
-        let expected = base + i;
-        if intern(read(r)?) as usize != expected {
-            return Err(malformed(format!(
-                "{context}: entry {i} repeats an earlier one (expected id {expected})"
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn decode_registry(
-    peers: &[u8],
-    addrs: &[u8],
-    infos: &[u8],
-) -> Result<IdentifyRegistry, ArchiveError> {
-    let mut registry = IdentifyRegistry::new();
-    let mut r = ByteReader::new(peers);
-    intern_section(&mut r, "peer dictionary", 0, read_peer, |peer| {
-        registry.register_peer(peer)
-    })?;
-    r.finish("peer dictionary")?;
-    let mut r = ByteReader::new(addrs);
-    intern_section(&mut r, "address dictionary", 0, read_addr, |addr| {
-        registry.intern_addr(addr)
-    })?;
-    r.finish("address dictionary")?;
-    let mut r = ByteReader::new(infos);
-    intern_section(&mut r, "identify dictionary", 0, read_identify, |info| {
-        registry.intern_identify_owned(info)
-    })?;
-    r.finish("identify dictionary")?;
-    Ok(registry)
-}
-
-// ---------------------------------------------------------------------------
 // Column codecs (ObservationTable)
 // ---------------------------------------------------------------------------
 
@@ -900,10 +811,9 @@ fn decode_col_conn(payload: &[u8]) -> Result<Vec<u64>, ArchiveError> {
 // ---------------------------------------------------------------------------
 
 /// Encodes rows `from..to` of an observation table as a self-contained
-/// columnar event block: the same five column codecs the archive writer
-/// uses, length-prefixed and concatenated so a single payload can travel
-/// over a stream protocol (the serve daemon's binary frames) without the
-/// surrounding archive container.
+/// columnar event block: the five column codecs above, length-prefixed and
+/// concatenated. An archive stores one block per observer over its whole
+/// table; a serve EVENTS frame carries one over a batch of rows.
 ///
 /// # Panics
 ///
@@ -1014,7 +924,8 @@ pub fn check_rows(
 /// are recorded in the payload so the receiver can verify its own registry
 /// is exactly at the cursor before appending — dense ids stay aligned on
 /// both sides by construction. A delta from `(0, 0, 0)` is a full registry
-/// serialization.
+/// serialization: the registry block of an archive and of a serve
+/// checkpoint.
 ///
 /// # Panics
 ///
@@ -1048,6 +959,30 @@ pub fn encode_registry_delta(
         put_identify(&mut w, registry.identify(id));
     }
     w.into_bytes()
+}
+
+/// Reads one section of a registry delta (a count, then that many entries)
+/// and interns each entry, which must land on the next dense id, `base + i`.
+/// A registry hands each distinct value out once, so an entry repeating one
+/// already interned would map the writer's new id to an old one: the
+/// section is malformed.
+fn intern_section<T>(
+    r: &mut ByteReader<'_>,
+    context: &'static str,
+    base: usize,
+    read: fn(&mut ByteReader<'_>) -> Result<T, ArchiveError>,
+    mut intern: impl FnMut(T) -> u32,
+) -> Result<(), ArchiveError> {
+    let count = r.len(context)?;
+    for i in 0..count {
+        let expected = base + i;
+        if intern(read(r)?) as usize != expected {
+            return Err(malformed(format!(
+                "{context}: entry {i} repeats an earlier one (expected id {expected})"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Applies a delta produced by [`encode_registry_delta`] to a registry that
@@ -1405,11 +1340,13 @@ fn encode_observer_directory(logs: &[ObserverLog]) -> Vec<u8> {
 /// Serialises a finished simulation output into one archive file, with the
 /// caller's opaque `meta` bytes as the metadata block.
 ///
-/// The shared [`IdentifyRegistry`] is written exactly once as three
-/// dictionary pages; every observer contributes five column blocks. Returns
-/// an error if the logs do not share a single registry (engine outputs
-/// always do — a manually assembled output with per-log registries cannot be
-/// archived with shared dictionary pages).
+/// The blocks are META, REGISTRY, OBSERVERS, one EVENTS block per observer,
+/// GROUND_TRUTH and DHT. The shared [`IdentifyRegistry`] is written exactly
+/// once, as `encode_registry_delta(registry, 0, 0, 0)`; each observer's rows
+/// are `encode_event_block(table, 0, table.len())`. Returns an error if the
+/// logs do not share a single registry (engine outputs always do — a
+/// manually assembled output with per-log registries has no one registry
+/// block to write).
 pub fn encode_output(output: &SimulationOutput, meta: &[u8]) -> Result<Vec<u8>, ArchiveError> {
     let empty_registry;
     let registry: &IdentifyRegistry = match output.logs.first() {
@@ -1418,7 +1355,7 @@ pub fn encode_output(output: &SimulationOutput, meta: &[u8]) -> Result<Vec<u8>, 
             for log in &output.logs[1..] {
                 if !std::ptr::eq(log.registry(), registry) {
                     return Err(malformed(
-                        "observer logs do not share one IdentifyRegistry; cannot write shared dictionary pages",
+                        "observer logs do not share one IdentifyRegistry; cannot write one registry block",
                     ));
                 }
             }
@@ -1432,18 +1369,12 @@ pub fn encode_output(output: &SimulationOutput, meta: &[u8]) -> Result<Vec<u8>, 
 
     let mut writer = ArchiveWriter::new();
     writer.push_block(BK_META, GLOBAL_OWNER, meta);
-    writer.push_block(BK_DICT_PEERS, GLOBAL_OWNER, &encode_dict_peers(registry));
-    writer.push_block(BK_DICT_ADDRS, GLOBAL_OWNER, &encode_dict_addrs(registry));
-    writer.push_block(BK_DICT_INFOS, GLOBAL_OWNER, &encode_dict_infos(registry));
+    writer.push_block(BK_REGISTRY, GLOBAL_OWNER, &encode_registry_delta(registry, 0, 0, 0));
     writer.push_block(BK_OBSERVERS, GLOBAL_OWNER, &encode_observer_directory(&output.logs));
     for (idx, log) in output.logs.iter().enumerate() {
         let owner = u32::try_from(idx).expect("observer count exceeds u32");
         let table = log.table();
-        writer.push_block(BK_COL_AT, owner, &encode_col_at(table.ats()));
-        writer.push_block(BK_COL_KIND, owner, &encode_col_kind(table.kinds()));
-        writer.push_block(BK_COL_PEER_SLOT, owner, &encode_col_u32s(table.peer_slots()));
-        writer.push_block(BK_COL_CONN, owner, &encode_col_conn(table.conns()));
-        writer.push_block(BK_COL_PAYLOAD, owner, &encode_col_u32s(table.payloads()));
+        writer.push_block(BK_EVENTS, owner, &encode_event_block(table, 0, table.len()));
     }
     writer.push_block(BK_GROUND_TRUTH, GLOBAL_OWNER, &encode_ground_truth(&output.ground_truth));
     writer.push_block(BK_DHT, GLOBAL_OWNER, &encode_dht(&output.dht));
@@ -1460,11 +1391,8 @@ pub fn encode_output(output: &SimulationOutput, meta: &[u8]) -> Result<Vec<u8>, 
 pub fn decode_output(bytes: &[u8]) -> Result<(Vec<u8>, SimulationOutput), ArchiveError> {
     let file = ArchiveFile::parse(bytes)?;
     let meta = file.block(BK_META, GLOBAL_OWNER)?.to_vec();
-    let registry = decode_registry(
-        file.block(BK_DICT_PEERS, GLOBAL_OWNER)?,
-        file.block(BK_DICT_ADDRS, GLOBAL_OWNER)?,
-        file.block(BK_DICT_INFOS, GLOBAL_OWNER)?,
-    )?;
+    let mut registry = IdentifyRegistry::new();
+    apply_registry_delta(&mut registry, file.block(BK_REGISTRY, GLOBAL_OWNER)?)?;
     let registry = Arc::new(registry);
 
     let directory = file.block(BK_OBSERVERS, GLOBAL_OWNER)?;
@@ -1479,21 +1407,7 @@ pub fn decode_output(bytes: &[u8]) -> Result<(Vec<u8>, SimulationOutput), Archiv
         let started_at = SimTime::from_millis(r.uvarint("observer start")?);
         let ended_at = SimTime::from_millis(r.uvarint("observer end")?);
         let owner = u32::try_from(idx).expect("observer count exceeds u32");
-        let at = decode_col_at(file.block(BK_COL_AT, owner)?)?;
-        let kind = decode_col_kind(file.block(BK_COL_KIND, owner)?)?;
-        let peer_slot = decode_col_u32s(file.block(BK_COL_PEER_SLOT, owner)?, "peer-slot column")?;
-        let conn = decode_col_conn(file.block(BK_COL_CONN, owner)?)?;
-        let payload = decode_col_u32s(file.block(BK_COL_PAYLOAD, owner)?, "payload column")?;
-        if kind.len() != at.len()
-            || peer_slot.len() != at.len()
-            || conn.len() != at.len()
-            || payload.len() != at.len()
-        {
-            return Err(malformed(format!(
-                "column lengths disagree for observer {observer}"
-            )));
-        }
-        let table = ObservationTable::from_columns(at, kind, peer_slot, conn, payload);
+        let table = decode_event_block(file.block(BK_EVENTS, owner)?)?;
         check_rows(&table, &registry)?;
         logs.push(ObserverLog::from_columns(
             observer,
@@ -1555,13 +1469,13 @@ mod tests {
     fn block_container_roundtrips_and_seeks() {
         let mut w = ArchiveWriter::new();
         w.push_block(BK_META, GLOBAL_OWNER, b"hello");
-        w.push_block(BK_COL_AT, 0, b"column zero");
-        w.push_block(BK_COL_AT, 1, b"column one");
+        w.push_block(BK_EVENTS, 0, b"events zero");
+        w.push_block(BK_EVENTS, 1, b"events one");
         let bytes = w.finish();
         let file = ArchiveFile::parse(&bytes).unwrap();
         assert_eq!(file.blocks.len(), 3);
         assert_eq!(file.block(BK_META, GLOBAL_OWNER).unwrap(), b"hello");
-        assert_eq!(file.block(BK_COL_AT, 1).unwrap(), b"column one");
+        assert_eq!(file.block(BK_EVENTS, 1).unwrap(), b"events one");
         assert_eq!(
             file.block(BK_DHT, GLOBAL_OWNER),
             Err(ArchiveError::MissingBlock {
@@ -1915,15 +1829,44 @@ mod tests {
         check_rows(output.logs[0].table(), output.logs[0].registry()).unwrap();
     }
 
-    /// The sample archive re-encoded with every block of `kind` replaced
-    /// by `page`, under valid checksums.
-    fn with_page(kind: u16, page: &[u8]) -> Vec<u8> {
+    #[test]
+    fn archive_blocks_are_the_wire_blocks() {
+        let output = sample_output();
+        let bytes = encode_output(&output, b"meta").unwrap();
+        let file = ArchiveFile::parse(&bytes).unwrap();
+        let layout: Vec<(u16, u32)> = file.blocks.iter().map(|b| (b.kind, b.owner)).collect();
+        assert_eq!(
+            layout,
+            [
+                (BK_META, GLOBAL_OWNER),
+                (BK_REGISTRY, GLOBAL_OWNER),
+                (BK_OBSERVERS, GLOBAL_OWNER),
+                (BK_EVENTS, 0),
+                (BK_GROUND_TRUTH, GLOBAL_OWNER),
+                (BK_DHT, GLOBAL_OWNER),
+            ]
+        );
+        let log = &output.logs[0];
+        let table = log.table();
+        assert_eq!(
+            file.block(BK_REGISTRY, GLOBAL_OWNER).unwrap(),
+            encode_registry_delta(log.registry(), 0, 0, 0)
+        );
+        assert_eq!(
+            file.block(BK_EVENTS, 0).unwrap(),
+            encode_event_block(table, 0, table.len())
+        );
+    }
+
+    /// The sample archive re-encoded with its registry block replaced by
+    /// `block`, under valid checksums.
+    fn with_registry_block(block: &[u8]) -> Vec<u8> {
         let bytes = encode_output(&sample_output(), b"").unwrap();
         let file = ArchiveFile::parse(&bytes).unwrap();
         let mut writer = ArchiveWriter::new();
         for entry in &file.blocks {
-            let payload = if entry.kind == kind {
-                page
+            let payload = if entry.kind == BK_REGISTRY {
+                block
             } else {
                 file.block(entry.kind, entry.owner).unwrap()
             };
@@ -1933,39 +1876,38 @@ mod tests {
     }
 
     #[test]
-    fn repeated_dictionary_entries_with_valid_checksums_are_rejected() {
+    fn repeated_registry_entries_with_valid_checksums_are_rejected() {
         let output = sample_output();
         let registry = output.logs[0].registry();
-        assert!(decode_output(&with_page(BK_DICT_PEERS, &encode_dict_peers(registry))).is_ok());
-        // Each forged page holds the sample's one entry twice.
-        let twice = |put: &dyn Fn(&mut ByteWriter)| {
+        // The sample registry holds one peer, one address and one identify
+        // payload. `registry_block(section)` writes that registry from
+        // `(0, 0, 0)` with section `section`'s entry twice; section 3 is none.
+        let puts: [&dyn Fn(&mut ByteWriter); 3] = [
+            &|w| put_peer(w, &registry.peer(0)),
+            &|w| put_addr(w, &registry.addr(0)),
+            &|w| put_identify(w, registry.identify(0)),
+        ];
+        let registry_block = |twice: usize| {
             let mut w = ByteWriter::new();
-            w.put_uvarint(2);
-            put(&mut w);
-            put(&mut w);
+            for _ in 0..3 {
+                w.put_uvarint(0);
+            }
+            for (section, put) in puts.iter().enumerate() {
+                let count = if section == twice { 2 } else { 1 };
+                w.put_uvarint(count);
+                for _ in 0..count {
+                    put(&mut w);
+                }
+            }
             w.into_bytes()
         };
-        let forgeries = [
-            (
-                "peer",
-                BK_DICT_PEERS,
-                twice(&|w| put_peer(w, &registry.peer(0))),
-            ),
-            (
-                "address",
-                BK_DICT_ADDRS,
-                twice(&|w| put_addr(w, &registry.addr(0))),
-            ),
-            (
-                "identify payload",
-                BK_DICT_INFOS,
-                twice(&|w| put_identify(w, registry.identify(0))),
-            ),
-        ];
-        for (what, kind, page) in forgeries {
+        assert_eq!(registry_block(3), encode_registry_delta(registry, 0, 0, 0));
+        assert!(decode_output(&with_registry_block(&registry_block(3))).is_ok());
+        let sections = ["peer", "address", "identify payload"];
+        for (section, what) in sections.into_iter().enumerate() {
             assert!(
                 matches!(
-                    decode_output(&with_page(kind, &page)),
+                    decode_output(&with_registry_block(&registry_block(section))),
                     Err(ArchiveError::Malformed { .. })
                 ),
                 "a repeated {what} must not decode"

@@ -253,9 +253,9 @@ impl DhtReplay<'_> {
 /// Maintains routing tables over a replayed run and records their
 /// membership history as a [`DhtLog`].
 ///
-/// All methods are no-ops on a disabled tracker (see
-/// [`crate::Network::with_dht_tracking`]). Nothing here consumes engine
-/// randomness.
+/// All methods are no-ops on a disabled tracker (the one behind
+/// [`crate::run_full_protocol`], which never tracks). Nothing here consumes
+/// engine randomness.
 #[derive(Debug)]
 pub struct DhtTracker {
     enabled: bool,

@@ -39,8 +39,9 @@ pub struct SimulationOutput {
     pub logs: Vec<ObserverLog>,
     /// Ground truth of the simulated network.
     pub ground_truth: GroundTruth,
-    /// Routing-table membership history of the run (empty if tracking was
-    /// disabled via [`Network::with_dht_tracking`]).
+    /// Routing-table membership history of the run ([`Network::run`] and
+    /// [`Network::run_sharded`] track it; [`crate::run_full_protocol`] never
+    /// does and leaves it empty).
     pub dht: DhtLog,
     /// Observer name → index into `logs`, built once at construction so
     /// [`Self::log`] is a map lookup instead of a linear name scan.
@@ -103,7 +104,6 @@ pub struct Network {
     config: NetworkConfig,
     peers: Vec<RemotePeerSpec>,
     population_events: Vec<PopulationEvent>,
-    dht_tracking: bool,
 }
 
 impl Network {
@@ -113,19 +113,7 @@ impl Network {
             config,
             peers,
             population_events: Vec::new(),
-            dht_tracking: true,
         }
-    }
-
-    /// Enables or disables routing-table tracking (on by default). The
-    /// routing tables are rebuilt after the run from the ground truth and
-    /// the observers' contacts and consume no engine randomness, so toggling
-    /// tracking never changes the observation logs; turning it off skips
-    /// work a caller does not need, and lets `tests/mailbox_differential.rs`
-    /// compare against [`crate::run_full_protocol`], which never tracks.
-    pub fn with_dht_tracking(mut self, enabled: bool) -> Self {
-        self.dht_tracking = enabled;
-        self
     }
 
     /// Adds a scripted stream of mid-run population mutations (scenario
@@ -136,11 +124,13 @@ impl Network {
         self
     }
 
-    /// Runs the simulation to completion and returns the observation logs and
-    /// ground truth.
+    /// Runs the simulation to completion and returns the observation logs,
+    /// the ground truth and the routing-table history. The routing tables
+    /// are rebuilt after the run from the ground truth and the observers'
+    /// contacts and consume no engine randomness.
     pub fn run(self) -> SimulationOutput {
         let cfg = FullProtocolConfig::from_network(&self.config);
-        run_direct(&cfg, self.peers, self.population_events, self.dht_tracking).0
+        run_direct(&cfg, self.peers, self.population_events, true).0
     }
 
     /// Runs the simulation on `shards` lock-step engine shards across
@@ -151,8 +141,7 @@ impl Network {
         let cfg = FullProtocolConfig::from_network(&self.config)
             .with_shards(shards)
             .with_threads(threads);
-        let (output, stats, phases) =
-            run_lockstep(&cfg, self.peers, self.population_events, self.dht_tracking);
+        let (output, stats, phases) = run_lockstep(&cfg, self.peers, self.population_events, true);
         FullProtocolRun::new(output, stats, phases)
     }
 }

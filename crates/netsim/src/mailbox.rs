@@ -162,6 +162,8 @@ enum FpEvent {
     /// The remote end of a connection trims it (observer's owner shard).
     HoldExpired { obs: u32, conn: u64 },
     /// A disconnected peer redials the observer (observer's owner shard).
+    /// Handled as a [`FpEvent::Dial`]; its own rank orders it among
+    /// same-time events.
     Redial { obs: u32, peer: u32 },
 }
 
@@ -446,11 +448,12 @@ impl Shard {
             FpEvent::NoticeMetadata { peer, identify_id, server } => {
                 self.handle_notice_metadata(now, peer, identify_id, server)
             }
-            FpEvent::Dial { peer, obs } => self.handle_dial(now, peer, obs),
+            FpEvent::Dial { peer, obs } | FpEvent::Redial { obs, peer } => {
+                self.handle_dial(now, peer, obs)
+            }
             FpEvent::Gossip { peer, obs } => self.handle_gossip(now, peer, obs),
             FpEvent::Maintenance { obs } => self.handle_maintenance(now, obs),
             FpEvent::HoldExpired { obs, conn } => self.handle_hold_expired(now, obs, conn),
-            FpEvent::Redial { obs, peer } => self.handle_redial(now, obs, peer),
         }
     }
 
@@ -685,18 +688,6 @@ impl Shard {
             return;
         }
         self.close_connection(now, li, conn, CloseReason::TrimmedRemote, true);
-    }
-
-    fn handle_redial(&mut self, now: SimTime, o: u32, g: u32) {
-        let Some(v) = self.visible.as_ref() else { return };
-        if !v.online[g as usize] {
-            return;
-        }
-        let li = self.local_obs(o);
-        if self.observers[li].peer_conn.contains_key(&g) {
-            return;
-        }
-        self.open_connection(now, li, g, Direction::Inbound);
     }
 
     fn open_connection(&mut self, now: SimTime, li: usize, g: u32, direction: Direction) {

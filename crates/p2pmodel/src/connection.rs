@@ -38,20 +38,6 @@ impl fmt::Display for Direction {
     }
 }
 
-impl std::str::FromStr for Direction {
-    type Err = String;
-
-    /// Parses the tokens produced by the `Display` impl (the JSON export
-    /// format of the measurement datasets).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "inbound" => Ok(Direction::Inbound),
-            "outbound" => Ok(Direction::Outbound),
-            other => Err(format!("unknown direction `{other}`")),
-        }
-    }
-}
-
 /// Why a connection ended (simulation ground truth).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CloseReason {
@@ -78,43 +64,9 @@ impl fmt::Display for CloseReason {
     }
 }
 
-impl std::str::FromStr for CloseReason {
-    type Err = String;
-
-    /// Parses the tokens produced by the `Display` impl (the JSON export
-    /// format of the measurement datasets). Keep the two in sync when adding
-    /// variants.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "trimmed-local" => Ok(CloseReason::TrimmedLocal),
-            "trimmed-remote" => Ok(CloseReason::TrimmedRemote),
-            "peer-left" => Ok(CloseReason::PeerLeft),
-            "measurement-end" => Ok(CloseReason::MeasurementEnd),
-            other => Err(format!("unknown close reason `{other}`")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn direction_and_reason_display_parse_roundtrip() {
-        for d in [Direction::Inbound, Direction::Outbound] {
-            assert_eq!(d.to_string().parse::<Direction>(), Ok(d));
-        }
-        for r in [
-            CloseReason::TrimmedLocal,
-            CloseReason::TrimmedRemote,
-            CloseReason::PeerLeft,
-            CloseReason::MeasurementEnd,
-        ] {
-            assert_eq!(r.to_string().parse::<CloseReason>(), Ok(r));
-        }
-        assert!("sideways".parse::<Direction>().is_err());
-        assert!("gremlins".parse::<CloseReason>().is_err());
-    }
 
     #[test]
     fn display_impls_are_informative() {
@@ -122,6 +74,8 @@ mod tests {
         assert_eq!(Direction::Inbound.to_string(), "inbound");
         assert_eq!(Direction::Outbound.to_string(), "outbound");
         assert_eq!(CloseReason::TrimmedLocal.to_string(), "trimmed-local");
+        assert_eq!(CloseReason::TrimmedRemote.to_string(), "trimmed-remote");
+        assert_eq!(CloseReason::PeerLeft.to_string(), "peer-left");
         assert_eq!(CloseReason::MeasurementEnd.to_string(), "measurement-end");
     }
 }

@@ -132,19 +132,6 @@ impl PeerId {
     pub fn to_hex(&self) -> String {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
     }
-
-    /// Parses the full 64-character hexadecimal form produced by
-    /// [`PeerId::to_hex`]. Returns `None` for malformed input.
-    pub fn from_hex(hex: &str) -> Option<PeerId> {
-        if hex.len() != PEER_ID_BYTES * 2 {
-            return None;
-        }
-        let mut bytes = [0u8; PEER_ID_BYTES];
-        for (i, byte) in bytes.iter_mut().enumerate() {
-            *byte = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).ok()?;
-        }
-        Some(PeerId(bytes))
-    }
 }
 
 impl fmt::Debug for PeerId {
@@ -230,14 +217,6 @@ mod tests {
         assert_eq!(id.to_hex().len(), 64);
         assert!(id.to_string().starts_with("12D3Koo"));
         assert!(format!("{id:?}").contains("abababab"));
-    }
-
-    #[test]
-    fn hex_roundtrip_and_rejection() {
-        let id = PeerId::derived(99);
-        assert_eq!(PeerId::from_hex(&id.to_hex()), Some(id));
-        assert_eq!(PeerId::from_hex("abc"), None);
-        assert_eq!(PeerId::from_hex(&"zz".repeat(32)), None);
     }
 
     #[test]

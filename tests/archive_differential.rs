@@ -15,7 +15,7 @@
 //! panicking, and unknown format versions are rejected up front.
 
 use ipfs_passive_measurement::prelude::*;
-use measurement::{analyze_suite, export_suite, read_campaign_archive, read_suite, ExportedCell};
+use measurement::{analyze_suite, export_suite, read_campaign_archive, ExportedCell};
 use netsim::ArchiveError;
 use std::sync::OnceLock;
 
@@ -48,6 +48,15 @@ fn sample_cell() -> &'static ExportedCell {
     })
 }
 
+/// The campaigns `repro analyze` re-analyses from `archives`.
+fn reanalyze(archives: &[Vec<u8>], threads: usize) -> Vec<MeasurementCampaign> {
+    analyze_suite(archives, threads)
+        .expect("archives must decode")
+        .into_iter()
+        .map(|cell| cell.campaign)
+        .collect()
+}
+
 #[test]
 fn export_then_analyze_reproduces_the_direct_report_byte_for_byte() {
     let scenarios = [ChurnScenario::Baseline, ChurnScenario::diurnal()];
@@ -62,7 +71,7 @@ fn export_then_analyze_reproduces_the_direct_report_byte_for_byte() {
         }
         let direct_report = robustness_report(&direct);
 
-        let replayed = read_suite(&archives, 2).expect("archives must decode");
+        let replayed = reanalyze(&archives, 2);
         let replayed_report = robustness_report(&replayed);
         assert_eq!(
             replayed_report.to_json_string(),
@@ -86,8 +95,8 @@ fn archives_and_reanalysis_are_thread_count_independent() {
     }
 
     let archives: Vec<Vec<u8>> = one.into_iter().map(|cell| cell.archive).collect();
-    let serial = read_suite(&archives, 1).expect("archives must decode");
-    let parallel = read_suite(&archives, 8).expect("archives must decode");
+    let serial = reanalyze(&archives, 1);
+    let parallel = reanalyze(&archives, 8);
     assert_eq!(
         robustness_report(&serial).to_json_string(),
         robustness_report(&parallel).to_json_string(),
@@ -165,11 +174,15 @@ fn truncations_fail_cleanly_at_every_cut() {
 #[test]
 fn unknown_format_versions_are_rejected() {
     let archive = &sample_cell().archive;
-    let mut future = archive.clone();
     // The format version is the little-endian u32 right after the magic.
-    future[8..12].copy_from_slice(&0xEEu32.to_le_bytes());
-    match read_campaign_archive(&future) {
-        Err(ArchiveError::UnsupportedVersion { found: 0xEE }) => {}
-        other => panic!("expected an unsupported-version error, got {other:?}"),
+    // Version 1 stored the registry as dictionary pages and the rows as
+    // five column blocks per observer; this build reads version 2 only.
+    for version in [1u32, 0xEE] {
+        let mut other = archive.clone();
+        other[8..12].copy_from_slice(&version.to_le_bytes());
+        match read_campaign_archive(&other) {
+            Err(ArchiveError::UnsupportedVersion { found }) if found == version => {}
+            other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
+        }
     }
 }

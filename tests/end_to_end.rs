@@ -263,22 +263,6 @@ fn fig6_pid_growth_is_monotone_and_keeps_growing() {
 }
 
 #[test]
-fn dataset_json_roundtrip_through_the_real_pipeline() {
-    let campaign = campaign(MeasurementPeriod::P3);
-    let dataset = campaign.primary();
-    let json = dataset.to_json_string();
-    let parsed = MeasurementDataset::from_json(&jsonio::Json::parse(&json).expect("valid JSON"))
-        .expect("roundtrip");
-    assert_eq!(&parsed, dataset);
-    // Analyses produce identical results on the re-imported data.
-    assert_eq!(
-        analysis::connection_stats(&parsed),
-        analysis::connection_stats(dataset)
-    );
-    assert_eq!(analysis::ip_grouping(&parsed), analysis::ip_grouping(dataset));
-}
-
-#[test]
 fn campaigns_are_reproducible_from_the_seed() {
     let a = run_period(MeasurementPeriod::P3, common::SCALE, 99);
     let b = run_period(MeasurementPeriod::P3, common::SCALE, 99);

@@ -120,19 +120,6 @@ fn estimators_are_ordered() {
     });
 }
 
-/// JSON export and re-import is lossless for arbitrary simulated runs.
-#[test]
-fn dataset_json_roundtrip() {
-    for_cases("dataset_json_roundtrip", 12, |rng| {
-        let seed = rng.uniform_u64(0, 500);
-        let peers = rng.uniform_u64(3, 30) as usize;
-        let dataset = ingest(seed, peers, 1, 20, 30);
-        let json = jsonio::Json::parse(&dataset.to_json_string()).unwrap();
-        let parsed = MeasurementDataset::from_json(&json).unwrap();
-        assert_eq!(parsed, dataset);
-    });
-}
-
 /// The duration CDF of Fig. 7 is a proper CDF: monotone and reaching 1.
 #[test]
 fn duration_cdf_is_monotone() {
