@@ -718,7 +718,7 @@ pub fn calibration_report(
             / campaigns.len() as f64;
         let survival = streams
             .iter()
-            .find(|s| s.batch.scenario.churn.label() == scenario_label)
+            .find(|s| s.scenario.churn.label() == scenario_label)
             .map(analyze_survival);
 
         cells.push(CalibrationCell {

@@ -352,16 +352,16 @@ pub(crate) fn analyze_stream(campaign: &StreamingCampaign) -> StreamAnalysis {
     let primary = campaign.primary_stream();
     let vantage_streams = campaign.vantage_streams();
     let capture = if vantage_streams.len() >= 2 {
-        stream_capture_rows(&vantage_streams, campaign.batch.ground_truth.population_size())
+        stream_capture_rows(&vantage_streams, campaign.truth_pids)
     } else {
         Vec::new()
     };
     let windows = stream_window_rows(primary);
     StreamAnalysis {
-        scenario: campaign.batch.scenario.churn.label().to_string(),
-        period: campaign.batch.scenario.period.label().to_string(),
-        scale: campaign.batch.scenario.scale,
-        seed: campaign.batch.scenario.seed,
+        scenario: campaign.scenario.churn.label().to_string(),
+        period: campaign.scenario.period.label().to_string(),
+        scale: campaign.scenario.scale,
+        seed: campaign.scenario.seed,
         window_secs: campaign.window.as_secs(),
         observers: campaign
             .streams
@@ -371,7 +371,7 @@ pub(crate) fn analyze_stream(campaign: &StreamingCampaign) -> StreamAnalysis {
         estimates: stream_estimates(primary),
         windows,
         capture,
-        truth_pids: campaign.batch.ground_truth.population_size(),
+        truth_pids: campaign.truth_pids,
     }
 }
 

@@ -292,10 +292,10 @@ impl SurvivalAnalysis {
 pub fn analyze_survival(campaign: &StreamingCampaign) -> SurvivalAnalysis {
     let primary = campaign.primary_stream();
     SurvivalAnalysis {
-        scenario: campaign.batch.scenario.churn.label().to_string(),
-        period: campaign.batch.scenario.period.label().to_string(),
-        scale: campaign.batch.scenario.scale,
-        seed: campaign.batch.scenario.seed,
+        scenario: campaign.scenario.churn.label().to_string(),
+        period: campaign.scenario.period.label().to_string(),
+        scale: campaign.scenario.scale,
+        seed: campaign.scenario.seed,
         observer: primary.observer.clone(),
         duration_mode: format!("{:?}", primary.duration_mode),
         curve: SurvivalCurve::from_stream(primary),

@@ -148,17 +148,15 @@ impl ActiveCrawler {
         Self::default()
     }
 
-    /// The shared crawl loop: one snapshot per interval starting at
-    /// `start`, optionally tracking the distinct-server union. Both public
-    /// entry points replay the same log with the same per-crawl seeds, so a
-    /// crawl series and its summary always agree snapshot for snapshot.
+    /// The crawl loop: one snapshot per interval starting at `start`,
+    /// adding every honest server found to the `distinct` union.
     fn crawl_inner(
         &self,
         dht: &DhtLog,
         ground_truth: &GroundTruth,
         start: SimTime,
         end: SimTime,
-        mut distinct: Option<&mut BTreeSet<PeerId>>,
+        distinct: &mut BTreeSet<PeerId>,
     ) -> Vec<CrawlSnapshot> {
         let bootstrap: BTreeSet<PeerId> = dht.bootstrap.iter().copied().collect();
         let adversaries = dht.adversaries();
@@ -190,9 +188,7 @@ impl ActiveCrawler {
                     adversarial_found += 1;
                 } else {
                     servers_found += 1;
-                    if let Some(distinct) = distinct.as_deref_mut() {
-                        distinct.insert(*peer);
-                    }
+                    distinct.insert(*peer);
                 }
             }
             snapshots.push(CrawlSnapshot {
@@ -310,19 +306,8 @@ impl ActiveCrawler {
     }
 
     /// Crawls the simulated network over `[start, end]`, once every
-    /// [`Self::interval`] starting *at* `start`, and returns one snapshot
-    /// per crawl (no union-tracking overhead — the Fig. 2 hot path).
-    pub fn crawl(
-        &self,
-        dht: &DhtLog,
-        ground_truth: &GroundTruth,
-        start: SimTime,
-        end: SimTime,
-    ) -> Vec<CrawlSnapshot> {
-        self.crawl_inner(dht, ground_truth, start, end, None)
-    }
-
-    /// Crawls the network and also tracks how many *distinct* honest server
+    /// [`Self::interval`] starting *at* `start`: one snapshot per crawl,
+    /// plus a summary that also counts how many *distinct* honest server
     /// PIDs were seen across all crawls (a historic union like the passive
     /// view).
     pub fn crawl_summary(
@@ -333,7 +318,7 @@ impl ActiveCrawler {
         end: SimTime,
     ) -> (Vec<CrawlSnapshot>, CrawlSummary) {
         let mut distinct = BTreeSet::new();
-        let snapshots = self.crawl_inner(dht, ground_truth, start, end, Some(&mut distinct));
+        let snapshots = self.crawl_inner(dht, ground_truth, start, end, &mut distinct);
         let summary = summarize(&snapshots, distinct.len());
         (snapshots, summary)
     }
@@ -497,7 +482,9 @@ mod tests {
         let gt = ground_truth(100, 0);
         let log = dht_log_from_ground_truth(&gt, &[]);
         let crawler = ActiveCrawler::new();
-        let snapshots = crawler.crawl(&log, &gt, SimTime::ZERO, SimTime::ZERO);
+        let snapshots = crawler
+            .crawl_summary(&log, &gt, SimTime::ZERO, SimTime::ZERO)
+            .0;
         assert_eq!(snapshots.len(), 1);
         assert!(
             snapshots[0].recall() >= 0.9,
@@ -510,7 +497,9 @@ mod tests {
     fn crawler_only_counts_servers_and_crawls_start_at_start() {
         let gt = ground_truth(100, 500);
         let crawler = ActiveCrawler::new();
-        let snapshots = crawler.crawl(&dht(&gt), &gt, SimTime::ZERO, SimTime::from_hours(24));
+        let snapshots = crawler
+            .crawl_summary(&dht(&gt), &gt, SimTime::ZERO, SimTime::from_hours(24))
+            .0;
         assert_eq!(snapshots.len(), 4, "crawls at 0, 8, 16 and 24 h");
         assert_eq!(snapshots[0].at, SimTime::ZERO, "first crawl runs immediately");
         for snap in &snapshots {
@@ -536,7 +525,9 @@ mod tests {
         // `start + interval`, so short runs produced no crawl at all.
         let gt = ground_truth(10, 0);
         let crawler = ActiveCrawler::new();
-        let snapshots = crawler.crawl(&dht(&gt), &gt, SimTime::ZERO, SimTime::from_hours(4));
+        let snapshots = crawler
+            .crawl_summary(&dht(&gt), &gt, SimTime::ZERO, SimTime::from_hours(4))
+            .0;
         assert_eq!(snapshots.len(), 1);
         assert_eq!(snapshots[0].at, SimTime::ZERO);
     }
@@ -552,7 +543,9 @@ mod tests {
             peer: PeerId::derived(0),
         });
         let crawler = ActiveCrawler::new();
-        let snapshots = crawler.crawl(&dht(&gt), &gt, SimTime::ZERO, SimTime::from_hours(16));
+        let snapshots = crawler
+            .crawl_summary(&dht(&gt), &gt, SimTime::ZERO, SimTime::from_hours(16))
+            .0;
         assert_eq!(snapshots.len(), 3);
         assert_eq!(snapshots[0].servers_found, 10, "tiny networks crawl exhaustively");
         assert_eq!(snapshots[1].servers_found, 10);
@@ -593,24 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn crawl_and_crawl_summary_agree_snapshot_for_snapshot() {
-        let mut gt = ground_truth(300, 100);
-        for i in 0..100 {
-            gt.events.push(GroundTruthEvent::PeerOffline {
-                at: SimTime::from_hours(6 + i % 12),
-                peer: PeerId::derived(i),
-            });
-        }
-        let log = dht(&gt);
-        let crawler = ActiveCrawler::new();
-        let plain = crawler.crawl(&log, &gt, SimTime::ZERO, SimTime::from_hours(24));
-        let (with_summary, summary) =
-            crawler.crawl_summary(&log, &gt, SimTime::ZERO, SimTime::from_hours(24));
-        assert_eq!(plain, with_summary);
-        assert!(summary.distinct_servers >= summary.max_servers);
-    }
-
-    #[test]
     fn poisoned_tables_waste_the_crawl_budget() {
         // One poisoner whose replies are padded with fabricated PIDs: every
         // fake costs a dial timeout, so a tight budget truncates the crawl
@@ -632,8 +607,8 @@ mod tests {
             budget: SimDuration::from_secs(30),
             ..ActiveCrawler::new()
         };
-        let benign = crawler.crawl(&benign_log, &gt, SimTime::ZERO, SimTime::ZERO);
-        let attacked = crawler.crawl(&poisoned_log, &gt, SimTime::ZERO, SimTime::ZERO);
+        let benign = crawler.crawl_summary(&benign_log, &gt, SimTime::ZERO, SimTime::ZERO).0;
+        let attacked = crawler.crawl_summary(&poisoned_log, &gt, SimTime::ZERO, SimTime::ZERO).0;
         assert!(!benign[0].truncated, "60 honest servers fit a 30 s budget");
         assert!(attacked[0].truncated, "junk timeouts must exhaust the budget");
         assert!(

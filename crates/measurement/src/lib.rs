@@ -39,7 +39,9 @@
 //!   [`StreamingMonitor`] folds an observer's observation table row by row
 //!   and maintains sliding/tumbling-window state in `O(window + peers)`
 //!   memory; its cumulative summary reproduces the batch estimators
-//!   byte-identically.
+//!   byte-identically. A streaming campaign ([`run_streaming_campaign`])
+//!   simulates once and runs only this fold ([`stream_output`]): no batch
+//!   monitor, hydra union or crawler.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,18 +69,17 @@ pub use monitor::{GoIpfsMonitor, HydraMonitor};
 pub use record::{ConnectionRecord, MetadataChangeRecord, PeerRecord, SnapshotRecord};
 pub use replicate::{run_replicated_vantage_suite, ReplicateSuite};
 pub use runner::{
-    campaign_from_output, run_built, run_period, run_scenario, run_scenario_suite,
-    MeasurementCampaign,
+    batch_resident_bytes, campaign_from_output, run_built, run_period, run_scenario,
+    run_scenario_suite, MeasurementCampaign,
 };
 pub use serve::{
     config_from_json, config_to_json, read_frame, serve_connection, serve_unix, write_frame, Frame,
     QueryAnswerer, ServeOptions, ServeState, FRAME_EVENTS, FRAME_REGISTRY, MAX_FRAME_LEN,
 };
 pub use stream::{
-    batch_resident_bytes, run_stream_suite, run_streaming_built, run_streaming_campaign,
-    sliding_windows, DirectionAgg, DurationMode, PaneSummary, PeerStreamAgg, StreamConfig,
-    StreamSummary, StreamView, StreamingCampaign, StreamingMonitor, WindowEvent, WindowSnapshot,
-    WindowState,
+    run_stream_suite, run_streaming_built, run_streaming_campaign, sliding_windows, stream_output,
+    DirectionAgg, DurationMode, PaneSummary, PeerStreamAgg, StreamConfig, StreamSummary,
+    StreamView, StreamingCampaign, StreamingMonitor, WindowEvent, WindowSnapshot, WindowState,
 };
 pub use sweep::{ObserverTweak, SweepGrid, SweepReport, SweepRunner};
 pub use vantage::{run_vantage_built, run_vantage_campaign, run_vantage_suite, VantageCampaign};

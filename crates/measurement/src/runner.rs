@@ -64,6 +64,23 @@ impl MeasurementCampaign {
     }
 }
 
+/// The datasets a batch run of the campaign materialised (the go-ipfs
+/// dataset, every hydra head and the hydra union), as a resident-bytes
+/// estimate: the denominator of the streaming memory claim.
+pub fn batch_resident_bytes(campaign: &MeasurementCampaign) -> usize {
+    let mut bytes = 0;
+    if let Some(go_ipfs) = &campaign.go_ipfs {
+        bytes += go_ipfs.approx_bytes();
+    }
+    for head in &campaign.hydra_heads {
+        bytes += head.approx_bytes();
+    }
+    if let Some(union) = &campaign.hydra_union {
+        bytes += union.approx_bytes();
+    }
+    bytes
+}
+
 /// Runs a fully specified scenario.
 pub fn run_scenario(scenario: Scenario) -> MeasurementCampaign {
     run_built(scenario.build())
@@ -87,10 +104,10 @@ pub fn run_built(run: population::ScenarioRun) -> MeasurementCampaign {
 /// Assembles a [`MeasurementCampaign`] from a finished simulation output:
 /// monitor ingestion, hydra union, active-crawler baseline.
 ///
-/// [`run_built`] is `simulate + campaign_from_output`; the streaming runner
-/// ([`crate::stream::run_streaming_built`]) hands this half the same output
-/// its streaming monitors folded, so both pipelines read one simulation's
-/// logs — a precondition of the byte-identical differential contract.
+/// [`run_built`] is `simulate + campaign_from_output`. The streaming
+/// differential suite calls it on the same output it folds with
+/// [`crate::stream::stream_output`], so both pipelines read one
+/// simulation's logs — a precondition of the byte-identical comparison.
 pub fn campaign_from_output(
     scenario: Scenario,
     ground_truth_participants: usize,
@@ -241,6 +258,17 @@ mod tests {
             serial[2].ground_truth_participants,
             serial[0].ground_truth_participants + 1
         );
+    }
+
+    #[test]
+    fn batch_resident_bytes_counts_every_materialised_dataset() {
+        let campaign = run_scenario(
+            Scenario::new(MeasurementPeriod::P1)
+                .with_scale(0.003)
+                .with_seed(3),
+        );
+        let bytes = batch_resident_bytes(&campaign);
+        assert!(bytes > campaign.primary().approx_bytes());
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //!   archive rows cut into batches. Event frames are **not** answered (ingest stays pipelined);
 //!   a malformed batch poisons the tenant and surfaces on its next control
 //!   op. So does a batch with a row [`netsim::archive::check_rows`]
-//!   rejects: a missing connection id, a close payload that is no close
-//!   reason, or an id the tenant's registry does not hold.
+//!   rejects (a missing connection id, a close payload that is no close
+//!   reason, or an id the tenant's registry does not hold) or a row outside
+//!   the tenant's measurement, `[started_at, ended_at]`.
 //! * [`FRAME_REGISTRY`] — a tenant name plus an incremental
 //!   [`netsim::archive::encode_registry_delta`] keeping the tenant's dense
 //!   id space aligned with the sender's. Must arrive before the event rows
@@ -35,8 +36,9 @@
 //!
 //! # Tenant lifecycle
 //!
-//! `hello` (with a [`StreamConfig`] as JSON) creates the tenant; registry
-//! deltas and event batches stream in; `query` answers from a
+//! `hello` (with a [`StreamConfig`] as JSON) creates the tenant, unless
+//! [`config_from_json`] refuses the config; registry deltas and event
+//! batches stream in; `query` answers from a
 //! [`StreamView::Live`] that borrows the live monitor and its registry, so
 //! a `network_size` answer reads the monitor in place and only the kinds
 //! that need a full summary finalise a clone; `finish` finalises the real
@@ -56,8 +58,8 @@
 //! aggregates, so *checkpoint + replay of the tail* is algebraically the
 //! same fold as an uninterrupted run — byte-identical summaries, which
 //! `tests/serve_differential.rs` pins across every scenario cell. A restore
-//! also checks that every id a monitor holds resolves in its tenant's
-//! registry.
+//! refuses the configs `hello` refuses, and checks that every id a monitor
+//! holds resolves in its tenant's registry.
 
 use crate::stream::{DurationMode, StreamConfig, StreamView, StreamingMonitor};
 use jsonio::Json;
@@ -205,7 +207,11 @@ pub fn config_to_json(config: &StreamConfig) -> Json {
     doc
 }
 
-/// Parses the `hello` op's config document back into a [`StreamConfig`].
+/// Parses the `hello` op's config document back into a [`StreamConfig`],
+/// refusing one that a monitor could not fold in bounded time: a
+/// measurement that ends before it starts, a pane, tick or close
+/// quantisation that overflows past its end, or more panes or gauge ticks
+/// than a fixed cap.
 pub fn config_from_json(doc: &Json) -> Result<StreamConfig, String> {
     let err = |e: jsonio::JsonError| format!("bad stream config: {e}");
     let close_quantisation = match doc.get("close_quantisation_ms") {
@@ -220,7 +226,7 @@ pub fn config_from_json(doc: &Json) -> Result<StreamConfig, String> {
         other => return Err(format!("bad stream config: unknown duration_mode {other:?}")),
     };
     let retained = doc.u64_field("retained_panes").map_err(err)?;
-    Ok(StreamConfig {
+    let config = StreamConfig {
         observer: doc.str_field("observer").map_err(err)?.to_string(),
         dht_server: doc.bool_field("dht_server").map_err(err)?,
         started_at: SimTime::from_millis(doc.u64_field("started_at_ms").map_err(err)?),
@@ -232,7 +238,11 @@ pub fn config_from_json(doc: &Json) -> Result<StreamConfig, String> {
         window: SimDuration::from_millis(doc.u64_field("window_ms").map_err(err)?),
         duration_mode,
         retained_panes: usize::try_from(retained).unwrap_or(usize::MAX),
-    })
+    };
+    config
+        .check_bounds()
+        .map_err(|fault| format!("bad stream config: {fault}"))?;
+    Ok(config)
 }
 
 /// Daemon options: where (and how often) to checkpoint.
@@ -477,6 +487,7 @@ impl ServeState {
         let result = if events {
             decode_event_block(&block)
                 .and_then(|table| check_rows(&table, &tenant.registry).map(|()| table))
+                .and_then(|table| tenant.monitor.check_row_times(&table).map(|()| table))
                 .map(|table| tenant.monitor.ingest_table(&table))
         } else {
             apply_registry_delta(&mut tenant.registry, &block)

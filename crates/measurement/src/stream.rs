@@ -35,10 +35,9 @@
 
 use crate::monitor::{quantise_up, GoIpfsMonitor, HydraMonitor};
 use crate::parallel::run_parallel_ordered;
-use crate::runner::{campaign_from_output, MeasurementCampaign};
 use netsim::archive::{ArchiveError, ByteReader, ByteWriter};
 use netsim::obs::close_reason_from_payload;
-use netsim::{IdentifyRegistry, ObservationKind, ObservationTable, ObserverLog};
+use netsim::{IdentifyRegistry, ObservationKind, ObservationTable, ObserverLog, SimulationOutput};
 use p2pmodel::{CloseReason, ConnectionId, Direction, IpAddress, PeerId};
 use population::{ChurnScenario, MeasurementPeriod, Scenario, ScenarioRun};
 use simclock::{SimDuration, SimTime};
@@ -250,6 +249,12 @@ pub struct WindowSnapshot {
 }
 
 impl WindowSnapshot {
+    /// Approximate resident bytes of the retained pane (see
+    /// [`WindowState::approx_bytes`]).
+    fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.state.approx_bytes()
+    }
+
     /// The pane's compact form.
     pub fn summary(&self) -> PaneSummary {
         PaneSummary {
@@ -736,6 +741,57 @@ impl StreamConfig {
     }
 }
 
+/// Most tumbling-pane boundaries a decoded [`StreamConfig`] may span: 170
+/// days of the serve bench's 15-minute panes (P14d at 1 h windows spans
+/// 336). A closed pane keeps its compact summary and, by default, its full
+/// state: about 4 MB of empty panes at the cap.
+const MAX_PANES: u64 = 1 << 14;
+
+/// Most load-gauge ticks a decoded [`StreamConfig`] may span: more than 14
+/// days of 1-second ticks (14 days at go-ipfs' 30 s span 40,320).
+///
+/// A pane close and a tick each cost O(1), so a config at both caps folds
+/// one row at its end, which crosses every pane and tick, in 4–8 ms
+/// whatever the tenant holds (release build, 2-vCPU x86-64 VM).
+const MAX_TICKS: u64 = 1 << 21;
+
+impl StreamConfig {
+    /// Checks that a monitor over this config folds any row in
+    /// `[started_at, ended_at]` in bounded time: the measurement does not
+    /// end before it starts, no pane, gauge tick or quantised close up to
+    /// `ended_at` overflows, and the measurement spans at most
+    /// [`MAX_PANES`] panes and [`MAX_TICKS`] ticks. Both decoders of
+    /// untrusted configs (the serve `hello` op and a checkpoint's monitor
+    /// state) run it.
+    pub(crate) fn check_bounds(&self) -> Result<(), String> {
+        if self.ended_at < self.started_at {
+            return Err(format!(
+                "ended_at {} ms precedes started_at {} ms",
+                self.ended_at.as_millis(),
+                self.started_at.as_millis()
+            ));
+        }
+        let span = (self.ended_at - self.started_at).as_millis();
+        let quantisation = self.close_quantisation.unwrap_or(SimDuration::ZERO);
+        for (name, step, cap) in [
+            ("window", self.window, MAX_PANES),
+            ("snapshot_interval", self.snapshot_interval, MAX_TICKS),
+            ("close_quantisation", quantisation, u64::MAX),
+        ] {
+            let step = step.as_millis();
+            if self.ended_at.as_millis().checked_add(step).is_none() {
+                return Err(format!("{name} of {step} ms overflows past ended_at"));
+            }
+            if step > 0 && span / step > cap {
+                return Err(format!(
+                    "{name} of {step} ms splits the {span} ms measurement into more than {cap} steps"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A peer's completed connection records, folded in completion order.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct RecordFold {
@@ -878,7 +934,7 @@ fn decode_stream_config(r: &mut ByteReader<'_>) -> Result<StreamConfig, ArchiveE
         }
     };
     let retained_panes = r.uvarint("config retained panes")? as usize;
-    Ok(StreamConfig {
+    let config = StreamConfig {
         observer,
         dht_server,
         started_at,
@@ -888,7 +944,13 @@ fn decode_stream_config(r: &mut ByteReader<'_>) -> Result<StreamConfig, ArchiveE
         window,
         duration_mode,
         retained_panes,
-    })
+    };
+    config
+        .check_bounds()
+        .map_err(|fault| ArchiveError::Malformed {
+            context: format!("stream config: {fault}"),
+        })?;
+    Ok(config)
 }
 
 fn encode_window_state(w: &mut ByteWriter, state: &WindowState) {
@@ -1025,6 +1087,12 @@ pub struct StreamingMonitor {
     panes: Vec<PaneSummary>,
     recent_windows: std::collections::VecDeque<WindowSnapshot>,
     peak_state_bytes: usize,
+    // The identify ids held over all slots and the `approx_bytes` of the
+    // retained panes: running sums of the two parts of `approx_state_bytes`
+    // that would otherwise be a pass over every slot and retained pane at
+    // each pane close. Derived state: `restore` recomputes them.
+    identify_id_count: usize,
+    retained_bytes: usize,
 }
 
 impl StreamingMonitor {
@@ -1056,6 +1124,8 @@ impl StreamingMonitor {
             panes: Vec::new(),
             recent_windows: std::collections::VecDeque::new(),
             peak_state_bytes: 0,
+            identify_id_count: 0,
+            retained_bytes: 0,
         }
     }
 
@@ -1066,11 +1136,7 @@ impl StreamingMonitor {
         use std::mem::size_of;
         let map_entry = |key: usize, value: usize| key + value + 16;
         self.slots.len() * map_entry(size_of::<u32>(), size_of::<SlotAgg>())
-            + self
-                .slots
-                .values()
-                .map(|s| s.identify_ids.len() * size_of::<u32>())
-                .sum::<usize>()
+            + self.identify_id_count * size_of::<u32>()
             + self.open.len() * map_entry(size_of::<u64>(), size_of::<OpenConn>())
             + self.conn_addr_ids.len() * map_entry(size_of::<u32>(), 0)
             + self.inbound_durs.approx_bytes()
@@ -1079,11 +1145,7 @@ impl StreamingMonitor {
             + self.connected.len() * map_entry(size_of::<u32>(), size_of::<u32>())
             + self.pane.approx_bytes()
             + self.panes.len() * size_of::<PaneSummary>()
-            + self
-                .recent_windows
-                .iter()
-                .map(|w| size_of::<WindowSnapshot>() + w.state.approx_bytes())
-                .sum::<usize>()
+            + self.retained_bytes
     }
 
     fn note_peak(&mut self) {
@@ -1291,6 +1353,20 @@ impl StreamingMonitor {
         let max_open = r.uvarint("max open gauge")? as usize;
 
         let pane_start = SimTime::from_millis(r.uvarint("pane start")?);
+        // Within the measurement, the pane and tick loops stay inside the
+        // bounds `check_bounds` put on the config.
+        let (start, end) = (config.started_at, config.ended_at);
+        if !(start..=end).contains(&pane_start)
+            || !(start..=end + config.snapshot_interval).contains(&next_snapshot)
+        {
+            return Err(ArchiveError::Malformed {
+                context: format!(
+                    "pane start {} ms or next tick {} ms lies outside the measurement",
+                    pane_start.as_millis(),
+                    next_snapshot.as_millis()
+                ),
+            });
+        }
         let pane_index = r.uvarint("pane index")?;
         let pane = decode_window_state(&mut r)?;
         let count = r.len("pane summary count")?;
@@ -1307,6 +1383,11 @@ impl StreamingMonitor {
         }
         let peak_state_bytes = r.uvarint("peak state bytes")? as usize;
         r.finish("monitor state snapshot")?;
+        let identify_id_count = slots.values().map(|s| s.identify_ids.len()).sum();
+        let retained_bytes = recent_windows
+            .iter()
+            .map(WindowSnapshot::approx_bytes)
+            .sum();
 
         Ok(StreamingMonitor {
             config,
@@ -1331,6 +1412,8 @@ impl StreamingMonitor {
             panes,
             recent_windows,
             peak_state_bytes,
+            identify_id_count,
+            retained_bytes,
         })
     }
 
@@ -1362,38 +1445,38 @@ impl StreamingMonitor {
         }
         while self.pane_start + width <= at {
             let end = self.pane_start + width;
-            self.finalize_pane(end);
+            self.close_pane(end, (self.open_count, self.connected.len()));
             self.pane_start = end;
         }
     }
 
-    fn finalize_pane(&mut self, end: SimTime) {
-        let state = std::mem::take(&mut self.pane);
+    /// Closes the current pane at `end` with the given open-connection and
+    /// connected-PID gauges: appends its compact summary, retains its full
+    /// state and notes the peak. The oldest full states are dropped until
+    /// at most [`StreamConfig::retained_panes`] remain, so `0` keeps none
+    /// (the compact [`PaneSummary`] series only).
+    fn close_pane(&mut self, end: SimTime, (open_connections, connected_pids): (usize, usize)) {
         let snapshot = WindowSnapshot {
             index: self.pane_index,
             start: self.pane_start,
             end,
-            state,
-            open_connections: self.open_count,
+            state: std::mem::take(&mut self.pane),
+            open_connections,
             known_pids: self.slots.len(),
-            connected_pids: self.connected.len(),
+            connected_pids,
         };
         self.panes.push(snapshot.summary());
+        self.retained_bytes += snapshot.approx_bytes();
         self.recent_windows.push_back(snapshot);
-        self.evict_panes();
+        let excess = self
+            .recent_windows
+            .len()
+            .saturating_sub(self.config.retained_panes);
+        for evicted in self.recent_windows.drain(..excess) {
+            self.retained_bytes -= evicted.approx_bytes();
+        }
         self.pane_index += 1;
         self.note_peak();
-    }
-
-    /// Drops the oldest full window states until at most
-    /// [`StreamConfig::retained_panes`] remain — the single eviction site.
-    /// `retained_panes == 0` genuinely keeps zero full states (compact
-    /// [`PaneSummary`] series only); it used to be silently clamped to 1,
-    /// contradicting the builder doc.
-    fn evict_panes(&mut self) {
-        while self.recent_windows.len() > self.config.retained_panes {
-            self.recent_windows.pop_front();
-        }
     }
 
     fn before_event(&mut self, at: SimTime) {
@@ -1477,6 +1560,24 @@ impl StreamingMonitor {
                     self.peer_discovered(at, slot, table.payload_at(i));
                 }
             }
+        }
+    }
+
+    /// Checks that every row of `table` lies inside the measurement,
+    /// `[started_at, ended_at]`, where [`StreamConfig`]'s bounds hold. The
+    /// serve daemon runs it on every event batch before ingesting it.
+    pub(crate) fn check_row_times(&self, table: &ObservationTable) -> Result<(), ArchiveError> {
+        let (start, end) = (self.config.started_at, self.config.ended_at);
+        match table.ats().iter().find(|&&at| at < start || at > end) {
+            Some(at) => Err(ArchiveError::Malformed {
+                context: format!(
+                    "row at {} ms lies outside the measurement [{}, {}] ms",
+                    at.as_millis(),
+                    start.as_millis(),
+                    end.as_millis()
+                ),
+            }),
+            None => Ok(()),
         }
     }
 
@@ -1616,20 +1717,7 @@ impl StreamingMonitor {
             self.censored_durs.push(duration.as_millis());
             self.count_record(open.slot, open.direction, duration);
         }
-        let state = std::mem::take(&mut self.pane);
-        let snapshot = WindowSnapshot {
-            index: self.pane_index,
-            start: self.pane_start,
-            end: ended_at,
-            state,
-            open_connections: final_gauges.0,
-            known_pids: self.slots.len(),
-            connected_pids: final_gauges.1,
-        };
-        self.panes.push(snapshot.summary());
-        self.recent_windows.push_back(snapshot);
-        self.evict_panes();
-        self.note_peak();
+        self.close_pane(ended_at, final_gauges);
 
         let mut distinct_ips: BTreeSet<IpAddress> = BTreeSet::new();
         for &addr_id in &self.conn_addr_ids {
@@ -1733,6 +1821,7 @@ impl StreamingMonitor {
         let agg = self.slots.entry(peer_slot).or_default();
         if !agg.identify_ids.contains(&payload_id) {
             agg.identify_ids.push(payload_id);
+            self.identify_id_count += 1;
         }
         self.pane.apply(WindowEvent::Identify { slot: peer_slot });
     }
@@ -1744,15 +1833,17 @@ impl StreamingMonitor {
     }
 }
 
-/// The complete result of one streaming measurement campaign: the classic
-/// batch view and the streaming summaries, both read from **one**
-/// simulation's output.
+/// The complete result of one streaming measurement campaign: one
+/// streaming summary per observer of one simulation, plus what the reports
+/// read of the run (its scenario and ground-truth PID count).
 #[derive(Debug, Clone)]
 pub struct StreamingCampaign {
-    /// The batch pipeline's view of the run (identical to
-    /// [`crate::run_scenario`] on the same scenario — the differential
-    /// suite's reference).
-    pub batch: MeasurementCampaign,
+    /// The scenario that was run.
+    pub scenario: Scenario,
+    /// Distinct PIDs in the simulated population
+    /// (`GroundTruth::population_size`), the truth the network-size
+    /// estimates are measured against.
+    pub truth_pids: usize,
     /// One streaming summary per configured observer, in deployment order.
     pub streams: Vec<StreamSummary>,
     /// Width of the tumbling window panes.
@@ -1789,44 +1880,51 @@ impl StreamingCampaign {
     }
 }
 
-/// Runs a scenario once and reads every observer's log into both
-/// pipelines.
+/// Runs a scenario once and folds every observer's log into a streaming
+/// summary.
 pub fn run_streaming_campaign(scenario: Scenario, window: SimDuration) -> StreamingCampaign {
     run_streaming_built(scenario.build(), window, DurationMode::Exact)
 }
 
-/// Simulates an already materialised scenario once, folds each observer's
-/// log into a [`StreamingMonitor`] with the given window width and
-/// duration-store mode, and hands the same output to the batch pipeline.
+/// Simulates an already materialised scenario once and folds its output
+/// with [`stream_output`].
 pub fn run_streaming_built(
     run: ScenarioRun,
     window: SimDuration,
     duration_mode: DurationMode,
 ) -> StreamingCampaign {
     let scenario = run.scenario.clone();
-    let ground_truth_participants = run.ground_truth_participants;
-    let duration = run.config.duration;
     let output = run.simulate();
-    let streams = output
-        .logs
-        .iter()
-        .map(|log| {
-            let config =
-                StreamConfig::for_observer(&log.observer, log.dht_server, duration, window)
-                    .with_duration_mode(duration_mode);
-            StreamingMonitor::new(config).ingest_log(log)
-        })
-        .collect();
-    let batch = campaign_from_output(scenario, ground_truth_participants, duration, output);
     StreamingCampaign {
-        batch,
-        streams,
+        scenario,
+        truth_pids: output.ground_truth.population_size(),
+        streams: stream_output(&output, window, duration_mode),
         window,
     }
 }
 
+/// Folds each observer log of a finished simulation into a
+/// [`StreamingMonitor`] over the log's own duration, with the given window
+/// width and duration-store mode: one summary per log, in log order.
+pub fn stream_output(
+    output: &SimulationOutput,
+    window: SimDuration,
+    duration_mode: DurationMode,
+) -> Vec<StreamSummary> {
+    output
+        .logs
+        .iter()
+        .map(|log| {
+            let config =
+                StreamConfig::for_observer(&log.observer, log.dht_server, log.duration(), window)
+                    .with_duration_mode(duration_mode);
+            StreamingMonitor::new(config).ingest_log(log)
+        })
+        .collect()
+}
+
 /// Runs one period × scale × vantage count under every given churn regime,
-/// in parallel, through both pipelines.
+/// in parallel, through the streaming pipeline.
 ///
 /// Campaigns come back in `scenarios` order regardless of `threads` —
 /// the same determinism contract as [`crate::run_scenario_suite`].
@@ -1849,23 +1947,6 @@ pub fn run_stream_suite(
             window,
         )
     })
-}
-
-/// The datasets a batch run of the same campaign would have materialised
-/// (primary plus hydra heads plus union), as a resident-bytes estimate —
-/// the denominator of the streaming memory claim.
-pub fn batch_resident_bytes(campaign: &MeasurementCampaign) -> usize {
-    let mut bytes = 0;
-    if let Some(go_ipfs) = &campaign.go_ipfs {
-        bytes += go_ipfs.approx_bytes();
-    }
-    for head in &campaign.hydra_heads {
-        bytes += head.approx_bytes();
-    }
-    if let Some(union) = &campaign.hydra_union {
-        bytes += union.approx_bytes();
-    }
-    bytes
 }
 
 #[cfg(test)]
@@ -2022,29 +2103,20 @@ mod tests {
         let scenario = Scenario::new(MeasurementPeriod::P1).with_scale(0.003).with_seed(7);
         let classic = run_scenario(scenario.clone());
         let streaming = run_streaming_campaign(scenario, SimDuration::from_hours(6));
-        assert_eq!(
-            streaming.batch.primary().to_json_string(),
-            classic.primary().to_json_string(),
-            "the streaming campaign's batch side must equal the classic runner"
-        );
-        assert_eq!(streaming.batch.ground_truth, classic.ground_truth);
-        assert_eq!(streaming.batch.crawl_summary, classic.crawl_summary);
+        assert_eq!(streaming.scenario, classic.scenario);
+        assert_eq!(streaming.truth_pids, classic.ground_truth.population_size());
         assert_eq!(streaming.streams.len(), 3, "go-ipfs + two hydra heads");
         assert!(streaming.stream("go-ipfs").is_some());
         assert_eq!(streaming.primary_stream().observer, "go-ipfs");
         assert_eq!(streaming.vantage_streams().len(), 1);
-        // The streams saw the same traffic the batch datasets recorded.
+        // The streams saw the same traffic the classic runner's datasets
+        // recorded.
         for stream in &streaming.streams {
-            let dataset = if stream.observer == "go-ipfs" {
-                streaming.batch.go_ipfs.as_ref().unwrap()
-            } else {
-                streaming
-                    .batch
-                    .hydra_heads
-                    .iter()
-                    .find(|d| d.client == stream.observer)
-                    .unwrap()
-            };
+            let dataset = classic
+                .passive_datasets()
+                .into_iter()
+                .find(|d| d.client == stream.observer)
+                .unwrap();
             assert_eq!(stream.pids, dataset.pid_count(), "{}", stream.observer);
             assert_eq!(
                 stream.connections as usize,
@@ -2064,7 +2136,37 @@ mod tests {
         assert_eq!(serial.len(), 2);
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.streams, b.streams);
-            assert_eq!(a.batch.primary(), b.batch.primary());
+            assert_eq!(a.scenario, b.scenario);
+            assert_eq!(a.truth_pids, b.truth_pids);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_pane_and_tick_cursors_outside_the_measurement() {
+        let (start, end) = (SimTime::from_hours(1), SimTime::from_hours(2));
+        let window = SimDuration::from_secs(600);
+        let monitor = StreamingMonitor::new(StreamConfig::go_ipfs("g", true, start, end, window));
+        assert!(StreamingMonitor::restore(&monitor.state_snapshot()).is_ok());
+        // A cursor before the start would close more panes or ticks than
+        // the config's bounds allow; one past the end could overflow.
+        let tick = monitor.next_snapshot;
+        for (pane_start, next_snapshot) in [
+            (SimTime::ZERO, tick),
+            (end + SimDuration::from_millis(1), tick),
+            (SimTime::from_millis(u64::MAX), tick),
+            (start, SimTime::ZERO),
+            (start, end + SimDuration::from_secs(31)),
+        ] {
+            let mut forged = monitor.clone();
+            forged.pane_start = pane_start;
+            forged.next_snapshot = next_snapshot;
+            assert!(
+                matches!(
+                    StreamingMonitor::restore(&forged.state_snapshot()),
+                    Err(ArchiveError::Malformed { .. })
+                ),
+                "pane start {pane_start:?}, next tick {next_snapshot:?} restored"
+            );
         }
     }
 
@@ -2291,14 +2393,5 @@ mod tests {
             StreamingMonitor::restore(&wrong),
             Err(ArchiveError::Malformed { .. })
         ));
-    }
-
-    #[test]
-    fn batch_resident_bytes_counts_every_materialised_dataset() {
-        let campaign = run_scenario(
-            Scenario::new(MeasurementPeriod::P1).with_scale(0.003).with_seed(3),
-        );
-        let bytes = batch_resident_bytes(&campaign);
-        assert!(bytes > campaign.primary().approx_bytes());
     }
 }

@@ -970,7 +970,9 @@ pub struct PhaseTimes {
     pub epochs: Duration,
     /// Every mailbox exchange, the upfront one included (serial).
     pub exchange: Duration,
-    /// Merging the shards into the run's output (serial).
+    /// Merging the shards into the run's output: the ground truth, the
+    /// routing-table post-pass, and each observer table's time-order check
+    /// and wrapping in an `ObserverLog` (serial).
     pub assemble: Duration,
 }
 
@@ -996,7 +998,7 @@ pub struct FullProtocolRun {
 
 impl FullProtocolRun {
     /// Completes the counters with the row count and checksum of the
-    /// assembled (time-sorted) observer tables.
+    /// assembled (chronological) observer tables.
     pub(crate) fn new(
         output: SimulationOutput,
         mut stats: MailboxStats,
@@ -1202,9 +1204,9 @@ fn build(
         .collect()
 }
 
-/// Assembles the run's output: each observer's table, time-sorted and
-/// wrapped in an [`ObserverLog`] over the run's registry, in observer
-/// order; the canonical ground truth; and — when tracking — the
+/// Assembles the run's output: each observer's table, checked to be in time
+/// order and wrapped in an [`ObserverLog`] over the run's registry, in
+/// observer order; the canonical ground truth; and — when tracking — the
 /// routing-table post-pass.
 fn assemble(
     shards: Vec<Shard>,
@@ -1280,8 +1282,14 @@ fn assemble(
     let registry = Arc::new(frozen.registry);
     let logs = observers
         .into_iter()
-        .map(|mut ob| {
-            ob.table.stable_sort_by_time();
+        .map(|ob| {
+            // Every handler appends at `now` and the end closes at `end`, so
+            // each table is already chronological.
+            assert!(
+                ob.table.is_sorted_by_time(),
+                "observer {} recorded rows out of time order",
+                ob.spec.name
+            );
             ObserverLog::from_columns(
                 ob.spec.name,
                 ob.spec.peer_id,
@@ -1516,10 +1524,10 @@ mod tests {
         }
     }
 
-    /// The engine appends each observer's rows in time order, so the sort
-    /// in `assemble` never permutes a simulated table: checked on the tables
-    /// before assembly, under scripted joins and leaves, for the direct
-    /// driver and for a lock-step run on three shards.
+    /// The engine appends each observer's rows in time order, which the
+    /// assertion in `assemble` relies on: checked on the tables before
+    /// assembly, under scripted joins and leaves, for the direct driver and
+    /// for a lock-step run on three shards.
     #[test]
     fn engine_tables_are_chronological() {
         let cfg = tiny_config(17, 3, 2);

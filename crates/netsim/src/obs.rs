@@ -440,61 +440,9 @@ impl ObservationTable {
             + self.payload.capacity() * size_of::<u32>()
     }
 
-    /// Whether the `at` column is already non-decreasing.
+    /// Whether the `at` column is non-decreasing.
     pub(crate) fn is_sorted_by_time(&self) -> bool {
         self.at.windows(2).all(|w| w[0] <= w[1])
-    }
-
-    /// Stable-sorts all columns by timestamp. The engine emits events in
-    /// simulation order, which is already chronological, so the common case
-    /// is a single O(n) sortedness check; manually built tables pay one
-    /// index permutation.
-    pub(crate) fn stable_sort_by_time(&mut self) {
-        if self.is_sorted_by_time() {
-            return;
-        }
-        let n = self.len();
-        let _ = dense_id(n, "ObservationTable row-index");
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&i| self.at[i as usize]);
-        // Apply the permutation in place by walking its cycles: each row is
-        // written exactly once, the columns keep their allocations, and the
-        // scratch space is the order vec plus one visited bit per row —
-        // instead of five freshly collected column copies (which doubled
-        // peak memory on the archive write path).
-        let mut visited = vec![false; n];
-        for start in 0..n {
-            if visited[start] || order[start] as usize == start {
-                visited[start] = true;
-                continue;
-            }
-            let tmp = (
-                self.at[start],
-                self.kind[start],
-                self.peer_slot[start],
-                self.conn[start],
-                self.payload[start],
-            );
-            let mut dst = start;
-            loop {
-                let src = order[dst] as usize;
-                visited[dst] = true;
-                if src == start {
-                    self.at[dst] = tmp.0;
-                    self.kind[dst] = tmp.1;
-                    self.peer_slot[dst] = tmp.2;
-                    self.conn[dst] = tmp.3;
-                    self.payload[dst] = tmp.4;
-                    break;
-                }
-                self.at[dst] = self.at[src];
-                self.kind[dst] = self.kind[src];
-                self.peer_slot[dst] = self.peer_slot[src];
-                self.conn[dst] = self.conn[src];
-                self.payload[dst] = self.payload[src];
-                dst = src;
-            }
-        }
     }
 
     /// Reassembles a table from raw column vectors — the archive reader's
@@ -728,57 +676,6 @@ mod tests {
         assert!(table.is_sorted_by_time());
         // A row is 25 bytes across the five columns.
         assert!(table.approx_bytes() >= table.len() * 25);
-    }
-
-    #[test]
-    fn stable_sort_orders_rows_and_preserves_ties() {
-        let mut table = ObservationTable::new();
-        table.identify_received(SimTime::from_secs(5), 1, 0);
-        table.identify_received(SimTime::from_secs(1), 2, 1);
-        table.identify_received(SimTime::from_secs(5), 3, 2);
-        assert!(!table.is_sorted_by_time());
-        table.stable_sort_by_time();
-        assert!(table.is_sorted_by_time());
-        // FIFO tie-break: slot 1 (payload 0) stays before slot 3 (payload 2).
-        assert_eq!(table.peer_slots(), &[2, 1, 3]);
-        assert_eq!(table.payloads(), &[1, 0, 2]);
-    }
-
-    #[test]
-    fn in_place_sort_matches_materialising_permutation_and_keeps_allocations() {
-        // A shuffled table of the size one observer log reaches in a large
-        // campaign, with timestamp ties.
-        let mut rng = simclock::SimRng::seed_from(0xab5e);
-        let mut table = ObservationTable::new();
-        for i in 0..200_000u32 {
-            table.identify_received(SimTime::from_secs(rng.uniform_u64(0, 10_000)), i, i + 100);
-        }
-
-        // Reference result: the old materialising permutation.
-        let mut order: Vec<usize> = (0..table.len()).collect();
-        order.sort_by_key(|&i| table.ats()[i]);
-        let want_at: Vec<SimTime> = order.iter().map(|&i| table.ats()[i]).collect();
-        let want_slots: Vec<u32> = order.iter().map(|&i| table.peer_slots()[i]).collect();
-        let want_payloads: Vec<u32> = order.iter().map(|&i| table.payloads()[i]).collect();
-
-        let columns = |t: &ObservationTable| {
-            (
-                t.ats().as_ptr(),
-                t.kinds().as_ptr(),
-                t.peer_slots().as_ptr(),
-                t.conns().as_ptr(),
-                t.payloads().as_ptr(),
-            )
-        };
-        let before = (columns(&table), table.approx_bytes());
-        table.stable_sort_by_time();
-        assert!(table.is_sorted_by_time());
-        assert_eq!(table.ats(), &want_at[..]);
-        assert_eq!(table.peer_slots(), &want_slots[..]);
-        assert_eq!(table.payloads(), &want_payloads[..]);
-        // In place: every column still lives in its original allocation,
-        // and the table's resident footprint does not grow.
-        assert_eq!((columns(&table), table.approx_bytes()), before);
     }
 
     #[test]

@@ -9,8 +9,12 @@
 //!   base cursors exceed the payload size (a regression: `ByteReader::len`'s
 //!   corruption guard must not fire on cursors),
 //! * the control-protocol state machine: tenant lifecycle, poisoning on
-//!   corrupt binary frames and on forged rows the monitor cannot ingest or
-//!   resolve, query answering through the injected answerer,
+//!   corrupt binary frames, on forged rows the monitor cannot ingest or
+//!   resolve and on rows outside the tenant's measurement, query answering
+//!   through the injected answerer,
+//! * configs a monitor cannot fold in bounded time (a 1 ms window or gauge
+//!   tick over a long measurement, an end before the start, an overflowing
+//!   end) are refused at `hello` and in a forged checkpoint,
 //! * live answers equal the answers over a finished clone of the tenant's
 //!   monitor, after every batch, in both duration modes and with and
 //!   without retained window states,
@@ -32,7 +36,10 @@ use measurement::serve::{
     FRAME_EVENTS, FRAME_REGISTRY, MAX_FRAME_LEN,
 };
 use measurement::{DurationMode, StreamConfig, StreamingMonitor};
-use netsim::archive::{apply_registry_delta, encode_event_block, encode_registry_delta};
+use netsim::archive::{
+    apply_registry_delta, encode_event_block, encode_registry_delta, ArchiveError, ArchiveWriter,
+    ByteWriter, GLOBAL_OWNER,
+};
 use netsim::obs::NO_CONN;
 use netsim::{IdentifyRegistry, ObservationKind, ObservationTable};
 use simclock::{SimDuration, SimTime};
@@ -383,6 +390,244 @@ fn corrupt_event_frame_poisons_the_tenant() {
         );
         assert_eq!(reply.bool_field("ok"), Ok(false), "{what}");
         assert_eq!(state.tenant_count(), 1, "{what}");
+    }
+}
+
+/// Finishes every feed's tenant and collects the answers in
+/// [`reference_answers`]' shape.
+fn finish_all(state: &mut ServeState, feeds: &[ServeFeed]) -> Json {
+    let mut answers = Json::array();
+    for feed in feeds {
+        let reply = op(
+            state,
+            &[
+                ("op", Json::from("finish")),
+                ("tenant", Json::from(feed.tenant.as_str())),
+            ],
+        );
+        assert_eq!(
+            reply.bool_field("ok"),
+            Ok(true),
+            "{}: {reply:?}",
+            feed.tenant
+        );
+        let mut row = Json::object();
+        row.insert("tenant", feed.tenant.as_str());
+        row.insert(
+            "answer",
+            reply.field("answer").expect("finish answers").clone(),
+        );
+        answers.push(row);
+    }
+    let mut out = Json::object();
+    out.insert("tenants", answers);
+    out
+}
+
+/// Configs whose monitor could not fold a row in bounded time, each with
+/// what makes it so. Over the first two, one row at 20 s or at 10⁹ ms
+/// would step through a 1 ms pane or gauge tick at a time.
+fn unbounded_configs() -> Vec<(&'static str, StreamConfig)> {
+    let day = StreamConfig::go_ipfs(
+        "probe",
+        true,
+        SimTime::ZERO,
+        SimTime::from_hours(24),
+        SimDuration::from_hours(6),
+    );
+    let mut one_ms_window = day.clone();
+    one_ms_window.window = SimDuration::from_millis(1);
+    let mut one_ms_ticks = day.clone();
+    one_ms_ticks.snapshot_interval = SimDuration::from_millis(1);
+    one_ms_ticks.ended_at = SimTime::from_millis(2_000_000_000);
+    one_ms_ticks.window = SimDuration::from_hours(24 * 30);
+    let mut backwards = day.clone();
+    backwards.started_at = SimTime::from_hours(25);
+    let mut overflowing = day;
+    overflowing.ended_at = SimTime::from_millis(u64::MAX - 1);
+    overflowing.window = SimDuration::from_millis(u64::MAX / 2);
+    vec![
+        ("window_ms 1", one_ms_window),
+        ("snapshot_interval_ms 1", one_ms_ticks),
+        ("ended_at before started_at", backwards),
+        ("window overflowing past ended_at", overflowing),
+    ]
+}
+
+#[test]
+fn unbounded_configs_are_refused_at_hello() {
+    let bystander = synthetic_feed(5, 17, 120);
+    let mut state = ServeState::new(answerer(), ServeOptions::default());
+    assert_eq!(hello(&mut state, &bystander).bool_field("ok"), Ok(true));
+    for (what, config) in unbounded_configs() {
+        let reply = op(
+            &mut state,
+            &[
+                ("op", Json::from("hello")),
+                ("tenant", Json::from("probe")),
+                ("config", config_to_json(&config)),
+            ],
+        );
+        assert_eq!(reply.bool_field("ok"), Ok(false), "{what} was accepted");
+        assert!(
+            reply
+                .str_field("error")
+                .is_ok_and(|e| e.starts_with("bad stream config")),
+            "{what}: {reply:?}"
+        );
+        assert_eq!(state.tenant_count(), 1, "{what} created a tenant");
+    }
+    // The longest configs the repo builds pass: P14d at 1 h windows, with
+    // go-ipfs' 30 s and hydra's 1 min gauge ticks.
+    let fortnight = SimDuration::from_days(14);
+    for observer in ["go-ipfs", "hydra-h1"] {
+        let config =
+            StreamConfig::for_observer(observer, true, fortnight, SimDuration::from_hours(1));
+        assert_eq!(config_from_json(&config_to_json(&config)), Ok(config));
+    }
+    ingest(&mut state, &bystander, 32, None);
+    assert_eq!(
+        finish_all(&mut state, std::slice::from_ref(&bystander)).to_string_compact(),
+        reference_answers(std::slice::from_ref(&bystander)).to_string_compact()
+    );
+}
+
+/// A checkpoint of one tenant, `forged`, whose monitor block is `snapshot`,
+/// in the layout `ServeState::checkpoint_bytes` writes: a meta block (kind
+/// 32) with the version, frame counter and tenant directory, then the
+/// tenant's monitor (33) and registry (34) blocks.
+fn forged_checkpoint(snapshot: &[u8]) -> Vec<u8> {
+    let mut meta = ByteWriter::new();
+    meta.put_u8(1);
+    meta.put_uvarint(0);
+    meta.put_uvarint(1);
+    meta.put_str("forged");
+    meta.put_u8(0);
+    let mut writer = ArchiveWriter::new();
+    writer.push_block(32, GLOBAL_OWNER, &meta.into_bytes());
+    writer.push_block(33, 0, snapshot);
+    writer.push_block(
+        34,
+        0,
+        &encode_registry_delta(&IdentifyRegistry::new(), 0, 0, 0),
+    );
+    writer.finish()
+}
+
+#[test]
+fn unbounded_configs_in_a_forged_checkpoint_are_malformed() {
+    // The forgery is exact: over a config the daemon accepts it equals the
+    // daemon's own checkpoint and restores.
+    let bounded = synthetic_feed(0, 3, 10).config;
+    let mut state = ServeState::new(answerer(), ServeOptions::default());
+    let reply = op(
+        &mut state,
+        &[
+            ("op", Json::from("hello")),
+            ("tenant", Json::from("forged")),
+            ("config", config_to_json(&bounded)),
+        ],
+    );
+    assert_eq!(reply.bool_field("ok"), Ok(true));
+    let genuine = forged_checkpoint(&StreamingMonitor::new(bounded).state_snapshot());
+    assert_eq!(genuine, state.checkpoint_bytes());
+    assert!(ServeState::restore(&genuine, answerer(), ServeOptions::default()).is_ok());
+
+    for (what, config) in unbounded_configs() {
+        let snapshot = StreamingMonitor::new(config).state_snapshot();
+        for restored in [
+            StreamingMonitor::restore(&snapshot).map(|_| ()),
+            ServeState::restore(
+                &forged_checkpoint(&snapshot),
+                answerer(),
+                ServeOptions::default(),
+            )
+            .map(|_| ()),
+        ] {
+            match restored {
+                Err(ArchiveError::Malformed { context }) => {
+                    assert!(context.contains("stream config"), "{what}: {context}")
+                }
+                other => panic!("{what}: expected Malformed, got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn out_of_window_rows_poison_only_their_tenant() {
+    let bystanders: Vec<ServeFeed> = (0..2).map(|i| synthetic_feed(i, 61, 150)).collect();
+    let mut victim = synthetic_feed(2, 61, 150);
+    victim.config.started_at = SimTime::from_millis(500);
+    let (start, end) = (victim.config.started_at, victim.config.ended_at);
+    let at_slot_zero = |at: SimTime| {
+        let mut row = ObservationTable::new();
+        row.peer_discovered(at, 0, 0);
+        encode_event_block(&row, 0, 1)
+    };
+    for (what, at) in [
+        (
+            "a row before started_at",
+            start - SimDuration::from_millis(1),
+        ),
+        ("a row after ended_at", end + SimDuration::from_millis(1)),
+        (
+            "a row a day after ended_at",
+            end + SimDuration::from_days(1),
+        ),
+    ] {
+        let mut state = ServeState::new(answerer(), ServeOptions::default());
+        for feed in bystanders.iter().chain([&victim]) {
+            assert_eq!(hello(&mut state, feed).bool_field("ok"), Ok(true), "{what}");
+        }
+        // The registry frame and two event frames (64 rows) of one
+        // bystander; the registry and 32 rows of the victim.
+        ingest(&mut state, &bystanders[0], 32, Some(3));
+        ingest(&mut state, &victim, 32, Some(2));
+        state.handle_frame(&Frame::tenant_block(
+            FRAME_EVENTS,
+            &victim.tenant,
+            &at_slot_zero(at),
+        ));
+
+        let status = op(
+            &mut state,
+            &[
+                ("op", Json::from("status")),
+                ("tenant", Json::from(victim.tenant.as_str())),
+            ],
+        );
+        assert_eq!(
+            status.u64_field("events"),
+            Ok(32),
+            "{what}: the row was ingested"
+        );
+        assert!(
+            status
+                .str_field("poisoned")
+                .is_ok_and(|p| p.contains("outside the measurement")),
+            "{what}: {status:?}"
+        );
+        assert_eq!(
+            query(&mut state, &victim.tenant, "network_size").bool_field("ok"),
+            Ok(false)
+        );
+
+        // The other tenants ingest the rest of their feeds and answer
+        // exactly as the in-process reference does.
+        let first = &bystanders[0];
+        for from in (64..first.table.len()).step_by(32) {
+            let to = (from + 32).min(first.table.len());
+            let block = encode_event_block(&first.table, from, to);
+            state.handle_frame(&Frame::tenant_block(FRAME_EVENTS, &first.tenant, &block));
+        }
+        ingest(&mut state, &bystanders[1], 32, None);
+        assert_eq!(
+            finish_all(&mut state, &bystanders).to_string_compact(),
+            reference_answers(&bystanders).to_string_compact(),
+            "{what}"
+        );
+        assert_eq!(state.tenant_count(), 1, "{what}: only the victim is left");
     }
 }
 

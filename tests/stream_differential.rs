@@ -5,17 +5,18 @@
 //! final cumulative window must be *byte-identical* to the batch estimators
 //! (`analysis::{churn,netsize,vantage}`) computed on the materialised data
 //! set of the same campaign — same bits in every float, same `Debug`
-//! rendering. Both pipelines read the logs of one simulation, so any
-//! divergence is an estimator bug, not a seed artefact.
+//! rendering. Each cell is simulated once; its output is folded by
+//! `stream_output` and handed to `campaign_from_output`, so both pipelines
+//! read the logs of one simulation and any divergence is an estimator bug,
+//! not a seed artefact.
 //!
 //! Also pinned here: a streaming campaign's summaries equal a replay of a
-//! second simulation's logs and its batch side equals `run_scenario`, the
+//! second simulation's output and match `run_scenario`'s datasets, the
 //! streaming capture–recapture rows equal the batch vantage analysis, and
 //! the `repro stream` report is byte-identical at 1 and 8 threads.
 
 use ipfs_passive_measurement::prelude::*;
-use measurement::stream::StreamConfig;
-use measurement::{StreamSummary, StreamingMonitor};
+use measurement::{campaign_from_output, stream_output, DurationMode};
 
 mod common;
 use common::{SCALE, SEED};
@@ -79,71 +80,78 @@ fn assert_stream_matches_batch(
     );
 }
 
+/// The stream of `observer`.
+fn stream<'a>(streams: &'a [StreamSummary], observer: &str) -> &'a StreamSummary {
+    streams
+        .iter()
+        .find(|s| s.observer == observer)
+        .unwrap_or_else(|| panic!("no stream for {observer}"))
+}
+
+/// Asserts that every passive dataset of `batch` has a stream that matches
+/// it, and that there is no other stream.
+fn assert_streams_match_campaign(
+    streams: &[StreamSummary],
+    batch: &MeasurementCampaign,
+    label: &str,
+) {
+    // Every deployed observer: the go-ipfs primary and each hydra head
+    // (P0–P2 deploy up to three).
+    let datasets = batch.passive_datasets();
+    for dataset in &datasets {
+        let context = format!("{label}/{}", dataset.client);
+        assert_stream_matches_batch(stream(streams, &dataset.client), dataset, &context);
+    }
+    assert_eq!(
+        streams.len(),
+        datasets.len(),
+        "{label}: one stream per passive monitor"
+    );
+}
+
 #[test]
 fn streaming_matches_batch_on_every_period_and_churn_regime() {
     for period in periods() {
         for churn in ChurnScenario::all() {
             let label = format!("{period}/{}", churn.label());
-            let campaign = run_streaming_campaign(
-                Scenario::new(period)
-                    .with_scale(SCALE)
-                    .with_seed(SEED)
-                    .with_churn(churn),
-                WINDOW,
-            );
-            // Every deployed observer: the go-ipfs primary and each hydra
-            // head (P0–P2 deploy up to three).
-            if let Some(go_ipfs) = &campaign.batch.go_ipfs {
-                let stream = campaign.stream("go-ipfs").expect("go-ipfs stream");
-                assert_stream_matches_batch(stream, go_ipfs, &format!("{label}/go-ipfs"));
-            }
-            for head in &campaign.batch.hydra_heads {
-                let stream = campaign.stream(&head.client).expect("hydra stream");
-                assert_stream_matches_batch(stream, head, &format!("{label}/{}", head.client));
-            }
-            assert_eq!(
-                campaign.streams.len(),
-                campaign.batch.passive_datasets().len(),
-                "{label}: one stream per passive monitor"
-            );
+            let run = Scenario::new(period)
+                .with_scale(SCALE)
+                .with_seed(SEED)
+                .with_churn(churn)
+                .build();
+            let scenario = run.scenario.clone();
+            let (participants, duration) = (run.ground_truth_participants, run.config.duration);
+            let output = run.simulate();
+            let streams = stream_output(&output, WINDOW, DurationMode::Exact);
+            let batch = campaign_from_output(scenario, participants, duration, output);
+            assert_streams_match_campaign(&streams, &batch, &label);
         }
     }
 }
 
 #[test]
 fn streaming_campaigns_match_a_replay_and_the_batch_runner() {
-    // Replaying a second simulation's logs must give exactly the campaign's
-    // summaries, window panes, gauges and peak accounting inputs included.
     for churn in [ChurnScenario::Baseline, ChurnScenario::flash_crowd()] {
         let scenario = Scenario::new(MeasurementPeriod::P1)
             .with_scale(SCALE)
             .with_seed(SEED)
             .with_churn(churn.clone());
         let streaming = run_streaming_campaign(scenario.clone(), WINDOW);
-        let classic = run_scenario(scenario.clone());
-        // Re-simulate to get the raw logs (run_scenario consumes them).
-        let output = scenario.build().simulate();
-        for stream in &streaming.streams {
-            let log = output.log(&stream.observer).expect("observer log");
-            let config = StreamConfig::for_observer(
-                &stream.observer,
-                log.dht_server,
-                log.duration(),
-                WINDOW,
-            );
-            let replayed = StreamingMonitor::new(config).ingest_log(log);
-            assert_eq!(
-                &replayed, stream,
-                "{}/{}: the campaign and a replay must agree exactly",
-                churn.label(),
-                stream.observer
-            );
-        }
-        // And the campaign's batch side matches the classic runner.
+        // Folding a second simulation's output must give exactly the
+        // campaign's summaries, window panes, gauges and peak accounting
+        // inputs included.
+        let replayed = stream_output(&scenario.build().simulate(), WINDOW, DurationMode::Exact);
         assert_eq!(
-            streaming.batch.primary().to_json_string(),
-            classic.primary().to_json_string()
+            replayed,
+            streaming.streams,
+            "{}: the campaign and a replay must agree exactly",
+            churn.label()
         );
+        // And the campaign matches the classic runner on a third simulation.
+        let classic = run_scenario(scenario);
+        assert_eq!(streaming.scenario, classic.scenario);
+        assert_eq!(streaming.truth_pids, classic.ground_truth.population_size());
+        assert_streams_match_campaign(&streaming.streams, &classic, churn.label());
     }
 }
 
@@ -158,10 +166,8 @@ fn streaming_capture_rows_equal_the_batch_vantage_analysis() {
         let streaming = run_streaming_campaign(scenario.clone(), WINDOW);
         let batch = run_vantage_campaign(scenario);
         let batch_rows = analyze_vantages(&batch).rows;
-        let stream_rows = analysis::stream_capture_rows(
-            &streaming.vantage_streams(),
-            streaming.batch.ground_truth.population_size(),
-        );
+        let stream_rows =
+            analysis::stream_capture_rows(&streaming.vantage_streams(), streaming.truth_pids);
         assert_eq!(
             stream_rows,
             batch_rows,
