@@ -1413,7 +1413,8 @@ fn serve_bench(a: &Args, stdout: &mut dyn Write) -> Result<(), CliError> {
     );
     let report = run_serve_bench(&cfg, |round, rounds| {
         eprintln!("# serve --bench: ingest round {round}/{rounds}")
-    });
+    })
+    .map_err(|reason| CliError::Runtime(format!("serve --bench: {reason}")))?;
     eprintln!("# {}", report.summary());
     write_bench(a.bench_file("--out"), report.full_json())?;
     print_pretty(stdout, &report.deterministic_json())

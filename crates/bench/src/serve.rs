@@ -432,10 +432,13 @@ fn percentile(sorted_us: &[f64], q: f64) -> f64 {
 /// batch-by-batch through one [`ServeState`] (the serialisation a daemon
 /// with N pipelined connections performs), then a timed query storm, then
 /// checkpoint + restore.
+///
+/// Fails with the daemon's reason when it refuses a tenant's hello: a feed
+/// so long that its 15-minute panes exceed the daemon's bound.
 pub fn run_serve_bench(
     cfg: &ServeBenchConfig,
     mut progress: impl FnMut(usize, usize),
-) -> ServeBenchReport {
+) -> Result<ServeBenchReport, String> {
     let feeds: Vec<ServeFeed> = (0..cfg.tenants)
         .map(|i| synthetic_feed(i, cfg.seed, cfg.events_per_tenant))
         .collect();
@@ -444,15 +447,11 @@ pub fn run_serve_bench(
         let reply = state
             .handle_frame(&Frame::control(&hello(feed)))
             .expect("control frames are answered");
-        assert!(
-            reply
-                .control_json()
-                .expect("daemon reply parses")
-                .bool_field("ok")
-                .unwrap_or(false),
-            "hello rejected for {}",
-            feed.tenant
-        );
+        let doc = reply.control_json().expect("daemon reply parses");
+        if !doc.bool_field("ok").unwrap_or(false) {
+            let reason = doc.str_field("error").unwrap_or("no reason given");
+            return Err(format!("the daemon refused the hello of {}: {reason}", feed.tenant));
+        }
         state.handle_frame(&Frame::tenant_block(
             FRAME_REGISTRY,
             &feed.tenant,
@@ -510,7 +509,7 @@ pub fn run_serve_bench(
     let restore_secs = restore_started.elapsed().as_secs_f64();
     assert_eq!(restored.events_ingested(), total_events);
 
-    ServeBenchReport {
+    Ok(ServeBenchReport {
         tenants: cfg.tenants,
         total_events,
         ingest_secs,
@@ -527,5 +526,5 @@ pub fn run_serve_bench(
         checkpoint_secs,
         restore_secs,
         answers_fnv,
-    }
+    })
 }

@@ -30,9 +30,7 @@
 use crate::round2;
 use jsonio::Json;
 use measurement::stream::StreamConfig;
-use measurement::{
-    batch_resident_bytes, campaign_from_output, DurationMode, StreamingMonitor,
-};
+use measurement::{DurationMode, MonitorDatasets, StreamingMonitor};
 use population::{MeasurementPeriod, Scenario};
 use simclock::SimDuration;
 
@@ -198,8 +196,9 @@ fn growth(first: Option<&HorizonResult>, last: Option<&HorizonResult>, f: impl F
 }
 
 /// Runs one horizon: simulates the Extended population truncated to `days`,
-/// materialises the batch view, and replays the primary log through the
-/// streaming engine in both duration-store modes.
+/// materialises the batch monitors' datasets (no crawl: only their bytes
+/// are read), and replays the primary log through the streaming engine in
+/// both duration-store modes.
 pub(crate) fn run_horizon(cfg: &StreamBenchConfig, days: u64) -> HorizonResult {
     let days = days.clamp(1, 14);
     let scenario = Scenario::new(MeasurementPeriod::Extended)
@@ -210,8 +209,6 @@ pub(crate) fn run_horizon(cfg: &StreamBenchConfig, days: u64) -> HorizonResult {
     // window grows — the cleanest apples-to-apples memory comparison.
     run.config.duration = SimDuration::from_days(days);
     let duration = run.config.duration;
-    let scenario = run.scenario.clone();
-    let participants = run.ground_truth_participants;
     let output = run.simulate();
 
     let primary = output.log("go-ipfs").expect("Extended deploys go-ipfs");
@@ -229,14 +226,13 @@ pub(crate) fn run_horizon(cfg: &StreamBenchConfig, days: u64) -> HorizonResult {
     let exact = stream_of(DurationMode::Exact, usize::MAX);
     let bucketed = stream_of(DurationMode::LogBucketed, panes_per_day.max(4));
 
-    let campaign = campaign_from_output(scenario, participants, duration, output);
     HorizonResult {
         days,
         events: exact.events,
         connections: exact.connections,
         pids: exact.pids,
         windows: exact.panes.len(),
-        batch_bytes: batch_resident_bytes(&campaign),
+        batch_bytes: MonitorDatasets::ingest(&output).resident_bytes(),
         exact_peak_bytes: exact.peak_state_bytes,
         bucketed_peak_bytes: bucketed.peak_state_bytes,
     }

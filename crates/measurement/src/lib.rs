@@ -69,8 +69,8 @@ pub use monitor::{GoIpfsMonitor, HydraMonitor};
 pub use record::{ConnectionRecord, MetadataChangeRecord, PeerRecord, SnapshotRecord};
 pub use replicate::{run_replicated_vantage_suite, ReplicateSuite};
 pub use runner::{
-    batch_resident_bytes, campaign_from_output, run_built, run_period, run_scenario,
-    run_scenario_suite, MeasurementCampaign,
+    campaign_from_output, run_built, run_period, run_scenario, run_scenario_suite,
+    MeasurementCampaign, MonitorDatasets,
 };
 pub use serve::{
     config_from_json, config_to_json, read_frame, serve_connection, serve_unix, write_frame, Frame,

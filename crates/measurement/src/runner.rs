@@ -64,21 +64,48 @@ impl MeasurementCampaign {
     }
 }
 
-/// The datasets a batch run of the campaign materialised (the go-ipfs
-/// dataset, every hydra head and the hydra union), as a resident-bytes
-/// estimate: the denominator of the streaming memory claim.
-pub fn batch_resident_bytes(campaign: &MeasurementCampaign) -> usize {
-    let mut bytes = 0;
-    if let Some(go_ipfs) = &campaign.go_ipfs {
-        bytes += go_ipfs.approx_bytes();
+/// The datasets the passive monitors materialise from a finished run: the
+/// go-ipfs dataset, one per hydra head and the hydra union, each present
+/// only if the run deployed that observer.
+#[derive(Debug, Clone)]
+pub struct MonitorDatasets {
+    /// The go-ipfs client's data set.
+    pub go_ipfs: Option<MeasurementDataset>,
+    /// One data set per hydra head.
+    pub hydra_heads: Vec<MeasurementDataset>,
+    /// The union of all hydra heads.
+    pub hydra_union: Option<MeasurementDataset>,
+}
+
+impl MonitorDatasets {
+    /// Runs the go-ipfs and hydra monitors over a run's observer logs.
+    pub fn ingest(output: &netsim::SimulationOutput) -> Self {
+        let go_ipfs = output.log("go-ipfs").map(|log| GoIpfsMonitor::new().ingest(log));
+        let hydra_logs: Vec<&ObserverLog> = output
+            .logs
+            .iter()
+            .filter(|l| l.observer.starts_with("hydra-h"))
+            .collect();
+        let (hydra_heads, hydra_union) = if hydra_logs.is_empty() {
+            (Vec::new(), None)
+        } else {
+            let (heads, union) = HydraMonitor::new().ingest(&hydra_logs);
+            (heads, Some(union))
+        };
+        MonitorDatasets {
+            go_ipfs,
+            hydra_heads,
+            hydra_union,
+        }
     }
-    for head in &campaign.hydra_heads {
-        bytes += head.approx_bytes();
+
+    /// Resident-bytes estimate of every dataset: the denominator of the
+    /// streaming memory claim.
+    pub fn resident_bytes(&self) -> usize {
+        let heads = self.hydra_heads.iter();
+        let all = self.go_ipfs.iter().chain(heads).chain(&self.hydra_union);
+        all.map(MeasurementDataset::approx_bytes).sum()
     }
-    if let Some(union) = &campaign.hydra_union {
-        bytes += union.approx_bytes();
-    }
-    bytes
 }
 
 /// Runs a fully specified scenario.
@@ -114,20 +141,11 @@ pub fn campaign_from_output(
     duration: simclock::SimDuration,
     output: netsim::SimulationOutput,
 ) -> MeasurementCampaign {
-    let go_ipfs_log: Option<&ObserverLog> = output.log("go-ipfs");
-    let hydra_logs: Vec<&ObserverLog> = output
-        .logs
-        .iter()
-        .filter(|l| l.observer.starts_with("hydra-h"))
-        .collect();
-
-    let go_ipfs = go_ipfs_log.map(|log| GoIpfsMonitor::new().ingest(log));
-    let (hydra_heads, hydra_union) = if hydra_logs.is_empty() {
-        (Vec::new(), None)
-    } else {
-        let (heads, union) = HydraMonitor::new().ingest(&hydra_logs);
-        (heads, Some(union))
-    };
+    let MonitorDatasets {
+        go_ipfs,
+        hydra_heads,
+        hydra_union,
+    } = MonitorDatasets::ingest(&output);
 
     let crawler = ActiveCrawler::new();
     let (crawls, crawl_summary) = crawler.crawl_summary(
@@ -260,15 +278,27 @@ mod tests {
         );
     }
 
+    /// The monitor datasets are the campaign's, and their resident bytes
+    /// count every one of them.
     #[test]
-    fn batch_resident_bytes_counts_every_materialised_dataset() {
-        let campaign = run_scenario(
-            Scenario::new(MeasurementPeriod::P1)
-                .with_scale(0.003)
-                .with_seed(3),
-        );
-        let bytes = batch_resident_bytes(&campaign);
+    fn monitor_datasets_are_the_campaigns_and_count_every_dataset() {
+        let run = Scenario::new(MeasurementPeriod::P1)
+            .with_scale(0.003)
+            .with_seed(3)
+            .build();
+        let (scenario, participants, duration) =
+            (run.scenario.clone(), run.ground_truth_participants, run.config.duration);
+        let output = run.simulate();
+        let datasets = MonitorDatasets::ingest(&output);
+        let campaign = campaign_from_output(scenario, participants, duration, output);
+        assert_eq!(datasets.go_ipfs, campaign.go_ipfs);
+        assert_eq!(datasets.hydra_heads, campaign.hydra_heads);
+        assert_eq!(datasets.hydra_union, campaign.hydra_union);
+        let bytes = datasets.resident_bytes();
+        assert!(!campaign.hydra_heads.is_empty());
         assert!(bytes > campaign.primary().approx_bytes());
+        let heads: usize = campaign.hydra_heads.iter().map(MeasurementDataset::approx_bytes).sum();
+        assert!(bytes > heads + campaign.primary().approx_bytes());
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //! enabling or disabling it never perturbs the passive observation logs.
 //! The engine runs it as a post-pass over the finished run because a new
 //! server's neighbours span the whole population, which no single engine
-//! shard holds.
+//! shard holds. The tracker's state lives in vectors indexed by slot, one
+//! per `PeerId`: the engine hands over its registry slots, ground-truth
+//! rows and observer contacts as slots, so the post-pass hashes nothing;
+//! [`dht_log_from_ground_truth`] and the tracker's `PeerId` entry points
+//! intern each `PeerId` into a slot and run the same code.
 //!
 //! The tracker's output is a [`DhtLog`]: an append-only stream of
 //! [`DhtEvent`]s. `measurement::ActiveCrawler` replays the log with
@@ -253,71 +257,99 @@ impl DhtReplay<'_> {
 /// Maintains routing tables over a replayed run and records their
 /// membership history as a [`DhtLog`].
 ///
-/// All methods are no-ops on a disabled tracker (the one behind
-/// [`crate::run_full_protocol`], which never tracks). Nothing here consumes
+/// Its state lives in vectors indexed by *slot*, one slot per `PeerId`. The
+/// engine's post-pass hands over the run's registry slots; the `PeerId`
+/// entry points ([`Self::register_bootstrap`], [`Self::set_conduct`],
+/// [`Self::server_up`]) and [`dht_log_from_ground_truth`] intern each new
+/// `PeerId` into the next slot and run the same code. Nothing here consumes
 /// engine randomness.
 #[derive(Debug)]
 pub struct DhtTracker {
-    enabled: bool,
     k: usize,
-    bootstrap: Vec<PeerId>,
-    conduct: HashMap<PeerId, DhtConduct>,
-    /// Online table owners, as a swap-remove vec + position map (iteration
-    /// order never matters: neighbour selection sorts by XOR distance,
-    /// which is a total order).
-    online: Vec<PeerId>,
-    pos: HashMap<PeerId, usize>,
-    tables: HashMap<PeerId, RoutingTable>,
-    /// Reverse index: entry → owners currently holding it. `BTreeSet` so
-    /// eviction on departure walks owners in PID order, deterministically.
-    holders: HashMap<PeerId, BTreeSet<PeerId>>,
+    /// The `PeerId` of each slot.
+    peers: Vec<PeerId>,
+    /// Slot of each interned `PeerId`; empty when the engine handed the
+    /// slots over.
+    index: HashMap<PeerId, u32>,
+    bootstrap: Vec<u32>,
+    conduct: Vec<DhtConduct>,
+    /// A slot's routing table, present exactly while it is up.
+    tables: Vec<Option<RoutingTable>>,
+    /// Per slot, the owners that admitted it since it last went down. An
+    /// owner that evicted it or went down since may stay listed, even
+    /// twice; eviction on departure skips owners whose table no longer
+    /// holds it.
+    holders: Vec<Vec<u32>>,
+    /// Up servers, as a swap-remove list plus each slot's position in it
+    /// (`u32::MAX` when down). The order never matters: neighbour
+    /// selection ranks by XOR distance, a total order.
+    online: Vec<u32>,
+    pos: Vec<u32>,
+    /// Scratch of [`Self::server_up`]'s neighbour ranking.
+    ranked: Vec<(Distance, u32)>,
     events: Vec<DhtEvent>,
 }
 
 impl DhtTracker {
-    /// An enabled tracker with the given bucket size.
+    /// An empty tracker with the given bucket size.
     pub fn new(k: usize) -> Self {
+        DhtTracker::with_peers(k, Vec::new())
+    }
+
+    /// A tracker with one slot per given `PeerId`, in order; the `PeerId`
+    /// entry points must not be used on it.
+    pub(crate) fn with_peers(k: usize, peers: Vec<PeerId>) -> Self {
         assert!(k > 0, "bucket size must be positive");
+        let n = peers.len();
         DhtTracker {
-            enabled: true,
             k,
+            peers,
+            index: HashMap::new(),
             bootstrap: Vec::new(),
-            conduct: HashMap::new(),
+            conduct: vec![DhtConduct::Honest; n],
+            tables: vec![None; n],
+            holders: vec![Vec::new(); n],
             online: Vec::new(),
-            pos: HashMap::new(),
-            tables: HashMap::new(),
-            holders: HashMap::new(),
+            pos: vec![u32::MAX; n],
+            ranked: Vec::new(),
             events: Vec::new(),
         }
     }
 
-    /// A tracker that records nothing.
-    pub(crate) fn disabled() -> Self {
-        let mut tracker = DhtTracker::new(DEFAULT_BUCKET_SIZE);
-        tracker.enabled = false;
-        tracker
+    /// The slot of a `PeerId`, interning it into a new slot on first sight.
+    fn intern(&mut self, peer: PeerId) -> u32 {
+        debug_assert_eq!(self.index.len(), self.peers.len(), "slots were handed over");
+        if let Some(&slot) = self.index.get(&peer) {
+            return slot;
+        }
+        let slot = self.peers.len() as u32;
+        self.index.insert(peer, slot);
+        self.peers.push(peer);
+        self.conduct.push(DhtConduct::Honest);
+        self.tables.push(None);
+        self.holders.push(Vec::new());
+        self.pos.push(u32::MAX);
+        slot
     }
 
     /// Registers a bootstrap peer (a server observer): it is brought online
     /// at time zero and every later joiner links to it.
     pub fn register_bootstrap(&mut self, peer: PeerId) {
-        if !self.enabled {
-            return;
-        }
-        self.bootstrap.push(peer);
-        self.server_up(SimTime::ZERO, peer);
+        let slot = self.intern(peer);
+        self.add_bootstrap(slot);
+    }
+
+    fn add_bootstrap(&mut self, slot: u32) {
+        self.bootstrap.push(slot);
+        self.up(SimTime::ZERO, slot);
     }
 
     /// Records a peer's DHT conduct (honest peers need no record).
     pub fn set_conduct(&mut self, peer: PeerId, conduct: DhtConduct) {
-        if !self.enabled || conduct.is_honest() {
-            return;
+        if !conduct.is_honest() {
+            let slot = self.intern(peer);
+            self.conduct[slot as usize] = conduct;
         }
-        self.conduct.insert(peer, conduct);
-    }
-
-    fn conduct_of(&self, peer: &PeerId) -> DhtConduct {
-        self.conduct.get(peer).copied().unwrap_or(DhtConduct::Honest)
     }
 
     /// A DHT-Server came online: it gets a fresh table and bootstraps —
@@ -326,141 +358,271 @@ impl DhtTracker {
     /// (the contacts an iterative self-lookup would collect, one per
     /// k-bucket). No-op if the peer is already up.
     pub fn server_up(&mut self, at: SimTime, peer: PeerId) {
-        if !self.enabled || self.tables.contains_key(&peer) {
+        let slot = self.intern(peer);
+        self.up(at, slot);
+    }
+
+    fn up(&mut self, at: SimTime, slot: u32) {
+        let s = slot as usize;
+        if self.tables[s].is_some() {
             return;
         }
+        let peer = self.peers[s];
         self.events.push(DhtEvent::Up { at, server: peer });
-        self.tables
-            .insert(peer, RoutingTable::with_bucket_size(peer, self.k));
+        self.tables[s] = Some(RoutingTable::with_bucket_size(peer, self.k));
 
-        let mut contacts: Vec<PeerId> = self
+        let mut contacts: Vec<u32> = self
             .bootstrap
             .iter()
             .copied()
-            .filter(|b| *b != peer)
+            .filter(|&b| b != slot)
             .collect();
-        let mut ranked: Vec<(Distance, PeerId)> = self
-            .online
-            .iter()
-            .filter(|&&p| p != peer)
-            .map(|&p| (p.distance(&peer), p))
-            .collect();
-        // XOR distances to a fixed key are distinct, so this order — and the
-        // whole synthesised topology — is deterministic.
-        ranked.sort_unstable_by_key(|r| r.0);
-        contacts.extend(ranked.iter().take(self.k).map(|&(_, p)| p));
+        let mut ranked = std::mem::take(&mut self.ranked);
+        ranked.clear();
+        ranked.extend(
+            self.online
+                .iter()
+                .filter(|&&p| p != slot)
+                .map(|&p| (self.peers[p as usize].distance(&peer), p)),
+        );
+        // XOR distances to a fixed key are distinct, so the ranks — and the
+        // whole synthesised topology — are deterministic. Only ranks below
+        // `k` and the log-spaced ranks `k, 2k, 4k, …` are needed: select
+        // those from the largest down, each within the prefix the previous
+        // selection left below it, then sort the `k` closest — O(n) in all.
+        let n = ranked.len();
         let mut rank = self.k;
-        while rank < ranked.len() {
+        if rank < n {
+            while rank * 2 < n {
+                rank *= 2;
+            }
+            let mut end = n;
+            loop {
+                ranked[..end].select_nth_unstable_by_key(rank, |r| r.0);
+                if rank == self.k {
+                    break;
+                }
+                end = rank;
+                rank /= 2;
+            }
+        }
+        let closest = self.k.min(n);
+        ranked[..closest].sort_unstable_by_key(|r| r.0);
+        contacts.extend(ranked[..closest].iter().map(|&(_, p)| p));
+        let mut rank = self.k;
+        while rank < n {
             contacts.push(ranked[rank].1);
             rank *= 2;
         }
+        self.ranked = ranked;
         for contact in contacts {
-            self.admit(at, contact, peer);
-            self.admit(at, peer, contact);
+            self.admit(at, contact, slot);
+            self.admit(at, slot, contact);
         }
 
-        self.pos.insert(peer, self.online.len());
-        self.online.push(peer);
+        self.pos[s] = self.online.len() as u32;
+        self.online.push(slot);
     }
 
     /// A DHT-Server went offline: its own table is dropped and it is evicted
     /// from every table that holds it (owners in PID order). No-op if the
     /// peer is not up.
-    pub(crate) fn server_down(&mut self, at: SimTime, peer: PeerId) {
-        if !self.enabled {
+    fn down(&mut self, at: SimTime, slot: u32) {
+        let s = slot as usize;
+        if self.tables[s].take().is_none() {
             return;
         }
-        let Some(table) = self.tables.remove(&peer) else {
-            return;
-        };
+        let peer = self.peers[s];
         self.events.push(DhtEvent::Down { at, server: peer });
-        for entry in table.iter() {
-            if let Some(holders) = self.holders.get_mut(entry) {
-                holders.remove(&peer);
+        let idx = std::mem::replace(&mut self.pos[s], u32::MAX) as usize;
+        self.online.swap_remove(idx);
+        if let Some(&moved) = self.online.get(idx) {
+            self.pos[moved as usize] = idx as u32;
+        }
+        let mut holders = std::mem::take(&mut self.holders[s]);
+        holders.sort_unstable_by_key(|&owner| self.peers[owner as usize]);
+        holders.dedup();
+        for &owner in &holders {
+            let held = self.tables[owner as usize]
+                .as_mut()
+                .is_some_and(|table| table.remove(&peer));
+            if held {
+                let owner = self.peers[owner as usize];
+                self.events.push(DhtEvent::Evict {
+                    at,
+                    owner,
+                    entry: peer,
+                });
             }
         }
-        if let Some(idx) = self.pos.remove(&peer) {
-            self.online.swap_remove(idx);
-            if idx < self.online.len() {
-                self.pos.insert(self.online[idx], idx);
-            }
-        }
-        if let Some(holders) = self.holders.remove(&peer) {
-            for owner in holders {
-                if let Some(t) = self.tables.get_mut(&owner) {
-                    if t.remove(&peer) {
-                        self.events.push(DhtEvent::Evict {
-                            at,
-                            owner,
-                            entry: peer,
-                        });
-                    }
-                }
-            }
-        }
+        holders.clear();
+        self.holders[s] = holders;
     }
 
     /// Tries to admit `entry` into `owner`'s table. No-op when the owner is
     /// offline, the entry is already a member, the owner's conduct rejects
     /// the entry, or the target bucket is full (LRU keeps the long-lived
     /// incumbents, as go-ipfs does).
-    pub(crate) fn admit(&mut self, at: SimTime, owner: PeerId, entry: PeerId) {
-        if !self.enabled || owner == entry {
+    fn admit(&mut self, at: SimTime, owner: u32, entry: u32) {
+        let (o, e) = (owner as usize, entry as usize);
+        if owner == entry || !self.conduct[o].admits(self.conduct[e]) {
             return;
         }
-        if !self.conduct_of(&owner).admits(self.conduct_of(&entry)) {
-            return;
-        }
-        let Some(table) = self.tables.get_mut(&owner) else {
+        let Some(table) = self.tables[o].as_mut() else {
             return;
         };
-        if table.contains(&entry) {
+        let entry_peer = self.peers[e];
+        if table.contains(&entry_peer) {
             // Membership-only log: an LRU refresh changes no reply.
             return;
         }
-        if table.insert(entry) {
-            self.holders.entry(entry).or_default().insert(owner);
-            self.events.push(DhtEvent::Admit { at, owner, entry });
+        if table.insert(entry_peer) {
+            // An observer re-admits the peers it reconnects to; one entry
+            // per run of re-admits keeps the list short.
+            if self.holders[e].last() != Some(&owner) {
+                self.holders[e].push(owner);
+            }
+            self.events.push(DhtEvent::Admit {
+                at,
+                owner: self.peers[o],
+                entry: entry_peer,
+            });
         }
     }
 
     /// Evicts `entry` from `owner`'s table, if present.
-    pub(crate) fn evict(&mut self, at: SimTime, owner: PeerId, entry: PeerId) {
-        if !self.enabled {
-            return;
-        }
-        let Some(table) = self.tables.get_mut(&owner) else {
+    fn evict(&mut self, at: SimTime, owner: u32, entry: u32) {
+        let entry_peer = self.peers[entry as usize];
+        let Some(table) = self.tables[owner as usize].as_mut() else {
             return;
         };
-        if table.remove(&entry) {
-            if let Some(holders) = self.holders.get_mut(&entry) {
-                holders.remove(&owner);
+        if table.remove(&entry_peer) {
+            let holders = &mut self.holders[entry as usize];
+            if holders.last() == Some(&owner) {
+                holders.pop();
             }
-            self.events.push(DhtEvent::Evict { at, owner, entry });
+            self.events.push(DhtEvent::Evict {
+                at,
+                owner: self.peers[owner as usize],
+                entry: entry_peer,
+            });
+        }
+    }
+
+    /// Replays a run through the tracker: every conduct, the bootstrap
+    /// servers, then the ground-truth transitions with the observers'
+    /// contacts merged in, and finalises the log. The engine's post-pass
+    /// and [`dht_log_from_ground_truth`] both end here.
+    ///
+    /// `roles` gives each peer's initial role in population order (the
+    /// first entry of a slot wins). Both streams must be time-ordered; a
+    /// contact at the same instant as a transition applies after it.
+    pub(crate) fn replay(
+        mut self,
+        roles: impl IntoIterator<Item = (u32, bool)>,
+        bootstrap: &[u32],
+        conduct: impl IntoIterator<Item = (u32, DhtConduct)>,
+        transitions: impl IntoIterator<Item = (SimTime, u32, Transition)>,
+        contacts: impl IntoIterator<Item = DhtContact>,
+    ) -> DhtLog {
+        for (slot, peer_conduct) in conduct {
+            if !peer_conduct.is_honest() {
+                self.conduct[slot as usize] = peer_conduct;
+            }
+        }
+        for &slot in bootstrap {
+            self.add_bootstrap(slot);
+        }
+        let mut role: Vec<Option<bool>> = vec![None; self.peers.len()];
+        for (slot, server) in roles {
+            role[slot as usize].get_or_insert(server);
+        }
+        let mut online = vec![false; self.peers.len()];
+        let mut contacts = contacts.into_iter().peekable();
+        for (at, slot, transition) in transitions {
+            while let Some(contact) = contacts.next_if(|c| c.at < at) {
+                self.apply(contact);
+            }
+            let s = slot as usize;
+            match transition {
+                Transition::Online => {
+                    online[s] = true;
+                    if role[s] == Some(true) {
+                        self.up(at, slot);
+                    }
+                }
+                Transition::Offline => {
+                    online[s] = false;
+                    self.down(at, slot);
+                }
+                Transition::Role(server) => {
+                    role[s] = Some(server);
+                    if online[s] {
+                        if server {
+                            self.up(at, slot);
+                        } else {
+                            self.down(at, slot);
+                        }
+                    }
+                }
+            }
+        }
+        for contact in contacts {
+            self.apply(contact);
+        }
+        self.into_log()
+    }
+
+    fn apply(&mut self, contact: DhtContact) {
+        if contact.admit {
+            self.admit(contact.at, contact.owner, contact.entry);
+        } else {
+            self.evict(contact.at, contact.owner, contact.entry);
         }
     }
 
     /// Finalises the tracker into its log.
     pub fn into_log(self) -> DhtLog {
-        let mut conduct: Vec<(PeerId, DhtConduct)> = self.conduct.into_iter().collect();
+        let mut conduct: Vec<(PeerId, DhtConduct)> = self
+            .conduct
+            .iter()
+            .zip(&self.peers)
+            .filter(|(c, _)| !c.is_honest())
+            .map(|(&c, &peer)| (peer, c))
+            .collect();
         conduct.sort_unstable_by_key(|c| c.0);
         DhtLog {
             k: self.k,
-            bootstrap: self.bootstrap,
+            bootstrap: self
+                .bootstrap
+                .iter()
+                .map(|&s| self.peers[s as usize])
+                .collect(),
             conduct,
             events: self.events,
         }
     }
 }
 
-/// A routing-table contact an observer made during a run: a dial or a
-/// gossip sighting of a DHT server admits `entry` into `owner`'s table, a
-/// closed connection evicts it.
+/// A ground-truth transition of one tracker slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Transition {
+    /// The peer came online.
+    Online,
+    /// The peer went offline.
+    Offline,
+    /// The peer switched DHT role (`true`: now a server).
+    Role(bool),
+}
+
+/// A routing-table contact an observer made during a run, on tracker
+/// slots: a dial or a gossip sighting of a DHT server admits `entry` into
+/// `owner`'s table, a closed connection evicts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DhtContact {
     pub(crate) at: SimTime,
-    pub(crate) owner: PeerId,
-    pub(crate) entry: PeerId,
+    pub(crate) owner: u32,
+    pub(crate) entry: u32,
     pub(crate) admit: bool,
 }
 
@@ -472,85 +634,52 @@ pub(crate) struct DhtContact {
 /// `ground_truth.events` must be sorted by time (they are, for any finished
 /// run).
 pub fn dht_log_from_ground_truth(ground_truth: &GroundTruth, bootstrap: &[PeerId]) -> DhtLog {
-    replay_dht(ground_truth, bootstrap, &[], std::iter::empty())
-}
-
-/// The engine's routing-table post-pass: replays a run's ground truth and
-/// its observers' contacts through one [`DhtTracker`].
-///
-/// Both streams must be time-ordered; a contact at the same instant as a
-/// ground-truth event applies after it. The engine hands both over in
-/// canonical order, so the log does not depend on how the run was
-/// partitioned.
-pub(crate) fn replay_dht(
-    ground_truth: &GroundTruth,
-    bootstrap: &[PeerId],
-    conduct: &[(PeerId, DhtConduct)],
-    contacts: impl IntoIterator<Item = DhtContact>,
-) -> DhtLog {
     let mut tracker = DhtTracker::new(DEFAULT_BUCKET_SIZE);
-    for &(peer, peer_conduct) in conduct {
-        tracker.set_conduct(peer, peer_conduct);
-    }
-    for &peer in bootstrap {
-        tracker.register_bootstrap(peer);
-    }
-    let mut role: HashMap<PeerId, bool> = HashMap::new();
-    for &(peer, server) in &ground_truth.peers {
-        role.entry(peer).or_insert(server);
-    }
-    let mut online: BTreeSet<PeerId> = BTreeSet::new();
-    let mut contacts = contacts.into_iter().peekable();
-    let apply = |tracker: &mut DhtTracker, contact: DhtContact| {
-        if contact.admit {
-            tracker.admit(contact.at, contact.owner, contact.entry);
-        } else {
-            tracker.evict(contact.at, contact.owner, contact.entry);
-        }
-    };
-    for event in &ground_truth.events {
-        while let Some(contact) = contacts.next_if(|c| c.at < event.at()) {
-            apply(&mut tracker, contact);
-        }
-        match event {
-            GroundTruthEvent::PeerOnline { at, peer } => {
-                online.insert(*peer);
-                if role.get(peer).copied().unwrap_or(false) {
-                    tracker.server_up(*at, *peer);
-                }
-            }
-            GroundTruthEvent::PeerOffline { at, peer } => {
-                online.remove(peer);
-                tracker.server_down(*at, *peer);
-            }
-            GroundTruthEvent::RoleChanged {
-                at,
-                peer,
-                dht_server,
-            } => {
-                role.insert(*peer, *dht_server);
-                if online.contains(peer) {
-                    if *dht_server {
-                        tracker.server_up(*at, *peer);
-                    } else {
-                        tracker.server_down(*at, *peer);
-                    }
-                }
-            }
-        }
-    }
-    for contact in contacts {
-        apply(&mut tracker, contact);
-    }
-    tracker.into_log()
+    let roles: Vec<(u32, bool)> = ground_truth
+        .peers
+        .iter()
+        .map(|&(peer, server)| (tracker.intern(peer), server))
+        .collect();
+    let bootstrap: Vec<u32> = bootstrap.iter().map(|&peer| tracker.intern(peer)).collect();
+    let transitions: Vec<(SimTime, u32, Transition)> = ground_truth
+        .events
+        .iter()
+        .map(|event| {
+            let (peer, transition) = match *event {
+                GroundTruthEvent::PeerOnline { peer, .. } => (peer, Transition::Online),
+                GroundTruthEvent::PeerOffline { peer, .. } => (peer, Transition::Offline),
+                GroundTruthEvent::RoleChanged {
+                    peer, dht_server, ..
+                } => (peer, Transition::Role(dht_server)),
+            };
+            (event.at(), tracker.intern(peer), transition)
+        })
+        .collect();
+    tracker.replay(roles, &bootstrap, [], transitions, [])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn pid(i: u64) -> PeerId {
         PeerId::derived(i)
+    }
+
+    fn down(tracker: &mut DhtTracker, at: SimTime, peer: PeerId) {
+        let slot = tracker.intern(peer);
+        tracker.down(at, slot);
+    }
+
+    /// Every live table's members, by owner.
+    fn live_tables(tracker: &DhtTracker) -> BTreeMap<PeerId, BTreeSet<PeerId>> {
+        tracker
+            .tables
+            .iter()
+            .zip(&tracker.peers)
+            .filter_map(|(table, &owner)| Some((owner, table.as_ref()?.iter().copied().collect())))
+            .collect()
     }
 
     #[test]
@@ -561,13 +690,9 @@ mod tests {
             tracker.server_up(SimTime::from_secs(i), pid(i));
         }
         for i in (0..40).step_by(3) {
-            tracker.server_down(SimTime::from_secs(100 + i), pid(i));
+            down(&mut tracker, SimTime::from_secs(100 + i), pid(i));
         }
-        let live: HashMap<PeerId, BTreeSet<PeerId>> = tracker
-            .tables
-            .iter()
-            .map(|(owner, table)| (*owner, table.iter().copied().collect()))
-            .collect();
+        let live = live_tables(&tracker);
         let log = tracker.into_log();
         let mut replay = log.replay();
         replay.advance_to(SimTime::from_secs(1_000_000));
@@ -591,19 +716,53 @@ mod tests {
             tracker.server_up(SimTime::ZERO, pid(i));
         }
         let victim = pid(7);
-        tracker.server_down(SimTime::from_secs(10), victim);
-        assert!(!tracker.tables.contains_key(&victim));
-        for table in tracker.tables.values() {
-            assert!(!table.contains(&victim), "victim must be evicted everywhere");
+        down(&mut tracker, SimTime::from_secs(10), victim);
+        let live = live_tables(&tracker);
+        assert!(!live.contains_key(&victim));
+        for members in live.values() {
+            assert!(
+                !members.contains(&victim),
+                "victim must be evicted everywhere"
+            );
         }
         tracker.server_up(SimTime::from_secs(20), victim);
-        let holders = tracker
-            .tables
+        let live = live_tables(&tracker);
+        let holders = live
             .iter()
-            .filter(|(owner, table)| **owner != victim && table.contains(&victim))
+            .filter(|(owner, members)| **owner != victim && members.contains(&victim))
             .count();
         assert!(holders > 0, "rejoin must re-announce the peer");
-        assert!(!tracker.tables[&victim].is_empty());
+        assert!(!live[&victim].is_empty());
+    }
+
+    /// A departure evicts the peer from exactly the tables that hold it
+    /// then, in PID order: not from an owner that evicted it since, and
+    /// once from an owner that went down and came back with it again.
+    #[test]
+    fn departures_evict_only_current_holders_in_pid_order() {
+        let mut tracker = DhtTracker::new(20);
+        let peers: Vec<PeerId> = (0..6).map(pid).collect();
+        let slots: Vec<u32> = peers.iter().map(|&p| tracker.intern(p)).collect();
+        for &slot in &slots {
+            tracker.up(SimTime::ZERO, slot);
+        }
+        let (victim, evicter, rejoiner) = (slots[0], slots[1], slots[2]);
+        tracker.evict(SimTime::from_secs(1), evicter, victim);
+        tracker.down(SimTime::from_secs(2), rejoiner);
+        // Coming back up links the rejoiner to every online server again.
+        tracker.up(SimTime::from_secs(3), rejoiner);
+        let before = tracker.events.len();
+        tracker.down(SimTime::from_secs(5), victim);
+        let evicted: Vec<PeerId> = tracker.events[before..]
+            .iter()
+            .filter_map(|event| match *event {
+                DhtEvent::Evict { owner, entry, .. } if entry == peers[0] => Some(owner),
+                _ => None,
+            })
+            .collect();
+        let mut expected: Vec<PeerId> = slots[2..].iter().map(|&s| peers[s as usize]).collect();
+        expected.sort_unstable();
+        assert_eq!(evicted, expected);
     }
 
     #[test]
@@ -615,24 +774,22 @@ mod tests {
         for i in 0..10 {
             tracker.server_up(SimTime::ZERO, pid(i));
         }
-        let sybil_table: BTreeSet<PeerId> = tracker.tables[&pid(1)].iter().copied().collect();
-        assert_eq!(sybil_table, BTreeSet::from([pid(2)]), "only the same cluster");
+        let live = live_tables(&tracker);
+        assert_eq!(
+            live[&pid(1)],
+            BTreeSet::from([pid(2)]),
+            "only the same cluster"
+        );
         // Honest tables admit the sybil.
-        let holders = tracker
-            .tables
+        let holders = live
             .iter()
-            .filter(|(owner, table)| !owner.eq(&&pid(1)) && table.contains(&pid(1)))
+            .filter(|(owner, members)| **owner != pid(1) && members.contains(&pid(1)))
             .count();
         assert!(holders > 0, "honest peers must admit the sybil");
     }
 
     #[test]
-    fn tracker_events_are_chronological_and_disabled_tracker_records_nothing() {
-        let mut disabled = DhtTracker::disabled();
-        disabled.register_bootstrap(pid(1));
-        disabled.server_up(SimTime::ZERO, pid(2));
-        assert!(disabled.into_log().events.is_empty());
-
+    fn ground_truth_logs_are_chronological() {
         let gt = GroundTruth {
             peers: (0..20).map(|i| (pid(i), true)).collect(),
             events: (0..20)
@@ -643,6 +800,7 @@ mod tests {
                 .collect(),
         };
         let log = dht_log_from_ground_truth(&gt, &[pid(500)]);
+        assert!(!log.events.is_empty());
         let mut prev = SimTime::ZERO;
         for event in &log.events {
             assert!(event.at() >= prev);

@@ -38,10 +38,13 @@
 //! argument: shards can process one epoch completely independently, then
 //! exchange sealed mailboxes, then start the next epoch.
 //!
-//! At the barrier every per-`(src, dst)` mailbox is sealed, the destination
-//! concatenates its inbound mailboxes in source-shard order, stable-sorts the
-//! merged batch by the globally unique `(time, key)` pair and hands it to its
-//! [`KeyedEventQueue`] via `schedule_batch`.
+//! At the barrier every per-`(src, dst)` mailbox is sealed, and the
+//! destination hands its inbound mailboxes, concatenated in source-shard
+//! order, to its [`KeyedEventQueue`] via `schedule_batch`, which sorts them
+//! by `(time, key)` and breaks ties by that concatenation order. `(time,
+//! key)` is not globally unique — a peer's dials or gossip to two observers
+//! can share both — but the tie order is the same in every partition: one
+//! source shard emits all of one peer's events, in handler order.
 //!
 //! Scripted population events need no mailbox: they are known before the
 //! run starts. A joiner's timeline simply starts at its join time, and a
@@ -66,6 +69,19 @@
 //!    from broadcast notices that arrive with latency `L` in every
 //!    observer-hosting shard, applied in the same total order everywhere.
 //!
+//! # Connections
+//!
+//! An observer keeps each open connection as one record in a `Vec`, found
+//! through a per-peer index, and its connection manager is only the
+//! trimming policy over those records. A connection's remote hold time is
+//! no event of its own: the observer keeps its pending holds ordered by
+//! `(expiry, ConnectionId)`, a close drops its hold, and the queue holds
+//! one wake-up at the earliest hold under the key `obs_key(o, RANK_CLOSE)`.
+//! A wake-up closes that hold if it is due, then re-arms, so holds due in
+//! the same millisecond close in connection-id order, each at the position
+//! its own queued event would take, and a hold cancelled by an earlier
+//! close is no event.
+//!
 //! # Routing tables
 //!
 //! The routing-table history ([`crate::DhtLog`]) is rebuilt after the run
@@ -74,19 +90,23 @@
 //! server observer records its contacts (a dial or gossip sighting of a
 //! server admits it, a close evicts it), and the assembly replays the merged
 //! ground truth plus those contacts through one [`crate::DhtTracker`] in
-//! canonical order.
+//! canonical order, on the run's registry slots.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use p2pmodel::{CloseReason, ConnectionId, ConnectionManager, Direction, IdentifyInfo, PeerId};
+use p2pmodel::kademlia::DEFAULT_BUCKET_SIZE;
+use p2pmodel::{
+    CloseReason, ConnectionId, ConnectionManager, Direction, IdentifyInfo, PeerId,
+    TrackedConnection,
+};
 use simclock::rng::{fnv1a_step, splitmix64, FNV_OFFSET};
 use simclock::{KeyedEventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::{NetworkConfig, ObserverSpec};
-use crate::dht::{replay_dht, DhtConduct, DhtContact, DhtTracker};
+use crate::dht::{DhtConduct, DhtContact, DhtLog, DhtTracker, Transition};
 use crate::engine::SimulationOutput;
 use crate::events::{GroundTruth, GroundTruthEvent, ObserverLog};
 use crate::obs::{IdentifyRegistry, ObservationTable, ShardMap};
@@ -159,8 +179,9 @@ enum FpEvent {
     Gossip { peer: u32, obs: u32 },
     /// Observer connection-manager maintenance pass (observer's owner shard).
     Maintenance { obs: u32 },
-    /// The remote end of a connection trims it (observer's owner shard).
-    HoldExpired { obs: u32, conn: u64 },
+    /// The observer's earliest pending hold may be due: the remote end of
+    /// that connection trims it (observer's owner shard).
+    HoldWake { obs: u32 },
     /// A disconnected peer redials the observer (observer's owner shard).
     /// Handled as a [`FpEvent::Dial`]; its own rank orders it among
     /// same-time events.
@@ -280,15 +301,51 @@ impl VisibleNet {
     }
 }
 
+/// One open connection of an observer.
+struct OpenConn {
+    id: ConnectionId,
+    peer: u32,
+    direction: Direction,
+    opened_at: SimTime,
+    /// The connection manager's value tag.
+    value: i32,
+    /// When the remote end trims it (its hold expires).
+    expiry: SimTime,
+}
+
+impl OpenConn {
+    /// The connection as the trimming policy sees it, handled by its peer.
+    /// An observer protects exactly its outbound connections.
+    fn tracked(&self) -> (u32, TrackedConnection) {
+        let tracked = TrackedConnection {
+            id: self.id,
+            opened_at: self.opened_at,
+            value: self.value,
+            protected: self.direction == Direction::Outbound,
+        };
+        (self.peer, tracked)
+    }
+}
+
 /// Per-observer runtime state, owned by shard `o % S`.
 struct ObserverRuntime {
     spec: ObserverSpec,
     global: u32,
     rng: SimRng,
     table: ObservationTable,
+    /// The trimming policy; `trimmed` is its reused output buffer.
     connmgr: ConnectionManager,
-    conn_peer: HashMap<ConnectionId, (u32, Direction)>,
-    peer_conn: HashMap<u32, ConnectionId>,
+    trimmed: Vec<u32>,
+    /// Open connections, unordered: a close swap-removes its record.
+    conns: Vec<OpenConn>,
+    /// Per population peer: 1 + the position of its connection in `conns`,
+    /// or 0 when it is not connected.
+    conn_of: Vec<u32>,
+    /// Pending holds `(expiry, id) → peer`, one per open connection.
+    holds: BTreeMap<(SimTime, ConnectionId), u32>,
+    /// The time of the hold wake-up queued last. The queue holds one at the
+    /// earliest hold; a wake-up at any other time was superseded.
+    armed: Option<SimTime>,
     outbound_open: usize,
     next_conn_id: u64,
     /// Routing-table contacts `(time, peer, admit)` for the post-run DHT
@@ -302,6 +359,42 @@ impl ObserverRuntime {
         if let Some(contacts) = &mut self.contacts {
             contacts.push((at, g, admit));
         }
+    }
+
+    fn connected(&self, g: u32) -> bool {
+        self.conn_of[g as usize] != 0
+    }
+
+    /// Records an open connection and its hold. Returns whether the hold
+    /// needs a wake-up of its own: it expires before the armed one.
+    fn insert(&mut self, conn: OpenConn) -> bool {
+        debug_assert!(!self.connected(conn.peer), "one connection per peer");
+        self.conn_of[conn.peer as usize] = self.conns.len() as u32 + 1;
+        self.holds.insert((conn.expiry, conn.id), conn.peer);
+        if conn.direction == Direction::Outbound {
+            self.outbound_open += 1;
+        }
+        let wake = self.armed.is_none_or(|armed| conn.expiry < armed);
+        if wake {
+            self.armed = Some(conn.expiry);
+        }
+        self.conns.push(conn);
+        wake
+    }
+
+    /// Removes peer `g`'s connection and its hold, if it has one.
+    fn remove(&mut self, g: u32) -> Option<OpenConn> {
+        let pos = self.conn_of[g as usize].checked_sub(1)? as usize;
+        self.conn_of[g as usize] = 0;
+        let conn = self.conns.swap_remove(pos);
+        if let Some(moved) = self.conns.get(pos) {
+            self.conn_of[moved.peer as usize] = pos as u32 + 1;
+        }
+        self.holds.remove(&(conn.expiry, conn.id));
+        if conn.direction == Direction::Outbound {
+            self.outbound_open -= 1;
+        }
+        Some(conn)
     }
 }
 
@@ -453,7 +546,7 @@ impl Shard {
             }
             FpEvent::Gossip { peer, obs } => self.handle_gossip(now, peer, obs),
             FpEvent::Maintenance { obs } => self.handle_maintenance(now, obs),
-            FpEvent::HoldExpired { obs, conn } => self.handle_hold_expired(now, obs, conn),
+            FpEvent::HoldWake { obs } => self.handle_hold_wake(now, obs),
         }
     }
 
@@ -586,9 +679,7 @@ impl Shard {
             v.remove_server(g);
         }
         for li in 0..self.observers.len() {
-            if let Some(&conn) = self.observers[li].peer_conn.get(&g) {
-                self.close_connection(now, li, conn, CloseReason::PeerLeft, false);
-            }
+            self.close_connection(now, li, g, CloseReason::PeerLeft, false);
         }
     }
 
@@ -611,7 +702,7 @@ impl Shard {
         // Connected observers receive the change as an identify push.
         let slot = self.frozen.slots[g as usize];
         for ob in &mut self.observers {
-            if ob.peer_conn.contains_key(&g) {
+            if ob.connected(g) {
                 ob.table.identify_received(now, slot, id);
             }
         }
@@ -623,7 +714,7 @@ impl Shard {
             return;
         }
         let li = self.local_obs(o);
-        if self.observers[li].peer_conn.contains_key(&g) {
+        if self.observers[li].connected(g) {
             return;
         }
         self.open_connection(now, li, g, Direction::Inbound);
@@ -665,15 +756,20 @@ impl Shard {
             budget -= 1;
             let k = self.observers[li].rng.index(len);
             let g = self.visible.as_ref().expect("observer shard has a view").servers_list[k];
-            if self.observers[li].peer_conn.contains_key(&g) {
+            if self.observers[li].connected(g) {
                 continue;
             }
             self.open_connection(now, li, g, Direction::Outbound);
         }
-        let to_close = self.observers[li].connmgr.maybe_trim(now).to_close;
-        for conn in to_close {
-            self.close_connection(now, li, conn, CloseReason::TrimmedLocal, true);
+        let ob = &mut self.observers[li];
+        let mut trimmed = std::mem::take(&mut ob.trimmed);
+        ob.connmgr
+            .maybe_trim(now, ob.conns.iter().map(OpenConn::tracked), &mut trimmed);
+        for &g in &trimmed {
+            self.close_connection(now, li, g, CloseReason::TrimmedLocal, true);
         }
+        trimmed.clear();
+        self.observers[li].trimmed = trimmed;
         let next = now + self.observers[li].spec.maintenance_interval;
         if next <= self.end {
             let key = obs_key(self.peer_count, o, RANK_MAINT);
@@ -681,13 +777,28 @@ impl Shard {
         }
     }
 
-    fn handle_hold_expired(&mut self, now: SimTime, o: u32, conn: u64) {
+    /// The remote end trims the observer's earliest pending hold if it is
+    /// due, then the wake-up re-arms at the next one. Holds due in the same
+    /// millisecond close one wake-up each, in connection-id order (the
+    /// order of their opens). A wake-up a newer one superseded does
+    /// nothing.
+    fn handle_hold_wake(&mut self, now: SimTime, o: u32) {
         let li = self.local_obs(o);
-        let conn = ConnectionId(conn);
-        if !self.observers[li].conn_peer.contains_key(&conn) {
+        if self.observers[li].armed != Some(now) {
             return;
         }
-        self.close_connection(now, li, conn, CloseReason::TrimmedRemote, true);
+        if let Some((&(expiry, _), &g)) = self.observers[li].holds.first_key_value() {
+            if expiry <= now {
+                debug_assert_eq!(expiry, now, "a hold was due before its wake-up");
+                self.close_connection(now, li, g, CloseReason::TrimmedRemote, true);
+            }
+        }
+        let ob = &mut self.observers[li];
+        ob.armed = ob.holds.first_key_value().map(|(&(at, _), _)| at);
+        if let Some(at) = ob.armed {
+            let key = obs_key(self.peer_count, o, RANK_CLOSE);
+            self.queue.schedule(at, key, FpEvent::HoldWake { obs: o });
+        }
     }
 
     fn open_connection(&mut self, now: SimTime, li: usize, g: u32, direction: Direction) {
@@ -695,77 +806,60 @@ impl Shard {
             let v = self.visible.as_ref().expect("observer shard has a view");
             (v.identify[g as usize], v.server[g as usize])
         };
-        let (og, hold) = {
-            let ob = &mut self.observers[li];
-            let behavior = &self.frozen.behaviors[g as usize];
-            // Interleaved per-observer id spaces: unique across the run, so
-            // dataset unions keyed by connection id never merge two
-            // observers' connections, and a lone observer counts 0, 1, 2, ….
-            let conn = ConnectionId(ob.next_conn_id * self.obs_total as u64 + ob.global as u64);
-            ob.next_conn_id += 1;
-            ob.table.connection_opened(
-                now,
-                conn,
-                self.frozen.slots[g as usize],
-                direction,
-                self.frozen.addr_ids[g as usize],
-            );
-            ob.conn_peer.insert(conn, (g, direction));
-            ob.peer_conn.insert(g, conn);
-            if direction == Direction::Outbound {
-                ob.outbound_open += 1;
-            }
-            ob.connmgr.track(conn, now);
-            let mut value = behavior.observer_value;
-            if visible_server {
-                value += 10;
-                // A dial is how the observer learns the peer is a live DHT
-                // contact.
-                ob.contact(now, g, true);
-            }
-            ob.connmgr.tag(conn, value);
-            if direction == Direction::Outbound {
-                ob.connmgr.protect(conn);
-            }
-            if ob.rng.chance(behavior.identify_prob) {
-                ob.table
-                    .identify_received(now, self.frozen.slots[g as usize], visible_identify);
-            }
-            let valued_by_remote =
-                ob.spec.role.is_server() && direction == Direction::Inbound;
-            let hold = behavior.sample_hold(valued_by_remote, &mut ob.rng);
-            (ob.global, (conn, hold))
-        };
-        let (conn, hold) = hold;
-        let key = obs_key(self.peer_count, og, RANK_CLOSE);
-        self.queue
-            .schedule(now + hold, key, FpEvent::HoldExpired { obs: og, conn: conn.0 });
+        let ob = &mut self.observers[li];
+        let behavior = &self.frozen.behaviors[g as usize];
+        // Interleaved per-observer id spaces: unique across the run, so
+        // dataset unions keyed by connection id never merge two observers'
+        // connections, and a lone observer counts 0, 1, 2, ….
+        let id = ConnectionId(ob.next_conn_id * self.obs_total as u64 + ob.global as u64);
+        ob.next_conn_id += 1;
+        ob.table.connection_opened(
+            now,
+            id,
+            self.frozen.slots[g as usize],
+            direction,
+            self.frozen.addr_ids[g as usize],
+        );
+        let mut value = behavior.observer_value;
+        if visible_server {
+            value += 10;
+            // A dial is how the observer learns the peer is a live DHT
+            // contact.
+            ob.contact(now, g, true);
+        }
+        if ob.rng.chance(behavior.identify_prob) {
+            ob.table
+                .identify_received(now, self.frozen.slots[g as usize], visible_identify);
+        }
+        let valued_by_remote = ob.spec.role.is_server() && direction == Direction::Inbound;
+        let expiry = now + behavior.sample_hold(valued_by_remote, &mut ob.rng);
+        let conn = OpenConn { id, peer: g, direction, opened_at: now, value, expiry };
+        if ob.insert(conn) {
+            let key = obs_key(self.peer_count, ob.global, RANK_CLOSE);
+            self.queue.schedule(expiry, key, FpEvent::HoldWake { obs: ob.global });
+        }
     }
 
+    /// Closes observer `li`'s connection to peer `g`, if it has one.
     fn close_connection(
         &mut self,
         now: SimTime,
         li: usize,
-        conn: ConnectionId,
+        g: u32,
         reason: CloseReason,
         maybe_reconnect: bool,
     ) {
         let redial = {
             let ob = &mut self.observers[li];
-            let Some((g, direction)) = ob.conn_peer.remove(&conn) else {
+            let Some(conn) = ob.remove(g) else {
                 return;
             };
-            ob.peer_conn.remove(&g);
-            if direction == Direction::Outbound {
-                ob.outbound_open -= 1;
-            }
-            ob.connmgr.untrack(conn);
             ob.table
-                .connection_closed(now, conn, self.frozen.slots[g as usize], reason);
+                .connection_closed(now, conn.id, self.frozen.slots[g as usize], reason);
             // Losing the connection drops the peer from the observer's
             // table, as go-ipfs evicts disconnected contacts.
             ob.contact(now, g, false);
-            if maybe_reconnect && direction == Direction::Inbound {
+            if maybe_reconnect && conn.direction == Direction::Inbound {
                 let online = self
                     .visible
                     .as_ref()
@@ -795,11 +889,11 @@ impl Shard {
     fn finish(&mut self) {
         let end = self.end;
         for li in 0..self.observers.len() {
-            let mut open: Vec<ConnectionId> =
-                self.observers[li].conn_peer.keys().copied().collect();
+            let mut open: Vec<(ConnectionId, u32)> =
+                self.observers[li].conns.iter().map(|c| (c.id, c.peer)).collect();
             open.sort_unstable();
-            for conn in open {
-                self.close_connection(end, li, conn, CloseReason::MeasurementEnd, false);
+            for (_, g) in open {
+                self.close_connection(end, li, g, CloseReason::MeasurementEnd, false);
             }
         }
     }
@@ -818,9 +912,11 @@ impl Shard {
 
 /// Delivers every sealed mailbox: per destination, inbound entries are
 /// concatenated in source-shard order (broadcast lanes only into
-/// observer-hosting shards), stable-sorted by the globally unique
-/// `(time, key)` pair and handed over via `schedule_batch`. Adds the
-/// delivered and cross-shard entry counts to `stats`.
+/// observer-hosting shards) and handed over via `schedule_batch`, whose
+/// sort breaks `(time, key)` ties in that order. It clamps nothing: no
+/// entry is earlier than its destination's clock (an entry arrives at
+/// least one epoch after it was sent, and the upfront exchange runs at
+/// time zero). Adds the delivered and cross-shard entry counts to `stats`.
 fn exchange(shards: &mut [Shard], stats: &mut MailboxStats) {
     let outs: Vec<(Vec<Vec<MailEntry>>, Vec<MailEntry>)> =
         shards.iter_mut().map(Shard::take_outbox).collect();
@@ -842,7 +938,6 @@ fn exchange(shards: &mut [Shard], stats: &mut MailboxStats) {
             }
         }
         stats.mailbox_events += batch.len() as u64;
-        batch.sort_by_key(|&(at, key, _)| (at, key));
         shard.queue.schedule_batch(batch);
     }
 }
@@ -945,7 +1040,10 @@ pub struct MailboxStats {
     pub mailbox_events: u64,
     /// Mailbox entries whose source and destination shard differ.
     pub cross_shard_events: u64,
-    /// Simulator events processed across all shards.
+    /// Simulator events processed across all shards: every event the
+    /// queues popped. A connection's hold is no event of its own (an
+    /// observer's holds share one wake-up), so a hold that an earlier close
+    /// cancelled is not counted.
     pub sim_events: u64,
     /// Observation rows recorded across all observers.
     pub observations: u64,
@@ -1163,8 +1261,11 @@ fn build(
             rng: SimRng::seed_from(derive_seed(cfg.seed, OBSERVER_RNG_DOMAIN, o as u64)),
             table: spec.presized_table(),
             connmgr: ConnectionManager::new(spec.limits),
-            conn_peer: HashMap::with_capacity(spec.expected_connections()),
-            peer_conn: HashMap::with_capacity(spec.expected_connections()),
+            trimmed: Vec::new(),
+            conns: Vec::with_capacity(spec.expected_connections()),
+            conn_of: vec![0; n],
+            holds: BTreeMap::new(),
+            armed: None,
             outbound_open: 0,
             next_conn_id: 0,
             contacts: (track_dht && spec.role.is_server()).then(Vec::new),
@@ -1204,6 +1305,67 @@ fn build(
         .collect()
 }
 
+/// The routing-table post-pass: replays the canonical ground-truth rows and
+/// every server observer's contacts on the tracker's slots.
+///
+/// The slots are the registry's, then one per observer whose `PeerId` the
+/// registry does not hold. An observer that shares a peer's `PeerId` shares
+/// its slot, and with it its routing table.
+fn routing_tables(
+    frozen: &FrozenPopulation,
+    observers: &[ObserverRuntime],
+    gt_rows: &[(SimTime, u32, u8, bool)],
+) -> DhtLog {
+    let mut peers = frozen.registry.peers().to_vec();
+    let registered = peers.len();
+    let obs_slots: Vec<u32> = observers
+        .iter()
+        .map(|ob| {
+            let pid = ob.spec.peer_id;
+            let known = frozen.registry.peer_slot(&pid).or_else(|| {
+                let extra = peers[registered..].iter().position(|&p| p == pid)?;
+                Some((registered + extra) as u32)
+            });
+            known.unwrap_or_else(|| {
+                peers.push(pid);
+                (peers.len() - 1) as u32
+            })
+        })
+        .collect();
+    let bootstrap: Vec<u32> = observers
+        .iter()
+        .zip(&obs_slots)
+        .filter(|(ob, _)| ob.spec.role.is_server())
+        .map(|(_, &slot)| slot)
+        .collect();
+    let slot = |g: u32| frozen.slots[g as usize];
+    let roles = frozen.slots.iter().copied().zip(frozen.initial_server.iter().copied());
+    let conduct = frozen.adversaries.iter().map(|&(g, conduct)| (slot(g), conduct));
+    let transitions = gt_rows.iter().map(|&(at, g, rank, server)| {
+        let transition = match rank {
+            0 => Transition::Online,
+            1 => Transition::Role(server),
+            _ => Transition::Offline,
+        };
+        (at, slot(g), transition)
+    });
+    // Each observer's contacts are in handler order, so merging the lists
+    // by (time, observer) yields the canonical order without materialising
+    // them again.
+    let mut cursors = vec![0usize; observers.len()];
+    let contacts = std::iter::from_fn(|| {
+        let (o, &(at, g, admit)) = observers
+            .iter()
+            .enumerate()
+            .filter_map(|(o, ob)| Some((o, ob.contacts.as_ref()?.get(cursors[o])?)))
+            .min_by_key(|&(o, &(at, _, _))| (at, o))?;
+        cursors[o] += 1;
+        Some(DhtContact { at, owner: obs_slots[o], entry: slot(g), admit })
+    });
+    DhtTracker::with_peers(DEFAULT_BUCKET_SIZE, peers)
+        .replay(roles, &bootstrap, conduct, transitions, contacts)
+}
+
 /// Assembles the run's output: each observer's table, checked to be in time
 /// order and wrapped in an [`ObserverLog`] over the run's registry, in
 /// observer order; the canonical ground truth; and — when tracking — the
@@ -1228,6 +1390,14 @@ fn assemble(
     observers.sort_by_key(|ob| ob.global);
 
     gt_rows.sort_by_key(|&(at, g, rank, _)| (at, g, rank));
+    let dht = if track_dht {
+        routing_tables(&frozen, &observers, &gt_rows)
+    } else {
+        DhtLog {
+            k: DEFAULT_BUCKET_SIZE,
+            ..DhtLog::default()
+        }
+    };
     let events = gt_rows
         .into_iter()
         .map(|(at, g, rank, server)| {
@@ -1247,36 +1417,6 @@ fn assemble(
             .zip(frozen.initial_server.iter().copied())
             .collect(),
         events,
-    };
-
-    let dht = if track_dht {
-        let bootstrap: Vec<PeerId> = observers
-            .iter()
-            .filter(|ob| ob.spec.role.is_server())
-            .map(|ob| ob.spec.peer_id)
-            .collect();
-        let conduct: Vec<(PeerId, DhtConduct)> = frozen
-            .adversaries
-            .iter()
-            .map(|&(g, conduct)| (frozen.peer_ids[g as usize], conduct))
-            .collect();
-        // Each observer's contacts are in handler order, so merging the
-        // lists by (time, observer) yields the canonical order without
-        // materialising them again.
-        let mut cursors = vec![0usize; observers.len()];
-        let contacts = std::iter::from_fn(|| {
-            let (o, &(at, g, admit)) = observers
-                .iter()
-                .enumerate()
-                .filter_map(|(o, ob)| Some((o, ob.contacts.as_ref()?.get(cursors[o])?)))
-                .min_by_key(|&(o, &(at, _, _))| (at, o))?;
-            cursors[o] += 1;
-            let (owner, entry) = (observers[o].spec.peer_id, frozen.peer_ids[g as usize]);
-            Some(DhtContact { at, owner, entry, admit })
-        });
-        replay_dht(&ground_truth, &bootstrap, &conduct, contacts)
-    } else {
-        DhtTracker::disabled().into_log()
     };
 
     let registry = Arc::new(frozen.registry);
@@ -1672,5 +1812,110 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, d);
+    }
+
+    /// Peers `0..8` are always on and hold for exactly 60 s (`hold_sigma`
+    /// 0): each dials every observer 90 s in, and redials 30 s after each
+    /// remote trim, so its holds expire every 90 s in step with the others
+    /// — the last one exactly at the end of the run. The other peers come
+    /// and go and hold for ten minutes, so the tiny water marks trim them
+    /// and their departures close them while their holds are pending.
+    fn hold_population() -> Vec<RemotePeerSpec> {
+        (0..24u64)
+            .map(|i| {
+                let steady = i < 8;
+                let hold = if steady { 60.0 } else { 600.0 };
+                let behavior = DialBehavior {
+                    dial_server_prob: 1.0,
+                    dial_client_prob: 1.0,
+                    redial_median_secs: 30.0,
+                    redial_sigma: 0.0,
+                    reconnect: true,
+                    hold_server_median_secs: hold,
+                    hold_client_median_secs: hold,
+                    hold_sigma: 0.0,
+                    identify_prob: 1.0,
+                    observer_value: if steady { 100 } else { 0 },
+                };
+                let session = if steady {
+                    SessionPattern::AlwaysOn
+                } else {
+                    SessionPattern::Intermittent {
+                        online_median_secs: 240.0,
+                        offline_median_secs: 120.0,
+                        sigma: 0.0,
+                        initial_delay_secs: (i * 37) as f64,
+                    }
+                };
+                RemotePeerSpec::new(
+                    PeerId::derived(i),
+                    Multiaddr::default_swarm(IpAddress::V4(i as u32 + 1)),
+                    IdentifyInfo::new(
+                        AgentVersion::parse("go-ipfs/0.11.0/"),
+                        ProtocolSet::go_ipfs_dht_server(),
+                        Vec::new(),
+                    ),
+                )
+                .with_session(session)
+                .with_behavior(behavior)
+            })
+            .collect()
+    }
+
+    fn hold_config(shards: usize) -> FullProtocolConfig {
+        let observers = vec![
+            ObserverSpec::new("go-ipfs", PeerId::derived(1_000_000), DhtRole::Server, ConnLimits::new(10, 14))
+                .with_outbound_target(0),
+            ObserverSpec::new(
+                "hydra-h0",
+                PeerId::derived(1_000_001),
+                DhtRole::Server,
+                ConnLimits::new(3, 5).with_grace_period(SimDuration::ZERO),
+            )
+            .with_outbound_target(2),
+            ObserverSpec::new("client", PeerId::derived(1_000_002), DhtRole::Client, ConnLimits::new(9, 12))
+                .with_outbound_target(0),
+        ];
+        FullProtocolConfig::new(3, SimDuration::from_secs(1860), observers).with_shards(shards)
+    }
+
+    /// Remote holds close at their exact expiry, in connection-id order
+    /// within a millisecond, and a hold cancelled by a trim or a departure
+    /// closes nothing: the trace equals the one recorded when every hold was
+    /// its own queued event, on the direct driver and on 1, 2 and 4
+    /// lock-step shards.
+    #[test]
+    fn remote_holds_close_at_their_expiry() {
+        const PINNED: u64 = 0xa939_0245_fe6e_996d;
+        let direct = reference(&hold_config(1), hold_population());
+        let end = SimTime::from_secs(1860);
+        let closes = |reason: CloseReason| -> Vec<(usize, SimTime)> {
+            let mut rows = Vec::new();
+            for (o, log) in direct.output.logs.iter().enumerate() {
+                let table = log.table();
+                for i in 0..table.len() {
+                    if table.kind_at(i) == ObservationKind::Closed
+                        && crate::obs::close_reason_from_payload(table.payload_at(i)) == reason
+                    {
+                        rows.push((o, table.at(i)));
+                    }
+                }
+            }
+            rows
+        };
+        let remote = closes(CloseReason::TrimmedRemote);
+        assert!(
+            remote.windows(2).any(|w| w[0] == w[1]),
+            "no observer closed two remote holds in the same millisecond"
+        );
+        assert!(remote.iter().any(|&(_, at)| at == end), "no hold was due exactly at the end");
+        assert!(!closes(CloseReason::TrimmedLocal).is_empty(), "no trim cancelled a hold");
+        assert!(!closes(CloseReason::PeerLeft).is_empty(), "no departure cancelled a hold");
+        let mut checksums = vec![direct.stats.checksum];
+        for shards in [1, 2, 4] {
+            let run = run_full_protocol(&hold_config(shards), hold_population());
+            checksums.push(run.stats.checksum);
+        }
+        assert_eq!(checksums, vec![PINNED; 4], "{checksums:x?}");
     }
 }

@@ -174,6 +174,16 @@ impl IdentifyRegistry {
         self.peers.len()
     }
 
+    /// Every registered peer, by slot.
+    pub(crate) fn peers(&self) -> &[PeerId] {
+        &self.peers
+    }
+
+    /// The slot of a registered peer.
+    pub(crate) fn peer_slot(&self, peer: &PeerId) -> Option<u32> {
+        self.peer_slots.get(peer).copied()
+    }
+
     /// Interns a multiaddress and returns its id.
     pub fn intern_addr(&mut self, addr: Multiaddr) -> u32 {
         match self.addr_ids.entry(addr) {

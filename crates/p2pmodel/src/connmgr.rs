@@ -17,7 +17,6 @@
 
 use crate::connection::ConnectionId;
 use simclock::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Connection-manager thresholds (the `Swarm.ConnMgr` section of the go-ipfs
 /// configuration).
@@ -71,42 +70,58 @@ impl Default for ConnLimits {
     }
 }
 
-/// A tracked connection inside the manager.
-#[derive(Debug, Clone)]
-struct Tracked {
-    opened_at: SimTime,
-    value: i32,
-    protected: bool,
+/// An open connection as the trimming policy sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrackedConnection {
+    /// The connection.
+    pub id: ConnectionId,
+    /// When it was opened (younger than the grace period: never trimmed).
+    pub opened_at: SimTime,
+    /// Its value tag. DHT-relevant peers (close in XOR space, or actively
+    /// useful) score higher, one-shot query peers lower; higher values
+    /// survive trims longer.
+    pub value: i32,
+    /// Protected connections are never trimmed (go-ipfs protects e.g.
+    /// bootstrap and actively transferring connections).
+    pub protected: bool,
 }
 
-/// The outcome of a trim pass: the connections that should be closed.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TrimDecision {
-    /// Connections to close, least valuable first.
-    pub to_close: Vec<ConnectionId>,
-}
-
-/// A model of go-libp2p's basic connection manager.
+/// A model of go-libp2p's basic connection manager: the trimming policy.
+///
+/// The caller keeps its open connections; a trim pass reads them and names
+/// the ones to close.
 ///
 /// # Example
 ///
 /// ```
-/// use p2pmodel::{ConnLimits, ConnectionId, ConnectionManager};
+/// use p2pmodel::{ConnLimits, ConnectionId, ConnectionManager, TrackedConnection};
 /// use simclock::{SimDuration, SimTime};
 ///
 /// let limits = ConnLimits::new(2, 3).with_grace_period(SimDuration::ZERO);
 /// let mut mgr = ConnectionManager::new(limits);
-/// for i in 0..4 {
-///     mgr.track(ConnectionId(i), SimTime::from_secs(i));
-/// }
-/// let trim = mgr.maybe_trim(SimTime::from_secs(100));
-/// // 4 connections > HighWater 3, trim down to LowWater 2.
-/// assert_eq!(trim.to_close.len(), 2);
+/// let open: Vec<TrackedConnection> = (0..4)
+///     .map(|i| TrackedConnection {
+///         id: ConnectionId(i),
+///         opened_at: SimTime::from_secs(i),
+///         value: 0,
+///         protected: false,
+///     })
+///     .collect();
+/// let mut to_close = Vec::new();
+/// mgr.maybe_trim(
+///     SimTime::from_secs(100),
+///     open.iter().map(|c| (c.id.0 as u32, *c)),
+///     &mut to_close,
+/// );
+/// // 4 connections > HighWater 3, trim down to LowWater 2, oldest first.
+/// assert_eq!(to_close, vec![0, 1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConnectionManager {
     limits: ConnLimits,
-    connections: HashMap<ConnectionId, Tracked>,
+    /// The trim candidates `(value, opened_at, id, handle)` of the last
+    /// pass, kept so a pass allocates nothing once the buffer has grown.
+    candidates: Vec<(i32, SimTime, ConnectionId, u32)>,
 }
 
 impl ConnectionManager {
@@ -114,75 +129,40 @@ impl ConnectionManager {
     pub fn new(limits: ConnLimits) -> Self {
         ConnectionManager {
             limits,
-            connections: HashMap::new(),
-        }
-    }
-
-    /// Starts tracking a newly opened connection with neutral value.
-    pub fn track(&mut self, id: ConnectionId, opened_at: SimTime) {
-        self.connections.insert(
-            id,
-            Tracked {
-                opened_at,
-                value: 0,
-                protected: false,
-            },
-        );
-    }
-
-    /// Stops tracking a connection (it was closed for reasons outside the
-    /// manager, e.g. the remote peer left).
-    pub fn untrack(&mut self, id: ConnectionId) {
-        self.connections.remove(&id);
-    }
-
-    /// Adjusts the value of a connection. DHT-relevant peers (close in XOR
-    /// space, or actively useful) get positive tags; one-shot query peers get
-    /// negative ones. Higher values survive trims longer.
-    pub fn tag(&mut self, id: ConnectionId, delta: i32) {
-        if let Some(tracked) = self.connections.get_mut(&id) {
-            tracked.value += delta;
-        }
-    }
-
-    /// Protects a connection from ever being trimmed (go-ipfs protects e.g.
-    /// bootstrap and actively transferring connections).
-    pub fn protect(&mut self, id: ConnectionId) {
-        if let Some(tracked) = self.connections.get_mut(&id) {
-            tracked.protected = true;
+            candidates: Vec::new(),
         }
     }
 
     /// Runs a trim pass if the connection count exceeds HighWater.
     ///
-    /// Returns the set of connections to close (already removed from the
-    /// manager's tracking); the caller is responsible for actually closing
-    /// them and recording the close events.
-    pub fn maybe_trim(&mut self, now: SimTime) -> TrimDecision {
-        if self.connections.len() <= self.limits.high_water {
-            return TrimDecision::default();
+    /// `open` yields every open connection with a handle the caller picks.
+    /// Appends to `to_close` the handles of the connections to close, least
+    /// valuable first: ascending value, then oldest first, then by id, so
+    /// the decision is deterministic. The caller closes them.
+    pub fn maybe_trim(
+        &mut self,
+        now: SimTime,
+        open: impl ExactSizeIterator<Item = (u32, TrackedConnection)>,
+        to_close: &mut Vec<u32>,
+    ) {
+        if open.len() <= self.limits.high_water {
+            return;
         }
-        let target = self.limits.low_water;
-        let excess = self.connections.len().saturating_sub(target);
-
+        let excess = open.len() - self.limits.low_water;
         // Candidates: not protected, outside the grace period.
-        let mut candidates: Vec<(ConnectionId, i32, SimTime)> = self
-            .connections
-            .iter()
-            .filter(|(_, t)| !t.protected && now.saturating_since(t.opened_at) >= self.limits.grace_period)
-            .map(|(id, t)| (*id, t.value, t.opened_at))
-            .collect();
-        // Least valuable first; among equal values, oldest first. Ties on
-        // both are broken by the connection id so the decision is
-        // deterministic across runs.
-        candidates.sort_by(|a, b| a.1.cmp(&b.1).then(a.2.cmp(&b.2)).then(a.0.cmp(&b.0)));
-        candidates.truncate(excess);
-
-        let to_close: Vec<ConnectionId> = candidates.into_iter().map(|(id, _, _)| id).collect();
-        for id in &to_close {
-            self.connections.remove(id);
-        }
-        TrimDecision { to_close }
+        let grace = self.limits.grace_period;
+        self.candidates.clear();
+        self.candidates.extend(
+            open.filter(|(_, c)| !c.protected && now.saturating_since(c.opened_at) >= grace)
+                .map(|(handle, c)| (c.value, c.opened_at, c.id, handle)),
+        );
+        self.candidates.sort_unstable();
+        to_close.extend(
+            self.candidates
+                .iter()
+                .take(excess)
+                .map(|&(.., handle)| handle),
+        );
     }
 }
 
@@ -190,17 +170,41 @@ impl ConnectionManager {
 mod tests {
     use super::*;
 
-
     fn manager(low: usize, high: usize, grace_secs: u64) -> ConnectionManager {
         ConnectionManager::new(
             ConnLimits::new(low, high).with_grace_period(SimDuration::from_secs(grace_secs)),
         )
     }
 
-    fn fill(mgr: &mut ConnectionManager, n: u64, opened: SimTime) {
-        for i in 0..n {
-            mgr.track(ConnectionId(i), opened);
+    fn conn(id: u64, opened_at: SimTime) -> TrackedConnection {
+        TrackedConnection {
+            id: ConnectionId(id),
+            opened_at,
+            value: 0,
+            protected: false,
         }
+    }
+
+    fn fill(n: u64, opened: SimTime) -> Vec<TrackedConnection> {
+        (0..n).map(|i| conn(i, opened)).collect()
+    }
+
+    /// One trim pass over `open`, as the caller runs it: the ids to close in
+    /// close order, which are then dropped from `open`.
+    fn trim(
+        mgr: &mut ConnectionManager,
+        open: &mut Vec<TrackedConnection>,
+        now: SimTime,
+    ) -> Vec<ConnectionId> {
+        let mut to_close = Vec::new();
+        mgr.maybe_trim(
+            now,
+            open.iter().enumerate().map(|(i, c)| (i as u32, *c)),
+            &mut to_close,
+        );
+        let closed: Vec<ConnectionId> = to_close.iter().map(|&i| open[i as usize].id).collect();
+        open.retain(|c| !closed.contains(&c.id));
+        closed
     }
 
     #[test]
@@ -220,83 +224,77 @@ mod tests {
     #[test]
     fn no_trim_at_or_below_high_water() {
         let mut mgr = manager(2, 5, 0);
-        fill(&mut mgr, 5, SimTime::ZERO);
-        assert!(mgr.maybe_trim(SimTime::from_secs(100)).to_close.is_empty());
-        assert_eq!(mgr.connections.len(), 5);
+        let mut open = fill(5, SimTime::ZERO);
+        assert!(trim(&mut mgr, &mut open, SimTime::from_secs(100)).is_empty());
+        assert_eq!(open.len(), 5);
     }
 
     #[test]
     fn trims_down_to_low_water() {
         let mut mgr = manager(3, 5, 0);
-        fill(&mut mgr, 8, SimTime::ZERO);
-        let decision = mgr.maybe_trim(SimTime::from_secs(100));
-        assert_eq!(decision.to_close.len(), 5);
-        assert_eq!(mgr.connections.len(), 3);
+        let mut open = fill(8, SimTime::ZERO);
+        assert_eq!(trim(&mut mgr, &mut open, SimTime::from_secs(100)).len(), 5);
+        assert_eq!(open.len(), 3);
     }
 
     #[test]
     fn grace_period_spares_young_connections() {
         let mut mgr = manager(1, 3, 60);
-        // Old connections.
-        for i in 0..3 {
-            mgr.track(ConnectionId(i), SimTime::ZERO);
-        }
-        // Young connections within the grace period.
-        for i in 3..6 {
-            mgr.track(ConnectionId(i), SimTime::from_secs(580));
-        }
-        let decision = mgr.maybe_trim(SimTime::from_secs(600));
+        // Old connections, then young ones within the grace period.
+        let mut open: Vec<TrackedConnection> = (0..3).map(|i| conn(i, SimTime::ZERO)).collect();
+        open.extend((3..6).map(|i| conn(i, SimTime::from_secs(580))));
+        let closed = trim(&mut mgr, &mut open, SimTime::from_secs(600));
         // Only the 3 old connections are candidates even though reaching
         // LowWater would require closing 5.
-        assert_eq!(decision.to_close.len(), 3);
-        for id in &decision.to_close {
+        assert_eq!(closed.len(), 3);
+        for id in &closed {
             assert!(id.0 < 3, "young connection {id} must not be trimmed");
         }
-        assert_eq!(mgr.connections.len(), 3);
+        assert_eq!(open.len(), 3);
     }
 
     #[test]
     fn protected_connections_are_never_trimmed() {
         let mut mgr = manager(1, 2, 0);
-        fill(&mut mgr, 5, SimTime::ZERO);
-        mgr.protect(ConnectionId(0));
-        mgr.protect(ConnectionId(1));
-        let decision = mgr.maybe_trim(SimTime::from_secs(100));
-        assert!(!decision.to_close.contains(&ConnectionId(0)));
-        assert!(!decision.to_close.contains(&ConnectionId(1)));
+        let mut open = fill(5, SimTime::ZERO);
+        open[0].protected = true;
+        open[1].protected = true;
+        let closed = trim(&mut mgr, &mut open, SimTime::from_secs(100));
+        assert!(!closed.contains(&ConnectionId(0)));
+        assert!(!closed.contains(&ConnectionId(1)));
     }
 
     #[test]
     fn lower_valued_connections_are_trimmed_first() {
         let mut mgr = manager(2, 3, 0);
-        fill(&mut mgr, 4, SimTime::ZERO);
-        mgr.tag(ConnectionId(0), 10);
-        mgr.tag(ConnectionId(1), 5);
-        mgr.tag(ConnectionId(2), -5);
+        let mut open = fill(4, SimTime::ZERO);
+        open[0].value = 10;
+        open[1].value = 5;
+        open[2].value = -5;
         // Connection 3 keeps value 0.
-        let decision = mgr.maybe_trim(SimTime::from_secs(100));
-        assert_eq!(decision.to_close, vec![ConnectionId(2), ConnectionId(3)]);
+        let closed = trim(&mut mgr, &mut open, SimTime::from_secs(100));
+        assert_eq!(closed, vec![ConnectionId(2), ConnectionId(3)]);
     }
 
     #[test]
-    fn untrack_and_queries() {
-        let mut mgr = manager(1, 10, 0);
-        mgr.track(ConnectionId(1), SimTime::ZERO);
-        assert_eq!(mgr.connections.len(), 1);
-        mgr.untrack(ConnectionId(1));
-        assert_eq!(mgr.connections.len(), 0);
-        // Tagging or protecting an unknown connection is a no-op.
-        mgr.tag(ConnectionId(1), 5);
-        mgr.protect(ConnectionId(1));
-        assert_eq!(mgr.connections.len(), 0);
+    fn equal_values_close_oldest_first_then_by_id() {
+        let mut mgr = manager(0, 0, 0);
+        let mut open = vec![
+            conn(7, SimTime::from_secs(5)),
+            conn(9, SimTime::from_secs(1)),
+            conn(3, SimTime::from_secs(5)),
+            conn(4, SimTime::from_secs(2)),
+        ];
+        let closed = trim(&mut mgr, &mut open, SimTime::from_secs(100));
+        assert_eq!(closed, [9, 4, 3, 7].map(ConnectionId));
     }
 
     #[test]
     fn trim_is_deterministic() {
         let build = || {
             let mut mgr = manager(2, 4, 0);
-            fill(&mut mgr, 10, SimTime::ZERO);
-            mgr.maybe_trim(SimTime::from_secs(50))
+            let mut open = fill(10, SimTime::ZERO);
+            trim(&mut mgr, &mut open, SimTime::from_secs(50))
         };
         assert_eq!(build(), build());
     }
@@ -304,38 +302,27 @@ mod tests {
     #[test]
     fn trim_never_goes_below_low_water_or_above_high_water() {
         let mut rng = simclock::SimRng::seed_from(0xc301);
+        let mut mgr = manager(0, 0, 0);
         for _ in 0..128 {
             let n = rng.uniform_u64(0, 200);
             let low = rng.index(50);
             let extra = rng.index(50);
             let high = low + extra;
-            let mut mgr = manager(low, high, 0);
-            fill(&mut mgr, n, SimTime::ZERO);
-            let before = mgr.connections.len();
-            let decision = mgr.maybe_trim(SimTime::from_secs(1000));
-            let after = mgr.connections.len();
-            assert_eq!(before - decision.to_close.len(), after);
+            // One manager across passes: its reused buffer must not leak
+            // one pass's candidates into the next.
+            mgr.limits = ConnLimits::new(low, high).with_grace_period(SimDuration::ZERO);
+            let mut open = fill(n, SimTime::ZERO);
+            let before = open.len();
+            let closed = trim(&mut mgr, &mut open, SimTime::from_secs(1000));
+            let after = open.len();
+            assert_eq!(before - closed.len(), after);
             if before > high {
-                // All candidates were eligible, so the manager reaches
-                // exactly LowWater.
+                // All candidates were eligible, so the pass reaches exactly
+                // LowWater.
                 assert_eq!(after, low);
             } else {
-                assert!(decision.to_close.is_empty());
+                assert!(closed.is_empty());
                 assert_eq!(after, before);
-            }
-        }
-    }
-
-    #[test]
-    fn trimmed_connections_are_no_longer_tracked() {
-        let mut rng = simclock::SimRng::seed_from(0xc302);
-        for _ in 0..64 {
-            let n = rng.uniform_u64(1, 100);
-            let mut mgr = manager(0, 0, 0);
-            fill(&mut mgr, n, SimTime::ZERO);
-            let decision = mgr.maybe_trim(SimTime::from_secs(10));
-            for id in &decision.to_close {
-                assert!(!mgr.connections.contains_key(id));
             }
         }
     }

@@ -34,7 +34,7 @@ pub mod protocol;
 
 pub use agent::{AgentVersion, VersionChange, VersionFlavor};
 pub use connection::{CloseReason, ConnectionId, Direction};
-pub use connmgr::{ConnLimits, ConnectionManager, TrimDecision};
+pub use connmgr::{ConnLimits, ConnectionManager, TrackedConnection};
 pub use identify::IdentifyInfo;
 pub use kademlia::{Distance, RoutingTable};
 pub use lookup::IterativeLookup;

@@ -215,6 +215,13 @@ fn runtime_failures_exit_1() {
     let error = repro(&args(&["analyze", "--dir", "/nonexistent"])).unwrap_err();
     assert!(matches!(error, CliError::Runtime(_)), "{error:?}");
     assert_eq!(error.exit_code(), 1);
+    // A feed this long needs more 15-minute panes than the daemon admits:
+    // it refuses the hello, and the bench reports why.
+    let bench = "serve --bench --tenants 1 --events 1000000 --queries 1 --no-file";
+    let error = repro(&args(&words(bench))).unwrap_err();
+    assert!(matches!(error, CliError::Runtime(_)), "{error:?}");
+    assert_eq!(error.exit_code(), 1);
+    assert!(error.to_string().contains("refused the hello"), "{error}");
 }
 
 // ---- the flag table ------------------------------------------------------------
