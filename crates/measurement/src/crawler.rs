@@ -13,10 +13,10 @@
 //! * discovery phase: one iterative `FIND_NODE` lookup
 //!   ([`p2pmodel::IterativeLookup`], α-concurrent, k-closest) towards each
 //!   of `2^prefix_bits` evenly spread key-space targets;
-//! * exhaustion phase: every candidate learned is dialed once and its
-//!   table dumped bucket by bucket (targets with one bit flipped at
-//!   increasing depth, stopping after two dry depths) until the frontier
-//!   is empty;
+//! * exhaustion phase: every candidate learned is dialed once, in `PeerId`
+//!   order, and its table dumped bucket by bucket (targets with one bit
+//!   flipped at increasing depth, stopping after two dry depths) until the
+//!   frontier is empty;
 //! * a per-hop latency model charges each *first* contact — log-normal for
 //!   responders, a fixed timeout for dead or fabricated candidates — and a
 //!   crawl time budget cuts the crawl short when the bill exceeds it.
@@ -28,18 +28,33 @@
 //! crawl is a fresh snapshot — departed peers were evicted from the replayed
 //! tables, while the passive monitors keep every PID they ever saw.
 //!
+//! A series crawls on the log's slots. The routing-table replay, the
+//! [`GroundTruth`] cursor that counts the honest servers online and the
+//! crawl itself each advance once per series, and a crawl keeps its state in
+//! vectors indexed by slot: known, probed and answered flags, the bootstrap
+//! and conduct flags and the "found in some crawl" flag behind
+//! [`CrawlSummary::distinct_servers`]. Replies come from
+//! [`p2pmodel::RoutingTable::closest`] as slots with their distance to the
+//! target, which discovery hands to its lookup as they are. The only
+//! `PeerId`-ordered set is the exhaustion frontier, the known slots not yet
+//! dumped, touched once per newly learned slot; its order fixes the probe
+//! order and with it every latency draw.
+//!
 //! Adversaries ([`netsim::DhtConduct`]) skew exactly this pipeline: Sybil
 //! tables answer with nothing but Sybils, eclipsed victims are admitted
 //! nowhere, and poisoners pad replies with fabricated PIDs whose dial
-//! timeouts eat the crawl budget. The passive monitors see none of it.
+//! timeouts eat the crawl budget. The passive monitors see none of it. A
+//! fabricated PID gets a slot after the log's for the rest of its crawl, or
+//! the slot of the real peer it happens to equal; the map that resolves them
+//! is built the first time a poisoner answers.
 
 use netsim::{DhtConduct, DhtLog, DhtView, GroundTruth};
 use p2pmodel::kademlia::DEFAULT_BUCKET_SIZE;
 use p2pmodel::lookup::DEFAULT_ALPHA;
-use p2pmodel::{IterativeLookup, PeerId};
+use p2pmodel::{Distance, IterativeLookup, PeerId};
 use simclock::rng::splitmix64;
 use simclock::{SimDuration, SimRng, SimTime};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// One crawl of the DHT.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,82 +163,40 @@ impl ActiveCrawler {
         Self::default()
     }
 
-    /// The crawl loop: one snapshot per interval starting at `start`,
-    /// adding every honest server found to the `distinct` union.
-    fn crawl_inner(
+    /// One full crawl over the table state in `view`, in `slots`' reused
+    /// buffers.
+    fn crawl_once(
         &self,
-        dht: &DhtLog,
-        ground_truth: &GroundTruth,
-        start: SimTime,
-        end: SimTime,
-        distinct: &mut BTreeSet<PeerId>,
-    ) -> Vec<CrawlSnapshot> {
-        let bootstrap: BTreeSet<PeerId> = dht.bootstrap.iter().copied().collect();
-        let adversaries = dht.adversaries();
-        let mut replay = dht.replay();
-        let mut snapshots = Vec::new();
-        let mut at = start;
-        while at <= end {
-            replay.advance_to(at);
-            // Independent randomness per crawl: re-running a prefix of the
-            // series is reproducible crawl by crawl.
-            let mut state = self
-                .seed
-                .wrapping_add((snapshots.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut rng = SimRng::seed_from(splitmix64(&mut state));
-            let outcome = self.crawl_once(replay.view(), dht, &mut rng);
-
-            let online = ground_truth.online_at(at);
-            let servers_online = online
-                .iter()
-                .filter(|(peer, server)| *server && !adversaries.contains(peer))
-                .count();
-            let mut servers_found = 0;
-            let mut adversarial_found = 0;
-            for peer in &outcome.responded {
-                if bootstrap.contains(peer) {
-                    continue;
-                }
-                if adversaries.contains(peer) {
-                    adversarial_found += 1;
-                } else {
-                    servers_found += 1;
-                    distinct.insert(*peer);
-                }
-            }
-            snapshots.push(CrawlSnapshot {
-                at,
-                servers_found,
-                servers_online,
-                adversarial_found,
-                lookups: outcome.lookups,
-                queries: outcome.queries,
-                elapsed_ms: outcome.cost_ms / self.alpha.max(1) as u64,
-                truncated: outcome.truncated,
-            });
-            at += self.interval;
+        view: &DhtView,
+        log: &DhtLog,
+        junk_per_reply: &[usize],
+        slots: &mut Slots,
+        rng: &mut SimRng,
+    ) -> CrawlOutcome {
+        slots.reset(log.peers.len());
+        for &slot in &log.bootstrap {
+            slots.learn(log, slot);
         }
-        snapshots
-    }
-
-    /// One full crawl over the table state in `view`.
-    fn crawl_once(&self, view: &DhtView, log: &DhtLog, rng: &mut SimRng) -> CrawlOutcome {
-        let mut known: BTreeSet<PeerId> = log.bootstrap.iter().copied().collect();
-        if !known.iter().any(|peer| view.online(peer)) {
+        if !log.bootstrap.iter().any(|&slot| view.online(slot)) {
             // No live bootstrap observer (P3 deploys only a DHT-Client
             // vantage). A real crawler still ships the network's static
             // bootstrap list — well-known servers that exist regardless of
             // which monitors we run — modelled here as the k lowest-PID
             // online servers.
-            known.extend(view.owners_sorted().into_iter().take(self.k));
+            let mut online: Vec<u32> = (0..log.peers.len() as u32)
+                .filter(|&slot| view.online(slot))
+                .collect();
+            online.sort_unstable_by_key(|&slot| log.peers[slot as usize]);
+            for &slot in online.iter().take(self.k) {
+                slots.learn(log, slot);
+            }
         }
         let mut run = CrawlRun {
             crawler: self,
             view,
             log,
-            known,
-            probed: BTreeSet::new(),
-            responded: BTreeSet::new(),
+            junk_per_reply,
+            slots,
             queries: 0,
             cost_ms: 0,
             last_reply_was_news: false,
@@ -237,13 +210,18 @@ impl ActiveCrawler {
         let lookups = 1usize << self.prefix_bits;
         'discovery: for prefix in 0..lookups {
             let target = PeerId::with_prefix(prefix as u16, self.prefix_bits, rng);
-            let mut lookup =
-                IterativeLookup::new(target, self.k, self.alpha, run.known.iter().copied());
+            let slots = &*run.slots;
+            let seeds = slots
+                .known
+                .iter()
+                .map(|&slot| (slots.peer(log, slot).distance(&target), slot));
+            let mut lookup = IterativeLookup::new(self.k, self.alpha, seeds);
             while let Some(batch) = lookup.next_batch() {
-                for peer in batch {
-                    match run.probe(&peer, &target, rng) {
-                        Some(reply) => lookup.on_response(reply),
-                        None => lookup.on_response(std::iter::empty()),
+                for slot in batch {
+                    // The probe's target is the lookup's, so the reply's
+                    // distances are the lookup's too.
+                    if run.probe(slot, &target, rng) {
+                        lookup.on_response(run.slots.reply.iter().copied());
                     }
                 }
                 if run.cost_ms > budget_cost {
@@ -255,28 +233,27 @@ impl ActiveCrawler {
 
         // Exhaustion phase: dial every remaining candidate once and dump its
         // table bucket by bucket until the frontier is empty.
-        let mut dumped: BTreeSet<PeerId> = BTreeSet::new();
         'exhaustion: while !truncated {
-            let chunk: Vec<PeerId> = run
-                .known
-                .difference(&dumped)
+            // A chunk leaves the frontier as it is taken: each of its
+            // candidates is dumped next, unless the budget ends the crawl.
+            let chunk: Vec<u32> = std::iter::from_fn(|| run.slots.frontier.pop_first())
                 .take(32)
-                .copied()
+                .map(|(_, slot)| slot)
                 .collect();
             if chunk.is_empty() {
                 break;
             }
             for candidate in chunk {
-                dumped.insert(candidate);
-                if run.probe(&candidate, &candidate, rng).is_some() {
+                let id = run.slots.peer(log, candidate);
+                if run.probe(candidate, &id, rng) {
                     // Bucket walk: flip one bit at a time; two consecutive
                     // depths without a new candidate end the dump. Poisoned
                     // replies always contain fresh junk, so they drag the
                     // walk to its depth cap — time the crawler loses.
                     let mut dry = 0;
                     for depth in 0..64 {
-                        let target = flip_bit(&candidate, depth);
-                        if run.probe(&candidate, &target, rng).is_none() {
+                        let target = flip_bit(&id, depth);
+                        if !run.probe(candidate, &target, rng) {
                             break;
                         }
                         if run.last_reply_was_news {
@@ -297,7 +274,6 @@ impl ActiveCrawler {
         }
 
         CrawlOutcome {
-            responded: run.responded,
             lookups,
             queries: run.queries,
             cost_ms: run.cost_ms,
@@ -317,9 +293,86 @@ impl ActiveCrawler {
         start: SimTime,
         end: SimTime,
     ) -> (Vec<CrawlSnapshot>, CrawlSummary) {
-        let mut distinct = BTreeSet::new();
-        let snapshots = self.crawl_inner(dht, ground_truth, start, end, &mut distinct);
-        let summary = summarize(&snapshots, distinct.len());
+        let n = dht.peers.len();
+        let mut bootstrap = vec![false; n];
+        for &slot in &dht.bootstrap {
+            bootstrap[slot as usize] = true;
+        }
+        let mut adversary = vec![false; n];
+        let mut junk_per_reply = vec![0; n];
+        for &(slot, conduct) in &dht.conduct {
+            adversary[slot as usize] = true;
+            if let DhtConduct::Poison {
+                junk_per_reply: junk,
+            } = conduct
+            {
+                junk_per_reply[slot as usize] = junk;
+            }
+        }
+        // The same flag by ground-truth index, for the online count.
+        let mut adversaries: Vec<PeerId> = dht
+            .conduct
+            .iter()
+            .map(|&(slot, _)| dht.peers[slot as usize])
+            .collect();
+        adversaries.sort_unstable();
+        let honest: Vec<bool> = ground_truth
+            .peers
+            .iter()
+            .map(|(peer, _)| adversaries.binary_search(peer).is_err())
+            .collect();
+        let mut found = vec![false; n];
+
+        let mut replay = dht.replay();
+        let mut truth = ground_truth.cursor();
+        let mut slots = Slots::default();
+        let mut snapshots = Vec::new();
+        let mut at = start;
+        while at <= end {
+            replay.advance_to(at);
+            truth.advance_to(at);
+            // Independent randomness per crawl: re-running a prefix of the
+            // series is reproducible crawl by crawl.
+            let mut state = self
+                .seed
+                .wrapping_add((snapshots.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut rng = SimRng::seed_from(splitmix64(&mut state));
+            let outcome =
+                self.crawl_once(replay.view(), dht, &junk_per_reply, &mut slots, &mut rng);
+
+            let servers_online = truth
+                .online()
+                .filter(|&(idx, server)| server && honest[idx])
+                .count();
+            let mut servers_found = 0;
+            let mut adversarial_found = 0;
+            // Only the log's peers own tables, so only they answer.
+            for slot in slots.responded() {
+                let s = slot as usize;
+                if bootstrap[s] {
+                    continue;
+                }
+                if adversary[s] {
+                    adversarial_found += 1;
+                } else {
+                    servers_found += 1;
+                    found[s] = true;
+                }
+            }
+            snapshots.push(CrawlSnapshot {
+                at,
+                servers_found,
+                servers_online,
+                adversarial_found,
+                lookups: outcome.lookups,
+                queries: outcome.queries,
+                elapsed_ms: outcome.cost_ms / self.alpha.max(1) as u64,
+                truncated: outcome.truncated,
+            });
+            at += self.interval;
+        }
+        let distinct = found.iter().filter(|&&found| found).count();
+        let summary = summarize(&snapshots, distinct);
         (snapshots, summary)
     }
 }
@@ -348,75 +401,175 @@ pub(crate) fn summarize(snapshots: &[CrawlSnapshot], distinct_servers: usize) ->
     }
 }
 
-/// What one crawl produced.
+/// What one crawl produced, beside the answers [`Slots::responded`] lists.
 struct CrawlOutcome {
-    responded: BTreeSet<PeerId>,
     lookups: usize,
     queries: usize,
     cost_ms: u64,
     truncated: bool,
 }
 
-/// Mutable state of one crawl in flight.
+/// The slot learned of.
+const KNOWN: u8 = 1;
+/// The slot was contacted.
+const PROBED: u8 = 2;
+/// The slot answered its first contact.
+const RESPONDED: u8 = 4;
+
+/// The per-slot state of one crawl, kept across the crawls of a series so
+/// its buffers are allocated once. Slots below the log's peer count are the
+/// log's; the rest are the junk PIDs poisoners made up in this crawl.
+#[derive(Default)]
+struct Slots {
+    /// `KNOWN`, `PROBED` and `RESPONDED` flags per slot.
+    state: Vec<u8>,
+    /// Known slots in the order they were learned.
+    known: Vec<u32>,
+    /// The exhaustion frontier: known slots not yet dumped, in `PeerId`
+    /// order.
+    frontier: BTreeSet<(PeerId, u32)>,
+    /// The `PeerId` of each junk slot.
+    junk: Vec<PeerId>,
+    /// Slot of every log peer and of this crawl's junk PIDs, built the first
+    /// time a poisoner answers.
+    index: Option<HashMap<PeerId, u32>>,
+    /// The last reply, each entry with its distance to the probe's target.
+    reply: Vec<(Distance, u32)>,
+}
+
+impl Slots {
+    /// Forgets the last crawl: every slot unknown, no junk.
+    fn reset(&mut self, peers: usize) {
+        if let Some(index) = &mut self.index {
+            for peer in &self.junk {
+                index.remove(peer);
+            }
+        }
+        self.junk.clear();
+        self.state.clear();
+        self.state.resize(peers, 0);
+        self.known.clear();
+        self.frontier.clear();
+    }
+
+    /// The `PeerId` of a slot.
+    fn peer(&self, log: &DhtLog, slot: u32) -> PeerId {
+        let s = slot as usize;
+        log.peers
+            .get(s)
+            .copied()
+            .unwrap_or_else(|| self.junk[s - log.peers.len()])
+    }
+
+    /// Marks a slot known; whether it was news.
+    fn learn(&mut self, log: &DhtLog, slot: u32) -> bool {
+        let state = &mut self.state[slot as usize];
+        if *state & KNOWN != 0 {
+            return false;
+        }
+        *state |= KNOWN;
+        self.known.push(slot);
+        self.frontier.insert((self.peer(log, slot), slot));
+        true
+    }
+
+    /// The slot of a fabricated PID: the slot of the log peer it equals
+    /// (`PeerId` sets merged the two), else a junk slot of its own.
+    fn intern(&mut self, log: &DhtLog, peer: PeerId) -> u32 {
+        let index = self.index.get_or_insert_with(|| {
+            log.peers
+                .iter()
+                .enumerate()
+                .map(|(slot, &peer)| (peer, slot as u32))
+                .collect()
+        });
+        *index.entry(peer).or_insert_with(|| {
+            self.junk.push(peer);
+            self.state.push(0);
+            (log.peers.len() + self.junk.len() - 1) as u32
+        })
+    }
+
+    /// The slots that answered this crawl.
+    fn responded(&self) -> impl Iterator<Item = u32> + '_ {
+        self.known
+            .iter()
+            .copied()
+            .filter(|&slot| self.state[slot as usize] & RESPONDED != 0)
+    }
+}
+
+/// One crawl in flight.
 struct CrawlRun<'a> {
     crawler: &'a ActiveCrawler,
     view: &'a DhtView,
     log: &'a DhtLog,
-    known: BTreeSet<PeerId>,
-    probed: BTreeSet<PeerId>,
-    responded: BTreeSet<PeerId>,
+    /// Junk entries per reply of each log slot: zero unless it poisons.
+    junk_per_reply: &'a [usize],
+    slots: &'a mut Slots,
     queries: usize,
     cost_ms: u64,
     last_reply_was_news: bool,
 }
 
 impl CrawlRun<'_> {
-    /// Sends one `FIND_NODE(target)` to `peer`. The first contact with a
+    /// Sends one `FIND_NODE(target)` to the peer in `slot`; whether it
+    /// answered, with the answer in `slots.reply`. The first contact with a
     /// peer is charged to the crawl clock — log-normal latency if it
     /// responds, the dial timeout if it does not (offline, or a fabricated
     /// PID); repeat queries ride the already-open connection for free, and a
     /// peer that timed out once is remembered as dead. Replies are merged
-    /// into the candidate set and returned.
-    fn probe(&mut self, peer: &PeerId, target: &PeerId, rng: &mut SimRng) -> Option<Vec<PeerId>> {
-        let reply = self.respond(peer, target);
-        if self.probed.insert(*peer) {
+    /// into the known slots.
+    fn probe(&mut self, slot: u32, target: &PeerId, rng: &mut SimRng) -> bool {
+        let answered = self.respond(slot, target);
+        let state = &mut self.slots.state[slot as usize];
+        if *state & PROBED == 0 {
+            *state |= PROBED;
             self.queries += 1;
-            self.cost_ms += match &reply {
-                Some(_) => rng
-                    .log_normal(self.crawler.latency_median_ms, self.crawler.latency_sigma)
-                    .max(1.0) as u64,
-                None => self.crawler.timeout_ms,
+            self.cost_ms += if answered {
+                rng.log_normal(self.crawler.latency_median_ms, self.crawler.latency_sigma)
+                    .max(1.0) as u64
+            } else {
+                self.crawler.timeout_ms
             };
-            if reply.is_some() {
-                self.responded.insert(*peer);
+            if answered {
+                *state |= RESPONDED;
             }
-        } else if reply.is_some() != self.responded.contains(peer) {
+        } else if answered != (*state & RESPONDED != 0) {
             // A peer never answers some queries and not others within one
             // crawl: the view is a fixed snapshot.
             unreachable!("replayed view changed mid-crawl");
         }
-        if let Some(reply) = &reply {
-            let before = self.known.len();
-            self.known.extend(reply.iter().copied());
-            self.last_reply_was_news = self.known.len() > before;
-        } else {
-            self.last_reply_was_news = false;
-        }
-        reply
-    }
-
-    /// What `peer` answers to `FIND_NODE(target)`: the k closest entries of
-    /// its replayed table — padded with fabricated PIDs if it poisons.
-    /// `None` if the peer is not online (or does not exist).
-    fn respond(&self, peer: &PeerId, target: &PeerId) -> Option<Vec<PeerId>> {
-        let table = self.view.table(peer)?;
-        let mut reply = table.closest(target, self.crawler.k);
-        if let DhtConduct::Poison { junk_per_reply } = self.log.conduct_of(peer) {
-            for j in 0..junk_per_reply {
-                reply.push(junk_pid(peer, target, j));
+        self.last_reply_was_news = false;
+        if answered {
+            for i in 0..self.slots.reply.len() {
+                let entry = self.slots.reply[i].1;
+                self.last_reply_was_news |= self.slots.learn(self.log, entry);
             }
         }
-        Some(reply)
+        answered
+    }
+
+    /// What the peer in `slot` answers to `FIND_NODE(target)`, into
+    /// `slots.reply`: the k closest entries of its replayed table — padded
+    /// with fabricated PIDs if it poisons. `false` if the peer is not online
+    /// (or does not exist).
+    fn respond(&mut self, slot: u32, target: &PeerId) -> bool {
+        let (view, log) = (self.view, self.log);
+        let Some(table) = view.table(slot) else {
+            return false;
+        };
+        table.closest(&log.peers, target, self.crawler.k, &mut self.slots.reply);
+        let junk = self.junk_per_reply.get(slot as usize).copied().unwrap_or(0);
+        if junk > 0 {
+            let owner = log.peers[slot as usize];
+            for j in 0..junk {
+                let peer = junk_pid(&owner, target, j);
+                let junk_slot = self.slots.intern(log, peer);
+                self.slots.reply.push((peer.distance(target), junk_slot));
+            }
+        }
+        true
     }
 }
 

@@ -58,19 +58,22 @@ pub const FORMAT_VERSION: u32 = 2;
 /// observer (registry, ground truth, metadata).
 pub const GLOBAL_OWNER: u32 = u32::MAX;
 
-/// Block kinds. The `owner` field of an events block is the observer's index
-/// in the [`BK_OBSERVERS`] directory.
-pub(crate) const BK_META: u16 = 1;
+// Block kinds, the `kind` of a footer entry and of [`ArchiveFile::block`].
+// The `owner` field of an events block is the observer's index in the
+// [`BK_OBSERVERS`] directory; every other block is [`GLOBAL_OWNER`]'s.
+
+/// The caller's opaque campaign metadata.
+pub const BK_META: u16 = 1;
 /// The run's registry: one [`encode_registry_delta`] block from `(0, 0, 0)`.
-pub(crate) const BK_REGISTRY: u16 = 2;
+pub const BK_REGISTRY: u16 = 2;
 /// Observer directory: per-log metadata, in log order.
-pub(crate) const BK_OBSERVERS: u16 = 5;
+pub const BK_OBSERVERS: u16 = 5;
 /// Ground-truth peers and events.
-pub(crate) const BK_GROUND_TRUTH: u16 = 6;
+pub const BK_GROUND_TRUTH: u16 = 6;
 /// DHT routing-table history.
-pub(crate) const BK_DHT: u16 = 7;
+pub const BK_DHT: u16 = 7;
 /// One observer's rows: one [`encode_event_block`] block over its table.
-pub(crate) const BK_EVENTS: u16 = 8;
+pub const BK_EVENTS: u16 = 8;
 
 /// Everything that can go wrong reading an archive. Corruption is always a
 /// loud, typed failure — never a silently wrong analysis.
@@ -1101,11 +1104,18 @@ impl PeerTable {
     }
 
     fn read_ref(&self, r: &mut ByteReader<'_>, context: &'static str) -> Result<PeerId, ArchiveError> {
+        let slot = self.read_slot(r, context)?;
+        Ok(self.0[slot as usize])
+    }
+
+    /// Reads a reference and checks that it names a dictionary entry.
+    fn read_slot(&self, r: &mut ByteReader<'_>, context: &'static str) -> Result<u32, ArchiveError> {
         let id = r.uvarint(context)?;
-        self.0
-            .get(id as usize)
-            .copied()
-            .ok_or_else(|| malformed(format!("{context} index {id} out of range ({} peers)", self.0.len())))
+        if id < self.0.len() as u64 {
+            Ok(id as u32)
+        } else {
+            Err(malformed(format!("{context} index {id} out of range ({} peers)", self.0.len())))
+        }
     }
 }
 
@@ -1195,79 +1205,83 @@ fn read_bool(r: &mut ByteReader<'_>, context: &'static str) -> Result<bool, Arch
     }
 }
 
+/// The DHT block: the log's own dictionary, [`DhtLog::peers`], in the
+/// layout [`PeerDict::into_block`] gives the ground truth, then the log with
+/// every peer written as its slot in that dictionary. A tracker's log numbers
+/// its slots in order of first mention, the order a [`PeerDict`] would
+/// assign, so the block is the one a dictionary built while writing would
+/// give, without building one.
 fn encode_dht(dht: &DhtLog) -> Vec<u8> {
-    let mut dict = PeerDict::default();
     let mut w = ByteWriter::new();
+    w.put_uvarint(dht.peers.len() as u64);
+    for peer in &dht.peers {
+        put_peer(&mut w, peer);
+    }
     w.put_uvarint(dht.k as u64);
     w.put_uvarint(dht.bootstrap.len() as u64);
-    for peer in &dht.bootstrap {
-        dict.put_ref(&mut w, peer);
+    for &slot in &dht.bootstrap {
+        w.put_uvarint(slot.into());
     }
     w.put_uvarint(dht.conduct.len() as u64);
-    for (peer, conduct) in &dht.conduct {
-        dict.put_ref(&mut w, peer);
+    for &(slot, conduct) in &dht.conduct {
+        w.put_uvarint(slot.into());
         match conduct {
             DhtConduct::Honest => w.put_u8(0),
             DhtConduct::Sybil { cluster } => {
                 w.put_u8(1);
-                w.put_u32(*cluster);
+                w.put_u32(cluster);
             }
             DhtConduct::Poison { junk_per_reply } => {
                 w.put_u8(2);
-                w.put_uvarint(*junk_per_reply as u64);
+                w.put_uvarint(junk_per_reply as u64);
             }
         }
     }
     w.put_uvarint(dht.events.len() as u64);
     let mut prev = 0u64;
-    let mut put_at = |w: &mut ByteWriter, at: &SimTime| {
+    for event in &dht.events {
+        let (tag, at, a, b) = match *event {
+            DhtEvent::Up { at, server } => (0, at, server, None),
+            DhtEvent::Down { at, server } => (1, at, server, None),
+            DhtEvent::Admit { at, owner, entry } => (2, at, owner, Some(entry)),
+            DhtEvent::Evict { at, owner, entry } => (3, at, owner, Some(entry)),
+        };
+        w.put_u8(tag);
         let ms = at.as_millis();
         w.put_ivarint(ms.wrapping_sub(prev) as i64);
         prev = ms;
-    };
-    for event in &dht.events {
-        match event {
-            DhtEvent::Up { at, server } => {
-                w.put_u8(0);
-                put_at(&mut w, at);
-                dict.put_ref(&mut w, server);
-            }
-            DhtEvent::Down { at, server } => {
-                w.put_u8(1);
-                put_at(&mut w, at);
-                dict.put_ref(&mut w, server);
-            }
-            DhtEvent::Admit { at, owner, entry } => {
-                w.put_u8(2);
-                put_at(&mut w, at);
-                dict.put_ref(&mut w, owner);
-                dict.put_ref(&mut w, entry);
-            }
-            DhtEvent::Evict { at, owner, entry } => {
-                w.put_u8(3);
-                put_at(&mut w, at);
-                dict.put_ref(&mut w, owner);
-                dict.put_ref(&mut w, entry);
-            }
+        w.put_uvarint(a.into());
+        if let Some(b) = b {
+            w.put_uvarint(b.into());
         }
     }
-    dict.into_block(w)
+    w.into_bytes()
 }
 
 fn decode_dht(payload: &[u8]) -> Result<DhtLog, ArchiveError> {
     let mut r = ByteReader::new(payload);
     let table = PeerTable::read(&mut r, "dht dictionary")?;
+    // A slot is a peer: two entries with one `PeerId` would split its
+    // routing table in two.
+    let mut sorted = table.0.clone();
+    sorted.sort_unstable();
+    if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(malformed(format!(
+            "dht dictionary repeats peer {}",
+            pair[0].to_hex()
+        )));
+    }
     let k = r.uvarint("dht k")? as usize;
     let count = r.len("dht bootstrap count")?;
     let mut bootstrap = r.vec_for(count, 1);
     for _ in 0..count {
-        bootstrap.push(table.read_ref(&mut r, "dht bootstrap peer")?);
+        bootstrap.push(table.read_slot(&mut r, "dht bootstrap peer")?);
     }
     let count = r.len("dht conduct count")?;
     // A peer reference and a tag.
     let mut conduct = r.vec_for(count, 2);
     for _ in 0..count {
-        let peer = table.read_ref(&mut r, "dht conduct peer")?;
+        let slot = table.read_slot(&mut r, "dht conduct peer")?;
         let c = match r.u8("dht conduct tag")? {
             0 => DhtConduct::Honest,
             1 => DhtConduct::Sybil {
@@ -1278,7 +1292,7 @@ fn decode_dht(payload: &[u8]) -> Result<DhtLog, ArchiveError> {
             },
             tag => return Err(malformed(format!("unknown dht conduct tag {tag}"))),
         };
-        conduct.push((peer, c));
+        conduct.push((slot, c));
     }
     let count = r.len("dht event count")?;
     // A tag, a time delta and a peer reference.
@@ -1292,21 +1306,21 @@ fn decode_dht(payload: &[u8]) -> Result<DhtLog, ArchiveError> {
         events.push(match tag {
             0 => DhtEvent::Up {
                 at,
-                server: table.read_ref(&mut r, "dht up server")?,
+                server: table.read_slot(&mut r, "dht up server")?,
             },
             1 => DhtEvent::Down {
                 at,
-                server: table.read_ref(&mut r, "dht down server")?,
+                server: table.read_slot(&mut r, "dht down server")?,
             },
             2 => DhtEvent::Admit {
                 at,
-                owner: table.read_ref(&mut r, "dht admit owner")?,
-                entry: table.read_ref(&mut r, "dht admit entry")?,
+                owner: table.read_slot(&mut r, "dht admit owner")?,
+                entry: table.read_slot(&mut r, "dht admit entry")?,
             },
             3 => DhtEvent::Evict {
                 at,
-                owner: table.read_ref(&mut r, "dht evict owner")?,
-                entry: table.read_ref(&mut r, "dht evict entry")?,
+                owner: table.read_slot(&mut r, "dht evict owner")?,
+                entry: table.read_slot(&mut r, "dht evict entry")?,
             },
             tag => return Err(malformed(format!("unknown dht event tag {tag}"))),
         });
@@ -1314,6 +1328,7 @@ fn decode_dht(payload: &[u8]) -> Result<DhtLog, ArchiveError> {
     r.finish("dht log")?;
     Ok(DhtLog {
         k,
+        peers: table.0,
         bootstrap,
         conduct,
         events,
@@ -1699,31 +1714,34 @@ mod tests {
                 },
             ],
         };
+        // Slots in order of first mention: the bootstrap observer, the two
+        // adversaries, then the peer.
         let dht = DhtLog {
             k: 20,
-            bootstrap: vec![PeerId::derived(1)],
+            peers: vec![PeerId::derived(1), PeerId::derived(7), PeerId::derived(8), peer],
+            bootstrap: vec![0],
             conduct: vec![
-                (PeerId::derived(7), DhtConduct::Sybil { cluster: 3 }),
-                (PeerId::derived(8), DhtConduct::Poison { junk_per_reply: 5 }),
+                (1, DhtConduct::Sybil { cluster: 3 }),
+                (2, DhtConduct::Poison { junk_per_reply: 5 }),
             ],
             events: vec![
                 DhtEvent::Up {
                     at: SimTime::ZERO,
-                    server: peer,
+                    server: 3,
                 },
                 DhtEvent::Admit {
                     at: SimTime::from_secs(1),
-                    owner: peer,
-                    entry: PeerId::derived(7),
+                    owner: 3,
+                    entry: 1,
                 },
                 DhtEvent::Evict {
                     at: SimTime::from_secs(2),
-                    owner: peer,
-                    entry: PeerId::derived(7),
+                    owner: 3,
+                    entry: 1,
                 },
                 DhtEvent::Down {
                     at: SimTime::from_secs(9),
-                    server: peer,
+                    server: 3,
                 },
             ],
         };
@@ -1858,14 +1876,14 @@ mod tests {
         );
     }
 
-    /// The sample archive re-encoded with its registry block replaced by
+    /// The sample archive re-encoded with its `kind` block replaced by
     /// `block`, under valid checksums.
-    fn with_registry_block(block: &[u8]) -> Vec<u8> {
+    fn with_block(kind: u16, block: &[u8]) -> Vec<u8> {
         let bytes = encode_output(&sample_output(), b"").unwrap();
         let file = ArchiveFile::parse(&bytes).unwrap();
         let mut writer = ArchiveWriter::new();
         for entry in &file.blocks {
-            let payload = if entry.kind == BK_REGISTRY {
+            let payload = if entry.kind == kind {
                 block
             } else {
                 file.block(entry.kind, entry.owner).unwrap()
@@ -1873,6 +1891,74 @@ mod tests {
             writer.push_block(entry.kind, entry.owner, payload);
         }
         writer.finish()
+    }
+
+    fn with_registry_block(block: &[u8]) -> Vec<u8> {
+        with_block(BK_REGISTRY, block)
+    }
+
+    #[test]
+    fn dht_blocks_write_the_log_dictionary_as_it_is() {
+        let output = sample_output();
+        let block = encode_dht(&output.dht);
+        // The dictionary a `PeerDict` builds while writing: the same bytes.
+        let mut dict = PeerDict::default();
+        let mut stream = ByteWriter::new();
+        let dht = &output.dht;
+        let peer = |slot: u32| dht.peers[slot as usize];
+        stream.put_uvarint(dht.k as u64);
+        stream.put_uvarint(dht.bootstrap.len() as u64);
+        for &slot in &dht.bootstrap {
+            dict.put_ref(&mut stream, &peer(slot));
+        }
+        assert_eq!(dht.conduct.len(), 2);
+        stream.put_uvarint(2);
+        dict.put_ref(&mut stream, &peer(dht.conduct[0].0));
+        stream.put_u8(1);
+        stream.put_u32(3);
+        dict.put_ref(&mut stream, &peer(dht.conduct[1].0));
+        stream.put_u8(2);
+        stream.put_uvarint(5);
+        stream.put_uvarint(dht.events.len() as u64);
+        let mut prev = 0;
+        for event in &dht.events {
+            let (tag, at, slots) = match *event {
+                DhtEvent::Up { at, server } => (0, at, vec![server]),
+                DhtEvent::Down { at, server } => (1, at, vec![server]),
+                DhtEvent::Admit { at, owner, entry } => (2, at, vec![owner, entry]),
+                DhtEvent::Evict { at, owner, entry } => (3, at, vec![owner, entry]),
+            };
+            stream.put_u8(tag);
+            stream.put_ivarint(at.as_millis() as i64 - prev);
+            prev = at.as_millis() as i64;
+            for slot in slots {
+                dict.put_ref(&mut stream, &peer(slot));
+            }
+        }
+        assert_eq!(block, dict.into_block(stream));
+        assert_eq!(decode_dht(&block).unwrap(), output.dht);
+    }
+
+    #[test]
+    fn repeated_dht_dictionary_entries_with_valid_checksums_are_rejected() {
+        let output = sample_output();
+        let block = encode_dht(&output.dht);
+        assert!(decode_output(&with_block(BK_DHT, &block)).is_ok());
+        // The same block with the last dictionary entry (the peer, slot 3)
+        // replaced by the first (the bootstrap observer, slot 0): every
+        // reference stays in range, but two slots now name one peer.
+        let peers = &output.dht.peers;
+        let mut forged = block.clone();
+        let last = 1 + 3 * PEER_ID_BYTES;
+        assert_eq!(&forged[last..last + PEER_ID_BYTES], peers[3].as_bytes());
+        forged[last..last + PEER_ID_BYTES].copy_from_slice(peers[0].as_bytes());
+        assert!(
+            matches!(
+                decode_output(&with_block(BK_DHT, &forged)),
+                Err(ArchiveError::Malformed { .. })
+            ),
+            "a repeated dht dictionary entry must not decode"
+        );
     }
 
     #[test]

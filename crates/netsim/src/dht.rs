@@ -19,11 +19,16 @@
 //! [`dht_log_from_ground_truth`] and the tracker's `PeerId` entry points
 //! intern each `PeerId` into a slot and run the same code.
 //!
-//! The tracker's output is a [`DhtLog`]: an append-only stream of
-//! [`DhtEvent`]s. `measurement::ActiveCrawler` replays the log with
-//! [`DhtLog::replay`] to reconstruct every routing table as of each crawl
-//! time and then walks them with iterative `FIND_NODE` lookups — the crawler
-//! sees exactly what the tables would have answered, nothing more.
+//! The tracker's output is a [`DhtLog`]: a dictionary of the peers it
+//! mentions plus an append-only stream of [`DhtEvent`]s that refer to them
+//! by slot, numbered in order of first appearance (bootstrap list, conduct
+//! table, events) — the order of the archive's DHT block, which therefore
+//! writes the dictionary as it is. `measurement::ActiveCrawler` replays the
+//! log with [`DhtLog::replay`] to reconstruct every routing table as of each
+//! crawl time and then walks them with iterative `FIND_NODE` lookups — the
+//! crawler sees exactly what the tables would have answered, nothing more.
+//! The replay keeps one table per slot in a vector, so applying an event
+//! indexes it and hashes nothing.
 //!
 //! Only *membership* changes are logged. `KBucket` LRU refreshes are not:
 //! [`p2pmodel::RoutingTable::closest`] and bucket-full rejection depend only
@@ -39,7 +44,7 @@ use crate::events::{GroundTruth, GroundTruthEvent};
 use p2pmodel::kademlia::DEFAULT_BUCKET_SIZE;
 use p2pmodel::{Distance, PeerId, RoutingTable};
 use simclock::SimTime;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// How a peer behaves at the DHT protocol level.
 ///
@@ -83,7 +88,8 @@ impl DhtConduct {
     }
 }
 
-/// One membership change in the network's routing tables.
+/// One membership change in the network's routing tables. Peers are slots
+/// of the log's [`DhtLog::peers`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DhtEvent {
     /// A DHT-Server came online with a fresh routing table.
@@ -91,32 +97,32 @@ pub enum DhtEvent {
         /// Timestamp.
         at: SimTime,
         /// The server.
-        server: PeerId,
+        server: u32,
     },
     /// A DHT-Server went offline; its own routing table is dropped.
     Down {
         /// Timestamp.
         at: SimTime,
         /// The server.
-        server: PeerId,
+        server: u32,
     },
     /// `entry` was admitted into `owner`'s routing table.
     Admit {
         /// Timestamp.
         at: SimTime,
         /// The table owner.
-        owner: PeerId,
+        owner: u32,
         /// The admitted peer.
-        entry: PeerId,
+        entry: u32,
     },
     /// `entry` was evicted from `owner`'s routing table.
     Evict {
         /// Timestamp.
         at: SimTime,
         /// The table owner.
-        owner: PeerId,
+        owner: u32,
         /// The evicted peer.
-        entry: PeerId,
+        entry: u32,
     },
 }
 
@@ -134,15 +140,20 @@ impl DhtEvent {
 
 /// The routing-table history of one simulation run.
 ///
-/// Produced by the [`DhtTracker`]; replayed with [`DhtLog::replay`].
+/// Produced by the [`DhtTracker`]; replayed with [`DhtLog::replay`]. Every
+/// other field refers to peers by their slot in [`Self::peers`], and a
+/// tracker's log numbers its slots in order of first appearance: the
+/// bootstrap list, then the conduct table, then the events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DhtLog {
     /// Bucket size the tables were maintained with.
     pub k: usize,
+    /// The `PeerId` of each slot, each at most once.
+    pub peers: Vec<PeerId>,
     /// The bootstrap peers (server observers): every crawl seeds here.
-    pub bootstrap: Vec<PeerId>,
-    /// Peers with non-honest conduct, sorted by PID.
-    pub conduct: Vec<(PeerId, DhtConduct)>,
+    pub bootstrap: Vec<u32>,
+    /// Peers with non-honest conduct, sorted by `PeerId`.
+    pub conduct: Vec<(u32, DhtConduct)>,
     /// Chronological membership events.
     pub events: Vec<DhtEvent>,
 }
@@ -154,73 +165,59 @@ impl DhtLog {
             log: self,
             cursor: 0,
             view: DhtView {
-                k: if self.k == 0 { DEFAULT_BUCKET_SIZE } else { self.k },
-                tables: HashMap::new(),
+                k: if self.k == 0 {
+                    DEFAULT_BUCKET_SIZE
+                } else {
+                    self.k
+                },
+                tables: vec![None; self.peers.len()],
             },
         }
     }
-
-    /// The set of peers with non-honest conduct.
-    pub fn adversaries(&self) -> BTreeSet<PeerId> {
-        self.conduct.iter().map(|(peer, _)| *peer).collect()
-    }
-
-    /// The conduct of a peer (honest unless recorded otherwise).
-    pub fn conduct_of(&self, peer: &PeerId) -> DhtConduct {
-        match self.conduct.binary_search_by(|(p, _)| p.cmp(peer)) {
-            Ok(idx) => self.conduct[idx].1,
-            Err(_) => DhtConduct::Honest,
-        }
-    }
 }
 
-/// The state of every routing table at one instant of the replay.
+/// The state of every routing table at one instant of the replay, by slot
+/// of the log's [`DhtLog::peers`].
 #[derive(Debug, Clone)]
 pub struct DhtView {
     k: usize,
-    /// A table exists exactly while its owner is online.
-    tables: HashMap<PeerId, RoutingTable>,
+    /// A slot's table exists exactly while its owner is online.
+    tables: Vec<Option<RoutingTable>>,
 }
 
 impl DhtView {
-    /// Whether the peer is online (its table exists).
-    pub fn online(&self, peer: &PeerId) -> bool {
-        self.tables.contains_key(peer)
+    /// Whether the peer in `slot` is online (its table exists). A slot past
+    /// the log's peers is never online.
+    pub fn online(&self, slot: u32) -> bool {
+        self.table(slot).is_some()
     }
 
-    /// The peer's routing table, if it is online.
-    pub fn table(&self, peer: &PeerId) -> Option<&RoutingTable> {
-        self.tables.get(peer)
+    /// The routing table of the peer in `slot`, if it is online. Its
+    /// entries are slots of the same log.
+    pub fn table(&self, slot: u32) -> Option<&RoutingTable> {
+        self.tables.get(slot as usize)?.as_ref()
     }
 
-    /// All online table owners in PID order. Deterministic regardless of
-    /// hash-map iteration order, so callers can use it as a seed list.
-    pub fn owners_sorted(&self) -> Vec<PeerId> {
-        let mut owners: Vec<PeerId> = self.tables.keys().copied().collect();
-        owners.sort_unstable();
-        owners
-    }
-
-    fn apply(&mut self, event: &DhtEvent) {
-        match event {
+    fn apply(&mut self, peers: &[PeerId], event: &DhtEvent) {
+        match *event {
             DhtEvent::Up { server, .. } => {
-                self.tables
-                    .insert(*server, RoutingTable::with_bucket_size(*server, self.k));
+                let table = RoutingTable::with_bucket_size(peers[server as usize], self.k);
+                self.tables[server as usize] = Some(table);
             }
             DhtEvent::Down { server, .. } => {
-                self.tables.remove(server);
+                self.tables[server as usize] = None;
             }
             DhtEvent::Admit { owner, entry, .. } => {
-                if let Some(table) = self.tables.get_mut(owner) {
+                if let Some(table) = &mut self.tables[owner as usize] {
                     // The admit was logged because it succeeded live; bucket
                     // fullness depends only on membership, so it succeeds
                     // identically here.
-                    table.insert(*entry);
+                    table.insert(peers, entry);
                 }
             }
             DhtEvent::Evict { owner, entry, .. } => {
-                if let Some(table) = self.tables.get_mut(owner) {
-                    table.remove(entry);
+                if let Some(table) = &mut self.tables[owner as usize] {
+                    table.remove(peers, entry);
                 }
             }
         }
@@ -243,7 +240,7 @@ impl DhtReplay<'_> {
             if event.at() > at {
                 break;
             }
-            self.view.apply(event);
+            self.view.apply(&self.log.peers, event);
             self.cursor += 1;
         }
     }
@@ -257,9 +254,10 @@ impl DhtReplay<'_> {
 /// Maintains routing tables over a replayed run and records their
 /// membership history as a [`DhtLog`].
 ///
-/// Its state lives in vectors indexed by *slot*, one slot per `PeerId`. The
-/// engine's post-pass hands over the run's registry slots; the `PeerId`
-/// entry points ([`Self::register_bootstrap`], [`Self::set_conduct`],
+/// Its state lives in vectors indexed by *slot*, one slot per `PeerId`, and
+/// its tables are [`RoutingTable`]s over the same slots. The engine's
+/// post-pass hands over the run's registry slots; the `PeerId` entry points
+/// ([`Self::register_bootstrap`], [`Self::set_conduct`],
 /// [`Self::server_up`]) and [`dht_log_from_ground_truth`] intern each new
 /// `PeerId` into the next slot and run the same code. Nothing here consumes
 /// engine randomness.
@@ -287,6 +285,7 @@ pub struct DhtTracker {
     pos: Vec<u32>,
     /// Scratch of [`Self::server_up`]'s neighbour ranking.
     ranked: Vec<(Distance, u32)>,
+    /// The log so far, on tracker slots; [`Self::into_log`] renumbers it.
     events: Vec<DhtEvent>,
 }
 
@@ -368,7 +367,7 @@ impl DhtTracker {
             return;
         }
         let peer = self.peers[s];
-        self.events.push(DhtEvent::Up { at, server: peer });
+        self.events.push(DhtEvent::Up { at, server: slot });
         self.tables[s] = Some(RoutingTable::with_bucket_size(peer, self.k));
 
         let mut contacts: Vec<u32> = self
@@ -432,8 +431,7 @@ impl DhtTracker {
         if self.tables[s].take().is_none() {
             return;
         }
-        let peer = self.peers[s];
-        self.events.push(DhtEvent::Down { at, server: peer });
+        self.events.push(DhtEvent::Down { at, server: slot });
         let idx = std::mem::replace(&mut self.pos[s], u32::MAX) as usize;
         self.online.swap_remove(idx);
         if let Some(&moved) = self.online.get(idx) {
@@ -445,13 +443,12 @@ impl DhtTracker {
         for &owner in &holders {
             let held = self.tables[owner as usize]
                 .as_mut()
-                .is_some_and(|table| table.remove(&peer));
+                .is_some_and(|table| table.remove(&self.peers, slot));
             if held {
-                let owner = self.peers[owner as usize];
                 self.events.push(DhtEvent::Evict {
                     at,
                     owner,
-                    entry: peer,
+                    entry: slot,
                 });
             }
         }
@@ -471,41 +468,31 @@ impl DhtTracker {
         let Some(table) = self.tables[o].as_mut() else {
             return;
         };
-        let entry_peer = self.peers[e];
-        if table.contains(&entry_peer) {
+        if table.contains(&self.peers, entry) {
             // Membership-only log: an LRU refresh changes no reply.
             return;
         }
-        if table.insert(entry_peer) {
+        if table.insert(&self.peers, entry) {
             // An observer re-admits the peers it reconnects to; one entry
             // per run of re-admits keeps the list short.
             if self.holders[e].last() != Some(&owner) {
                 self.holders[e].push(owner);
             }
-            self.events.push(DhtEvent::Admit {
-                at,
-                owner: self.peers[o],
-                entry: entry_peer,
-            });
+            self.events.push(DhtEvent::Admit { at, owner, entry });
         }
     }
 
     /// Evicts `entry` from `owner`'s table, if present.
     fn evict(&mut self, at: SimTime, owner: u32, entry: u32) {
-        let entry_peer = self.peers[entry as usize];
         let Some(table) = self.tables[owner as usize].as_mut() else {
             return;
         };
-        if table.remove(&entry_peer) {
+        if table.remove(&self.peers, entry) {
             let holders = &mut self.holders[entry as usize];
             if holders.last() == Some(&owner) {
                 holders.pop();
             }
-            self.events.push(DhtEvent::Evict {
-                at,
-                owner: self.peers[owner as usize],
-                entry: entry_peer,
-            });
+            self.events.push(DhtEvent::Evict { at, owner, entry });
         }
     }
 
@@ -581,25 +568,56 @@ impl DhtTracker {
         }
     }
 
-    /// Finalises the tracker into its log.
+    /// Finalises the tracker into its log: the slots the log mentions are
+    /// renumbered in order of first appearance — bootstrap list, conduct
+    /// table in `PeerId` order, then events — in one pass through a map
+    /// from tracker slot to log slot, and slots it never mentions are left
+    /// out of [`DhtLog::peers`].
     pub fn into_log(self) -> DhtLog {
-        let mut conduct: Vec<(PeerId, DhtConduct)> = self
-            .conduct
-            .iter()
-            .zip(&self.peers)
-            .filter(|(c, _)| !c.is_honest())
-            .map(|(&c, &peer)| (peer, c))
+        let DhtTracker {
+            k,
+            peers: slot_peers,
+            bootstrap,
+            conduct: slot_conduct,
+            mut events,
+            ..
+        } = self;
+        let mut map = vec![u32::MAX; slot_peers.len()];
+        let mut peers = Vec::new();
+        let mut renumber = |slot: u32| {
+            let log_slot = &mut map[slot as usize];
+            if *log_slot == u32::MAX {
+                *log_slot = peers.len() as u32;
+                peers.push(slot_peers[slot as usize]);
+            }
+            *log_slot
+        };
+        let bootstrap = bootstrap.into_iter().map(&mut renumber).collect();
+        let mut adversaries: Vec<u32> = (0..slot_conduct.len() as u32)
+            .filter(|&slot| !slot_conduct[slot as usize].is_honest())
             .collect();
-        conduct.sort_unstable_by_key(|c| c.0);
+        adversaries.sort_unstable_by_key(|&slot| slot_peers[slot as usize]);
+        let conduct = adversaries
+            .into_iter()
+            .map(|slot| (renumber(slot), slot_conduct[slot as usize]))
+            .collect();
+        for event in &mut events {
+            match event {
+                DhtEvent::Up { server, .. } | DhtEvent::Down { server, .. } => {
+                    *server = renumber(*server);
+                }
+                DhtEvent::Admit { owner, entry, .. } | DhtEvent::Evict { owner, entry, .. } => {
+                    *owner = renumber(*owner);
+                    *entry = renumber(*entry);
+                }
+            }
+        }
         DhtLog {
-            k: self.k,
-            bootstrap: self
-                .bootstrap
-                .iter()
-                .map(|&s| self.peers[s as usize])
-                .collect(),
+            k,
+            peers,
+            bootstrap,
             conduct,
-            events: self.events,
+            events,
         }
     }
 }
@@ -661,7 +679,7 @@ pub fn dht_log_from_ground_truth(ground_truth: &GroundTruth, bootstrap: &[PeerId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn pid(i: u64) -> PeerId {
         PeerId::derived(i)
@@ -674,11 +692,15 @@ mod tests {
 
     /// Every live table's members, by owner.
     fn live_tables(tracker: &DhtTracker) -> BTreeMap<PeerId, BTreeSet<PeerId>> {
+        let peers = &tracker.peers;
         tracker
             .tables
             .iter()
-            .zip(&tracker.peers)
-            .filter_map(|(table, &owner)| Some((owner, table.as_ref()?.iter().copied().collect())))
+            .zip(peers)
+            .filter_map(|(table, &owner)| {
+                let members = table.as_ref()?.iter().map(|slot| peers[slot as usize]);
+                Some((owner, members.collect()))
+            })
             .collect()
     }
 
@@ -696,16 +718,19 @@ mod tests {
         let log = tracker.into_log();
         let mut replay = log.replay();
         replay.advance_to(SimTime::from_secs(1_000_000));
-        assert_eq!(replay.view().owners_sorted().len(), live.len());
-        for (owner, members) in &live {
-            let replayed: BTreeSet<PeerId> = replay
-                .view()
-                .table(owner)
-                .expect("owner online in replay")
+        let view = replay.view();
+        let online: Vec<u32> = (0..log.peers.len() as u32)
+            .filter(|&s| view.online(s))
+            .collect();
+        assert_eq!(online.len(), live.len());
+        for slot in online {
+            let owner = log.peers[slot as usize];
+            let table = view.table(slot).expect("owner online in replay");
+            let replayed: BTreeSet<PeerId> = table
                 .iter()
-                .copied()
+                .map(|entry| log.peers[entry as usize])
                 .collect();
-            assert_eq!(&replayed, members, "table of {owner:?} diverged");
+            assert_eq!(replayed, live[&owner], "table of {owner:?} diverged");
         }
     }
 
@@ -756,7 +781,9 @@ mod tests {
         let evicted: Vec<PeerId> = tracker.events[before..]
             .iter()
             .filter_map(|event| match *event {
-                DhtEvent::Evict { owner, entry, .. } if entry == peers[0] => Some(owner),
+                DhtEvent::Evict { owner, entry, .. } if entry == victim => {
+                    Some(peers[owner as usize])
+                }
                 _ => None,
             })
             .collect();
@@ -788,6 +815,44 @@ mod tests {
         assert!(holders > 0, "honest peers must admit the sybil");
     }
 
+    /// A log numbers its slots in order of first appearance — bootstrap,
+    /// conduct in PID order, events — and lists only the peers it mentions.
+    #[test]
+    fn log_slots_follow_first_appearance() {
+        let mut tracker = DhtTracker::new(20);
+        // Interned first, never mentioned: a client.
+        tracker.intern(pid(99));
+        tracker.set_conduct(pid(5), DhtConduct::Poison { junk_per_reply: 2 });
+        tracker.set_conduct(pid(3), DhtConduct::Sybil { cluster: 1 });
+        tracker.register_bootstrap(pid(1000));
+        for i in [4, 3, 5] {
+            tracker.server_up(SimTime::from_secs(i), pid(i));
+        }
+        let log = tracker.into_log();
+        let mut conduct_pids = [pid(3), pid(5)];
+        conduct_pids.sort_unstable();
+        let mut expected = vec![pid(1000)];
+        expected.extend(conduct_pids);
+        expected.push(pid(4));
+        assert_eq!(log.peers, expected);
+        assert_eq!(log.bootstrap, vec![0]);
+        let conduct: Vec<PeerId> = log
+            .conduct
+            .iter()
+            .map(|&(s, _)| log.peers[s as usize])
+            .collect();
+        assert_eq!(conduct, conduct_pids);
+        assert_eq!(
+            log.events[0],
+            DhtEvent::Up {
+                at: SimTime::ZERO,
+                server: 0
+            }
+        );
+        assert!(!log.peers.contains(&pid(99)));
+        assert!(std::mem::size_of::<DhtEvent>() <= 24);
+    }
+
     #[test]
     fn ground_truth_logs_are_chronological() {
         let gt = GroundTruth {
@@ -806,7 +871,8 @@ mod tests {
             assert!(event.at() >= prev);
             prev = event.at();
         }
-        assert!(log.adversaries().is_empty());
-        assert_eq!(log.bootstrap, vec![pid(500)]);
+        assert!(log.conduct.is_empty());
+        assert_eq!(log.peers[log.bootstrap[0] as usize], pid(500));
+        assert_eq!(log.bootstrap, vec![0]);
     }
 }

@@ -16,6 +16,7 @@
 use crate::obs::{IdentifyRegistry, ObservationKind, ObservationTable};
 use p2pmodel::PeerId;
 use simclock::{SimDuration, SimTime};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// The complete observation log of one measurement node.
@@ -214,51 +215,35 @@ pub struct GroundTruth {
 }
 
 impl GroundTruth {
-    /// The set of peers online at time `at`, together with their DHT-Server
-    /// role at that time, in population (slot) order. This is what a perfect
-    /// crawler could enumerate.
-    ///
-    /// Implemented over dense per-slot columns: one `PeerId → slot` index
-    /// build plus flat `Vec<bool>` role/online flags, instead of the hash
-    /// map per event the enum path used — this is the crawler's hot loop at
-    /// million-peer scale.
-    pub fn online_at(&self, at: SimTime) -> Vec<(PeerId, bool)> {
-        use std::collections::HashMap;
+    /// A replay of the ground truth from time zero: who is online, and in
+    /// which role, as of each instant it is advanced to. A crawl series
+    /// advances one cursor beside its routing-table replay, so the truth is
+    /// replayed once per series, not once per crawl.
+    pub fn cursor(&self) -> GroundTruthCursor<'_> {
         let slot: HashMap<PeerId, usize> = self
             .peers
             .iter()
             .enumerate()
             .map(|(idx, (peer, _))| (*peer, idx))
             .collect();
-        let mut role: Vec<bool> = self.peers.iter().map(|(_, server)| *server).collect();
-        let mut online: Vec<bool> = vec![false; self.peers.len()];
-        for event in &self.events {
-            if event.at() > at {
-                break;
-            }
-            match event {
-                GroundTruthEvent::PeerOnline { peer, .. } => {
-                    if let Some(&idx) = slot.get(peer) {
-                        online[idx] = true;
-                    }
-                }
-                GroundTruthEvent::PeerOffline { peer, .. } => {
-                    if let Some(&idx) = slot.get(peer) {
-                        online[idx] = false;
-                    }
-                }
-                GroundTruthEvent::RoleChanged { peer, dht_server, .. } => {
-                    if let Some(&idx) = slot.get(peer) {
-                        role[idx] = *dht_server;
-                    }
-                }
-            }
+        GroundTruthCursor {
+            truth: self,
+            slot,
+            next: 0,
+            role: self.peers.iter().map(|(_, server)| *server).collect(),
+            online: vec![false; self.peers.len()],
         }
-        self.peers
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| online[*idx])
-            .map(|(idx, (peer, _))| (*peer, role[idx]))
+    }
+
+    /// The set of peers online at time `at`, together with their DHT-Server
+    /// role at that time, in population (slot) order. This is what a perfect
+    /// crawler could enumerate: one [`Self::cursor`] advanced to `at`.
+    pub fn online_at(&self, at: SimTime) -> Vec<(PeerId, bool)> {
+        let mut cursor = self.cursor();
+        cursor.advance_to(at);
+        cursor
+            .online()
+            .map(|(idx, server)| (self.peers[idx].0, server))
             .collect()
     }
 
@@ -267,15 +252,11 @@ impl GroundTruth {
     /// exactly that span (`analysis::calibration`'s window histories): the
     /// peers online when the span opens plus every later arrival inside it.
     pub fn ever_online_within(&self, from: SimTime, to: SimTime) -> usize {
-        let mut seen: std::collections::BTreeSet<PeerId> =
-            self.online_at(from).into_iter().map(|(peer, _)| peer).collect();
-        for event in &self.events {
-            if event.at() >= to {
-                break;
-            }
-            if event.at() <= from {
-                continue;
-            }
+        let mut cursor = self.cursor();
+        cursor.advance_to(from);
+        let mut seen: BTreeSet<PeerId> =
+            cursor.online().map(|(idx, _)| self.peers[idx].0).collect();
+        while let Some(event) = cursor.step(|at| at < to) {
             if let GroundTruthEvent::PeerOnline { peer, .. } = event {
                 seen.insert(*peer);
             }
@@ -286,6 +267,61 @@ impl GroundTruth {
     /// Total number of distinct peers in the population.
     pub fn population_size(&self) -> usize {
         self.peers.len()
+    }
+}
+
+/// A forward-only replay of a [`GroundTruth`] (see [`GroundTruth::cursor`]).
+///
+/// Peers are numbered by their index in [`GroundTruth::peers`]; an event
+/// resolves its `PeerId` through one map built with the cursor, in which a
+/// `PeerId` listed twice names its last index. Events for peers the list
+/// does not hold change nothing.
+#[derive(Debug, Clone)]
+pub struct GroundTruthCursor<'a> {
+    truth: &'a GroundTruth,
+    slot: HashMap<PeerId, usize>,
+    /// Index of the next event to apply.
+    next: usize,
+    role: Vec<bool>,
+    online: Vec<bool>,
+}
+
+impl<'a> GroundTruthCursor<'a> {
+    /// Applies every event at or before `at`. Rewinding needs a fresh
+    /// cursor.
+    pub fn advance_to(&mut self, at: SimTime) {
+        while self.step(|t| t <= at).is_some() {}
+    }
+
+    /// Applies the next event if `due` accepts its time, and returns it.
+    fn step(&mut self, due: impl Fn(SimTime) -> bool) -> Option<&'a GroundTruthEvent> {
+        let event = self.truth.events.get(self.next)?;
+        if !due(event.at()) {
+            return None;
+        }
+        self.next += 1;
+        let (GroundTruthEvent::PeerOnline { peer, .. }
+        | GroundTruthEvent::PeerOffline { peer, .. }
+        | GroundTruthEvent::RoleChanged { peer, .. }) = event;
+        if let Some(&idx) = self.slot.get(peer) {
+            match *event {
+                GroundTruthEvent::PeerOnline { .. } => self.online[idx] = true,
+                GroundTruthEvent::PeerOffline { .. } => self.online[idx] = false,
+                GroundTruthEvent::RoleChanged { dht_server, .. } => self.role[idx] = dht_server,
+            }
+        }
+        Some(event)
+    }
+
+    /// The online peers, by index in [`GroundTruth::peers`], with their
+    /// DHT-Server role, in index order.
+    pub fn online(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        self.online
+            .iter()
+            .zip(&self.role)
+            .enumerate()
+            .filter(|(_, (&online, _))| online)
+            .map(|(idx, (_, &server))| (idx, server))
     }
 }
 
@@ -417,6 +453,37 @@ mod tests {
 
         let at35 = gt.online_at(SimTime::from_secs(35));
         assert_eq!(at35, vec![(p2, true)]);
+    }
+
+    /// One cursor advanced step by step sees what a fresh one advanced
+    /// straight to each instant sees, listed peers and repeats included.
+    #[test]
+    fn an_advancing_cursor_matches_a_fresh_one_at_every_instant() {
+        let p = |i| PeerId::derived(i);
+        let s = SimTime::from_secs;
+        let gt = GroundTruth {
+            // `p(2)` is listed twice (its last index counts); `p(9)` not at all.
+            peers: vec![(p(1), true), (p(2), false), (p(3), true), (p(2), true)],
+            events: vec![
+                GroundTruthEvent::PeerOnline { at: s(0), peer: p(1) },
+                GroundTruthEvent::PeerOnline { at: s(0), peer: p(2) },
+                GroundTruthEvent::PeerOnline { at: s(5), peer: p(9) },
+                GroundTruthEvent::PeerOnline { at: s(10), peer: p(3) },
+                GroundTruthEvent::RoleChanged { at: s(10), peer: p(3), dht_server: false },
+                GroundTruthEvent::PeerOffline { at: s(20), peer: p(1) },
+                GroundTruthEvent::RoleChanged { at: s(30), peer: p(2), dht_server: false },
+            ],
+        };
+        let mut cursor = gt.cursor();
+        for at in [0, 4, 10, 15, 20, 30, 40].map(s) {
+            cursor.advance_to(at);
+            let mut fresh = gt.cursor();
+            fresh.advance_to(at);
+            let online: Vec<(usize, bool)> = cursor.online().collect();
+            assert_eq!(online, fresh.online().collect::<Vec<_>>(), "at {at:?}");
+            assert!(online.iter().all(|&(idx, _)| idx != 1), "an earlier repeat never counts");
+        }
+        assert_eq!(cursor.online().collect::<Vec<_>>(), vec![(2, false), (3, false)]);
     }
 
     #[test]

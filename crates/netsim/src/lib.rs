@@ -40,7 +40,7 @@ pub use archive::{decode_output, encode_output, ArchiveError, ArchiveFile, Archi
 pub use config::{DhtRole, NetworkConfig, ObserverSpec};
 pub use dht::{dht_log_from_ground_truth, DhtConduct, DhtEvent, DhtLog, DhtReplay, DhtTracker, DhtView};
 pub use engine::{Network, SimulationOutput};
-pub use events::{GroundTruth, GroundTruthEvent, ObserverLog};
+pub use events::{GroundTruth, GroundTruthCursor, GroundTruthEvent, ObserverLog};
 pub use mailbox::{run_full_protocol, FullProtocolConfig, FullProtocolRun, MailboxStats, PhaseTimes};
 pub use obs::{IdentifyRegistry, ObservationKind, ObservationTable, ShardMap};
 pub use spec::{

@@ -70,10 +70,10 @@ impl fmt::Debug for Distance {
 }
 
 /// A single k-bucket holding up to `capacity` peers at a given common-prefix
-/// length, ordered from least- to most-recently seen.
+/// length, by slot, ordered from least- to most-recently seen.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct KBucket {
-    peers: Vec<PeerId>,
+    slots: Vec<u32>,
     capacity: usize,
 }
 
@@ -86,19 +86,19 @@ impl KBucket {
     pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "bucket capacity must be positive");
         KBucket {
-            peers: Vec::new(),
+            slots: Vec::new(),
             capacity,
         }
     }
 
     /// Number of peers currently in the bucket.
     pub(crate) fn len(&self) -> usize {
-        self.peers.len()
+        self.slots.len()
     }
 
-    /// Whether the bucket contains `peer`.
-    pub(crate) fn contains(&self, peer: &PeerId) -> bool {
-        self.peers.contains(peer)
+    /// Whether the bucket contains the peer in `slot`.
+    pub(crate) fn contains(&self, slot: u32) -> bool {
+        self.slots.contains(&slot)
     }
 
     /// Inserts or refreshes a peer.
@@ -109,23 +109,23 @@ impl KBucket {
     /// * If the bucket is full the peer is rejected and `false` is returned
     ///   (Kademlia prefers long-lived peers, which is also why crawlers see a
     ///   stable core).
-    pub(crate) fn insert(&mut self, peer: PeerId) -> bool {
-        if let Some(pos) = self.peers.iter().position(|p| *p == peer) {
-            self.peers.remove(pos);
-            self.peers.push(peer);
+    pub(crate) fn insert(&mut self, slot: u32) -> bool {
+        if let Some(pos) = self.slots.iter().position(|&s| s == slot) {
+            self.slots.remove(pos);
+            self.slots.push(slot);
             return true;
         }
-        if self.peers.len() < self.capacity {
-            self.peers.push(peer);
+        if self.slots.len() < self.capacity {
+            self.slots.push(slot);
             return true;
         }
         false
     }
 
     /// Removes a peer, returning whether it was present.
-    pub(crate) fn remove(&mut self, peer: &PeerId) -> bool {
-        if let Some(pos) = self.peers.iter().position(|p| p == peer) {
-            self.peers.remove(pos);
+    pub(crate) fn remove(&mut self, slot: u32) -> bool {
+        if let Some(pos) = self.slots.iter().position(|&s| s == slot) {
+            self.slots.remove(pos);
             true
         } else {
             false
@@ -133,12 +133,17 @@ impl KBucket {
     }
 
     /// Iterates over the peers from least- to most-recently seen.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &PeerId> {
-        self.peers.iter()
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.slots.iter().copied()
     }
 }
 
 /// A Kademlia routing table for a local peer.
+///
+/// Entries are *slots*: indices into a `&[PeerId]` the caller owns and
+/// passes to every method that needs an entry's ID (bucket placement,
+/// unfolding, distance ranking). One table is 4 bytes per entry, and a
+/// network of tables shares one list of IDs.
 ///
 /// Buckets are indexed by common-prefix length: bucket `i` contains peers
 /// whose distance to the local peer has exactly `i` leading zero bits (all
@@ -150,12 +155,13 @@ impl KBucket {
 /// ```
 /// use p2pmodel::{PeerId, RoutingTable};
 ///
-/// let local = PeerId::derived(0);
-/// let mut table = RoutingTable::new(local);
-/// for i in 1..50 {
-///     table.insert(PeerId::derived(i));
+/// let peers: Vec<PeerId> = (0..50).map(PeerId::derived).collect();
+/// let mut table = RoutingTable::new(peers[0]);
+/// for slot in 1..50 {
+///     table.insert(&peers, slot);
 /// }
-/// let closest = table.closest(&PeerId::derived(1000), 20);
+/// let mut closest = Vec::new();
+/// table.closest(&peers, &PeerId::derived(1000), 20, &mut closest);
 /// assert!(closest.len() <= 20);
 /// assert!(!closest.is_empty());
 /// ```
@@ -203,21 +209,20 @@ impl RoutingTable {
         Some(cpl.min(self.buckets.len() - 1))
     }
 
-    /// Inserts a peer, unfolding the last bucket if necessary.
+    /// Inserts the peer in `slot` (whose ID is `peers[slot]`), unfolding the
+    /// last bucket if necessary.
     ///
     /// Returns `true` if the peer is now present in the table. The local peer
     /// itself is never inserted.
-    pub fn insert(&mut self, peer: PeerId) -> bool {
-        if peer == self.local {
-            return false;
-        }
+    pub fn insert(&mut self, peers: &[PeerId], slot: u32) -> bool {
+        let peer = &peers[slot as usize];
         loop {
-            let idx = match self.bucket_index_for(&peer) {
+            let idx = match self.bucket_index_for(peer) {
                 Some(idx) => idx,
                 None => return false,
             };
             let is_last = idx == self.buckets.len() - 1;
-            if self.buckets[idx].insert(peer) {
+            if self.buckets[idx].insert(slot) {
                 return true;
             }
             // The target bucket is full. Only the last bucket can be unfolded;
@@ -225,64 +230,74 @@ impl RoutingTable {
             if !is_last || self.buckets.len() >= KEY_BITS as usize {
                 return false;
             }
-            self.unfold_last_bucket();
+            self.unfold_last_bucket(peers);
         }
     }
 
-    fn unfold_last_bucket(&mut self) {
+    fn unfold_last_bucket(&mut self, peers: &[PeerId]) {
         let last_idx = self.buckets.len() - 1;
         let old = std::mem::replace(&mut self.buckets[last_idx], KBucket::new(self.bucket_size));
         self.buckets.push(KBucket::new(self.bucket_size));
-        for peer in old.iter().copied().collect::<Vec<_>>() {
-            let cpl = self
-                .local
-                .bucket_index(&peer)
-                .expect("stored peers differ from local") as usize;
-            let idx = cpl.min(self.buckets.len() - 1);
+        for slot in old.iter() {
+            let idx = self
+                .bucket_index_for(&peers[slot as usize])
+                .expect("stored peers differ from local");
             // Re-inserting into a freshly split pair of buckets cannot fail
             // unless the distribution is pathological; drop overflow silently
             // exactly like an over-full Kademlia bucket would.
-            let _ = self.buckets[idx].insert(peer);
+            let _ = self.buckets[idx].insert(slot);
         }
     }
 
-    /// Removes a peer from the table, returning whether it was present.
-    pub fn remove(&mut self, peer: &PeerId) -> bool {
-        match self.bucket_index_for(peer) {
-            Some(idx) => self.buckets[idx].remove(peer),
+    /// Removes the peer in `slot` from the table, returning whether it was
+    /// present.
+    pub fn remove(&mut self, peers: &[PeerId], slot: u32) -> bool {
+        match self.bucket_index_for(&peers[slot as usize]) {
+            Some(idx) => self.buckets[idx].remove(slot),
             None => false,
         }
     }
 
-    /// Whether the table contains `peer`.
-    pub fn contains(&self, peer: &PeerId) -> bool {
-        self.bucket_index_for(peer)
-            .map(|idx| self.buckets[idx].contains(peer))
-            .unwrap_or(false)
+    /// Whether the table contains the peer in `slot`.
+    pub fn contains(&self, peers: &[PeerId], slot: u32) -> bool {
+        self.bucket_index_for(&peers[slot as usize])
+            .is_some_and(|idx| self.buckets[idx].contains(slot))
     }
 
-    /// Iterates over every peer in the table.
-    pub fn iter(&self) -> impl Iterator<Item = &PeerId> {
+    /// Iterates over the slot of every peer in the table.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.buckets.iter().flat_map(KBucket::iter)
     }
 
-    /// The `count` peers closest to `target` in XOR distance, closest first.
+    /// Fills `out` with the `count` peers closest to `target` in XOR
+    /// distance, closest first, each with its distance to `target`.
     ///
     /// Iterative lookups call this once per hop, so the table is *not* fully
-    /// sorted: `select_nth_unstable_by_key` partitions the k closest peers in
-    /// O(n) and only that prefix is sorted, for O(n + k log k) per call
-    /// instead of O(n log n).
-    pub fn closest(&self, target: &PeerId, count: usize) -> Vec<PeerId> {
+    /// sorted: each entry's distance is computed once,
+    /// `select_nth_unstable_by_key` partitions the k closest in O(n) and only
+    /// that prefix is sorted, for O(n + k log k) per call instead of
+    /// O(n log n). Distinct IDs have distinct distances to one target, so
+    /// the order is total.
+    pub fn closest(
+        &self,
+        peers: &[PeerId],
+        target: &PeerId,
+        count: usize,
+        out: &mut Vec<(Distance, u32)>,
+    ) {
+        out.clear();
         if count == 0 {
-            return Vec::new();
+            return;
         }
-        let mut peers: Vec<PeerId> = self.iter().copied().collect();
-        if count < peers.len() {
-            peers.select_nth_unstable_by_key(count - 1, |p| p.distance(target));
-            peers.truncate(count);
+        out.extend(
+            self.iter()
+                .map(|slot| (peers[slot as usize].distance(target), slot)),
+        );
+        if count < out.len() {
+            out.select_nth_unstable_by_key(count - 1, |entry| entry.0);
+            out.truncate(count);
         }
-        peers.sort_by_key(|p| p.distance(target));
-        peers
+        out.sort_unstable_by_key(|entry| entry.0);
     }
 }
 
@@ -322,20 +337,18 @@ mod tests {
     #[test]
     fn bucket_insert_refresh_and_eviction_policy() {
         let mut bucket = KBucket::new(2);
-        let a = PeerId::derived(1);
-        let b = PeerId::derived(2);
-        let c = PeerId::derived(3);
+        let (a, b, c) = (1, 2, 3);
         assert!(bucket.insert(a));
         assert!(bucket.insert(b));
         assert_eq!(bucket.len(), 2);
         // Full bucket rejects new peers (prefers long-lived entries)...
         assert!(!bucket.insert(c));
         // ...but refreshing an existing peer succeeds and reorders.
-        assert_eq!(bucket.iter().next(), Some(&a));
+        assert_eq!(bucket.iter().next(), Some(a));
         assert!(bucket.insert(a));
-        assert_eq!(bucket.iter().next(), Some(&b));
-        assert!(bucket.remove(&b));
-        assert!(!bucket.remove(&b));
+        assert_eq!(bucket.iter().next(), Some(b));
+        assert!(bucket.remove(b));
+        assert!(!bucket.remove(b));
         assert!(bucket.insert(c));
     }
 
@@ -345,25 +358,36 @@ mod tests {
         let _ = KBucket::new(0);
     }
 
+    /// The peers of the distinct nonzero `labels`, by slot, behind the
+    /// local peer in slot 0.
+    fn labelled(labels: &[u64]) -> Vec<PeerId> {
+        let mut labels = labels.to_vec();
+        labels.sort_unstable();
+        labels.dedup();
+        std::iter::once(0)
+            .chain(labels)
+            .map(PeerId::derived)
+            .collect()
+    }
+
     #[test]
     fn routing_table_never_stores_local_peer() {
-        let local = PeerId::derived(0);
-        let mut table = RoutingTable::new(local);
-        assert!(!table.insert(local));
+        let peers = labelled(&[]);
+        let mut table = RoutingTable::new(peers[0]);
+        assert!(!table.insert(&peers, 0));
         assert!(table.is_empty());
     }
 
     #[test]
     fn routing_table_insert_remove_roundtrip() {
-        let local = PeerId::derived(0);
-        let mut table = RoutingTable::new(local);
-        let peer = PeerId::derived(1);
-        assert!(table.insert(peer));
-        assert!(table.contains(&peer));
+        let peers = labelled(&[1]);
+        let mut table = RoutingTable::new(peers[0]);
+        assert!(table.insert(&peers, 1));
+        assert!(table.contains(&peers, 1));
         assert_eq!(table.len(), 1);
-        assert!(table.remove(&peer));
-        assert!(!table.contains(&peer));
-        assert!(!table.remove(&peer));
+        assert!(table.remove(&peers, 1));
+        assert!(!table.contains(&peers, 1));
+        assert!(!table.remove(&peers, 1));
     }
 
     #[test]
@@ -371,7 +395,7 @@ mod tests {
         let local = PeerId::derived(0);
         let mut table = RoutingTable::new(local);
         let peers = random_ids(2000, 42);
-        let inserted = peers.iter().filter(|p| table.insert(**p)).count();
+        let inserted = (0..2000).filter(|&slot| table.insert(&peers, slot)).count();
         // With k=20 and ~9 meaningful buckets, the table holds a few hundred
         // peers; the exact number depends on the distribution but it must be
         // well above a single bucket and below the attempted total.
@@ -385,18 +409,22 @@ mod tests {
     fn closest_returns_sorted_prefix() {
         let local = PeerId::derived(0);
         let mut table = RoutingTable::new(local);
-        for p in random_ids(500, 7) {
-            table.insert(p);
+        let peers = random_ids(500, 7);
+        for slot in 0..500 {
+            table.insert(&peers, slot);
         }
         let target = PeerId::derived(99);
-        let closest = table.closest(&target, 20);
-        assert!(closest.len() <= 20);
+        let mut closest = Vec::new();
+        table.closest(&peers, &target, 20, &mut closest);
+        assert_eq!(closest.len(), 20);
         for w in closest.windows(2) {
-            assert!(w[0].distance(&target) <= w[1].distance(&target));
+            assert!(w[0].0 < w[1].0);
         }
-        // Every returned peer must actually be in the table.
-        for p in &closest {
-            assert!(table.contains(p));
+        for &(distance, slot) in &closest {
+            // Every returned peer must actually be in the table, with its
+            // own distance.
+            assert!(table.contains(&peers, slot));
+            assert_eq!(distance, peers[slot as usize].distance(&target));
         }
     }
 
@@ -410,17 +438,16 @@ mod tests {
         let mut rng = simclock::SimRng::seed_from(0x4a01);
         for _ in 0..32 {
             let labels = random_labels(&mut rng, 100, 10_000);
-            let local = PeerId::derived(0);
-            let mut table = RoutingTable::new(local);
-            for &l in &labels {
-                table.insert(PeerId::derived(l));
+            let peers = labelled(&labels);
+            let mut table = RoutingTable::new(peers[0]);
+            for slot in 1..peers.len() as u32 {
+                table.insert(&peers, slot);
             }
             let len_before = table.len();
-            for &l in &labels {
+            for slot in 1..peers.len() as u32 {
                 // Re-inserting peers that are present must not change the size.
-                let peer = PeerId::derived(l);
-                if table.contains(&peer) {
-                    table.insert(peer);
+                if table.contains(&peers, slot) {
+                    table.insert(&peers, slot);
                 }
             }
             assert_eq!(table.len(), len_before);
@@ -435,12 +462,14 @@ mod tests {
             let count_b = rng.uniform_u64(1, 30) as usize;
             let local = PeerId::derived(0);
             let mut table = RoutingTable::new(local);
-            for p in random_ids(200, 5) {
-                table.insert(p);
+            let peers = random_ids(200, 5);
+            for slot in 0..200 {
+                table.insert(&peers, slot);
             }
             let target = PeerId::derived(12345);
-            let small = table.closest(&target, count_a.min(count_b));
-            let large = table.closest(&target, count_a.max(count_b));
+            let (mut small, mut large) = (Vec::new(), Vec::new());
+            table.closest(&peers, &target, count_a.min(count_b), &mut small);
+            table.closest(&peers, &target, count_a.max(count_b), &mut large);
             assert_eq!(&large[..small.len()], &small[..]);
         }
     }
@@ -450,11 +479,11 @@ mod tests {
         let mut rng = simclock::SimRng::seed_from(0x4a03);
         for _ in 0..16 {
             let labels = random_labels(&mut rng, 400, 50_000);
-            let local = PeerId::derived(0);
+            let peers = labelled(&labels);
             let table_size = 8;
-            let mut table = RoutingTable::with_bucket_size(local, table_size);
-            for &l in &labels {
-                table.insert(PeerId::derived(l));
+            let mut table = RoutingTable::with_bucket_size(peers[0], table_size);
+            for slot in 1..peers.len() as u32 {
+                table.insert(&peers, slot);
             }
             for bucket in &table.buckets {
                 assert!(bucket.len() <= table_size);

@@ -8,15 +8,21 @@
 //! the caller owns the transport (in this repo, replayed routing-table
 //! snapshots) and feeds responses back through [`IterativeLookup::on_response`].
 //!
+//! The lookup works on *slots*, the caller's dense peer indices, each handed
+//! in with its XOR distance to the target: [`crate::RoutingTable::closest`]
+//! already computed those distances for the reply, so the lookup never
+//! needs a peer's ID. It keeps only the k closest candidates. That is exact:
+//! nothing ever leaves the shortlist, so a candidate's rank only falls, and
+//! one pushed past rank k can never again be among the k closest the lookup
+//! queries.
+//!
 //! Termination is structural, not probabilistic: every peer is queried at
 //! most once, candidates are drawn from a finite population, and
-//! [`IterativeLookup::next_batch`] returns an empty batch as soon as the top-k
+//! [`IterativeLookup::next_batch`] returns `None` as soon as the top-k
 //! shortlist holds no unqueried peer — `tests/crawler_properties.rs` fuzzes
 //! this over seeded topologies.
 
 use crate::kademlia::Distance;
-use crate::peer_id::PeerId;
-use std::collections::BTreeSet;
 
 /// Default lookup concurrency (`α = 3` in the Kademlia paper and go-libp2p).
 pub const DEFAULT_ALPHA: usize = 3;
@@ -29,63 +35,87 @@ pub const DEFAULT_ALPHA: usize = 3;
 /// use p2pmodel::{IterativeLookup, PeerId};
 ///
 /// let target = PeerId::derived(42);
-/// let seeds = (1..=5).map(PeerId::derived);
-/// let mut lookup = IterativeLookup::new(target, 20, 3, seeds);
+/// let peers: Vec<PeerId> = (0..10).map(PeerId::derived).collect();
+/// let near = |slot: u32| (peers[slot as usize].distance(&target), slot);
+/// let mut lookup = IterativeLookup::new(20, 3, (1..=5).map(near));
 /// while let Some(batch) = lookup.next_batch() {
-///     for peer in batch {
+///     for _slot in batch {
 ///         // "query" the peer: here everyone responds with the same peers.
-///         lookup.on_response((6..=9).map(PeerId::derived));
+///         lookup.on_response((6..=9).map(near));
 ///     }
 /// }
-/// assert!(!lookup.closest(20).is_empty());
+/// assert_eq!(lookup.queries(), 9);
+/// assert_eq!(lookup.closest().count(), 9);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IterativeLookup {
-    target: PeerId,
     k: usize,
     alpha: usize,
-    /// Every peer the lookup knows of, sorted by distance to the target.
+    /// The k closest candidates known, sorted by distance to the target.
     /// XOR distances of distinct peers to a fixed target are distinct, so
     /// the order — and with it the whole lookup — is deterministic.
-    shortlist: Vec<(Distance, PeerId)>,
-    queried: BTreeSet<PeerId>,
+    shortlist: Vec<Candidate>,
+    queries: usize,
+}
+
+/// One shortlist entry.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    distance: Distance,
+    slot: u32,
+    queried: bool,
 }
 
 impl IterativeLookup {
-    /// Starts a lookup towards `target` with the given shortlist size `k`,
-    /// concurrency `alpha` and seed peers.
+    /// Starts a lookup with the given shortlist size `k`, concurrency
+    /// `alpha` and seed peers, each a slot with its distance to the target.
     ///
     /// # Panics
     ///
     /// Panics if `k` or `alpha` is zero.
-    pub fn new(
-        target: PeerId,
-        k: usize,
-        alpha: usize,
-        seeds: impl IntoIterator<Item = PeerId>,
-    ) -> Self {
+    pub fn new(k: usize, alpha: usize, seeds: impl IntoIterator<Item = (Distance, u32)>) -> Self {
         assert!(k > 0, "lookup shortlist size must be positive");
         assert!(alpha > 0, "lookup concurrency must be positive");
         let mut lookup = IterativeLookup {
-            target,
             k,
             alpha,
-            shortlist: Vec::new(),
-            queried: BTreeSet::new(),
+            shortlist: Vec::with_capacity(k),
+            queries: 0,
         };
         lookup.on_response(seeds);
         lookup
     }
 
-    /// Merges queried-peer responses (or seeds) into the shortlist.
-    pub fn on_response(&mut self, peers: impl IntoIterator<Item = PeerId>) {
-        for peer in peers {
-            let distance = peer.distance(&self.target);
-            match self.shortlist.binary_search_by(|(d, _)| d.cmp(&distance)) {
-                // Same distance to the target means the same peer under the
-                // XOR metric: already known.
-                Ok(_) => {}
-                Err(pos) => self.shortlist.insert(pos, (distance, peer)),
+    /// Merges a queried peer's response (or seeds) into the shortlist: each
+    /// peer is a slot with its distance to the target.
+    pub fn on_response(&mut self, peers: impl IntoIterator<Item = (Distance, u32)>) {
+        for (distance, slot) in peers {
+            let full = self.shortlist.len() == self.k;
+            if full
+                && self
+                    .shortlist
+                    .last()
+                    .is_some_and(|c| c.distance <= distance)
+            {
+                continue;
+            }
+            // Same distance to the target means the same peer under the XOR
+            // metric: already known.
+            if let Err(pos) = self
+                .shortlist
+                .binary_search_by(|c| c.distance.cmp(&distance))
+            {
+                if full {
+                    self.shortlist.pop();
+                }
+                self.shortlist.insert(
+                    pos,
+                    Candidate {
+                        distance,
+                        slot,
+                        queried: false,
+                    },
+                );
             }
         }
     }
@@ -93,36 +123,29 @@ impl IterativeLookup {
     /// The next up-to-α unqueried peers among the k closest known, marked as
     /// queried. Returns `None` when the lookup has converged: every peer in
     /// the current top-k shortlist has been queried.
-    pub fn next_batch(&mut self) -> Option<Vec<PeerId>> {
-        let batch: Vec<PeerId> = self
+    pub fn next_batch(&mut self) -> Option<Vec<u32>> {
+        let batch: Vec<u32> = self
             .shortlist
-            .iter()
-            .take(self.k)
-            .map(|(_, peer)| *peer)
-            .filter(|peer| !self.queried.contains(peer))
+            .iter_mut()
+            .filter(|c| !c.queried)
             .take(self.alpha)
+            .map(|c| {
+                c.queried = true;
+                c.slot
+            })
             .collect();
-        if batch.is_empty() {
-            return None;
-        }
-        for peer in &batch {
-            self.queried.insert(*peer);
-        }
-        Some(batch)
+        self.queries += batch.len();
+        (!batch.is_empty()).then_some(batch)
     }
 
     /// Number of queries issued so far.
     pub fn queries(&self) -> usize {
-        self.queried.len()
+        self.queries
     }
 
-    /// The `count` closest known peers, closest first.
-    pub fn closest(&self, count: usize) -> Vec<PeerId> {
-        self.shortlist
-            .iter()
-            .take(count)
-            .map(|(_, peer)| *peer)
-            .collect()
+    /// The k closest known peers, closest first.
+    pub fn closest(&self) -> impl Iterator<Item = u32> + '_ {
+        self.shortlist.iter().map(|c| c.slot)
     }
 }
 
@@ -130,12 +153,27 @@ impl IterativeLookup {
 mod tests {
     use super::*;
     use crate::kademlia::RoutingTable;
+    use crate::peer_id::PeerId;
     use simclock::SimRng;
+    use std::collections::BTreeSet;
+
+    /// The lookup's input for the peers of `slots`: each with its distance
+    /// to `target`.
+    fn near<'a>(
+        peers: &'a [PeerId],
+        target: PeerId,
+        slots: impl IntoIterator<Item = u32> + 'a,
+    ) -> impl Iterator<Item = (Distance, u32)> + 'a {
+        slots
+            .into_iter()
+            .map(move |slot| (peers[slot as usize].distance(&target), slot))
+    }
 
     #[test]
     fn lookup_terminates_and_finds_seeds() {
+        let peers: Vec<PeerId> = (0..=30).map(PeerId::derived).collect();
         let target = PeerId::derived(1000);
-        let mut lookup = IterativeLookup::new(target, 20, 3, (1..=30).map(PeerId::derived));
+        let mut lookup = IterativeLookup::new(20, 3, near(&peers, target, 1..=30));
         let mut queries = 0;
         while let Some(batch) = lookup.next_batch() {
             queries += batch.len();
@@ -146,20 +184,27 @@ mod tests {
         // Only the top-k shortlist is queried, never the whole candidate set.
         assert_eq!(queries, 20);
         assert_eq!(lookup.queries(), 20);
-        assert_eq!(lookup.closest(20).len(), 20);
+        let mut by_distance: Vec<(Distance, u32)> = near(&peers, target, 1..=30).collect();
+        by_distance.sort_unstable();
+        let expected: Vec<u32> = by_distance[..20].iter().map(|&(_, slot)| slot).collect();
+        assert_eq!(lookup.closest().collect::<Vec<_>>(), expected);
     }
 
     #[test]
     fn batches_respect_alpha_and_never_repeat_peers() {
+        let peers: Vec<PeerId> = (0..=50).map(PeerId::derived).collect();
         let target = PeerId::derived(7);
-        let mut lookup = IterativeLookup::new(target, 10, 3, (1..=50).map(PeerId::derived));
+        let mut lookup = IterativeLookup::new(10, 3, near(&peers, target, 1..=50));
         let mut seen = BTreeSet::new();
         while let Some(batch) = lookup.next_batch() {
             assert!(batch.len() <= 3);
-            for peer in batch {
-                assert!(seen.insert(peer), "peer queried twice");
+            for slot in batch {
+                assert!(seen.insert(slot), "peer queried twice");
+                // Re-announcing every peer changes nothing.
+                lookup.on_response(near(&peers, target, 1..=50));
             }
         }
+        assert_eq!(seen.len(), 10);
     }
 
     #[test]
@@ -169,35 +214,47 @@ mod tests {
         // seeds were.
         let mut rng = SimRng::seed_from(0x100c);
         let peers: Vec<PeerId> = (0..300).map(|_| PeerId::random(&mut rng)).collect();
-        let tables: std::collections::HashMap<PeerId, RoutingTable> = peers
+        let tables: Vec<RoutingTable> = peers
             .iter()
             .map(|&p| {
                 let mut table = RoutingTable::new(p);
-                for &other in &peers {
-                    table.insert(other);
+                for slot in 0..peers.len() as u32 {
+                    table.insert(&peers, slot);
                 }
-                (p, table)
+                table
             })
             .collect();
         let target = PeerId::random(&mut rng);
-        let seeds = peers[..3].to_vec();
-        let seed_best = seeds.iter().map(|p| p.distance(&target)).min().unwrap();
-        let mut lookup = IterativeLookup::new(target, 20, 3, seeds);
+        let seed_best = peers[..3]
+            .iter()
+            .map(|p| p.distance(&target))
+            .min()
+            .unwrap();
+        let mut lookup = IterativeLookup::new(20, 3, near(&peers, target, 0..3));
+        let mut reply = Vec::new();
         while let Some(batch) = lookup.next_batch() {
-            for peer in batch {
-                lookup.on_response(tables[&peer].closest(&target, 20));
+            for slot in batch {
+                tables[slot as usize].closest(&peers, &target, 20, &mut reply);
+                lookup.on_response(reply.iter().copied());
             }
         }
-        let best = lookup.closest(1)[0].distance(&target);
-        assert!(best <= seed_best, "lookup must not move away from the target");
+        let best_slot = lookup.closest().next().unwrap();
+        let best = peers[best_slot as usize].distance(&target);
+        assert!(
+            best <= seed_best,
+            "lookup must not move away from the target"
+        );
         let brute_best = peers.iter().map(|p| p.distance(&target)).min().unwrap();
-        assert_eq!(best, brute_best, "dense tables must find the globally closest peer");
+        assert_eq!(
+            best, brute_best,
+            "dense tables must find the globally closest peer"
+        );
     }
 
     #[test]
     fn empty_seed_lookup_is_complete_immediately() {
-        let mut lookup = IterativeLookup::new(PeerId::derived(1), 20, 3, std::iter::empty());
+        let mut lookup = IterativeLookup::new(20, 3, std::iter::empty());
         assert!(lookup.next_batch().is_none());
-        assert!(lookup.closest(5).is_empty());
+        assert_eq!(lookup.closest().count(), 0);
     }
 }

@@ -15,7 +15,10 @@
 //! panicking, and unknown format versions are rejected up front.
 
 use ipfs_passive_measurement::prelude::*;
-use measurement::{analyze_suite, export_suite, read_campaign_archive, ExportedCell};
+use measurement::{
+    analyze_suite, export_suite, read_campaign_archive, write_campaign_archive, CampaignMeta,
+    ExportedCell,
+};
 use netsim::ArchiveError;
 use std::sync::OnceLock;
 
@@ -77,6 +80,60 @@ fn export_then_analyze_reproduces_the_direct_report_byte_for_byte() {
             replayed_report.to_json_string(),
             direct_report.to_json_string(),
             "{period}: the re-analysed report must be byte-identical to the direct one"
+        );
+    }
+}
+
+/// The DHT-level attacks write a conduct table into the DHT block. An
+/// archived attack cell must give back the run's `DhtLog` as it was and the
+/// same crawl series, and re-encoding what it decodes must give back the
+/// archive.
+#[test]
+fn archived_attack_cells_reproduce_the_dht_log_and_the_crawl_series() {
+    for churn in ChurnScenario::adversaries() {
+        let label = churn.label();
+        let run = Scenario::new(MeasurementPeriod::P4)
+            .with_scale(SCALE)
+            .with_seed(SEED)
+            .with_churn(churn)
+            .build();
+        let meta = CampaignMeta {
+            scenario: run.scenario.clone(),
+            ground_truth_participants: run.ground_truth_participants,
+            duration: run.config.duration,
+        };
+        let output = run.simulate();
+        assert!(
+            !output.dht.conduct.is_empty(),
+            "{label}: no adversary in the log"
+        );
+        let archive = write_campaign_archive(&meta, &output).expect("engine output encodes");
+        let decoded = read_campaign_archive(&archive).expect("archive decodes");
+        assert_eq!(
+            decoded.output.dht, output.dht,
+            "{label}: routing-table history"
+        );
+        assert_eq!(
+            write_campaign_archive(&decoded.meta, &decoded.output).expect("decoded output encodes"),
+            archive,
+            "{label}: encode(decode(archive)) differs from the archive"
+        );
+        let end = SimTime::ZERO + meta.duration;
+        let crawl = |output: &netsim::SimulationOutput| {
+            ActiveCrawler::new().crawl_summary(
+                &output.dht,
+                &output.ground_truth,
+                SimTime::ZERO,
+                end,
+            )
+        };
+        let (direct, direct_summary) = crawl(&output);
+        let (replayed, replayed_summary) = crawl(&decoded.output);
+        assert_eq!(replayed, direct, "{label}: crawl series");
+        assert_eq!(replayed_summary, direct_summary, "{label}: crawl summary");
+        assert!(
+            direct.iter().any(|snapshot| snapshot.adversarial_found > 0),
+            "{label}: the crawler never met an adversary"
         );
     }
 }

@@ -8,26 +8,32 @@ mod common;
 
 use common::{campaign, scenario_campaign};
 use ipfs_passive_measurement::prelude::*;
+use p2pmodel::Distance;
 use std::collections::BTreeSet;
 
 /// `RoutingTable::closest` must agree with a brute-force sort of the full
 /// table contents, for any table shape and any target (seeded fuzz).
 #[test]
 fn closest_matches_brute_force_over_full_table() {
+    let mut fast = Vec::new();
     for seed in 0..8u64 {
         let mut rng = SimRng::seed_from(0xC10_5E57 + seed);
         let local = PeerId::random(&mut rng);
         let mut table = RoutingTable::new(local);
         let inserts = 1 + (seed as usize) * 73 % 600;
-        for _ in 0..inserts {
-            table.insert(PeerId::random(&mut rng));
+        let peers: Vec<PeerId> = (0..inserts).map(|_| PeerId::random(&mut rng)).collect();
+        for slot in 0..inserts as u32 {
+            table.insert(&peers, slot);
         }
         for t in 0..16u64 {
             let target = PeerId::derived(seed * 1_000 + t);
             for k in [1usize, 3, 20, 50] {
-                let fast = table.closest(&target, k);
-                let mut brute: Vec<PeerId> = table.iter().copied().collect();
-                brute.sort_by_key(|peer| peer.distance(&target));
+                table.closest(&peers, &target, k, &mut fast);
+                let mut brute: Vec<(Distance, u32)> = table
+                    .iter()
+                    .map(|slot| (peers[slot as usize].distance(&target), slot))
+                    .collect();
+                brute.sort_by_key(|&(distance, _)| distance);
                 brute.truncate(k);
                 assert_eq!(
                     fast, brute,
@@ -53,25 +59,27 @@ fn iterative_lookup_terminates_with_bounded_queries() {
             .iter()
             .map(|peer| {
                 let mut table = RoutingTable::new(*peer);
-                for other in &peers {
+                for other in 0..n as u32 {
                     if rng.unit() < 0.35 {
-                        table.insert(*other);
+                        table.insert(&peers, other);
                     }
                 }
                 table
             })
             .collect();
         let target = PeerId::random(&mut rng);
-        let mut lookup = IterativeLookup::new(target, 20, 3, peers.iter().take(3).copied());
+        let seeds = (0..3).map(|slot| (peers[slot as usize].distance(&target), slot));
+        let mut lookup = IterativeLookup::new(20, 3, seeds);
         let mut queried = BTreeSet::new();
         let mut rounds = 0usize;
+        let mut reply = Vec::new();
         while let Some(batch) = lookup.next_batch() {
             rounds += 1;
             assert!(rounds <= 2 * n, "lookup failed to terminate (seed {seed})");
-            for peer in batch {
-                assert!(queried.insert(peer), "peer queried twice (seed {seed})");
-                let idx = peers.iter().position(|p| *p == peer).expect("known peer");
-                lookup.on_response(tables[idx].closest(&target, 20));
+            for slot in batch {
+                assert!(queried.insert(slot), "peer queried twice (seed {seed})");
+                tables[slot as usize].closest(&peers, &target, 20, &mut reply);
+                lookup.on_response(reply.iter().copied());
             }
         }
         assert!(lookup.queries() <= n, "more queries than peers (seed {seed})");

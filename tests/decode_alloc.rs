@@ -10,8 +10,11 @@
 //! relative to the input.
 
 use measurement::StreamingMonitor;
-use netsim::archive::{apply_registry_delta, ByteWriter};
-use netsim::IdentifyRegistry;
+use netsim::archive::{
+    apply_registry_delta, encode_registry_delta, ByteWriter, BK_DHT, BK_GROUND_TRUTH, BK_META,
+    BK_OBSERVERS, BK_REGISTRY, GLOBAL_OWNER,
+};
+use netsim::{decode_output, ArchiveWriter, DhtConduct, DhtEvent, IdentifyRegistry};
 use p2pmodel::Multiaddr;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,6 +92,77 @@ fn a_forged_address_count_reserves_at_most_six_times_the_input() {
             delta.len()
         );
     }
+}
+
+/// An archive of an empty run whose DHT block is `dht`: an empty registry,
+/// no observers and an empty ground truth, all of which decode.
+fn archive_with_dht_block(dht: &[u8]) -> Vec<u8> {
+    let zeros = |n: usize| {
+        let mut w = ByteWriter::new();
+        for _ in 0..n {
+            w.put_uvarint(0);
+        }
+        w.into_bytes()
+    };
+    let mut writer = ArchiveWriter::new();
+    writer.push_block(BK_META, GLOBAL_OWNER, &[]);
+    let registry = encode_registry_delta(&IdentifyRegistry::new(), 0, 0, 0);
+    writer.push_block(BK_REGISTRY, GLOBAL_OWNER, &registry);
+    writer.push_block(BK_OBSERVERS, GLOBAL_OWNER, &zeros(1));
+    // No dictionary entries, no peers, no events.
+    writer.push_block(BK_GROUND_TRUTH, GLOBAL_OWNER, &zeros(3));
+    writer.push_block(BK_DHT, GLOBAL_OWNER, dht);
+    writer.finish()
+}
+
+#[test]
+fn forged_dht_counts_reserve_at_most_twelve_times_the_block() {
+    // An event is 24 bytes in memory and at least 3 encoded (a tag, a time
+    // delta, a slot); a conduct entry is 24 bytes and at least 2 encoded
+    // (a slot and a tag).
+    let budget = 12;
+    assert!(std::mem::size_of::<DhtEvent>() <= 24);
+    assert!(std::mem::size_of::<(u32, DhtConduct)>() <= 24);
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let empty = [0u8; 5];
+    assert!(
+        decode_output(&archive_with_dht_block(&empty)).is_ok(),
+        "an empty dictionary, k, bootstrap, conduct and event count decode"
+    );
+    let mut over = Vec::new();
+    for filler in [1 << 20, 1 << 22] {
+        // The dictionary, k and bootstrap counts are zero; then either the
+        // conduct count or, after an empty conduct table, the event count
+        // equals the zero filler that follows it. Every element refers to
+        // slot 0 of an empty dictionary, so the first one fails.
+        for (site, prefix) in [("conduct", 3), ("events", 4)] {
+            let mut w = ByteWriter::new();
+            for _ in 0..prefix {
+                w.put_uvarint(0);
+            }
+            w.put_uvarint(filler as u64);
+            let mut block = w.into_bytes();
+            block.resize(block.len() + filler, 0);
+            let archive = archive_with_dht_block(&block);
+            LARGEST.store(0, Ordering::Relaxed);
+            let outcome = decode_output(&archive);
+            let largest = LARGEST.load(Ordering::Relaxed);
+            assert!(
+                outcome.is_err(),
+                "a forged {site} count must fail to decode"
+            );
+            if largest > budget * block.len() {
+                over.push(format!(
+                    "{site}: {largest} B from a {} B block",
+                    block.len()
+                ));
+            }
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "allocations over {budget}x the block: {over:#?}"
+    );
 }
 
 /// The monitor state snapshot layout version the offsets below describe.

@@ -100,17 +100,20 @@ impl Fingerprint {
     }
 }
 
+/// The fingerprint reads every slot through `log.peers`, so it covers the
+/// `PeerId`s a log names, not how it numbers them.
 fn fingerprint(log: &DhtLog) -> u64 {
+    let peer = |slot: u32| &log.peers[slot as usize];
     let mut f = Fingerprint(FNV_OFFSET);
     f.word(log.k as u64);
     f.word(log.bootstrap.len() as u64);
-    for peer in &log.bootstrap {
-        f.peer(peer);
+    for &slot in &log.bootstrap {
+        f.peer(peer(slot));
     }
     f.word(log.conduct.len() as u64);
-    for (peer, conduct) in &log.conduct {
-        f.peer(peer);
-        match *conduct {
+    for &(slot, conduct) in &log.conduct {
+        f.peer(peer(slot));
+        match conduct {
             DhtConduct::Honest => f.word(0),
             DhtConduct::Sybil { cluster } => {
                 f.word(1);
@@ -132,9 +135,9 @@ fn fingerprint(log: &DhtLog) -> u64 {
         };
         f.word(tag);
         f.word(at.as_millis());
-        f.peer(&a);
+        f.peer(peer(a));
         if let Some(b) = b {
-            f.peer(&b);
+            f.peer(peer(b));
         }
     }
     f.0
@@ -150,7 +153,13 @@ fn cell(period: MeasurementPeriod, churn: ChurnScenario) -> (u64, u64) {
     let output = Network::new(run.config, run.population.specs)
         .with_population_events(run.events)
         .run();
-    let replayed = dht_log_from_ground_truth(&output.ground_truth, &output.dht.bootstrap);
+    let log = &output.dht;
+    let bootstrap: Vec<PeerId> = log
+        .bootstrap
+        .iter()
+        .map(|&slot| log.peers[slot as usize])
+        .collect();
+    let replayed = dht_log_from_ground_truth(&output.ground_truth, &bootstrap);
     (fingerprint(&output.dht), fingerprint(&replayed))
 }
 
