@@ -182,12 +182,20 @@ impl CaptureHistory {
         let mut by_pid: std::collections::BTreeMap<p2pmodel::PeerId, u32> =
             std::collections::BTreeMap::new();
         for conn in &dataset.connections {
-            let lo = u128::from(conn.opened_at.saturating_since(dataset.started_at).as_millis());
+            let lo = u128::from(
+                conn.opened_at
+                    .saturating_since(dataset.started_at)
+                    .as_millis(),
+            );
             if lo >= span {
                 continue;
             }
-            let hi = u128::from(conn.closed_at.saturating_since(dataset.started_at).as_millis())
-                .min(span - 1);
+            let hi = u128::from(
+                conn.closed_at
+                    .saturating_since(dataset.started_at)
+                    .as_millis(),
+            )
+            .min(span - 1);
             let first = ((lo * occasions as u128 / span) as usize).min(occasions - 1);
             let last = ((hi * occasions as u128 / span) as usize).min(occasions - 1);
             let mask = by_pid.entry(conn.peer).or_insert(0);
@@ -266,8 +274,7 @@ pub(crate) fn bootstrap_cis(
     seed: u64,
 ) -> Vec<(EstimatorKind, Option<(f64, f64)>)> {
     let n = history.masks.len();
-    let mut distributions: Vec<Vec<f64>> =
-        (0..4).map(|_| Vec::with_capacity(replicates)).collect();
+    let mut distributions: Vec<Vec<f64>> = (0..4).map(|_| Vec::with_capacity(replicates)).collect();
     if n > 0 {
         let mut rng = SimRng::seed_from(seed);
         let mut resampled = CaptureHistory {
@@ -401,10 +408,17 @@ impl EstimatorCalibration {
         let covers = |interval: (f64, f64), value: f64| interval.0 <= value && value <= interval.1;
         let fraction = |hits: usize| hits as f64 / n;
         let coverage_truth_analytic = fraction(
-            samples.iter().filter(|s| covers(s.analytic, s.truth_pids as f64)).count(),
+            samples
+                .iter()
+                .filter(|s| covers(s.analytic, s.truth_pids as f64))
+                .count(),
         );
-        let coverage_self_analytic =
-            fraction(samples.iter().filter(|s| covers(s.analytic, mean_estimate)).count());
+        let coverage_self_analytic = fraction(
+            samples
+                .iter()
+                .filter(|s| covers(s.analytic, mean_estimate))
+                .count(),
+        );
         let mean_rel_width_analytic = samples
             .iter()
             .map(|s| (s.analytic.1 - s.analytic.0) / mean_truth.max(1.0))
@@ -419,9 +433,8 @@ impl EstimatorCalibration {
                 Some(with_bootstrap.iter().map(|s| f(s)).sum::<f64>() / with_bootstrap.len() as f64)
             }
         };
-        let coverage_truth_bootstrap = boot(&|s| {
-            f64::from(covers(s.bootstrap.expect("filtered"), s.truth_pids as f64))
-        });
+        let coverage_truth_bootstrap =
+            boot(&|s| f64::from(covers(s.bootstrap.expect("filtered"), s.truth_pids as f64)));
         let coverage_self_bootstrap =
             boot(&|s| f64::from(covers(s.bootstrap.expect("filtered"), mean_estimate)));
         let mean_rel_width_bootstrap = boot(&|s| {
@@ -458,11 +471,17 @@ impl EstimatorCalibration {
         obj.insert("mean_abs_rel_error", self.mean_abs_rel_error);
         obj.insert("coverage_truth_analytic", self.coverage_truth_analytic);
         let opt = |v: Option<f64>| v.map(Json::Float).unwrap_or(Json::Null);
-        obj.insert("coverage_truth_bootstrap", opt(self.coverage_truth_bootstrap));
+        obj.insert(
+            "coverage_truth_bootstrap",
+            opt(self.coverage_truth_bootstrap),
+        );
         obj.insert("coverage_self_analytic", self.coverage_self_analytic);
         obj.insert("coverage_self_bootstrap", opt(self.coverage_self_bootstrap));
         obj.insert("mean_rel_width_analytic", self.mean_rel_width_analytic);
-        obj.insert("mean_rel_width_bootstrap", opt(self.mean_rel_width_bootstrap));
+        obj.insert(
+            "mean_rel_width_bootstrap",
+            opt(self.mean_rel_width_bootstrap),
+        );
         obj
     }
 }
@@ -520,7 +539,10 @@ impl CalibrationCell {
         obj.insert("truth_pids_mean", self.truth_pids_mean);
         obj.insert(
             "survival",
-            self.survival.as_ref().map(|s| s.to_json()).unwrap_or(Json::Null),
+            self.survival
+                .as_ref()
+                .map(|s| s.to_json())
+                .unwrap_or(Json::Null),
         );
         obj.insert(
             "single_vantage",
@@ -538,7 +560,12 @@ impl CalibrationCell {
         );
         obj.insert(
             "leaderboard",
-            Json::Array(self.leaderboard.iter().map(|l| Json::from(l.as_str())).collect()),
+            Json::Array(
+                self.leaderboard
+                    .iter()
+                    .map(|l| Json::from(l.as_str()))
+                    .collect(),
+            ),
         );
         obj
     }
@@ -585,7 +612,9 @@ pub fn calibration_report(
 ) -> CalibrationReport {
     let first = suites.first().expect("at least one replicate suite");
     assert!(
-        suites.iter().all(|s| s.campaigns.len() == first.campaigns.len()),
+        suites
+            .iter()
+            .all(|s| s.campaigns.len() == first.campaigns.len()),
         "every replicate must cover the same scenarios"
     );
     let scenario_count = first.campaigns.len();
@@ -653,8 +682,9 @@ pub fn calibration_report(
             );
             let span_end = primary.started_at
                 + simclock::SimDuration::from_secs(WINDOW_SPAN_SECS).min(primary.duration());
-            let truth_pids =
-                campaign.ground_truth.ever_online_within(primary.started_at, span_end);
+            let truth_pids = campaign
+                .ground_truth
+                .ever_online_within(primary.started_at, span_end);
             let boots = if bootstrap > 0 {
                 bootstrap_cis(
                     &history,
@@ -690,7 +720,11 @@ pub fn calibration_report(
                 .iter()
                 .map(|e| (e.signed_bias.abs(), e.estimator.clone()))
                 .collect();
-            ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite bias").then(a.1.cmp(&b.1)));
+            ranked.sort_by(|a, b| {
+                a.0.partial_cmp(&b.0)
+                    .expect("finite bias")
+                    .then(a.1.cmp(&b.1))
+            });
             ranked.into_iter().map(|(_, label)| label).collect()
         } else {
             // Single vantage: rank the §V estimators by mean absolute error
@@ -700,14 +734,24 @@ pub fn calibration_report(
                 single_vantage.iter().map(|r| f(r).abs()).sum::<f64>() / n.max(1.0)
             };
             let mut ranked = vec![
-                (mean_abs(&|r| r.by_pids.signed_rel_error), "by_pids".to_string()),
-                (mean_abs(&|r| r.by_ip_groups.signed_rel_error), "by_ip_groups".to_string()),
+                (
+                    mean_abs(&|r| r.by_pids.signed_rel_error),
+                    "by_pids".to_string(),
+                ),
+                (
+                    mean_abs(&|r| r.by_ip_groups.signed_rel_error),
+                    "by_ip_groups".to_string(),
+                ),
                 (
                     mean_abs(&|r| r.core_lower_bound.signed_rel_error),
                     "core_lower_bound".to_string(),
                 ),
             ];
-            ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite error").then(a.1.cmp(&b.1)));
+            ranked.sort_by(|a, b| {
+                a.0.partial_cmp(&b.0)
+                    .expect("finite error")
+                    .then(a.1.cmp(&b.1))
+            });
             ranked.into_iter().map(|(_, label)| label).collect()
         };
 
@@ -736,7 +780,11 @@ pub fn calibration_report(
             leaderboard,
         });
     }
-    let first_scenario = &first.campaigns.first().expect("suite has scenarios").scenario;
+    let first_scenario = &first
+        .campaigns
+        .first()
+        .expect("suite has scenarios")
+        .scenario;
     CalibrationReport {
         period: first_scenario.period.label().to_string(),
         scale: first_scenario.scale,
@@ -964,7 +1012,10 @@ mod tests {
         let report = calibration_report(&suites, &[], 50);
         let cell = &report.cells[0];
         assert_eq!(cell.vantages, 1);
-        assert!(cell.estimators.is_empty(), "no capture structure below two vantages");
+        assert!(
+            cell.estimators.is_empty(),
+            "no capture structure below two vantages"
+        );
         assert_eq!(
             {
                 let mut sorted = cell.leaderboard.clone();
@@ -1017,28 +1068,39 @@ mod tests {
         dataset.connections.push(conn(4, 4, 1, 2));
         dataset.connections.push(conn(5, 4, 23, 40));
 
-        let history =
-            CaptureHistory::from_time_windows(&dataset, 12, SimDuration::from_hours(24));
+        let history = CaptureHistory::from_time_windows(&dataset, 12, SimDuration::from_hours(24));
         assert_eq!(history.occasions, 12);
         assert_eq!(history.observed(), 3, "the late peer is outside the span");
         let mut masks = history.masks.clone();
         masks.sort_unstable();
         // Peer 1 → windows {0,1,2}; peer 2 → {6,7}; peer 4 → {0,11}.
-        assert_eq!(masks, vec![0b0000_0000_0111, 0b0000_1100_0000, 0b1000_0000_0011]);
+        assert_eq!(
+            masks,
+            vec![0b0000_0000_0111, 0b0000_1100_0000, 0b1000_0000_0011]
+        );
         // f1 counts single-window peers; peer 1 (3 windows), peer 2 (2),
         // peer 4 (3) → none.
         assert_eq!(history.f1_f2(), (0, 1));
 
         // The span clamps to the measurement duration.
-        let clamped =
-            CaptureHistory::from_time_windows(&dataset, 12, SimDuration::from_hours(999));
-        assert_eq!(clamped.observed(), 4, "full-span slicing sees the late peer too");
+        let clamped = CaptureHistory::from_time_windows(&dataset, 12, SimDuration::from_hours(999));
+        assert_eq!(
+            clamped.observed(),
+            4,
+            "full-span slicing sees the late peer too"
+        );
     }
 
     #[test]
     fn window_bootstrap_seeds_never_alias_the_vantage_stream() {
-        assert_ne!(window_bootstrap_seed(7, "baseline"), bootstrap_seed(7, "baseline"));
-        assert_ne!(window_bootstrap_seed(7, "baseline"), window_bootstrap_seed(8, "baseline"));
+        assert_ne!(
+            window_bootstrap_seed(7, "baseline"),
+            bootstrap_seed(7, "baseline")
+        );
+        assert_ne!(
+            window_bootstrap_seed(7, "baseline"),
+            window_bootstrap_seed(8, "baseline")
+        );
         assert_ne!(
             window_bootstrap_seed(7, "baseline"),
             window_bootstrap_seed(7, "flashcrowd")

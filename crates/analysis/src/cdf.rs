@@ -6,11 +6,13 @@
 //! connections** per PID. The paper reads off that ~53 % of PIDs stay below
 //! one hour, ~16 % above 24 h, ~50 % have a single connection and only ~10 %
 //! have more than 15.
+//!
+//! Both CDFs read the per-peer entries of one fold of the dataset's
+//! connections (`stream::DatasetFold`).
 
+use crate::stream::DatasetFold;
 use measurement::MeasurementDataset;
-use p2pmodel::PeerId;
 use simclock::Cdf;
-use std::collections::BTreeMap;
 
 /// The three duration CDFs of the left plot of Fig. 7.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,29 +36,16 @@ impl DurationCdfs {
 /// Computes the per-PID maximum connection duration CDFs (Fig. 7, left),
 /// with durations grouped into `bucket_secs` intervals (30 s in the paper).
 pub fn max_duration_cdf(dataset: &MeasurementDataset, bucket_secs: f64) -> DurationCdfs {
-    let mut max_per_peer: BTreeMap<PeerId, f64> = BTreeMap::new();
-    for conn in &dataset.connections {
-        let duration = conn.duration_secs();
-        let entry = max_per_peer.entry(conn.peer).or_insert(0.0);
-        if duration > *entry {
-            *entry = duration;
-        }
-    }
     let bucket = if bucket_secs > 0.0 { bucket_secs } else { 1.0 };
     let round = |secs: f64| (secs / bucket).ceil() * bucket;
 
     let mut all = Vec::new();
     let mut servers = Vec::new();
     let mut clients = Vec::new();
-    for (peer, max_duration) in &max_per_peer {
-        let value = round(*max_duration);
+    for (_, agg) in &DatasetFold::new(dataset).peers {
+        let value = round(agg.max_duration.as_secs_f64());
         all.push(value);
-        let is_server = dataset
-            .peers
-            .get(peer)
-            .map(|r| r.ever_dht_server)
-            .unwrap_or(false);
-        if is_server {
+        if agg.ever_dht_server {
             servers.push(value);
         } else {
             clients.push(value);
@@ -71,11 +60,11 @@ pub fn max_duration_cdf(dataset: &MeasurementDataset, bucket_secs: f64) -> Durat
 
 /// Computes the CDF of the number of connections per PID (Fig. 7, right).
 pub fn connection_count_cdf(dataset: &MeasurementDataset) -> Cdf {
-    let mut counts: BTreeMap<PeerId, usize> = BTreeMap::new();
-    for conn in &dataset.connections {
-        *counts.entry(conn.peer).or_insert(0) += 1;
-    }
-    let samples: Vec<f64> = counts.values().map(|c| *c as f64).collect();
+    let samples: Vec<f64> = DatasetFold::new(dataset)
+        .peers
+        .iter()
+        .map(|(_, agg)| agg.connections as f64)
+        .collect();
     Cdf::from_samples(&samples)
 }
 
@@ -83,7 +72,7 @@ pub fn connection_count_cdf(dataset: &MeasurementDataset) -> Cdf {
 mod tests {
     use super::*;
     use measurement::{ConnectionRecord, PeerRecord};
-    use p2pmodel::{ConnectionId, Direction, IpAddress, Multiaddr, Transport};
+    use p2pmodel::{ConnectionId, Direction, IpAddress, Multiaddr, PeerId, Transport};
     use simclock::SimTime;
 
     fn conn(id: u64, peer: u64, opened: u64, closed: u64) -> ConnectionRecord {
@@ -107,10 +96,14 @@ mod tests {
         let mut server = PeerRecord::new(PeerId::derived(1), SimTime::ZERO);
         server.ever_dht_server = true;
         ds.peers.insert(server.peer, server);
-        ds.peers
-            .insert(PeerId::derived(2), PeerRecord::new(PeerId::derived(2), SimTime::ZERO));
-        ds.peers
-            .insert(PeerId::derived(3), PeerRecord::new(PeerId::derived(3), SimTime::ZERO));
+        ds.peers.insert(
+            PeerId::derived(2),
+            PeerRecord::new(PeerId::derived(2), SimTime::ZERO),
+        );
+        ds.peers.insert(
+            PeerId::derived(3),
+            PeerRecord::new(PeerId::derived(3), SimTime::ZERO),
+        );
         ds.connections = vec![
             conn(1, 1, 0, 90_000),
             conn(2, 1, 100_000, 100_010),

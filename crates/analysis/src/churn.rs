@@ -12,11 +12,19 @@
 //! It additionally observes that inbound connections vastly outnumber and
 //! outlive outbound ones — evidence that closes are dominated by connection
 //! trimming. [`direction_stats`] reproduces that breakdown.
+//!
+//! Each makes one pass over the dataset's connections and computes its
+//! statistics with the code the streaming path runs on a `StreamSummary`,
+//! so each statistic has one implementation. [`connection_stats`] reads the
+//! dataset fold (`stream::DatasetFold`: per-peer aggregates behind a hash
+//! index and every duration in `u64` milliseconds); [`direction_stats`]
+//! needs no per-peer state and collects only each direction's durations
+//! and the close counts. Durations are sorted once, as integers, into the
+//! run-length multisets a streaming pass keeps.
 
-use measurement::MeasurementDataset;
-use p2pmodel::{CloseReason, PeerId};
-use simclock::Summary;
-use std::collections::BTreeMap;
+use crate::stream::{connection_stats_from, direction_stats_from, run_lengths, DatasetFold};
+use measurement::{DirectionAgg, MeasurementDataset};
+use p2pmodel::CloseReason;
 
 /// One row pair of Table II for a single client and period.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,91 +69,70 @@ pub struct DirectionStats {
 /// the paper ("in the statistic, we consider only peers with recorded
 /// connection information").
 pub fn connection_stats(dataset: &MeasurementDataset) -> ConnectionStats {
-    let durations: Vec<f64> = dataset
-        .connections
-        .iter()
-        .map(|c| c.duration_secs())
-        .collect();
-    let all = Summary::from_samples(&durations);
-
-    let mut per_peer: BTreeMap<PeerId, Vec<f64>> = BTreeMap::new();
-    for conn in &dataset.connections {
-        per_peer.entry(conn.peer).or_default().push(conn.duration_secs());
-    }
-    let peer_averages: Vec<f64> = per_peer
-        .values()
-        .map(|durations| durations.iter().sum::<f64>() / durations.len() as f64)
-        .collect();
-    let peer = Summary::from_samples(&peer_averages);
-
-    ConnectionStats {
-        client: dataset.client.clone(),
-        all_sum: all.count,
-        all_avg_secs: all.mean,
-        all_median_secs: all.median,
-        peer_sum: peer.count,
-        peer_avg_secs: peer.mean,
-        peer_median_secs: peer.median,
-    }
+    let fold = DatasetFold::new(dataset);
+    connection_stats_from(
+        &dataset.client,
+        &run_lengths(fold.durations_ms),
+        fold.peers.iter().map(|(_, agg)| agg),
+    )
 }
 
 /// Computes the inbound/outbound breakdown for one data set.
 pub fn direction_stats(dataset: &MeasurementDataset) -> DirectionStats {
-    let inbound: Vec<f64> = dataset
-        .connections
-        .iter()
-        .filter(|c| c.is_inbound())
-        .map(|c| c.duration_secs())
-        .collect();
-    let outbound: Vec<f64> = dataset
-        .connections
-        .iter()
-        .filter(|c| !c.is_inbound())
-        .map(|c| c.duration_secs())
-        .collect();
-
-    let with_reason = dataset
-        .connections
-        .iter()
-        .filter(|c| c.close_reason.is_some())
-        .count();
-    let trimmed = dataset
-        .connections
-        .iter()
-        .filter(|c| {
-            matches!(
-                c.close_reason,
-                Some(CloseReason::TrimmedLocal) | Some(CloseReason::TrimmedRemote)
-            )
-        })
-        .count();
-    let trimmed_fraction = if with_reason == 0 {
-        None
-    } else {
-        Some(trimmed as f64 / with_reason as f64)
-    };
-
-    DirectionStats {
-        inbound: inbound.len(),
-        outbound: outbound.len(),
-        inbound_avg_secs: Summary::from_samples(&inbound).mean,
-        outbound_avg_secs: Summary::from_samples(&outbound).mean,
-        trimmed_fraction,
+    let (mut inbound_ms, mut outbound_ms) = (Vec::new(), Vec::new());
+    let (mut closes_with_reason, mut trimmed_closes) = (0, 0);
+    for conn in &dataset.connections {
+        let ms = conn.duration().as_millis();
+        if conn.is_inbound() {
+            inbound_ms.push(ms);
+        } else {
+            outbound_ms.push(ms);
+        }
+        if let Some(reason) = conn.close_reason {
+            closes_with_reason += 1;
+            if matches!(
+                reason,
+                CloseReason::TrimmedLocal | CloseReason::TrimmedRemote
+            ) {
+                trimmed_closes += 1;
+            }
+        }
     }
+    let direction = |ms: Vec<u64>| DirectionAgg {
+        count: ms.len() as u64,
+        dur_hist: run_lengths(ms),
+    };
+    direction_stats_from(
+        &direction(inbound_ms),
+        &direction(outbound_ms),
+        closes_with_reason,
+        trimmed_closes,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use measurement::ConnectionRecord;
-    use p2pmodel::{ConnectionId, Direction, IpAddress, Multiaddr, Transport};
+    use p2pmodel::{ConnectionId, Direction, IpAddress, Multiaddr, PeerId, Transport};
     use simclock::SimTime;
 
-    fn conn(id: u64, peer: u64, opened: u64, closed: u64, inbound: bool, reason: Option<CloseReason>) -> ConnectionRecord {
+    fn conn(
+        id: u64,
+        peer: u64,
+        opened: u64,
+        closed: u64,
+        inbound: bool,
+        reason: Option<CloseReason>,
+    ) -> ConnectionRecord {
         ConnectionRecord {
             id: ConnectionId(id),
             peer: PeerId::derived(peer),
-            direction: if inbound { Direction::Inbound } else { Direction::Outbound },
+            direction: if inbound {
+                Direction::Inbound
+            } else {
+                Direction::Outbound
+            },
             remote_addr: Multiaddr::new(IpAddress::V4(peer as u32), Transport::Tcp, 4001),
             opened_at: SimTime::from_secs(opened),
             closed_at: SimTime::from_secs(closed),
@@ -155,7 +142,8 @@ mod tests {
     }
 
     fn dataset(connections: Vec<ConnectionRecord>) -> MeasurementDataset {
-        let mut ds = MeasurementDataset::new("go-ipfs", true, SimTime::ZERO, SimTime::from_hours(24));
+        let mut ds =
+            MeasurementDataset::new("go-ipfs", true, SimTime::ZERO, SimTime::from_hours(24));
         ds.connections = connections;
         ds
     }

@@ -52,7 +52,10 @@ pub use metadata::{
     agent_histogram, anomaly_report, protocol_histogram, role_switches, version_changes,
     AgentBreakdown, AnomalyReport, RoleSwitchStats, VersionChangeTable,
 };
-pub use netsize::{classify_peers, ip_grouping, network_size_estimate, ConnectionClass, IpGrouping, NetworkSizeEstimate, PeerClassification};
+pub use netsize::{
+    classify_peers, ip_grouping, network_size_estimate, ConnectionClass, IpGrouping,
+    NetworkSizeEstimate, PeerClassification,
+};
 pub use robustness::{
     crawl_disagreement_report, crawl_disagreement_row, robustness_report, robustness_row,
     scenario_robustness, CrawlDisagreementReport, CrawlDisagreementRow, EstimatorError,
@@ -67,6 +70,6 @@ pub use survival::{analyze_survival, SurvivalAnalysis, SurvivalCurve, SurvivalPo
 pub use timeline::{connection_timeline, pid_growth, PidGrowth};
 pub use validation::{churn_decomposition, ChurnDecomposition};
 pub use vantage::{
-    analyze_vantages, chao1, chao2, jackknife1, lincoln_petersen, vantage_report,
-    CaptureRecapture, VantageAnalysis, VantageCountRow, VantageReport,
+    analyze_vantages, chao1, chao2, jackknife1, lincoln_petersen, vantage_report, CaptureRecapture,
+    VantageAnalysis, VantageCountRow, VantageReport,
 };

@@ -257,7 +257,8 @@ mod tests {
     }
 
     fn dataset(peers: Vec<PeerRecord>) -> MeasurementDataset {
-        let mut ds = MeasurementDataset::new("go-ipfs", true, SimTime::ZERO, SimTime::from_hours(24));
+        let mut ds =
+            MeasurementDataset::new("go-ipfs", true, SimTime::ZERO, SimTime::from_hours(24));
         for p in peers {
             ds.peers.insert(p.peer, p);
         }
@@ -293,7 +294,11 @@ mod tests {
     #[test]
     fn breakdown_classifies_agent_families() {
         let peers = vec![
-            peer(1, "go-ipfs/0.11.0/abc", &[well_known::KAD, well_known::BITSWAP_1_2]),
+            peer(
+                1,
+                "go-ipfs/0.11.0/abc",
+                &[well_known::KAD, well_known::BITSWAP_1_2],
+            ),
             peer(2, "hydra-booster/0.7.4", &[well_known::KAD]),
             peer(3, "nebula-crawler/1.0.0", &[well_known::KAD]),
             peer(4, "storm", &[well_known::SBPTP]),
@@ -379,9 +384,17 @@ mod tests {
     fn anomaly_report_finds_disguised_storm_and_ethereum() {
         let peers = vec![
             // go-ipfs without Bitswap announcing sbptp.
-            peer(1, "go-ipfs/0.8.0/ce693d7", &[well_known::KAD, well_known::SBPTP]),
+            peer(
+                1,
+                "go-ipfs/0.8.0/ce693d7",
+                &[well_known::KAD, well_known::SBPTP],
+            ),
             // Normal go-ipfs.
-            peer(2, "go-ipfs/0.11.0/", &[well_known::KAD, well_known::BITSWAP_1_2]),
+            peer(
+                2,
+                "go-ipfs/0.11.0/",
+                &[well_known::KAD, well_known::BITSWAP_1_2],
+            ),
             // Ethereum node.
             peer(3, "go-ethereum/v1.10.13", &[well_known::PING]),
             // Plain storm.

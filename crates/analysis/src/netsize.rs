@@ -12,9 +12,15 @@
 //!   Table IV): peers are classified as heavy / normal / light / one-time
 //!   from the duration and number of their connections; heavy + normal peers
 //!   form the "core network".
+//!
+//! Every estimator folds the dataset's connections once
+//! (`stream::DatasetFold`: per-peer connection count, longest duration,
+//! first IP and DHT-Server flag) and runs the code the streaming path runs
+//! on a `StreamSummary`, so each has one implementation.
 
+use crate::stream::{classify_from, ip_grouping_from, DatasetFold};
 use measurement::MeasurementDataset;
-use p2pmodel::{IpAddress, PeerId};
+use p2pmodel::PeerId;
 use simclock::SimDuration;
 use std::collections::BTreeMap;
 
@@ -46,30 +52,12 @@ pub struct IpGrouping {
 /// address for the group partition (the paper's method groups by connected
 /// multiaddress; multi-homed peers are rare enough not to matter).
 pub fn ip_grouping(dataset: &MeasurementDataset) -> IpGrouping {
-    let mut first_ip: BTreeMap<PeerId, IpAddress> = BTreeMap::new();
-    let mut all_ips: std::collections::BTreeSet<IpAddress> = std::collections::BTreeSet::new();
-    for conn in &dataset.connections {
-        let ip = conn.remote_addr.ip();
-        all_ips.insert(ip);
-        first_ip.entry(conn.peer).or_insert(ip);
-    }
-    let mut groups: BTreeMap<IpAddress, usize> = BTreeMap::new();
-    for ip in first_ip.values() {
-        *groups.entry(*ip).or_insert(0) += 1;
-    }
-    let mut sizes: Vec<usize> = groups.values().copied().collect();
-    sizes.sort_unstable_by(|a, b| b.cmp(a));
-
-    IpGrouping {
-        total_pids: dataset.pid_count(),
-        connected_pids: first_ip.len(),
-        distinct_ips: all_ips.len(),
-        groups: groups.len(),
-        singleton_groups: sizes.iter().filter(|&&s| s == 1).count(),
-        unique_ip_pids: sizes.iter().filter(|&&s| s == 1).count(),
-        largest_group: sizes.first().copied().unwrap_or(0),
-        top_groups: sizes.into_iter().take(10).collect(),
-    }
+    let fold = DatasetFold::new(dataset);
+    ip_grouping_from(
+        fold.pids,
+        fold.distinct_connection_ips,
+        fold.peers.iter().map(|(_, agg)| agg),
+    )
 }
 
 /// The connection classes of Table IV.
@@ -167,40 +155,7 @@ impl PeerClassification {
 
 /// Classifies every peer with connection information (Table IV).
 pub fn classify_peers(dataset: &MeasurementDataset) -> PeerClassification {
-    let mut max_duration: BTreeMap<PeerId, SimDuration> = BTreeMap::new();
-    let mut counts: BTreeMap<PeerId, usize> = BTreeMap::new();
-    for conn in &dataset.connections {
-        let duration = conn.duration();
-        let entry = max_duration.entry(conn.peer).or_insert(SimDuration::ZERO);
-        if duration > *entry {
-            *entry = duration;
-        }
-        *counts.entry(conn.peer).or_insert(0) += 1;
-    }
-    let mut per_peer = BTreeMap::new();
-    let mut totals: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
-    for (peer, duration) in &max_duration {
-        let class = ConnectionClass::classify(*duration, counts[peer]);
-        per_peer.insert(*peer, class);
-        let is_server = dataset
-            .peers
-            .get(peer)
-            .map(|r| r.ever_dht_server)
-            .unwrap_or(false);
-        let entry = totals.entry(class.label()).or_insert((0, 0));
-        entry.0 += 1;
-        if is_server {
-            entry.1 += 1;
-        }
-    }
-    let rows = ConnectionClass::ALL
-        .iter()
-        .map(|class| {
-            let (total, servers) = totals.get(class.label()).copied().unwrap_or((0, 0));
-            (class.label().to_string(), total, servers)
-        })
-        .collect();
-    PeerClassification { rows, per_peer }
+    classify_from(DatasetFold::new(dataset).aggs())
 }
 
 /// The combined network-size estimate of Section V.
@@ -219,27 +174,14 @@ pub struct NetworkSizeEstimate {
 
 /// Computes all three estimates for a data set.
 pub fn network_size_estimate(dataset: &MeasurementDataset) -> NetworkSizeEstimate {
-    let grouping = ip_grouping(dataset);
-    let classes = classify_peers(dataset);
-    let max_simultaneous = dataset
-        .snapshots
-        .iter()
-        .map(|s| s.open_connections)
-        .max()
-        .unwrap_or(0);
-    NetworkSizeEstimate {
-        by_pids: dataset.pid_count(),
-        by_ip_groups: grouping.groups,
-        core_lower_bound: classes.core_size(),
-        max_simultaneous_connections: max_simultaneous,
-    }
+    DatasetFold::new(dataset).network_size()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use measurement::{ConnectionRecord, PeerRecord, SnapshotRecord};
-    use p2pmodel::{ConnectionId, Direction, Multiaddr, Transport};
+    use p2pmodel::{ConnectionId, Direction, IpAddress, Multiaddr, Transport};
     use simclock::SimTime;
 
     fn conn(id: u64, peer: u64, ip: u32, opened: u64, closed: u64) -> ConnectionRecord {
@@ -277,12 +219,24 @@ mod tests {
     fn classification_thresholds_match_table_four() {
         let two_h = SimDuration::from_hours(2);
         let day = SimDuration::from_hours(24);
-        assert_eq!(ConnectionClass::classify(day + SimDuration::from_secs(1), 1), ConnectionClass::Heavy);
+        assert_eq!(
+            ConnectionClass::classify(day + SimDuration::from_secs(1), 1),
+            ConnectionClass::Heavy
+        );
         assert_eq!(ConnectionClass::classify(day, 50), ConnectionClass::Normal);
-        assert_eq!(ConnectionClass::classify(two_h + SimDuration::from_secs(1), 1), ConnectionClass::Normal);
+        assert_eq!(
+            ConnectionClass::classify(two_h + SimDuration::from_secs(1), 1),
+            ConnectionClass::Normal
+        );
         assert_eq!(ConnectionClass::classify(two_h, 3), ConnectionClass::Light);
-        assert_eq!(ConnectionClass::classify(two_h, 2), ConnectionClass::OneTime);
-        assert_eq!(ConnectionClass::classify(SimDuration::from_secs(60), 1), ConnectionClass::OneTime);
+        assert_eq!(
+            ConnectionClass::classify(two_h, 2),
+            ConnectionClass::OneTime
+        );
+        assert_eq!(
+            ConnectionClass::classify(SimDuration::from_secs(60), 1),
+            ConnectionClass::OneTime
+        );
         assert_eq!(ConnectionClass::Heavy.to_string(), "Heavy");
     }
 
@@ -309,7 +263,10 @@ mod tests {
         assert_eq!(classes.count(ConnectionClass::OneTime), 1);
         assert_eq!(classes.total(), 4);
         assert_eq!(classes.core_size(), 2);
-        assert_eq!(classes.per_peer[&PeerId::derived(3)], ConnectionClass::Light);
+        assert_eq!(
+            classes.per_peer[&PeerId::derived(3)],
+            ConnectionClass::Light
+        );
     }
 
     #[test]
@@ -358,7 +315,10 @@ mod tests {
         assert_eq!(estimate.by_pids, 0);
         assert_eq!(estimate.by_ip_groups, 0);
         assert_eq!(estimate.core_lower_bound, 0);
-        assert_eq!(estimate.max_simultaneous_connections, 0, "no snapshots, no max");
+        assert_eq!(
+            estimate.max_simultaneous_connections, 0,
+            "no snapshots, no max"
+        );
     }
 
     #[test]
@@ -374,7 +334,11 @@ mod tests {
         assert_eq!(classes.count(ConnectionClass::Heavy), 0);
         assert_eq!(classes.count(ConnectionClass::Normal), 0);
         assert_eq!(classes.count(ConnectionClass::Light), 0);
-        assert_eq!(classes.core_size(), 0, "one-time users never reach the core");
+        assert_eq!(
+            classes.core_size(),
+            0,
+            "one-time users never reach the core"
+        );
         let estimate = network_size_estimate(&ds);
         assert_eq!(estimate.by_pids, 40);
         assert_eq!(estimate.by_ip_groups, 40);

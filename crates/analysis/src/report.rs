@@ -35,11 +35,19 @@ pub fn text_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         let padded: Vec<String> = cells
             .iter()
             .enumerate()
-            .map(|(i, cell)| format!("{cell:<width$}", width = widths.get(i).copied().unwrap_or(cell.len())))
+            .map(|(i, cell)| {
+                format!(
+                    "{cell:<width$}",
+                    width = widths.get(i).copied().unwrap_or(cell.len())
+                )
+            })
             .collect();
         format!("| {} |\n", padded.join(" | "))
     };
-    out.push_str(&render_row(headers.iter().map(|h| h.to_string()).collect(), &widths));
+    out.push_str(&render_row(
+        headers.iter().map(|h| h.to_string()).collect(),
+        &widths,
+    ));
     let separator: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
     out.push_str(&format!("|-{}-|\n", separator.join("-|-")));
     for row in rows {
@@ -151,10 +159,7 @@ mod tests {
 
     #[test]
     fn bar_chart_scales_to_max_width() {
-        let chart = bar_chart(
-            &[("a".into(), 100), ("b".into(), 50), ("c".into(), 0)],
-            20,
-        );
+        let chart = bar_chart(&[("a".into(), 100), ("b".into(), 50), ("c".into(), 0)], 20);
         let lines: Vec<&str> = chart.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].matches('#').count() >= lines[1].matches('#').count());

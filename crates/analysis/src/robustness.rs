@@ -17,7 +17,10 @@
 //! [`robustness_report`] turns a set of campaigns (typically one per
 //! scenario from `measurement::run_scenario_suite`) into a
 //! [`RobustnessReport`] with per-scenario signed relative errors, exported
-//! as deterministic JSON by the `repro scenarios` CLI subcommand.
+//! as deterministic JSON by the `repro scenarios` CLI subcommand. Each row
+//! folds its dataset's connections once (`stream::DatasetFold`) and reads
+//! the §V estimate and the Table IV classes from that one fold, with the
+//! estimator code the streaming path runs.
 //!
 //! [`crawl_disagreement_report`] covers the *other* vantage: the DHT-level
 //! adversaries (`ChurnScenario::adversaries`) are silent towards the
@@ -28,8 +31,9 @@
 //! truncated crawls — while the passive columns stay at their baseline
 //! values. Exported by the `repro crawl` CLI subcommand.
 
-use crate::netsize::{classify_peers, network_size_estimate, ConnectionClass};
+use crate::netsize::ConnectionClass;
 use crate::report;
+use crate::stream::{classify_from, DatasetFold};
 use jsonio::Json;
 use measurement::{MeasurementCampaign, MeasurementDataset};
 use population::Scenario;
@@ -50,7 +54,11 @@ impl EstimatorError {
     /// Compares an estimate against a ground-truth value.
     pub(crate) fn new(estimate: usize, truth: usize) -> EstimatorError {
         let signed_rel_error = if truth == 0 {
-            if estimate == 0 { 0.0 } else { f64::INFINITY }
+            if estimate == 0 {
+                0.0
+            } else {
+                f64::INFINITY
+            }
         } else {
             (estimate as f64 - truth as f64) / truth as f64
         };
@@ -128,15 +136,17 @@ impl RobustnessRow {
 /// [`scenario_robustness`] and of the calibration harness's
 /// single-vantage path (`crate::calibration`): both feed the same dataset
 /// and truth values through this builder, so their rows are byte-identical
-/// by construction.
+/// by construction. It folds the dataset's connections once; the §V
+/// estimate and the class sizes both read that fold.
 pub fn robustness_row(
     dataset: &MeasurementDataset,
     scenario: &Scenario,
     truth_pids: usize,
     truth_participants: usize,
 ) -> RobustnessRow {
-    let estimate = network_size_estimate(dataset);
-    let classification = classify_peers(dataset);
+    let fold = DatasetFold::new(dataset);
+    let estimate = fold.network_size();
+    let classification = classify_from(fold.aggs());
     RobustnessRow {
         scenario: scenario.churn.label().to_string(),
         period: scenario.period.label().to_string(),
@@ -483,7 +493,11 @@ mod tests {
         assert_eq!(rows[0].str_field("scenario").unwrap(), "baseline");
         assert_eq!(rows[1].str_field("scenario").unwrap(), "natchurn");
         assert!(rows[1].u64_field("truth_participants").unwrap() > 0);
-        assert!(rows[1].field("by_ip_groups").unwrap().u64_field("estimate").is_ok());
+        assert!(rows[1]
+            .field("by_ip_groups")
+            .unwrap()
+            .u64_field("estimate")
+            .is_ok());
         let table = report.summary_table();
         assert!(table.contains("natchurn"));
         assert!(table.contains('%'));

@@ -1,22 +1,34 @@
-//! Streaming estimators: batch-identical analyses from a single-pass
-//! [`StreamSummary`].
+//! The cumulative estimators, over a streaming pass or a dataset fold.
 //!
-//! `measurement::stream` folds a campaign's observations into `O(window +
-//! peers)` state while the run is still going; this module turns that state
-//! into the *same result types* the batch pipeline produces —
-//! [`ConnectionStats`], [`DirectionStats`], [`IpGrouping`],
-//! [`PeerClassification`], [`NetworkSizeEstimate`] and the capture–recapture
-//! accumulation rows — **byte-identically** (same bits in every float, same
-//! `Debug`/JSON rendering; pinned by `tests/stream_differential.rs`).
+//! Table II ([`ConnectionStats`], [`DirectionStats`]), the §V-A
+//! [`IpGrouping`], the Table IV [`PeerClassification`] and the §V
+//! [`NetworkSizeEstimate`] are folds over per-peer aggregates
+//! ([`PeerStreamAgg`]), ascending run-length duration multisets and close
+//! counts. Each has one implementation here, and two callers feed it:
+//!
+//! * `measurement::stream` folds a campaign's observations into a
+//!   [`StreamSummary`] while the run is still going, in `O(window + peers)`
+//!   state; the `stream_*` functions read it;
+//! * `DatasetFold` folds a batch [`MeasurementDataset`]'s connections in
+//!   one pass; the batch entry points of `churn`, `cdf`, `netsize` and
+//!   `robustness` read it (`direction_stats`, which needs no per-peer
+//!   state, collects its two duration multisets and close counts in a pass
+//!   of its own).
+//!
+//! Both produce the same results **byte-identically** (same bits in every
+//! float, same `Debug`/JSON rendering): `tests/stream_differential.rs` holds
+//! the streaming monitor to the batch monitors on every P0–P4 × regime
+//! cell, and `tests/fold_differential.rs` holds the estimators to the
+//! per-connection reference they replaced.
 //!
 //! The one non-obvious piece is `hist_summary`: `simclock::Summary` sorts
 //! its samples before summing, so a run-length duration multiset carries
-//! *exactly* the information the batch mean/median computation consumes —
+//! *exactly* the information the mean/median computation consumes —
 //! replaying the sorted multiset through the same fold reproduces every bit
-//! of `Summary::from_samples` without ever materialising the per-connection
-//! records. Per-peer duration sums need no replay at all: a peer has at most
-//! one open connection per observer, so the streaming engine accumulates its
-//! durations in the same order as the batch per-peer fold.
+//! of `Summary::from_samples` without ever materialising a per-connection
+//! `f64`. Per-peer duration sums need no replay: both folds add a peer's
+//! durations in record order (a peer has at most one open connection per
+//! observer, so the streaming engine completes its records in that order).
 //!
 //! On top of the cumulative estimates, [`stream_report`] renders the
 //! per-window [`TimeSeries`] artefacts (connections, active peers, load
@@ -24,26 +36,27 @@
 //! headline plots — observable without week-scale memory.
 
 use crate::churn::{ConnectionStats, DirectionStats};
-use crate::netsize::{
-    ConnectionClass, IpGrouping, NetworkSizeEstimate, PeerClassification,
-};
+use crate::netsize::{ConnectionClass, IpGrouping, NetworkSizeEstimate, PeerClassification};
 use crate::report;
 use crate::vantage::{accumulation_rows, VantageCountRow};
 use jsonio::Json;
-use measurement::{sliding_windows, StreamSummary, StreamView, StreamingCampaign};
+use measurement::{
+    sliding_windows, DirectionAgg, MeasurementDataset, PeerStreamAgg, StreamSummary, StreamView,
+    StreamingCampaign,
+};
 use p2pmodel::{IpAddress, PeerId};
-use simclock::{Summary, TimeSeries};
-use std::collections::{BTreeMap, HashSet};
+use simclock::{SimDuration, Summary, TimeSeries};
+use std::collections::{HashMap, HashSet};
 
 /// Reconstructs `Summary::from_samples` bit-for-bit from an ascending
 /// run-length multiset of millisecond durations.
 ///
-/// The batch pipeline collects every connection's `duration_secs()` into a
-/// `Vec<f64>` and hands it to [`Summary::from_samples`], which **sorts**
-/// before folding. Sorting erases the collection order, so the multiset is
-/// sufficient: this function performs the identical fold (sequential f64
-/// additions in ascending order, the same rank interpolation for the
-/// percentiles) over the run-length representation.
+/// A per-connection estimator collects every connection's `duration_secs()`
+/// into a `Vec<f64>` and hands it to [`Summary::from_samples`], which
+/// **sorts** before folding. Sorting erases the collection order, so the
+/// multiset is sufficient: this function performs the identical fold
+/// (sequential f64 additions in ascending order, the same rank
+/// interpolation for the percentiles) over the run-length representation.
 pub(crate) fn hist_summary(hist: &[(u64, u64)]) -> Summary {
     let count: u64 = hist.iter().map(|&(_, c)| c).sum();
     if count == 0 {
@@ -96,19 +109,124 @@ pub(crate) fn hist_summary(hist: &[(u64, u64)]) -> Summary {
     }
 }
 
-/// The Table II connection statistics from a streaming summary —
-/// byte-identical to `connection_stats` on the matching batch data set.
-pub fn stream_connection_stats(summary: &StreamSummary) -> ConnectionStats {
-    let all = hist_summary(&summary.combined_dur_hist());
-    let peer_averages: Vec<f64> = summary
-        .per_peer
-        .values()
+/// One pass over a batch dataset's connections: each connected peer's
+/// aggregate, the recorded durations and the distinct IPs — what a
+/// streaming pass keeps in a [`StreamSummary`], read by the same
+/// estimators.
+pub(crate) struct DatasetFold {
+    /// PIDs in the dataset, connected or not.
+    pub pids: usize,
+    /// Each connected peer and its aggregate, in first-connection order.
+    /// `ever_dht_server` comes from the dataset's peer record (`false` for
+    /// a peer without one).
+    pub peers: Vec<(PeerId, PeerStreamAgg)>,
+    /// Every connection's recorded duration in ms, in record order (only
+    /// Table II sorts them, with [`run_lengths`]).
+    pub durations_ms: Vec<u64>,
+    /// Distinct IP addresses across all connections.
+    pub distinct_connection_ips: usize,
+    /// The largest open-connection count of any snapshot.
+    pub max_open_connections: usize,
+}
+
+impl DatasetFold {
+    /// Folds `dataset.connections` in record order. The one `PeerId` work
+    /// per connection is a lookup in a keyed hash index (datasets come from
+    /// decoded archives, which are outside input).
+    pub(crate) fn new(dataset: &MeasurementDataset) -> DatasetFold {
+        let mut index: HashMap<PeerId, u32> = HashMap::new();
+        let mut peers: Vec<(PeerId, PeerStreamAgg)> = Vec::new();
+        let mut durations_ms = Vec::with_capacity(dataset.connections.len());
+        let mut ips: HashSet<IpAddress> = HashSet::new();
+        for conn in &dataset.connections {
+            let duration = conn.duration();
+            let ip = conn.remote_addr.ip();
+            let slot = *index.entry(conn.peer).or_insert_with(|| {
+                peers.push((
+                    conn.peer,
+                    PeerStreamAgg {
+                        connections: 0,
+                        duration_sum_secs: 0.0,
+                        max_duration: SimDuration::ZERO,
+                        first_ip: Some(ip),
+                        ever_dht_server: false,
+                    },
+                ));
+                u32::try_from(peers.len() - 1).expect("fewer than 2^32 peers")
+            });
+            let agg = &mut peers[slot as usize].1;
+            // A reconnection from the peer's first IP adds nothing to the
+            // set, which took that IP with the first connection.
+            if agg.connections == 0 || agg.first_ip != Some(ip) {
+                ips.insert(ip);
+            }
+            agg.connections += 1;
+            agg.duration_sum_secs += duration.as_secs_f64();
+            agg.max_duration = agg.max_duration.max(duration);
+            durations_ms.push(duration.as_millis());
+        }
+        for (peer, record) in &dataset.peers {
+            if record.ever_dht_server {
+                if let Some(&slot) = index.get(peer) {
+                    peers[slot as usize].1.ever_dht_server = true;
+                }
+            }
+        }
+        DatasetFold {
+            pids: dataset.pid_count(),
+            peers,
+            durations_ms,
+            distinct_connection_ips: ips.len(),
+            max_open_connections: dataset
+                .snapshots
+                .iter()
+                .map(|s| s.open_connections)
+                .max()
+                .unwrap_or(0),
+        }
+    }
+
+    /// Each connected peer and its aggregate.
+    pub(crate) fn aggs(&self) -> impl Iterator<Item = (&PeerId, &PeerStreamAgg)> {
+        self.peers.iter().map(|(peer, agg)| (peer, agg))
+    }
+
+    /// The §V network-size estimate of the folded dataset.
+    pub(crate) fn network_size(&self) -> NetworkSizeEstimate {
+        network_size(
+            self.pids,
+            self.peers
+                .iter()
+                .map(|(_, agg)| (agg.first_ip, agg.max_duration)),
+            self.max_open_connections,
+        )
+    }
+}
+
+/// Sorts millisecond durations into the ascending run-length multiset a
+/// streaming pass keeps ([`DirectionAgg::dur_hist`]).
+pub(crate) fn run_lengths(mut ms: Vec<u64>) -> Vec<(u64, u64)> {
+    ms.sort_unstable();
+    ms.chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u64))
+        .collect()
+}
+
+/// Table II: the "All" row from the ascending duration multiset of every
+/// connection, the "Peer" row from each connected peer's mean duration.
+pub(crate) fn connection_stats_from<'a>(
+    client: &str,
+    durations: &[(u64, u64)],
+    peers: impl Iterator<Item = &'a PeerStreamAgg>,
+) -> ConnectionStats {
+    let all = hist_summary(durations);
+    let peer_averages: Vec<f64> = peers
         .filter(|agg| agg.connections > 0)
         .map(|agg| agg.duration_sum_secs / agg.connections as f64)
         .collect();
     let peer = Summary::from_samples(&peer_averages);
     ConnectionStats {
-        client: summary.observer.clone(),
+        client: client.to_string(),
         all_sum: all.count,
         all_avg_secs: all.mean,
         all_median_secs: all.median,
@@ -118,29 +236,38 @@ pub fn stream_connection_stats(summary: &StreamSummary) -> ConnectionStats {
     }
 }
 
-/// The inbound/outbound breakdown from a streaming summary — byte-identical
-/// to `direction_stats` on the matching batch data set.
-pub fn stream_direction_stats(summary: &StreamSummary) -> DirectionStats {
-    let trimmed_fraction = if summary.closes_with_reason == 0 {
+/// The inbound/outbound breakdown from the two directions' multisets and
+/// the close counts.
+pub(crate) fn direction_stats_from(
+    inbound: &DirectionAgg,
+    outbound: &DirectionAgg,
+    closes_with_reason: u64,
+    trimmed_closes: u64,
+) -> DirectionStats {
+    let trimmed_fraction = if closes_with_reason == 0 {
         None
     } else {
-        Some(summary.trimmed_closes as f64 / summary.closes_with_reason as f64)
+        Some(trimmed_closes as f64 / closes_with_reason as f64)
     };
     DirectionStats {
-        inbound: summary.inbound.count as usize,
-        outbound: summary.outbound.count as usize,
-        inbound_avg_secs: hist_summary(&summary.inbound.dur_hist).mean,
-        outbound_avg_secs: hist_summary(&summary.outbound.dur_hist).mean,
+        inbound: inbound.count as usize,
+        outbound: outbound.count as usize,
+        inbound_avg_secs: hist_summary(&inbound.dur_hist).mean,
+        outbound_avg_secs: hist_summary(&outbound.dur_hist).mean,
         trimmed_fraction,
     }
 }
 
-/// The §V-A IP grouping from a streaming summary — byte-identical to
-/// `ip_grouping` on the matching batch data set.
-pub fn stream_ip_grouping(summary: &StreamSummary) -> IpGrouping {
-    let mut groups: BTreeMap<IpAddress, usize> = BTreeMap::new();
+/// The §V-A IP grouping: each connected peer joins the group of its first
+/// IP address.
+pub(crate) fn ip_grouping_from<'a>(
+    pids: usize,
+    distinct_connection_ips: usize,
+    peers: impl Iterator<Item = &'a PeerStreamAgg>,
+) -> IpGrouping {
+    let mut groups: HashMap<IpAddress, usize> = HashMap::new();
     let mut connected = 0usize;
-    for agg in summary.per_peer.values() {
+    for agg in peers {
         if let Some(ip) = agg.first_ip {
             connected += 1;
             *groups.entry(ip).or_insert(0) += 1;
@@ -149,9 +276,9 @@ pub fn stream_ip_grouping(summary: &StreamSummary) -> IpGrouping {
     let mut sizes: Vec<usize> = groups.values().copied().collect();
     sizes.sort_unstable_by(|a, b| b.cmp(a));
     IpGrouping {
-        total_pids: summary.pids,
+        total_pids: pids,
         connected_pids: connected,
-        distinct_ips: summary.distinct_connection_ips,
+        distinct_ips: distinct_connection_ips,
         groups: groups.len(),
         singleton_groups: sizes.iter().filter(|&&s| s == 1).count(),
         unique_ip_pids: sizes.iter().filter(|&&s| s == 1).count(),
@@ -160,18 +287,20 @@ pub fn stream_ip_grouping(summary: &StreamSummary) -> IpGrouping {
     }
 }
 
-/// The Table IV peer classification from a streaming summary —
-/// byte-identical to `classify_peers` on the matching batch data set.
-pub fn stream_classify_peers(summary: &StreamSummary) -> PeerClassification {
-    let mut per_peer: BTreeMap<PeerId, ConnectionClass> = BTreeMap::new();
-    let mut totals: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
-    for (peer, agg) in &summary.per_peer {
+/// The Table IV classification of every connected peer; `per_peer` is
+/// sorted into PID order once, from the peers, whatever order they come in.
+pub(crate) fn classify_from<'a>(
+    peers: impl Iterator<Item = (&'a PeerId, &'a PeerStreamAgg)>,
+) -> PeerClassification {
+    let mut per_peer: Vec<(PeerId, ConnectionClass)> = Vec::new();
+    let mut totals = [(0usize, 0usize); ConnectionClass::ALL.len()];
+    for (peer, agg) in peers {
         if agg.connections == 0 {
             continue;
         }
         let class = ConnectionClass::classify(agg.max_duration, agg.connections as usize);
-        per_peer.insert(*peer, class);
-        let entry = totals.entry(class.label()).or_insert((0, 0));
+        per_peer.push((*peer, class));
+        let entry = &mut totals[class as usize];
         entry.0 += 1;
         if agg.ever_dht_server {
             entry.1 += 1;
@@ -179,30 +308,79 @@ pub fn stream_classify_peers(summary: &StreamSummary) -> PeerClassification {
     }
     let rows = ConnectionClass::ALL
         .iter()
-        .map(|class| {
-            let (total, servers) = totals.get(class.label()).copied().unwrap_or((0, 0));
+        .map(|&class| {
+            let (total, servers) = totals[class as usize];
             (class.label().to_string(), total, servers)
         })
         .collect();
-    PeerClassification { rows, per_peer }
+    PeerClassification {
+        rows,
+        per_peer: per_peer.into_iter().collect(),
+    }
+}
+
+/// The Table II connection statistics from a streaming summary —
+/// byte-identical to `connection_stats` on the matching batch data set.
+pub fn stream_connection_stats(summary: &StreamSummary) -> ConnectionStats {
+    connection_stats_from(
+        &summary.observer,
+        &summary.combined_dur_hist(),
+        summary.per_peer.values(),
+    )
+}
+
+/// The inbound/outbound breakdown from a streaming summary — byte-identical
+/// to `direction_stats` on the matching batch data set.
+pub fn stream_direction_stats(summary: &StreamSummary) -> DirectionStats {
+    direction_stats_from(
+        &summary.inbound,
+        &summary.outbound,
+        summary.closes_with_reason,
+        summary.trimmed_closes,
+    )
+}
+
+/// The §V-A IP grouping from a streaming summary — byte-identical to
+/// `ip_grouping` on the matching batch data set.
+pub fn stream_ip_grouping(summary: &StreamSummary) -> IpGrouping {
+    ip_grouping_from(
+        summary.pids,
+        summary.distinct_connection_ips,
+        summary.per_peer.values(),
+    )
+}
+
+/// The Table IV peer classification from a streaming summary —
+/// byte-identical to `classify_peers` on the matching batch data set.
+pub fn stream_classify_peers(summary: &StreamSummary) -> PeerClassification {
+    classify_from(summary.per_peer.iter())
 }
 
 /// The combined §V network-size estimate from a streaming summary —
 /// byte-identical to `network_size_estimate` on the matching batch data set.
 pub fn stream_network_size(summary: &StreamSummary) -> NetworkSizeEstimate {
-    network_size(StreamView::Finished(summary))
+    view_network_size(StreamView::Finished(summary))
 }
 
-/// The one §V network-size estimator, over a live or a finished stream: the
-/// PID count, the distinct first IPs (the §V-A IP groups), the peers whose
-/// longest connection puts them in the core (§V-B) and the maximum of
-/// simultaneous connections. One pass over the peers: it resolves no
-/// identify payload, keys nothing by `PeerId` and sorts nothing, so a live
+/// The §V network-size estimate of a live or a finished stream, read in
+/// place: it resolves no identify payload and sorts nothing, so a live
 /// query costs a pass over the tenant's peers and open connections.
-fn network_size(view: StreamView<'_>) -> NetworkSizeEstimate {
+fn view_network_size(view: StreamView<'_>) -> NetworkSizeEstimate {
+    network_size(view.pids(), view.peers(), view.max_open_connections())
+}
+
+/// The one §V network-size estimator: the PID count, the distinct first
+/// IPs (the §V-A IP groups), the peers whose longest connection puts them
+/// in the core (§V-B) and the maximum of simultaneous connections, from
+/// each peer's first IP and longest duration.
+fn network_size(
+    pids: usize,
+    peers: impl Iterator<Item = (Option<IpAddress>, SimDuration)>,
+    max_open_connections: usize,
+) -> NetworkSizeEstimate {
     let mut first_ips: HashSet<IpAddress> = HashSet::new();
     let mut core = 0;
-    for (first_ip, max_duration) in view.peers() {
+    for (first_ip, max_duration) in peers {
         if let Some(ip) = first_ip {
             first_ips.insert(ip);
         }
@@ -211,10 +389,10 @@ fn network_size(view: StreamView<'_>) -> NetworkSizeEstimate {
         }
     }
     NetworkSizeEstimate {
-        by_pids: view.pids(),
+        by_pids: pids,
         by_ip_groups: first_ips.len(),
         core_lower_bound: core,
-        max_simultaneous_connections: view.max_open_connections(),
+        max_simultaneous_connections: max_open_connections,
     }
 }
 
@@ -589,7 +767,7 @@ pub fn answer_stream_query(view: StreamView<'_>, query: &Json) -> Result<Json, S
     };
     match kind {
         "summary" => Ok(stream_summary_json(&view.summary())),
-        "network_size" => Ok(netsize_json(&network_size(view))),
+        "network_size" => Ok(netsize_json(&view_network_size(view))),
         "sliding_windows" => {
             let panes = match query.get("panes") {
                 None => 2,
@@ -626,7 +804,10 @@ pub fn answer_stream_query(view: StreamView<'_>, query: &Json) -> Result<Json, S
         "time_series" => {
             let series = stream_time_series(&view.summary());
             let mut obj = Json::object();
-            obj.insert("closed_connections", series_json(&series.closed_connections));
+            obj.insert(
+                "closed_connections",
+                series_json(&series.closed_connections),
+            );
             obj.insert("active_peers", series_json(&series.active_peers));
             obj.insert("open_connections", series_json(&series.open_connections));
             obj.insert("known_pids", series_json(&series.known_pids));
@@ -719,7 +900,14 @@ impl StreamReport {
             .collect();
         report::text_table(
             &[
-                "Scenario", "Period", "PIDs", "IP groups", "Core", "Conns", "Avg [s]", "Windows",
+                "Scenario",
+                "Period",
+                "PIDs",
+                "IP groups",
+                "Core",
+                "Conns",
+                "Avg [s]",
+                "Windows",
             ],
             &rows,
         )
@@ -759,7 +947,10 @@ mod tests {
                 }
             }
             let actual = hist_summary(&hist);
-            assert_eq!(actual, expected, "round {round}: summaries must be bit-identical");
+            assert_eq!(
+                actual, expected,
+                "round {round}: summaries must be bit-identical"
+            );
             assert_eq!(
                 format!("{actual:?}"),
                 format!("{expected:?}"),
@@ -786,7 +977,11 @@ mod tests {
         let analysis = &report.analyses[0];
         assert_eq!(analysis.period, "P4");
         assert_eq!(analysis.observers.len(), 3);
-        assert_eq!(analysis.capture.len(), 3, "one capture row per vantage count");
+        assert_eq!(
+            analysis.capture.len(),
+            3,
+            "one capture row per vantage count"
+        );
         assert!(analysis.capture[2].chao1.is_some());
         assert!(!analysis.windows.is_empty());
         assert!(analysis.estimates.netsize.by_pids > 0);

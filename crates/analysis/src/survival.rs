@@ -62,7 +62,10 @@ impl SurvivalPoint {
     /// `[0, 1]`.
     pub fn ci95(&self) -> (f64, f64) {
         let half = 1.96 * self.variance.max(0.0).sqrt();
-        ((self.survival - half).max(0.0), (self.survival + half).min(1.0))
+        (
+            (self.survival - half).max(0.0),
+            (self.survival + half).min(1.0),
+        )
     }
 }
 
@@ -95,7 +98,11 @@ pub(crate) fn multiset_subtract(total: &[(u64, u64)], sub: &[(u64, u64)]) -> Vec
         while j < sub.len() && sub[j].0 < value {
             j += 1;
         }
-        let removed = if j < sub.len() && sub[j].0 == value { sub[j].1 } else { 0 };
+        let removed = if j < sub.len() && sub[j].0 == value {
+            sub[j].1
+        } else {
+            0
+        };
         let remaining = count.saturating_sub(removed);
         if remaining > 0 {
             out.push((value, remaining));

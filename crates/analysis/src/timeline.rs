@@ -49,7 +49,11 @@ impl PidGrowth {
 /// Computes Fig. 6 from a data set: samples every `step`, counting PIDs first
 /// seen up to the sample time and PIDs whose *last* observation lies more
 /// than `gone_after` before the sample time.
-pub fn pid_growth(dataset: &MeasurementDataset, step: SimDuration, gone_after: SimDuration) -> PidGrowth {
+pub fn pid_growth(
+    dataset: &MeasurementDataset,
+    step: SimDuration,
+    gone_after: SimDuration,
+) -> PidGrowth {
     // Collect first-seen and last-seen per peer once.
     let mut first_seen: BTreeMap<PeerId, SimTime> = BTreeMap::new();
     let mut last_seen: BTreeMap<PeerId, SimTime> = BTreeMap::new();
@@ -79,7 +83,11 @@ pub fn pid_growth(dataset: &MeasurementDataset, step: SimDuration, gone_after: S
     let mut gone_pids = TimeSeries::new();
     let mut at = dataset.started_at;
     let end = dataset.ended_at;
-    let step = if step.is_zero() { SimDuration::from_hours(1) } else { step };
+    let step = if step.is_zero() {
+        SimDuration::from_hours(1)
+    } else {
+        step
+    };
     while at <= end {
         let hours = (at - dataset.started_at).as_secs_f64() / 3600.0;
         let seen = firsts.partition_point(|t| *t <= at);
@@ -107,7 +115,8 @@ mod tests {
     use p2pmodel::{ConnectionId, Direction, IpAddress, Multiaddr, Transport};
 
     fn dataset() -> MeasurementDataset {
-        let mut ds = MeasurementDataset::new("go-ipfs", true, SimTime::ZERO, SimTime::from_days(14));
+        let mut ds =
+            MeasurementDataset::new("go-ipfs", true, SimTime::ZERO, SimTime::from_days(14));
         // Snapshots: a ramp from 0 to 100 connections over 48 h.
         for hour in 0..48 {
             ds.snapshots.push(SnapshotRecord {

@@ -186,7 +186,11 @@ pub fn chao2(occasions: usize, observed: usize, f1: usize, f2: usize) -> Option<
 /// same number of uniques in a two-occasion design — imbalance between
 /// occasions is exactly what the jackknife variance measures. Returns
 /// `None` for fewer than two occasions.
-pub fn jackknife1(occasions: usize, observed: usize, uniques_per_occasion: &[usize]) -> Option<CaptureRecapture> {
+pub fn jackknife1(
+    occasions: usize,
+    observed: usize,
+    uniques_per_occasion: &[usize],
+) -> Option<CaptureRecapture> {
     if occasions < 2 || uniques_per_occasion.len() != occasions {
         return None;
     }
@@ -236,7 +240,10 @@ impl VantageCountRow {
                 _ => Json::Null,
             }
         };
-        obj.insert("lincoln_petersen", cr(&self.lincoln_petersen, &self.lincoln_petersen_error));
+        obj.insert(
+            "lincoln_petersen",
+            cr(&self.lincoln_petersen, &self.lincoln_petersen_error),
+        );
         obj.insert("chao1", cr(&self.chao1, &self.chao1_error));
         obj
     }
@@ -399,7 +406,11 @@ pub fn analyze_vantages(campaign: &VantageCampaign) -> VantageAnalysis {
         seed: campaign.scenario.seed,
         truth_pids,
         truth_participants: campaign.ground_truth_participants,
-        per_vantage: campaign.vantages.iter().map(HorizonEntry::from_dataset).collect(),
+        per_vantage: campaign
+            .vantages
+            .iter()
+            .map(HorizonEntry::from_dataset)
+            .collect(),
         overlap,
         rows,
     }
@@ -569,7 +580,9 @@ mod tests {
             },
         ];
         let rows = accumulation_rows(&sets, 10);
-        let chao = rows[1].chao1.expect("two occasions produce a Chao1 estimate");
+        let chao = rows[1]
+            .chao1
+            .expect("two occasions produce a Chao1 estimate");
         // N̂ = 4 + (1/2)·4·3/2 = 7 (the estimate itself is unchanged).
         assert!((chao.estimate - 7.0).abs() < 1e-12);
         // Bias-corrected f2 = 0 variance:
@@ -577,7 +590,10 @@ mod tests {
         // = 3 + 12.25 − 16/7 = 12.964285…
         let variance: f64 = 3.0 + 12.25 - 256.0 / (4.0 * 4.0 * 7.0);
         let half = 1.96 * variance.sqrt();
-        assert!((chao.ci95_high - (7.0 + half)).abs() < 1e-9, "upper CI uses the f2=0 variance");
+        assert!(
+            (chao.ci95_high - (7.0 + half)).abs() < 1e-9,
+            "upper CI uses the f2=0 variance"
+        );
         assert!((chao.ci95_low - (7.0 - half).max(4.0)).abs() < 1e-9);
         // Direct call agrees, and stays finite/ordered for larger f1.
         let direct = chao1(2, 4, 4, 0).unwrap();
@@ -641,7 +657,9 @@ mod tests {
             assert_eq!(analysis.overlap[i][i], analysis.per_vantage[i].total_pids);
             for j in 0..3 {
                 assert_eq!(analysis.overlap[i][j], analysis.overlap[j][i]);
-                assert!(analysis.overlap[i][j] <= analysis.overlap[i][i].min(analysis.overlap[j][j]));
+                assert!(
+                    analysis.overlap[i][j] <= analysis.overlap[i][i].min(analysis.overlap[j][j])
+                );
             }
         }
         // Vantage points must actually overlap for the estimators to work.
@@ -655,9 +673,15 @@ mod tests {
         assert_eq!(analysis.rows.len(), 3);
         let mut last_union = 0;
         for row in &analysis.rows {
-            assert!(row.union_pids >= last_union, "union is monotone in vantage count");
+            assert!(
+                row.union_pids >= last_union,
+                "union is monotone in vantage count"
+            );
             last_union = row.union_pids;
-            assert!(row.union_pids <= analysis.truth_pids, "no vantage invents PIDs");
+            assert!(
+                row.union_pids <= analysis.truth_pids,
+                "no vantage invents PIDs"
+            );
             if let Some(lp) = &row.lincoln_petersen {
                 assert!(lp.estimate >= row.union_pids as f64);
                 assert!(lp.estimate.is_finite());
